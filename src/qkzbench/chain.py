@@ -464,12 +464,23 @@ def pole_expansion(cfg, sample_points=None):
 
 # ------------------------------------------------------------------ sum rules
 
+def twist_sinh_sum(cfg, weight):
+    """sum_a g_a sinh(eta M_a)/sinh(eta) at the weight (M_1, ..., M_N),
+    evaluated as sum_a g_a (t^{M_a} - t^{-M_a}) / (t - 1/t)."""
+    dom = cfg.domain
+    tinv = dom.inverse(cfg.t)
+    den = cfg.t - tinv
+    s = dom.zero
+    for a in range(cfg.N):
+        s = s + cfg.g[a] * (cfg.t ** weight[a] - tinv ** weight[a]) / den
+    return s
+
+
 def sum_rule(cfg):
     """sum_i H_i against the twist-weighted weight operators, exactly.
 
     Rational: sum_i H_i = sum_a g_a M_a.  Trigonometric: the right-hand side
-    is sum_a g_a sinh(eta M_a)/sinh(eta), evaluated per basis state as
-    (t^{M_a} - t^{-M_a}) / (t - 1/t).
+    is twist_sinh_sum evaluated at the weight of each basis state.
     """
     dom = cfg.domain
     space = cfg.space()
@@ -481,15 +492,7 @@ def sum_rule(cfg):
         for a in range(1, cfg.N + 1):
             rhs = rhs + weight_operator(cfg, a).scaled(cfg.g[a - 1])
     else:
-        tinv = dom.inverse(cfg.t)
-        den = cfg.t - tinv
-        values = []
-        for J in space.states:
-            w = weight_of(J, cfg.N)
-            s = dom.zero
-            for a in range(cfg.N):
-                s = s + cfg.g[a] * (cfg.t ** w[a] - tinv ** w[a]) / den
-            values.append(s)
+        values = [twist_sinh_sum(cfg, weight_of(J, cfg.N)) for J in space.states]
         rhs = ChainOperator.diagonal(space, values, dom)
     res, wit = lhs.residual(rhs)
     return from_residual("sum-rule", res, dom.threshold, witness=wit,

@@ -2,9 +2,12 @@
 
 Config files are flat ``key = value`` text with ``[a, b, c]`` lists and no
 nesting; rationals are written ``p/q``.  Keys: model, N, n, eta, hbar, x
-(rational flavor) or u, t, h (trigonometric flavor), g, seed, tol, mode.
+(rational flavor) or u, t, h (trigonometric flavor), g, seed, tol, mode;
+tol must be finite and positive.
 
-Exit codes: 0 every check passed, 1 at least one failed, 2 config error.
+Exit codes: 0 every check passed, 1 at least one failed, 2 the command could
+not run: a config error, or a workbench error outside any single check (such
+as a parameter beyond double range in float mode).
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from .errors import (
     WorkbenchError,
 )
 from .report import CheckResult, error_result
-from .scalars import EXACT, ComplexDomain
+from .scalars import ComplexDomain, require_tolerance
 from .tensor import all_sectors
 
 CHECK_NAMES = (
@@ -129,9 +132,7 @@ def load_config(path):
         raise ParseError(f"model must be rational or trigonometric, got {model!r}")
     N, n = need("N"), need("n")
     g = need("g")
-    tol = raw.get("tol", 1e-10)
-    if tol <= 0:
-        raise NonPositiveTolerance(f"tol must be positive, got {tol}")
+    tol = require_tolerance(raw.get("tol", 1e-10))
     mode = raw.get("mode", "exact")
     if mode not in ("exact", "float"):
         raise ParseError(f"mode must be exact or float, got {mode!r}")
@@ -486,18 +487,26 @@ def _float_fmt(z):
     return [z.real, z.imag]
 
 
-def _cmd_verify(args):
+def _select(args):
+    """The config file of a command, the seed (--seed, else the file's) and
+    the sectors (--sector, else "all").
+
+    verify stores both in its RunConfig, so its report echoes them; the
+    spectrum and correspond reports echo the config file as loaded.
+    """
     rc = load_config(args.config)
+    seed = args.seed if args.seed is not None else rc.seed
+    if not args.sector:
+        return rc, seed, "all"
+    return rc, seed, [parse_sector(s, rc.model.N, rc.model.n) for s in args.sector]
+
+
+def _cmd_verify(args):
+    rc, rc.seed, rc.sectors = _select(args)
     if args.check:
         rc.checks = list(args.check)
-    if args.sector:
-        rc.sectors = [parse_sector(s, rc.model.N, rc.model.n) for s in args.sector]
     if args.tol is not None:
-        if args.tol <= 0:
-            raise NonPositiveTolerance(f"tol must be positive, got {args.tol}")
-        rc.tol = args.tol
-    if args.seed is not None:
-        rc.seed = args.seed
+        rc.tol = require_tolerance(args.tol)
     rc.fmt = args.format
     report = run(rc)
     print(emit(report, rc.fmt, timings=args.timings))
@@ -505,14 +514,10 @@ def _cmd_verify(args):
 
 
 def _cmd_spectrum(args):
-    rc = load_config(args.config)
-    seed = args.seed if args.seed is not None else rc.seed
+    rc, seed, sectors = _select(args)
+    if sectors == "all":
+        sectors = all_sectors(rc.model.N, rc.model.n)
     rng = random.Random(seed)
-    sectors = (
-        [parse_sector(s, rc.model.N, rc.model.n) for s in args.sector]
-        if args.sector
-        else all_sectors(rc.model.N, rc.model.n)
-    )
     doc = {"config": _describe_run(rc), "sectors": []}
     for M in sectors:
         states = correspond.diagonalize_sector(rc.model, M, tol=rc.tol, rng=rng)
@@ -533,15 +538,11 @@ def _cmd_spectrum(args):
 
 
 def _cmd_correspond(args):
-    rc = load_config(args.config)
-    seed = args.seed if args.seed is not None else rc.seed
+    rc, seed, sectors = _select(args)
+    if sectors == "all":
+        sectors = all_sectors(rc.model.N, rc.model.n)
     rng = random.Random(seed)
-    tol = args.tol if args.tol is not None else 1e-8
-    sectors = (
-        [parse_sector(s, rc.model.N, rc.model.n) for s in args.sector]
-        if args.sector
-        else all_sectors(rc.model.N, rc.model.n)
-    )
+    tol = require_tolerance(args.tol if args.tol is not None else 1e-8)
     doc = {"config": _describe_run(rc), "sectors": []}
     ok = True
     for M in sectors:

@@ -2,11 +2,13 @@
 Lax-matrix side of the spectral correspondence.
 
 Operators are built exactly, restricted to a weight sector, and only then
-handed to an eigensolver.  For every joint eigenstate the Hamiltonian
-eigenvalues define particle velocities; the Lax matrix built from them must
-have the twist multiset {g_a with multiplicity M_a} as its spectrum
-(rational flavor) or the multiplicative strings g_a * t^{2 alpha - M_a + 1},
-alpha = 0..M_a-1 (trigonometric flavor).
+handed to the joint eigensolver, which runs over one of two precision
+backends: complex doubles through numpy (LAPACK) for spectrum listings, and
+mpmath at a fixed 60 working digits for the correspondence check.  For every
+joint eigenstate the Hamiltonian eigenvalues define particle velocities; the
+Lax matrix built from them must have the twist multiset {g_a with
+multiplicity M_a} as its spectrum (rational flavor) or the multiplicative
+strings g_a * t^{2 alpha - M_a + 1}, alpha = 0..M_a-1 (trigonometric flavor).
 
 Velocity normalization: rational velocities are eta * lambda_i; in the
 trigonometric flavor they are sinh(eta) * lambda_i.  The latter is forced by
@@ -17,14 +19,14 @@ degenerate to eta * lambda as eta -> 0.
 Numerical note: on the correspondence level sets the Lax matrix is defective
 (repeated target eigenvalues sit in Jordan blocks), so extracting its
 spectrum in double precision splits a multiplicity-m eigenvalue by
-eps^(1/m) ~ 1e-5.  The correspondence check therefore runs the same
-algorithm through mpmath at elevated working precision; the plain double
-backend remains the default for spectrum listings.
+eps^(1/m) ~ 1e-5.  The correspondence check therefore runs the eigensolver
+and the Lax spectra through mpmath; double precision, several times faster,
+serves the spectrum listings.
 """
 from __future__ import annotations
 
-import cmath
-import itertools
+import contextlib
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,44 +35,25 @@ import mpmath
 import numpy as np
 
 from .chain import hamiltonian
-from .errors import (
-    DegeneracyUnresolved,
-    MatchFailure,
-    NonConvergence,
-    PoleHit,
-    ZeroEigenvalue,
-)
-from .tensor import Space
-from .verify import elementary_symmetric
+from .errors import DegeneracyUnresolved, MatchFailure, NonConvergence, PoleHit
+from .scalars import require_tolerance
+from .verify import elementary_symmetric, twist_targets
+
+MP_DPS = 60  # working digits of the mpmath backend
+with mpmath.workdps(MP_DPS):
+    # its eigensolver residual gate: half the working digits
+    MP_GATE = mpmath.mpf(10) ** (-MP_DPS // 2)
 
 
 @dataclass
 class JointEigenstate:
-    """One common eigenvector of all sector Hamiltonians.
-
-    residuals[i] = ||H_i v - lambda_i v||_2 for the normalized v.
-    """
+    """Joint eigenvalues lambda_i of all sector Hamiltonians on one common
+    eigenvector v, with residuals[i] = ||H_i v - lambda_i v||_2 for the
+    normalized v."""
 
     sector: tuple
-    vector: np.ndarray
     eigenvalues: list
     residuals: list
-
-
-@dataclass
-class MomentumData:
-    """Multiplicative eigenvalues, principal-branch momenta and velocities."""
-
-    k_values: list
-    momenta: list
-    velocities: list
-    branch: str = "principal"
-
-
-@dataclass
-class LaxMatrix:
-    entries: np.ndarray
-    flavor: str
 
 
 @dataclass
@@ -96,130 +79,164 @@ class CorrespondenceReport:
         return self.status == "pass"
 
 
-def sector_hamiltonian_matrices(cfg, sector):
-    """Exactly built, sector-restricted Hamiltonians as complex arrays."""
-    sub = Space(cfg.N, cfg.n, sector)
-    mats = []
-    for i in range(1, cfg.n + 1):
-        H = hamiltonian(cfg, i).restrict(sector)
-        m = np.zeros((sub.dim, sub.dim), dtype=complex)
-        for r, c, v in H.entries():
+def _nan_as_inf(x):
+    return math.inf if math.isnan(x) else x
+
+
+def _peak(values):
+    """The largest of the values, reading NaN as inf so that no gate passes it."""
+    return max(map(_nan_as_inf, values), default=0.0)
+
+
+# ------------------------------------------------------- precision backends
+
+def _mp_scalar(v):
+    if isinstance(v, Fraction):
+        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
+    if isinstance(v, complex):
+        return mpmath.mpc(v.real, v.imag)
+    return mpmath.mpf(v)
+
+
+class _Complex128:
+    """Complex doubles through numpy."""
+
+    name = "complex128"
+    context = contextlib.nullcontext
+
+    @staticmethod
+    def matrix(op, dim):
+        m = np.zeros((dim, dim), dtype=complex)
+        for r, c, v in op.entries():
             m[r, c] = complex(v)
-        mats.append(m)
-    return mats
+        return m
+
+    @staticmethod
+    def eigenvectors(a):
+        try:
+            _, vecs = np.linalg.eig(a)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(str(exc)) from exc
+        return [vecs[:, k] for k in range(a.shape[0])]
+
+    norm = staticmethod(np.linalg.norm)
+
+    @staticmethod
+    def rayleigh(m, v):
+        return complex(v.conj() @ (m @ v))
+
+    @staticmethod
+    def residual(m, v, lam):
+        return float(np.linalg.norm(m @ v - lam * v))
 
 
-def diagonalize_sector(cfg, sector, tol=1e-10, rng=None):
-    """Joint eigenbasis of {H_i} on one weight sector, in double precision.
+COMPLEX128 = _Complex128()
+
+
+class _Mpmath:
+    """mpmath at MP_DPS working digits."""
+
+    name = f"mpmath at {MP_DPS} digits"
+
+    @staticmethod
+    def context():
+        return mpmath.workdps(MP_DPS)
+
+    @staticmethod
+    def matrix(op, dim):
+        m = mpmath.zeros(dim, dim)
+        for r, c, v in op.entries():
+            m[r, c] = _mp_scalar(v)
+        return m
+
+    @staticmethod
+    def eigenvectors(a):
+        try:
+            _, vecs = mpmath.eig(a)
+        except Exception as exc:  # mpmath raises bare exceptions
+            raise NonConvergence(str(exc)) from exc
+        return [mpmath.matrix([vecs[r, k] for r in range(a.rows)])
+                for k in range(a.rows)]
+
+    norm = staticmethod(mpmath.norm)
+
+    @staticmethod
+    def rayleigh(m, v):
+        return (v.H * (m * v))[0, 0]
+
+    @staticmethod
+    def residual(m, v, lam):
+        return mpmath.norm(m * v - lam * v)
+
+
+MPMATH = _Mpmath()
+
+
+# ----------------------------------------------------------- joint spectrum
+
+def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, backend=COMPLEX128):
+    """Joint eigenstates of {H_i} on one weight sector, sorted by their
+    eigenvalue tuples.
 
     Diagonalizes a random real combination of the Hamiltonians (a generic
     combination separates the joint spectrum), reads each eigenvalue back as
-    a Rayleigh quotient and gates on the residuals, re-drawing the
+    a Rayleigh quotient and gates the residuals at tol, re-drawing the
     combination up to three times.  One-dimensional sectors bypass the
-    eigensolver.
+    eigensolver.  The backend sets the precision of every step after the
+    exact build: COMPLEX128 for spectrum listings, MPMATH (gated at MP_GATE)
+    for the correspondence.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    gate = require_tolerance(tol)
     rng = rng if rng is not None else random.Random(0)
     sector = tuple(int(m) for m in sector)
-    mats = sector_hamiltonian_matrices(cfg, sector)
-    dim = mats[0].shape[0]
-    if dim == 1:
-        return [
-            JointEigenstate(
-                sector=sector,
-                vector=np.ones(1, dtype=complex),
-                eigenvalues=[m[0, 0] for m in mats],
-                residuals=[0.0] * len(mats),
-            )
-        ]
-    worst_seen = None
-    for _ in range(3):
-        coeffs = [rng.uniform(0.5, 1.5) for _ in mats]
-        combo = sum(c * m for c, m in zip(coeffs, mats))
-        try:
-            _, vecs = np.linalg.eig(combo)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(str(exc)) from exc
-        states = []
-        ok = True
-        for k in range(dim):
-            v = vecs[:, k]
-            norm = np.linalg.norm(v)
-            if norm == 0:
-                ok = False
-                break
-            v = v / norm
-            lams = [complex(v.conj() @ (m @ v)) for m in mats]
-            rs = [float(np.linalg.norm(m @ v - lam * v)) for m, lam in zip(mats, lams)]
-            bad = max(rs)
-            if worst_seen is None or bad < worst_seen:
-                worst_seen = bad
-            if bad > tol:
-                ok = False
-            states.append(
-                JointEigenstate(sector=sector, vector=v, eigenvalues=lams,
-                                residuals=rs)
-            )
-        if ok:
-            states.sort(
-                key=lambda st: tuple((lam.real, lam.imag) for lam in st.eigenvalues)
-            )
-            return states
+    ops = [hamiltonian(cfg, i).restrict(sector) for i in range(1, cfg.n + 1)]
+    dim = ops[0].space.dim
+    with backend.context():
+        mats = [backend.matrix(op, dim) for op in ops]
+        if dim == 1:
+            return [JointEigenstate(sector, [m[0, 0] for m in mats],
+                                    [0.0] * len(mats))]
+        worst_seen = None
+        for _ in range(3):
+            combo = sum(rng.uniform(0.5, 1.5) * m for m in mats)
+            states = []
+            ok = True
+            for v in backend.eigenvectors(combo):
+                norm = backend.norm(v)
+                if norm == 0:
+                    ok = False
+                    break
+                v = v / norm
+                lams = [backend.rayleigh(m, v) for m in mats]
+                rs = [backend.residual(m, v, lam) for m, lam in zip(mats, lams)]
+                bad = _peak(rs)
+                if worst_seen is None or bad < worst_seen:
+                    worst_seen = bad
+                if not (bad <= gate):
+                    ok = False
+                states.append(JointEigenstate(sector, lams, rs))
+            if ok:
+                states.sort(key=lambda st: tuple(
+                    (lam.real, lam.imag) for lam in st.eigenvalues))
+                return states
     raise DegeneracyUnresolved(
-        f"residual {worst_seen} above {tol} after 3 combination draws "
-        f"on sector {sector}"
+        f"residual {worst_seen} above {gate} after 3 combination draws "
+        f"on sector {sector} ({backend.name})"
     )
 
 
-# ----------------------------------------------------------- exact prefactors
+# perfbench/probes.py traces the eigensolver under this name, counting the
+# mpmath.eig calls made inside it as combination draws
+_joint_eigenvalues_mp = diagonalize_sector
 
-def _k_prefactor(cfg, i):
-    """Exact scalar turning an H_i eigenvalue into a K_i^(0) eigenvalue."""
-    f = cfg.domain.one
-    if cfg.is_rational:
-        for j in range(1, cfg.n + 1):
-            if j != i:
-                d = cfg.x[i - 1] - cfg.x[j - 1]
-                f = f * d / (d + cfg.eta)
-        return f
-    for j in range(1, cfg.n + 1):
-        if j != i:
-            v = cfg.u[i - 1] / cfg.u[j - 1]
-            f = f * (cfg.t * (v * v - 1)) / (v * v * cfg.t * cfg.t - 1)
-    return f
 
+# ------------------------------------------------------------------ Lax side
 
 def velocity_scale(cfg):
     """eta (rational) or sinh(eta) = (t - 1/t)/2 (trigonometric), exactly."""
     if cfg.is_rational:
         return cfg.eta
     return (cfg.t - cfg.domain.inverse(cfg.t)) / 2
-
-
-def momenta_from_eigenvalues(cfg, state):
-    """Multiplicative eigenvalues, momenta and velocities of one eigenstate.
-
-    The K^(0) eigenvalue is the H eigenvalue times the product of the plain
-    over shifted differences; its principal logarithm over eta gives the
-    momentum.  The branch choice is recorded, never silently adjusted.
-    """
-    if cfg.is_rational:
-        eta = complex(cfg.eta)
-    else:
-        eta = cmath.log(complex(cfg.t))
-    scale = complex(velocity_scale(cfg))
-    k_values = []
-    momenta = []
-    velocities = []
-    for i, lam in enumerate(state.eigenvalues, start=1):
-        k = complex(lam) * complex(_k_prefactor(cfg, i))
-        if k == 0:
-            raise ZeroEigenvalue(f"K_{i} eigenvalue vanished on {state.sector}")
-        k_values.append(k)
-        momenta.append(cmath.log(k) / eta)
-        velocities.append(scale * complex(lam))
-    return MomentumData(k_values=k_values, momenta=momenta, velocities=velocities)
 
 
 def lax_denominator(cfg, i, j):
@@ -234,152 +251,65 @@ def lax_denominator(cfg, i, j):
     return den
 
 
-def build_lax(cfg, velocities):
-    """Classical Lax matrix L_ij = xdot_j / (x_i - x_j + eta) (sinh analog)."""
-    n = cfg.n
-    entries = np.zeros((n, n), dtype=complex)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            entries[i - 1, j - 1] = complex(velocities[j - 1]) / complex(
-                lax_denominator(cfg, i, j)
-            )
-    return LaxMatrix(entries=entries, flavor=cfg.flavor)
+def _perfect_matching(dist, cap):
+    """Whether rows and columns pair up one-to-one along entries <= cap
+    (augmenting paths)."""
+    owner = [None] * len(dist)
 
+    def augment(i, seen):
+        for j, d in enumerate(dist[i]):
+            if d <= cap and j not in seen:
+                seen.add(j)
+                if owner[j] is None or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
 
-def classical_hamiltonians(L):
-    """Characteristic-polynomial invariants H_1..H_n of the Lax matrix."""
-    try:
-        eigs = np.linalg.eigvals(L.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
-    return [complex(elementary_symmetric(list(eigs), d))
-            for d in range(1, L.entries.shape[0] + 1)]
-
-
-def correspondence_targets(cfg, sector):
-    """Expected Lax spectrum as exact scalars: twist multiset or strings."""
-    out = []
-    for a, m in enumerate(sector):
-        if cfg.is_rational:
-            out.extend([cfg.g[a]] * m)
-        else:
-            out.extend(cfg.g[a] * cfg.t ** (2 * alpha - m + 1) for alpha in range(m))
-    return out
+    return all(augment(i, set()) for i in range(len(dist)))
 
 
 def match_distance(values, targets):
-    """Best max deviation over assignments between two complex multisets.
+    """Bottleneck distance between two complex multisets: the least, over
+    one-to-one assignments, of the largest |value - target|.
 
-    Exact optimal assignment for small sizes; sorted pairing by
-    (real, imaginary) beyond that.
+    Exact for every size: the optimum is one of the pairwise distances, so
+    a binary search over them for the least one that still admits a perfect
+    matching finds it.  A NaN distance counts as inf.
     """
     if len(values) != len(targets):
         raise MatchFailure(f"multiset sizes differ: {len(values)} vs {len(targets)}")
-    n = len(values)
-    if n == 0:
+    if not values:
         return 0.0
-    if n <= 7:
-        best = None
-        for perm in itertools.permutations(range(n)):
-            d = max(abs(values[i] - targets[perm[i]]) for i in range(n))
-            if best is None or d < best:
-                best = d
-        return float(best)
-    key = lambda z: (z.real, z.imag)
-    pairs = zip(sorted(values, key=key), sorted(targets, key=key))
-    return float(max(abs(a - b) for a, b in pairs))
+    dist = [[_nan_as_inf(abs(v - t)) for t in targets] for v in values]
+    levels = sorted({d for row in dist for d in row})
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _perfect_matching(dist, levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
 
 
-# ----------------------------------------------------- high-precision backend
-
-def _mp_scalar(v):
-    if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-    if isinstance(v, complex):
-        return mpmath.mpc(v.real, v.imag)
-    return mpmath.mpf(v)
-
-
-def _mp_matrix(op, dim):
-    m = mpmath.zeros(dim, dim)
-    for r, c, v in op.entries():
-        m[r, c] = _mp_scalar(v)
-    return m
-
-
-def _mp_column(mat, k, dim):
-    return mpmath.matrix([mat[r, k] for r in range(dim)])
-
-
-def _joint_eigenvalues_mp(cfg, sector, rng, dps):
-    """Joint eigenvalue tuples on a sector, via mpmath at dps working digits.
-
-    Same scheme as diagonalize_sector (random generic combination, Rayleigh
-    readout, residual gate, three re-draws); the gate scales with the
-    working precision.
-    """
-    sub = Space(cfg.N, cfg.n, sector)
-    ops = [hamiltonian(cfg, i).restrict(sector) for i in range(1, cfg.n + 1)]
-    with mpmath.workdps(dps):
-        gate = mpmath.mpf(10) ** (-dps // 2)
-        mats = [_mp_matrix(op, sub.dim) for op in ops]
-        if sub.dim == 1:
-            return [[m[0, 0] for m in mats]]
-        worst_seen = None
-        for _ in range(3):
-            coeffs = [mpmath.mpf(rng.uniform(0.5, 1.5)) for _ in mats]
-            combo = mats[0] * coeffs[0]
-            for c, m in zip(coeffs[1:], mats[1:]):
-                combo += m * c
-            try:
-                _, vecs = mpmath.eig(combo)
-            except Exception as exc:  # mpmath raises bare exceptions
-                raise NonConvergence(str(exc)) from exc
-            tuples = []
-            ok = True
-            for k in range(sub.dim):
-                v = _mp_column(vecs, k, sub.dim)
-                norm = mpmath.norm(v)
-                if norm == 0:
-                    ok = False
-                    break
-                v = v / norm
-                vh = v.H
-                lams = [(vh * (m * v))[0, 0] for m in mats]
-                bad = max(
-                    mpmath.norm(m * v - lam * v) for m, lam in zip(mats, lams)
-                )
-                if worst_seen is None or bad < worst_seen:
-                    worst_seen = bad
-                if bad > gate:
-                    ok = False
-                tuples.append(lams)
-            if ok:
-                tuples.sort(key=lambda ls: [(mpmath.re(l), mpmath.im(l)) for l in ls])
-                return tuples
-        raise DegeneracyUnresolved(
-            f"residual {worst_seen} above {gate} after 3 combination draws "
-            f"on sector {tuple(sector)} at {dps} digits"
-        )
-
-
-def check_correspondence(cfg, sector, tol=1e-8, rng=None, dps=60):
+def check_correspondence(cfg, sector, tol=1e-8, rng=None):
     """Lax spectra and characteristic invariants against their targets.
 
-    For every joint eigenstate: velocities from the eigenvalues, the Lax
-    matrix from the velocities, then (i) its spectrum must match the target
-    multiset and (ii) its characteristic invariants must match the
-    elementary symmetric polynomials of the target, both within tol.
+    For every joint eigenstate (MPMATH backend): velocities from the
+    eigenvalues, the Lax matrix from the velocities, then (i) its spectrum
+    must match the target multiset and (ii) its characteristic invariants
+    must match the elementary symmetric polynomials of the target, both
+    within tol.
     """
     sector = tuple(int(m) for m in sector)
     rng = rng if rng is not None else random.Random(0)
-    targets_exact = correspondence_targets(cfg, sector)
+    targets_exact = twist_targets(cfg, sector)
     target_inv = [
         elementary_symmetric(targets_exact, d) for d in range(1, cfg.n + 1)
     ]
     report = CorrespondenceReport(sector=sector)
     worst = 0.0
-    with mpmath.workdps(dps):
+    with mpmath.workdps(MP_DPS):
         targets_mp = [_mp_scalar(t) for t in targets_exact]
         inv_mp = [_mp_scalar(t) for t in target_inv]
         scale = _mp_scalar(velocity_scale(cfg))
@@ -387,7 +317,9 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None, dps=60):
             [_mp_scalar(lax_denominator(cfg, i, j)) for j in range(1, cfg.n + 1)]
             for i in range(1, cfg.n + 1)
         ]
-        for lams in _joint_eigenvalues_mp(cfg, sector, rng, dps):
+        for state in diagonalize_sector(cfg, sector, tol=MP_GATE, rng=rng,
+                                        backend=MPMATH):
+            lams = state.eigenvalues
             velocities = [scale * lam for lam in lams]
             lax = mpmath.matrix(cfg.n, cfg.n)
             for i in range(cfg.n):
@@ -402,10 +334,7 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None, dps=60):
             invariants = [
                 elementary_symmetric(spectrum, d) for d in range(1, cfg.n + 1)
             ]
-            hdev = max(
-                (float(abs(a - b)) for a, b in zip(invariants, inv_mp)),
-                default=0.0,
-            )
+            hdev = _peak(float(abs(a - b)) for a, b in zip(invariants, inv_mp))
             key = lambda z: (mpmath.re(z), mpmath.im(z))
             report.rows.append(
                 CorrespondenceRow(
@@ -414,11 +343,11 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None, dps=60):
                     lax_spectrum=[complex(z) for z in sorted(spectrum, key=key)],
                     target=[complex(z) for z in sorted(targets_mp, key=key)],
                     invariants=[complex(v) for v in invariants],
-                    match_distance=float(dist),
-                    hamiltonian_deviation=float(hdev),
+                    match_distance=dist,
+                    hamiltonian_deviation=hdev,
                 )
             )
-            worst = max(worst, float(dist), float(hdev))
+            worst = _peak((worst, dist, hdev))
     report.worst = worst
     report.status = "pass" if worst <= tol else "fail"
     return report

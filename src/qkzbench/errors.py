@@ -5,12 +5,8 @@ class WorkbenchError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ZeroDenominator(WorkbenchError, ZeroDivisionError):
-    """A rational number was constructed with denominator zero."""
-
-
 class NonPositiveTolerance(WorkbenchError, ValueError):
-    """Tolerances must be strictly positive."""
+    """Tolerances must be finite and strictly positive."""
 
 
 class FloatOverflow(WorkbenchError, OverflowError):
@@ -59,10 +55,6 @@ class IdentityViolation(WorkbenchError):
 
 class FlavorMismatch(WorkbenchError, ValueError):
     """Check is only defined for the other R-matrix flavor."""
-
-
-class ZeroEigenvalue(WorkbenchError, ValueError):
-    """Momentum extraction needs a nonzero multiplicative eigenvalue."""
 
 
 class DegeneracyUnresolved(WorkbenchError, RuntimeError):

@@ -12,46 +12,22 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import FloatOverflow, NonPositiveTolerance, ZeroDenominator
+from .errors import FloatOverflow, NonPositiveTolerance
 
 Rational = Fraction
 
 
-def normalize(num: int, den: int) -> Fraction:
-    """Reduced fraction with positive denominator; canonical zero is 0/1."""
-    if den == 0:
-        raise ZeroDenominator(f"{num}/0 is not a rational number")
-    return Fraction(num, den)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or ``p`` (ASCII, base 10)."""
-    return Fraction(text.strip())
-
-
-def format_rational(a: Fraction) -> str:
-    return str(a)
-
-
-def approx_eq(a: complex, b: complex, tol: float) -> bool:
-    """|a - b| <= tol * max(1, |a|, |b|): relative with an absolute floor."""
-    if tol <= 0:
-        raise NonPositiveTolerance(f"tolerance must be positive, got {tol}")
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def to_float(a) -> complex:
-    """Nearest double, as a complex number with zero imaginary part."""
-    try:
-        return complex(float(a))
-    except OverflowError as exc:
-        raise FloatOverflow(f"{a} exceeds double range") from exc
+def require_tolerance(tol):
+    """tol itself if it is a usable gate: finite and strictly positive."""
+    if not 0 < tol < math.inf:
+        raise NonPositiveTolerance(
+            f"tolerance must be finite and positive, got {tol}")
+    return tol
 
 
 class RationalDomain:
     """Exact field of big rationals; equality is literal."""
 
-    name = "exact"
     zero = Fraction(0)
     one = Fraction(1)
     threshold = Fraction(0)
@@ -61,40 +37,12 @@ class RationalDomain:
         return Fraction(x)
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def inverse(a):
         return 1 / a
 
     @staticmethod
-    def eq(a, b):
-        return a == b
-
-    @staticmethod
     def residual(a, b):
         return abs(a - b)
-
-    @staticmethod
-    def magnitude(a):
-        return abs(a)
 
     def __repr__(self):
         return "RationalDomain()"
@@ -103,56 +51,32 @@ class RationalDomain:
 class ComplexDomain:
     """Complex doubles; equality is relative with an absolute floor at 1."""
 
-    name = "float"
     zero = complex(0)
     one = complex(1)
 
     def __init__(self, tol: float = 1e-10):
-        if tol <= 0:
-            raise NonPositiveTolerance(f"tolerance must be positive, got {tol}")
-        self.tol = tol
+        self.tol = require_tolerance(tol)
         self.threshold = tol
 
     def coerce(self, x):
-        z = complex(x)
+        try:
+            z = complex(x)
+        except OverflowError as exc:
+            raise FloatOverflow(f"{x} exceeds double range") from exc
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError(f"non-finite scalar {x!r} not admitted")
         return z
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def inverse(a):
         return 1 / a
 
-    def eq(self, a, b):
-        return approx_eq(a, b, self.tol)
-
     @staticmethod
     def residual(a, b):
-        return abs(a - b) / max(1.0, abs(a), abs(b))
-
-    @staticmethod
-    def magnitude(a):
-        return abs(a)
+        """|a - b| / max(1, |a|, |b|); inf where that is NaN, so that no
+        running maximum or threshold comparison can pass over it."""
+        r = abs(a - b) / max(1.0, abs(a), abs(b))
+        return math.inf if math.isnan(r) else r
 
     def __repr__(self):
         return f"ComplexDomain(tol={self.tol!r})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .chain import hamiltonian, qkz_left_block, qkz_operator
+from .chain import hamiltonian, qkz_left_block, qkz_operator, twist_sinh_sum
 from .errors import FlavorMismatch, PoleHit
 from .report import CheckResult, from_residual
 from .rmatrix import r_rational, r_trig
@@ -181,11 +181,18 @@ def elementary_from_power_sums(ps, d):
     return e[d]
 
 
-def twist_multiset(cfg, sector):
-    """The twist entries with sector multiplicities: g_a repeated M_a times."""
+def twist_targets(cfg, sector):
+    """The spectrum the classical Lax matrix must have on a weight sector.
+
+    Rational: the twist multiset, g_a repeated M_a times.  Trigonometric:
+    the multiplicative strings g_a t^{2 alpha - M_a + 1}, alpha = 0..M_a-1.
+    """
     out = []
     for a, m in enumerate(sector):
-        out.extend([cfg.g[a]] * m)
+        if cfg.is_rational:
+            out.extend([cfg.g[a]] * m)
+        else:
+            out.extend(cfg.g[a] * cfg.t ** (2 * alpha - m + 1) for alpha in range(m))
     return out
 
 
@@ -218,7 +225,8 @@ def _perm_sign(perm):
 
 def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
     """Operator determinant det(z d_ij - eta H_i / (x_j - x_i + eta)) on a
-    weight sector against prod_a (z - g_a)^{M_a}, at n+1 values of z.
+    weight sector against prod_a (z - g_a)^{M_a}, at n+1 values of z
+    (by default 0, 1, -1, 2, -2, ...).
 
     The determinant is expanded as a signed permutation sum with entry
     products taken in row order, legitimate because the sector Hamiltonians
@@ -237,7 +245,7 @@ def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
     ident = ChainOperator.identity(sub, dom)
 
     if z_samples is None:
-        z_samples = [0, 1, -1, 2, -2, 3, -3][: n + 1]
+        z_samples = [(-1) ** (k + 1) * ((k + 1) // 2) for k in range(n + 1)]
     zs = [dom.coerce(z) for z in z_samples]
     if len(set(zs)) < n + 1:
         raise ValueError(f"need {n + 1} distinct z samples")
@@ -276,7 +284,7 @@ def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
 
     # coefficient extraction: z^{n-d} coefficient must be (-1)^d e_d(multiset)
     coeffs = _solve_poly_coeffs(zs, det_values)
-    multiset = twist_multiset(cfg, sector)
+    multiset = twist_targets(cfg, sector)
     for d in range(n + 1):
         expect = dom.coerce((-1) ** d) * elementary_symmetric(multiset, d)
         res = dom.residual(coeffs[n - d], expect)
@@ -331,7 +339,7 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     ]
     value = elementary_from_power_sums(ps, d)
 
-    res = dom.residual(value, elementary_symmetric(twist_multiset(cfg, sector), d))
+    res = dom.residual(value, elementary_symmetric(twist_targets(cfg, sector), d))
     if res > worst:
         worst, witness = res, ("multiset form", d)
     if d == 1:
@@ -369,7 +377,7 @@ def check_macdonald_eigenvalue(cfg, sector, d):
     if cfg.is_rational:
         if not (1 <= d <= cfg.n):
             raise ValueError(f"need 1 <= d <= n, got d={d}")
-        energy = elementary_symmetric(twist_multiset(cfg, sector), d)
+        energy = elementary_symmetric(twist_targets(cfg, sector), d)
         if d == 1:
             direct = sum((m * g for m, g in zip(sector, cfg.g)), dom.zero)
             res = dom.residual(energy, direct)
@@ -381,15 +389,8 @@ def check_macdonald_eigenvalue(cfg, sector, d):
             raise FlavorMismatch(
                 "only the first trigonometric eigenvalue is part of the suite"
             )
-        tinv = dom.inverse(cfg.t)
-        den = cfg.t - tinv
-        energy = dom.zero
-        strings = dom.zero
-        for a in range(cfg.N):
-            m = sector[a]
-            energy = energy + cfg.g[a] * (cfg.t ** m - tinv ** m) / den
-            for alpha in range(m):
-                strings = strings + cfg.g[a] * cfg.t ** (2 * alpha - m + 1)
+        energy = twist_sinh_sum(cfg, sector)
+        strings = sum(twist_targets(cfg, sector), dom.zero)
         res = dom.residual(energy, strings)
         if res > worst:
             worst, witness = res, "string sum"

@@ -247,6 +247,30 @@ def test_main_rejects_bad_tol(rational_path, capsys):
     assert main(["verify", "--config", rational_path, "--tol", "0"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_main_rejects_unusable_tol(rational_path, capsys, tol):
+    assert main(["verify", "--config", rational_path, "--tol", tol]) == 2
+    assert main(["correspond", "--config", rational_path, "--tol", tol]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_load_config_rejects_nonfinite_tol(tmp_path, tol):
+    p = tmp_path / "c.cfg"
+    p.write_text(RATIONAL_CFG.replace("tol = 1e-10", f"tol = {tol}"))
+    with pytest.raises(NonPositiveTolerance):
+        load_config(str(p))
+
+
+def test_main_float_overflow_is_an_error_not_a_traceback(tmp_path, capsys):
+    p = tmp_path / "huge.cfg"
+    p.write_text(RATIONAL_CFG.replace("x = [0, 2/5, 9/7]", f"x = [0, 2/5, {10**400}]")
+                 .replace("mode = exact", "mode = float"))
+    assert main(["verify", "--config", str(p), "--check", "ybe"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "double range" in err
+
+
 def test_main_spectrum(rational_path, capsys):
     code = main(["spectrum", "--config", rational_path, "--sector", "2,1"])
     assert code == 0

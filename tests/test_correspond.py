@@ -1,25 +1,23 @@
-import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from qkzbench import correspond
 from qkzbench.chain import ModelConfig
 from qkzbench.correspond import (
-    build_lax,
+    COMPLEX128,
+    MPMATH,
     check_correspondence,
-    classical_hamiltonians,
-    correspondence_targets,
     diagonalize_sector,
     match_distance,
-    momenta_from_eigenvalues,
     velocity_scale,
 )
 from qkzbench.errors import MatchFailure
 from qkzbench.tensor import all_sectors, sector_dimension
-from qkzbench.verify import elementary_symmetric
+from qkzbench.verify import elementary_symmetric, twist_targets
 
 ETA = Fraction(1, 2)
 HBAR = Fraction(1, 3)
@@ -65,32 +63,19 @@ def test_diagonalize_rejects_bad_tol():
         diagonalize_sector(CFG, (2, 1), tol=0)
 
 
-# ------------------------------------------------------------------ momenta
+# --------------------------------------------------------------- backends
 
-def test_single_site_momentum():
-    cfg = ModelConfig.rational(2, 1, ETA, HBAR, (Fraction(0),), G2)
-    (st,) = diagonalize_sector(cfg, (1, 0))
-    mom = momenta_from_eigenvalues(cfg, st)
-    assert abs(mom.momenta[0] - cmath.log(2) / float(ETA)) < 1e-12
-    assert mom.branch == "principal"
-
-
-def test_momentum_velocity_consistency():
-    # eta e^{eta p_i} prod (x_i - x_j + eta)/(x_i - x_j) = xdot_i = eta lambda_i
-    states = diagonalize_sector(CFG, (2, 1), rng=random.Random(3))
-    eta = float(ETA)
-    for st in states:
-        mom = momenta_from_eigenvalues(CFG, st)
-        for i, (p, lam, xdot) in enumerate(
-            zip(mom.momenta, st.eigenvalues, mom.velocities), start=1
-        ):
-            factor = 1.0
-            for j in range(1, 4):
-                if j != i:
-                    d = CFG.x[i - 1] - CFG.x[j - 1]
-                    factor *= float((d + ETA) / d)
-            assert abs(eta * cmath.exp(eta * p) * factor - xdot) < 1e-10
-            assert abs(xdot - eta * lam) < 1e-12
+def test_backends_agree_on_joint_spectrum():
+    # one algorithm, two precisions: the same draws give the same states
+    for M in all_sectors(2, 3):
+        lo = diagonalize_sector(CFG, M, rng=random.Random(4), backend=COMPLEX128)
+        hi = diagonalize_sector(CFG, M, tol=correspond.MP_GATE,
+                                rng=random.Random(4), backend=MPMATH)
+        assert len(lo) == len(hi) == sector_dimension(M)
+        for a, b in zip(lo, hi):
+            assert max(abs(x - complex(y))
+                       for x, y in zip(a.eigenvalues, b.eigenvalues)) < 1e-10
+            assert max(b.residuals) <= correspond.MP_GATE
 
 
 def test_velocity_scale_flavors():
@@ -100,46 +85,16 @@ def test_velocity_scale_flavors():
 
 # ---------------------------------------------------------------------- Lax
 
-def test_lax_single_site():
-    cfg = ModelConfig.rational(2, 1, ETA, HBAR, (Fraction(0),), G2)
-    (st,) = diagonalize_sector(cfg, (0, 1))
-    mom = momenta_from_eigenvalues(cfg, st)
-    L = build_lax(cfg, mom.velocities)
-    assert L.entries.shape == (1, 1)
-    assert abs(L.entries[0, 0] - 3) < 1e-12
-    h = classical_hamiltonians(L)
-    assert abs(h[0] - 3) < 1e-12
-
-
-def test_classical_hamiltonians_trace_and_det():
-    states = diagonalize_sector(CFG, (1, 2), rng=random.Random(5))
-    mom = momenta_from_eigenvalues(CFG, states[0])
-    L = build_lax(CFG, mom.velocities)
-    h = classical_hamiltonians(L)
-    assert abs(h[0] - np.trace(L.entries)) < 1e-10
-    assert abs(h[-1] - np.linalg.det(L.entries)) < 1e-10
-
-
 def test_lax_spectrum_invariant_under_relabeling():
-    # renaming the particles conjugates L by a permutation matrix
-    states = diagonalize_sector(CFG, (2, 1), rng=random.Random(5))
-    mom = momenta_from_eigenvalues(CFG, states[0])
-    L = build_lax(CFG, mom.velocities)
+    # renaming the particles conjugates L by a permutation matrix, so the
+    # correspondence holds on every relabeled chain, with the same targets
     perm = [2, 0, 1]
-    x_perm = tuple(CFG.x[p] for p in perm)
-    cfg_perm = ModelConfig.rational(2, 3, ETA, HBAR, x_perm, G2)
-    v_perm = [mom.velocities[p] for p in perm]
-    L2 = build_lax(cfg_perm, v_perm)
-    s1 = sorted(np.linalg.eigvals(L.entries), key=lambda z: (z.real, z.imag))
-    s2 = sorted(np.linalg.eigvals(L2.entries), key=lambda z: (z.real, z.imag))
-    # the repeated target eigenvalue makes L defective, so double-precision
-    # spectra carry an eps^(1/2) splitting; similarity itself is exact
-    assert max(abs(a - b) for a, b in zip(s1, s2)) < 1e-6
-    assert np.allclose(
-        sorted(np.abs(np.linalg.eigvals(L.entries))),
-        sorted(np.abs(np.linalg.eigvals(L2.entries))),
-        atol=1e-6,
-    )
+    cfg_perm = ModelConfig.rational(2, 3, ETA, HBAR, tuple(X3[p] for p in perm), G2)
+    for cfg in (CFG, cfg_perm):
+        rep = check_correspondence(cfg, (2, 1), rng=random.Random(5))
+        assert rep.passed, rep.worst
+        for row in rep.rows:
+            assert [round(z.real, 9) for z in row.lax_spectrum] == [2.0, 2.0, 3.0]
 
 
 # ------------------------------------------------------------------ matching
@@ -150,6 +105,42 @@ def test_match_distance_exact_assignment():
     assert match_distance(vals, [1 + 0j, 2 + 0j, 3.5 + 0j]) == 0.5
 
 
+def test_match_distance_beyond_seven_is_optimal():
+    # sorting both multisets by (real, imaginary) pairs 1j with 0 and 0.1
+    # with 0.1 + 1j (distance 1); the optimal assignment stays at 0.1
+    far = [10 + 0j, 20 + 0j, 30 + 0j, 40 + 0j, 50 + 0j, 60 + 0j]
+    vals = [0.1 + 0j, 1j] + far
+    targets = [0j, 0.1 + 1j] + far
+    assert match_distance(vals, targets) == 0.1
+
+
+def test_match_distance_agrees_with_brute_force():
+    rng = random.Random(2)
+    for n in range(1, 7):
+        for _ in range(30):
+            # a coarse grid, so that ties and repeated points occur
+            draw = lambda: complex(rng.randint(-3, 3), rng.randint(-3, 3)) / 2
+            vals = [draw() for _ in range(n)]
+            targets = [draw() for _ in range(n)]
+            best = min(
+                max(abs(vals[i] - targets[p[i]]) for i in range(n))
+                for p in itertools.permutations(range(n))
+            )
+            assert match_distance(vals, targets) == best
+
+
+def test_match_distance_nan_is_inf():
+    assert match_distance([complex(math.nan, 0), 1 + 0j], [1 + 0j, 0j]) == math.inf
+
+
+def test_correspondence_fails_on_nan_distance(monkeypatch):
+    # a NaN anywhere in the running maximum must fail the check
+    monkeypatch.setattr(correspond, "match_distance", lambda v, t: math.nan)
+    rep = check_correspondence(CFG, (2, 1), rng=random.Random(7))
+    assert not rep.passed
+    assert rep.worst == math.inf
+
+
 def test_match_distance_size_mismatch():
     with pytest.raises(MatchFailure):
         match_distance([1 + 0j], [1 + 0j, 2 + 0j])
@@ -158,12 +149,12 @@ def test_match_distance_size_mismatch():
 # ----------------------------------------------------------- correspondence
 
 def test_rational_targets_are_twist_multiset():
-    assert correspondence_targets(CFG, (2, 1)) == [G2[0], G2[0], G2[1]]
+    assert twist_targets(CFG, (2, 1)) == [G2[0], G2[0], G2[1]]
 
 
 def test_trig_targets_are_strings():
     t = TCFG2.t
-    assert correspondence_targets(TCFG2, (2, 0)) == [
+    assert twist_targets(TCFG2, (2, 0)) == [
         G2[0] / t,
         G2[0] * t,
     ]
@@ -214,7 +205,7 @@ def test_correspondence_velocity_trace_identity():
 def test_correspondence_invariants_match_energy_levels():
     # the classical invariants sit on the level set e_d(multiset)
     rng = random.Random(11)
-    targets = correspondence_targets(CFG, (2, 1))
+    targets = twist_targets(CFG, (2, 1))
     rep = check_correspondence(CFG, (2, 1), rng=rng)
     for row in rep.rows:
         for d in range(1, 4):

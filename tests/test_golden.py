@@ -1,0 +1,63 @@
+"""Golden reports: the command-line output for fixed configs.
+
+The files in tests/data were written by the workbench itself, e.g.
+
+    PYTHONPATH=src python -m qkzbench.cli verify --config tests/data/rational.cfg \
+        --format json > tests/data/verify-rational.json
+
+and pin its observable behaviour: a refactor must reproduce every report
+byte for byte, and a deliberate change regenerates the files.  `spectrum`
+reads its eigenvalues straight from LAPACK, whose last bits may differ
+between builds, so it is compared numerically at 1e-12 instead.
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from qkzbench.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+BYTE_EXACT = [
+    (["verify", "--format", "json"], "rational", "verify-rational.json"),
+    (["verify", "--format", "json"], "trig", "verify-trig.json"),
+    (["verify", "--format", "json"], "rational-float", "verify-rational-float.json"),
+    (["correspond"], "rational", "correspond-rational.json"),
+    (["correspond"], "trig", "correspond-trig.json"),
+]
+
+
+def _run(capsys, command, chain):
+    code = main([command[0], "--config", str(DATA / f"{chain}.cfg"), *command[1:]])
+    assert code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,chain,golden", BYTE_EXACT,
+                         ids=[g for _, _, g in BYTE_EXACT])
+def test_report_is_byte_identical(capsys, command, chain, golden):
+    assert _run(capsys, command, chain) == (DATA / golden).read_text()
+
+
+def _assert_close(got, want, path="$"):
+    if isinstance(want, float):
+        assert isinstance(got, (int, float)), path
+        assert abs(got - want) <= 1e-12, (path, got, want)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{k}]")
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for k in want:
+            _assert_close(got[k], want[k], f"{path}.{k}")
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("chain", ["rational", "trig"])
+def test_spectrum_matches_golden(capsys, chain):
+    got = json.loads(_run(capsys, ["spectrum"], chain))
+    want = json.loads((DATA / f"spectrum-{chain}.json").read_text())
+    _assert_close(got, want)

@@ -29,6 +29,7 @@ from qkzbench.tensor import (
     site_embed,
     weight_of,
 )
+from qkzbench.scalars import ComplexDomain
 
 
 # ----------------------------------------------------------------- sectors
@@ -305,3 +306,21 @@ small_states = st.lists(st.integers(1, 3), min_size=1, max_size=6).map(tuple)
 @given(small_states)
 def test_inversion_length_property(state):
     assert inversion_length(state) == _min_adjacent_swaps(state)
+
+
+def test_nan_entry_fails_comparison():
+    # a NaN must never vanish from the running maximum of a residual
+    dom = ComplexDomain(1e-10)
+    space = Space(2, 2)
+    ident = ChainOperator.identity(space, dom)
+    for k in range(space.dim):
+        rows = {r: dict(row) for r, row in ident.rows.items()}
+        rows[k][k] = complex(float("nan"), 0)
+        bad = ChainOperator(space, dom, rows)
+        res, witness = bad.residual(ident)
+        assert res == float("inf") and witness == (space.states[k],) * 2
+        assert not bad.equals(ident)
+        cov = [dom.one] * space.dim
+        cov[k] = complex(float("nan"), 0)
+        res, witness = covector_residual(cov, omega(space, dom), space, dom)
+        assert res == float("inf") and witness == space.states[k]

@@ -26,7 +26,7 @@ from qkzbench.verify import (
     elementary_from_power_sums,
     elementary_symmetric,
     higher_hamiltonian_sum,
-    twist_multiset,
+    twist_targets,
 )
 from qkzbench.chain import qkz_operator
 
@@ -163,6 +163,16 @@ def test_det_identity_all_sectors():
         assert check_det_identity(CFG, M).passed
 
 
+def test_det_identity_default_samples_for_seven_sites():
+    # the default z samples 0, 1, -1, 2, -2, ... exist for every n
+    x7 = (0, Fraction(2, 5), Fraction(9, 7), Fraction(-3, 4), Fraction(5, 3),
+          Fraction(-8, 5), Fraction(13, 4))
+    cfg = ModelConfig.rational(2, 7, ETA, HBAR, x7, G2)
+    r = check_det_identity(cfg, (7, 0))
+    assert r.passed and r.residual == 0
+    assert r.params["z_samples"] == ["0", "1", "-1", "2", "-2", "3", "-3", "4"]
+
+
 def test_det_identity_needs_distinct_samples():
     with pytest.raises(ValueError):
         check_det_identity(CFG, (2, 1), z_samples=[0, 1, 1, 2])
@@ -220,9 +230,9 @@ def test_symmetric_identity_rejects_bad_degree():
 def test_macdonald_eigenvalue_examples():
     # E_1 = 2*2 + 3*1 = 7 and E_2 = e_2(2,2,3) = 16
     M = (2, 1)
-    assert twist_multiset(CFG, M) == [Fraction(2), Fraction(2), Fraction(3)]
-    assert elementary_symmetric(twist_multiset(CFG, M), 1) == 7
-    assert elementary_symmetric(twist_multiset(CFG, M), 2) == 16
+    assert twist_targets(CFG, M) == [Fraction(2), Fraction(2), Fraction(3)]
+    assert elementary_symmetric(twist_targets(CFG, M), 1) == 7
+    assert elementary_symmetric(twist_targets(CFG, M), 2) == 16
     for d in (1, 2, 3):
         r = check_macdonald_eigenvalue(CFG, M, d)
         assert r.passed and r.residual == 0
