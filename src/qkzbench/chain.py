@@ -9,6 +9,7 @@ generates the H_i.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -256,13 +257,25 @@ def qkz_left_block(cfg, i, shifted_sites=()):
     return op
 
 
+# cfg -> {i: H_i}.  A config is frozen and hashable and its domain compares
+# by identity, so equal configs share operators only within one domain; an
+# entry lives as long as the config object that first built it.
+_HAMILTONIANS = weakref.WeakKeyDictionary()
+
+
 def hamiltonian(cfg, i):
     """Non-local Hamiltonian H_i: the tilde-R chain product around the twist.
 
     Proportional to K_i^(0) by the product of (x_i - x_j + eta)/(x_i - x_j)
-    (sinh ratios in the trigonometric case).
+    (sinh ratios in the trigonometric case).  Built once per config and
+    site; the returned operator is shared, like every ChainOperator immutable.
     """
-    return _chain_product(cfg, i, frozenset(), plus_left=False, tilde=True)
+    built = _HAMILTONIANS.setdefault(cfg, {})
+    H = built.get(i)
+    if H is None:
+        H = built[i] = _chain_product(cfg, i, frozenset(), plus_left=False,
+                                      tilde=True)
+    return H
 
 
 def hamiltonian_prefactor(cfg, i):

@@ -210,7 +210,7 @@ def _check_ybe(cfg, sectors, rc, rng):
         out.append(
             rmatrix.check_yang_baxter(cfg.flavor, p1, p2, coupling, cfg.N, cfg.domain)
         )
-    return [_merge("ybe", out)]
+    yield _merge("ybe", out)
 
 
 def _check_unitarity(cfg, sectors, rc, rng):
@@ -225,77 +225,68 @@ def _check_unitarity(cfg, sectors, rc, rng):
             if inv * inv * cfg.t * cfg.t == 1:
                 continue
         out.append(rmatrix.check_unitarity(cfg.flavor, p, coupling, cfg.N, cfg.domain))
-    return [_merge("unitarity", out)]
+    yield _merge("unitarity", out)
 
 
 def _check_twist(cfg, sectors, rc, rng):
     coupling = cfg.eta if cfg.is_rational else cfg.t
     p = _draw_spectral(cfg, rng)
-    return [
-        rmatrix.check_twist_commutation(
-            cfg.flavor, p, coupling, cfg.g, cfg.N, cfg.domain
-        )
-    ]
+    yield rmatrix.check_twist_commutation(
+        cfg.flavor, p, coupling, cfg.g, cfg.N, cfg.domain
+    )
 
 
 def _check_transfer_commute(cfg, sectors, rc, rng):
-    return [chain.check_transfer_commute(cfg)]
+    yield chain.check_transfer_commute(cfg)
 
 
 def _check_pole_expansion(cfg, sectors, rc, rng):
-    try:
-        chain.pole_expansion(cfg)
-    except WorkbenchError as exc:
-        return [error_result("pole-expansion", exc)]
+    chain.pole_expansion(cfg)  # raises on failure; run() reports the error
     zero = cfg.domain.residual(cfg.domain.zero, cfg.domain.zero)
-    return [CheckResult("pole-expansion", "pass", zero)]
+    yield CheckResult("pole-expansion", "pass", zero)
 
 
 def _check_sum_rule(cfg, sectors, rc, rng):
-    return [chain.sum_rule(cfg)]
+    yield chain.sum_rule(cfg)
 
 
 def _check_qkz_compat(cfg, sectors, rc, rng):
-    out = []
     for i in range(1, cfg.n + 1):
         for j in range(i + 1, cfg.n + 1):
-            out.append(chain.qkz_compatibility(cfg, i, j))
-    return out
+            yield chain.qkz_compatibility(cfg, i, j)
 
 
 def _check_omega(cfg, sectors, rc, rng):
-    return [verify.check_omega_invariance(cfg)]
+    yield verify.check_omega_invariance(cfg)
 
 
 def _check_k_projection(cfg, sectors, rc, rng):
-    return [verify.check_k_projection(cfg, i) for i in range(1, cfg.n + 1)]
+    for i in range(1, cfg.n + 1):
+        yield verify.check_k_projection(cfg, i)
 
 
 def _check_proposition(cfg, sectors, rc, rng):
-    out = []
     for d in range(1, cfg.n + 1):
         for sites in itertools.combinations(range(1, cfg.n + 1), d):
-            out.append(verify.check_proposition_higher(cfg, sites))
-    return out
+            yield verify.check_proposition_higher(cfg, sites)
 
 
 def _check_det_identity(cfg, sectors, rc, rng):
-    return [verify.check_det_identity(cfg, M) for M in sectors]
+    for M in sectors:
+        yield verify.check_det_identity(cfg, M)
 
 
 def _check_symmetric(cfg, sectors, rc, rng):
-    return [
-        verify.check_symmetric_identity(cfg, M, d)
-        for M in sectors
-        for d in range(1, cfg.n + 1)
-    ]
+    for M in sectors:
+        for d in range(1, cfg.n + 1):
+            yield verify.check_symmetric_identity(cfg, M, d)
 
 
 def _check_macdonald(cfg, sectors, rc, rng):
     degrees = range(1, cfg.n + 1) if cfg.is_rational else (1,)
-    return [
-        verify.check_macdonald_eigenvalue(cfg, M, d) for M in sectors for d in degrees
-    ]
+    for M in sectors:
+        for d in degrees:
+            yield verify.check_macdonald_eigenvalue(cfg, M, d)
 
 
 def _check_correspondence(cfg, sectors, rc, rng):
@@ -304,21 +295,17 @@ def _check_correspondence(cfg, sectors, rc, rng):
             "correspondence needs the eigensolver backend; set mode = float "
             "or use the correspond subcommand"
         )
-    out = []
     for M in sectors:
         # operators are always built from the exact parameters; floats enter
         # only at the eigensolver boundary
         rep = correspond.check_correspondence(rc.model, M, tol=rc.tol, rng=rng)
-        out.append(
-            CheckResult(
-                name="correspondence",
-                status=rep.status,
-                residual=rep.worst,
-                sector=rep.sector,
-                params={"eigenstates": len(rep.rows)},
-            )
+        yield CheckResult(
+            name="correspondence",
+            status=rep.status,
+            residual=rep.worst,
+            sector=rep.sector,
+            params={"eigenstates": len(rep.rows)},
         )
-    return out
 
 
 _REGISTRY = {
@@ -354,13 +341,16 @@ def _applicable_checks(rc):
 def run(rc: RunConfig) -> RunReport:
     """Dispatch the selected checks; deterministic for a fixed seed.
 
-    Module errors become failed CheckResults, never mid-suite aborts.
+    Each check family yields its results one by one, and each result is
+    timed on its own.  Module errors become failed CheckResults, never
+    mid-suite aborts: a family that raises one reports a single error result
+    in place of all of its results, timed from the family's start.
     """
     rng = random.Random(rc.seed)
     cfg = rc.model
     if rc.mode == "float":
         cfg = cfg.to_domain(ComplexDomain(rc.tol))
-    sectors = all_sectors(cfg.N, cfg.n) if rc.sectors == "all" else list(rc.sectors)
+    sectors = _sector_list(rc)
     names = []
     for name in rc.checks:
         if name == "all":
@@ -371,15 +361,19 @@ def run(rc: RunConfig) -> RunReport:
             raise ParseError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
     report = RunReport(config=_describe_run(rc))
     for name in names:
-        t0 = time.perf_counter()
+        results, timings = [], []
+        start = t0 = time.perf_counter()
         try:
-            results = _REGISTRY[name](cfg, sectors, rc, rng)
+            for r in _REGISTRY[name](cfg, sectors, rc, rng):
+                t1 = time.perf_counter()
+                results.append(r)
+                timings.append((t1 - t0) * 1000.0)
+                t0 = t1
         except WorkbenchError as exc:
             results = [error_result(name, exc)]
-        millis = (time.perf_counter() - t0) * 1000.0
-        for r in results:
-            report.results.append(r)
-            report.timings.append(millis / max(1, len(results)))
+            timings = [(time.perf_counter() - start) * 1000.0]
+        report.results.extend(results)
+        report.timings.extend(timings)
     return report
 
 
@@ -488,21 +482,25 @@ def _float_fmt(z):
 
 
 def _select(args):
-    """The config file of a command, the seed (--seed, else the file's) and
-    the sectors (--sector, else "all").
-
-    verify stores both in its RunConfig, so its report echoes them; the
-    spectrum and correspond reports echo the config file as loaded.
-    """
+    """The RunConfig of a command: its config file, with the seed (--seed,
+    else the file's) and the sectors (--sector, else "all") it runs on, so
+    that every report echoes what it used."""
     rc = load_config(args.config)
-    seed = args.seed if args.seed is not None else rc.seed
-    if not args.sector:
-        return rc, seed, "all"
-    return rc, seed, [parse_sector(s, rc.model.N, rc.model.n) for s in args.sector]
+    if args.seed is not None:
+        rc.seed = args.seed
+    if args.sector:
+        rc.sectors = [parse_sector(s, rc.model.N, rc.model.n) for s in args.sector]
+    return rc
+
+
+def _sector_list(rc):
+    if rc.sectors == "all":
+        return all_sectors(rc.model.N, rc.model.n)
+    return list(rc.sectors)
 
 
 def _cmd_verify(args):
-    rc, rc.seed, rc.sectors = _select(args)
+    rc = _select(args)
     if args.check:
         rc.checks = list(args.check)
     if args.tol is not None:
@@ -514,12 +512,10 @@ def _cmd_verify(args):
 
 
 def _cmd_spectrum(args):
-    rc, seed, sectors = _select(args)
-    if sectors == "all":
-        sectors = all_sectors(rc.model.N, rc.model.n)
-    rng = random.Random(seed)
+    rc = _select(args)
+    rng = random.Random(rc.seed)
     doc = {"config": _describe_run(rc), "sectors": []}
-    for M in sectors:
+    for M in _sector_list(rc):
         states = correspond.diagonalize_sector(rc.model, M, tol=rc.tol, rng=rng)
         doc["sectors"].append(
             {
@@ -538,14 +534,12 @@ def _cmd_spectrum(args):
 
 
 def _cmd_correspond(args):
-    rc, seed, sectors = _select(args)
-    if sectors == "all":
-        sectors = all_sectors(rc.model.N, rc.model.n)
-    rng = random.Random(seed)
+    rc = _select(args)
+    rng = random.Random(rc.seed)
     tol = require_tolerance(args.tol if args.tol is not None else 1e-8)
     doc = {"config": _describe_run(rc), "sectors": []}
     ok = True
-    for M in sectors:
+    for M in _sector_list(rc):
         rep = correspond.check_correspondence(rc.model, M, tol=tol, rng=rng)
         ok = ok and rep.passed
         doc["sectors"].append(
@@ -589,7 +583,7 @@ def build_parser():
     p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--timings", action="store_true",
-                   help="include per-check wall clock in json output")
+                   help="include each result's wall clock in json output")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("spectrum", help="joint sector spectra of the Hamiltonians")

@@ -4,12 +4,18 @@ operator determinant identity and its symmetric-function consequences.
 Every check returns a CheckResult with an exact residual (0 on pass in the
 exact domain).  Checks never assume what they are supposed to prove: the
 determinant and symmetric-function checks first assert that the Hamiltonians
-commute, because the permutation-sum expansion of an operator-valued
-determinant is only unambiguous for commuting entries.
+commute, because the principal-minor expansion of an operator-valued
+determinant holds only for commuting entries.
+
+On a weight sector the determinant, symmetric-function and eigenvalue checks
+all reduce to the ordered products H_S of the restricted Hamiltonians.  They
+read them from one SectorProducts table per config and sector, so each H_S
+(and the commutator residual) is computed once per run.
 """
 from __future__ import annotations
 
 import itertools
+import weakref
 from fractions import Fraction
 
 from .chain import hamiltonian, qkz_left_block, qkz_operator, twist_sinh_sum
@@ -144,21 +150,60 @@ def _require_rational(cfg, what):
         raise FlavorMismatch(f"{what} is defined for the rational flavor only")
 
 
-def _sector_hamiltonians(cfg, sector, hamiltonians=None):
-    ops = hamiltonians
-    if ops is None:
+class SectorProducts:
+    """The Hamiltonians restricted to one weight sector, and their products.
+
+    ``ops[i]`` is H_{i+1} on the sector.  ``product(S)`` is the ordered
+    product H_S = H_{S[0]} ... H_{S[-1]} for a sorted tuple S of 0-based
+    sites, built once as H_{S[:-1]} @ H_{S[-1]} (left to right); H_() is the
+    identity.  The commutator residual is computed on first use.
+    """
+
+    def __init__(self, cfg, sector, ops):
+        self.space = Space(cfg.N, cfg.n, sector)
+        self.domain = cfg.domain
+        self.ops = [H.restrict(sector) for H in ops]
+        self._products = {(): ChainOperator.identity(self.space, cfg.domain)}
+        self._commutator = None
+
+    def product(self, S):
+        P = self._products.get(S)
+        if P is None:
+            P = self.ops[S[0]] if len(S) == 1 else (
+                self.product(S[:-1]) @ self.ops[S[-1]])
+            self._products[S] = P
+        return P
+
+    def commutator_residual(self):
+        """Largest entry of H_i H_j - H_j H_i over all pairs, and its witness."""
+        if self._commutator is None:
+            dom = self.domain
+            worst, witness = dom.residual(dom.zero, dom.zero), None
+            for A, B in itertools.combinations(self.ops, 2):
+                res, wit = (A @ B).residual(B @ A)
+                if res > worst:
+                    worst, witness = res, wit
+            self._commutator = (worst, witness)
+        return self._commutator
+
+
+# cfg -> {sector: SectorProducts} of the config's own Hamiltonians
+_SECTOR_PRODUCTS = weakref.WeakKeyDictionary()
+
+
+def sector_products(cfg, sector, hamiltonians=None):
+    """The SectorProducts of cfg's Hamiltonians on a sector, built once per
+    config and sector.  Injected `hamiltonians` get a private table that is
+    never stored."""
+    if hamiltonians is not None:
+        return SectorProducts(cfg, sector, hamiltonians)
+    tables = _SECTOR_PRODUCTS.setdefault(cfg, {})
+    key = tuple(sector)
+    table = tables.get(key)
+    if table is None:
         ops = [hamiltonian(cfg, i) for i in range(1, cfg.n + 1)]
-    return [H.restrict(sector) for H in ops]
-
-
-def _commutator_residual(ops):
-    worst = None
-    witness = None
-    for A, B in itertools.combinations(ops, 2):
-        res, wit = (A @ B).residual(B @ A)
-        if worst is None or res > worst:
-            worst, witness = res, wit
-    return worst, witness
+        table = tables[key] = SectorProducts(cfg, key, ops)
+    return table
 
 
 def elementary_symmetric(values, d):
@@ -223,26 +268,69 @@ def _perm_sign(perm):
     return -1 if inv % 2 else 1
 
 
+def _det_matrix(cfg):
+    """The scalar matrix C_ij = eta / (x_j - x_i + eta), 0-based."""
+    coef = {}
+    for i in range(cfg.n):
+        for j in range(cfg.n):
+            den = cfg.x[j] - cfg.x[i] + cfg.eta
+            if den == 0:
+                raise PoleHit(f"x_{j+1} - x_{i+1} + eta = 0")
+            coef[(i, j)] = cfg.eta / den
+    return coef
+
+
+def _principal_minor(coef, S, dom):
+    """det of the principal submatrix of coef on the sites S, as a signed
+    permutation sum of its scalar entries."""
+    total = dom.zero
+    for perm in itertools.permutations(S):
+        term = dom.coerce(_perm_sign(perm))
+        for i, j in zip(S, perm):
+            term = term * coef[(i, j)]
+        total = total + term
+    return total
+
+
+def det_coefficients(cfg, table):
+    """Operator coefficients A_0, ..., A_n of the sector determinant
+    det(z d_ij - eta H_i / (x_j - x_i + eta)) = sum_k A_k z^{n-k}.
+
+    The matrix is z - D_H C with D_H = diag(H_1, ..., H_n), so for commuting
+    H_i the principal-minor expansion gives
+    A_k = (-1)^k sum_{|S| = k} det(C_SS) H_S, with H_S read from the
+    SectorProducts `table`.
+    """
+    dom = cfg.domain
+    coef = _det_matrix(cfg)
+    out = []
+    for k in range(cfg.n + 1):
+        sign = dom.coerce((-1) ** k)
+        acc = ChainOperator.zero(table.space, dom)
+        for S in itertools.combinations(range(cfg.n), k):
+            acc = acc + table.product(S).scaled(sign * _principal_minor(coef, S, dom))
+        out.append(acc)
+    return out
+
+
 def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
     """Operator determinant det(z d_ij - eta H_i / (x_j - x_i + eta)) on a
     weight sector against prod_a (z - g_a)^{M_a}, at n+1 values of z
     (by default 0, 1, -1, 2, -2, ...).
 
-    The determinant is expanded as a signed permutation sum with entry
-    products taken in row order, legitimate because the sector Hamiltonians
-    commute (asserted first).  The z-samples also pin the polynomial
-    coefficients, which are compared with the signed elementary symmetric
-    polynomials of the twist multiset.  `hamiltonians` lets a caller inject
-    foreign operators (negative controls).
+    The determinant is the principal-minor expansion of det_coefficients,
+    legitimate because the sector Hamiltonians commute (asserted first),
+    evaluated at each z by Horner's rule.  The z-samples also pin the
+    polynomial coefficients, which are compared with the signed elementary
+    symmetric polynomials of the twist multiset.  `hamiltonians` lets a
+    caller inject foreign operators (negative controls).
     """
     _require_rational(cfg, "the determinant identity")
     dom = cfg.domain
     n = cfg.n
-    sub = Space(cfg.N, n, sector)
-    Hs = _sector_hamiltonians(cfg, sector, hamiltonians)
-    worst, witness = _commutator_residual(Hs) if n > 1 else (
-        dom.residual(dom.zero, dom.zero), None)
-    ident = ChainOperator.identity(sub, dom)
+    table = sector_products(cfg, sector, hamiltonians)
+    worst, witness = table.commutator_residual()
+    ident = table.product(())
 
     if z_samples is None:
         z_samples = [(-1) ** (k + 1) * ((k + 1) // 2) for k in range(n + 1)]
@@ -250,30 +338,12 @@ def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
     if len(set(zs)) < n + 1:
         raise ValueError(f"need {n + 1} distinct z samples")
 
-    coef = {}
-    for i in range(n):
-        for j in range(n):
-            den = cfg.x[j] - cfg.x[i] + cfg.eta
-            if den == 0:
-                raise PoleHit(f"x_{j+1} - x_{i+1} + eta = 0")
-            coef[(i, j)] = cfg.eta / den
-
+    coeffs = det_coefficients(cfg, table)
     det_values = []
     for z in zs:
-        mat = [
-            [
-                (ident.scaled(z) if i == j else ChainOperator.zero(sub, dom))
-                - Hs[i].scaled(coef[(i, j)])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        det = ChainOperator.zero(sub, dom)
-        for perm in itertools.permutations(range(n)):
-            term = mat[0][perm[0]]
-            for i in range(1, n):
-                term = term @ mat[i][perm[i]]
-            det = det + term.scaled(dom.coerce(_perm_sign(perm)))
+        det = coeffs[0]
+        for A in coeffs[1:]:
+            det = det.scaled(z) + A
         target = dom.one
         for a in range(cfg.N):
             target = target * (z - cfg.g[a]) ** sector[a]
@@ -294,24 +364,23 @@ def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
                          sector=sector, params={"z_samples": [str(z) for z in zs]})
 
 
-def higher_hamiltonian_sum(cfg, sector, d, hamiltonians=None):
-    """Sector restriction of the weighted sum of d-fold Hamiltonian products:
-    sum_{i_1<...<i_d} H_{i_1}...H_{i_d} prod_{a<b} (1 - eta^2/(x_a - x_b)^2)^{-1}."""
-    _require_rational(cfg, "the higher Hamiltonian sum")
+def _weighted_product_sum(cfg, table, d):
     dom = cfg.domain
-    sub = Space(cfg.N, cfg.n, sector)
-    Hs = _sector_hamiltonians(cfg, sector, hamiltonians)
-    total = ChainOperator.zero(sub, dom)
+    total = ChainOperator.zero(table.space, dom)
     for combo in itertools.combinations(range(cfg.n), d):
         weight = dom.one
         for a, b in itertools.combinations(combo, 2):
             diff = cfg.x[a] - cfg.x[b]
             weight = weight / (dom.one - cfg.eta * cfg.eta / (diff * diff))
-        term = Hs[combo[0]]
-        for i in combo[1:]:
-            term = term @ Hs[i]
-        total = total + term.scaled(weight)
+        total = total + table.product(combo).scaled(weight)
     return total
+
+
+def higher_hamiltonian_sum(cfg, sector, d, hamiltonians=None):
+    """Sector restriction of the weighted sum of d-fold Hamiltonian products:
+    sum_{i_1<...<i_d} H_{i_1}...H_{i_d} prod_{a<b} (1 - eta^2/(x_a - x_b)^2)^{-1}."""
+    _require_rational(cfg, "the higher Hamiltonian sum")
+    return _weighted_product_sum(cfg, sector_products(cfg, sector, hamiltonians), d)
 
 
 def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
@@ -327,12 +396,10 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     if not (1 <= d <= cfg.n):
         raise ValueError(f"need 1 <= d <= n, got d={d}")
     dom = cfg.domain
-    sub = Space(cfg.N, cfg.n, sector)
-    Hs = _sector_hamiltonians(cfg, sector, hamiltonians)
-    worst, witness = _commutator_residual(Hs) if cfg.n > 1 else (
-        dom.residual(dom.zero, dom.zero), None)
+    table = sector_products(cfg, sector, hamiltonians)
+    worst, witness = table.commutator_residual()
 
-    lhs = higher_hamiltonian_sum(cfg, sector, d, hamiltonians)
+    lhs = _weighted_product_sum(cfg, table, d)
     ps = [
         sum((m * g ** k for m, g in zip(sector, cfg.g)), dom.zero)
         for k in range(1, d + 1)
@@ -355,7 +422,7 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
         if res > worst:
             worst, witness = res, ("power-sum expansion", d)
 
-    res, wit = lhs.residual(ChainOperator.identity(sub, dom).scaled(value))
+    res, wit = lhs.residual(table.product(()).scaled(value))
     if res > worst:
         worst, witness = res, wit
     return from_residual("symmetric-identity", worst, dom.threshold,
@@ -371,7 +438,6 @@ def check_macdonald_eigenvalue(cfg, sector, d):
     multiplicative-string sum sum_a sum_alpha g_a t^{2 alpha - M_a + 1}.
     """
     dom = cfg.domain
-    sub = Space(cfg.N, cfg.n, sector)
     worst = dom.residual(dom.zero, dom.zero)
     witness = None
     if cfg.is_rational:
@@ -383,7 +449,7 @@ def check_macdonald_eigenvalue(cfg, sector, d):
             res = dom.residual(energy, direct)
             if res > worst:
                 worst, witness = res, "weighted twist sum"
-        lhs = higher_hamiltonian_sum(cfg, sector, d)
+        lhs = _weighted_product_sum(cfg, sector_products(cfg, sector), d)
     else:
         if d != 1:
             raise FlavorMismatch(
@@ -394,13 +460,12 @@ def check_macdonald_eigenvalue(cfg, sector, d):
         res = dom.residual(energy, strings)
         if res > worst:
             worst, witness = res, "string sum"
-        total = None
-        for i in range(1, cfg.n + 1):
-            H = hamiltonian(cfg, i).restrict(sector)
-            total = H if total is None else total + H
-        lhs = total
+        ops = sector_products(cfg, sector).ops
+        lhs = ops[0]
+        for H in ops[1:]:
+            lhs = lhs + H
     trace = lhs.trace()
-    res = dom.residual(trace, energy * dom.coerce(sub.dim))
+    res = dom.residual(trace, energy * dom.coerce(lhs.space.dim))
     if res > worst:
         worst, witness = res, "sector trace"
     return from_residual("macdonald-eigenvalue", worst, dom.threshold,

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,7 @@ from qkzbench.errors import (
     GenericPositionViolation,
     PoleHit,
 )
+from qkzbench.scalars import ComplexDomain
 from qkzbench.tensor import ChainOperator, Space, all_sectors, site_embed
 
 ETA = Fraction(1, 2)
@@ -273,3 +277,41 @@ def test_shifted_argument_can_hit_pole():
     )
     with pytest.raises(PoleHit):
         qkz_operator(cfg, 2)
+
+
+# ------------------------------------------------------------------ H_i memo
+
+def test_hamiltonian_is_built_once_per_config_and_site():
+    cfg = rational_cfg()
+    assert hamiltonian(cfg, 2) is hamiltonian(cfg, 2)
+    # an equal config built separately shares the operator
+    assert hamiltonian(rational_cfg(), 2) is hamiltonian(cfg, 2)
+    assert hamiltonian(cfg, 1) is not hamiltonian(cfg, 2)
+
+
+def test_hamiltonian_memo_never_crosses_domains():
+    # dyadic parameters: the float config holds the same values, so it
+    # differs from the exact one only in its domain
+    exact = ModelConfig.rational(2, 3, ETA, Fraction(1, 4),
+                                 (Fraction(0), Fraction(1, 4), Fraction(5, 4)), G2)
+    floats = exact.to_domain(ComplexDomain(1e-10))
+    other = exact.to_domain(ComplexDomain(1e-10))
+    assert dataclasses.replace(floats, domain=exact.domain) == exact
+    assert floats != exact and floats != other
+    H_exact = hamiltonian(exact, 1)
+    assert hamiltonian(floats, 1).domain is floats.domain
+    assert hamiltonian(other, 1).domain is other.domain
+    assert hamiltonian(exact, 1) is H_exact and H_exact.domain is exact.domain
+    as_float = ChainOperator.from_entries(
+        floats.space(), ((r, c, complex(v)) for r, c, v in H_exact.entries()),
+        floats.domain)
+    assert hamiltonian(floats, 1).residual(as_float)[0] < 1e-12
+
+
+def test_hamiltonian_memo_does_not_keep_its_config_alive():
+    cfg = ModelConfig.rational(2, 2, ETA, HBAR, (Fraction(7), Fraction(11)), G2)
+    hamiltonian(cfg, 1)
+    ref = weakref.ref(cfg)
+    del cfg
+    gc.collect()
+    assert ref() is None

@@ -1,8 +1,10 @@
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
+from qkzbench import cli
 from qkzbench.cli import (
     CHECK_NAMES,
     RunConfig,
@@ -16,6 +18,7 @@ from qkzbench.errors import (
     GenericPositionViolation,
     NonPositiveTolerance,
     ParseError,
+    PoleHit,
 )
 
 RATIONAL_CFG = """\
@@ -209,6 +212,38 @@ def test_emit_json_timings_are_opt_in(rational_path):
     assert "millis" in emit(report, "json", timings=True)
 
 
+def test_timings_are_per_result(rational_path, monkeypatch):
+    # a clock whose k-th reading is 1 + 2 + ... + k seconds: every interval
+    # between readings is longer than the one before
+    readings = itertools.accumulate(itertools.count(1))
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: float(next(readings)))
+    rc = load_config(rational_path)
+    rc.checks = ["qkz-compat"]
+    doc = json.loads(emit(run(rc), "json", timings=True))
+    assert [r["params"] for r in doc["results"]] == [
+        {"i": 1, "j": 2}, {"i": 1, "j": 3}, {"i": 2, "j": 3}]
+    assert [r["millis"] for r in doc["results"]] == [2000.0, 3000.0, 4000.0]
+
+
+def test_family_that_raises_reports_one_error(rational_path, monkeypatch):
+    # results yielded before the error are dropped, as when a family ran
+    # to completion before its results were collected
+    real = cli.verify.check_det_identity
+
+    def second_sector_hits_a_pole(cfg, sector):
+        if sector == (1, 2):
+            raise PoleHit("injected")
+        return real(cfg, sector)
+
+    monkeypatch.setattr(cli.verify, "check_det_identity", second_sector_hits_a_pole)
+    rc = load_config(rational_path)
+    rc.checks = ["det-identity"]
+    report = run(rc)
+    assert len(report.results) == len(report.timings) == 1
+    assert report.results[0].status == "fail"
+    assert report.results[0].witness == "PoleHit: injected"
+
+
 def test_emit_text_contains_table(rational_path):
     rc = load_config(rational_path)
     rc.checks = ["sum-rule"]
@@ -288,6 +323,18 @@ def test_main_correspond(rational_path, capsys):
     assert len(rows) == 3
     for row in rows:
         assert row["match_distance"] <= 1e-8
+
+
+@pytest.mark.parametrize("command", ["spectrum", "correspond"])
+def test_report_echoes_seed_and_sector_overrides(rational_path, capsys, command):
+    assert main([command, "--config", rational_path,
+                 "--seed", "7", "--sector", "2,1"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["seed"] == 7
+    assert config["sectors"] == [[2, 1]]
+    assert main([command, "--config", rational_path]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["seed"] == 1 and config["sectors"] == "all"
 
 
 def test_check_registry_is_published():

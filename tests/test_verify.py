@@ -16,6 +16,7 @@ from qkzbench.tensor import (
     omega_q,
     permutation,
 )
+from qkzbench.scalars import ComplexDomain
 from qkzbench.verify import (
     check_det_identity,
     check_k_projection,
@@ -23,9 +24,11 @@ from qkzbench.verify import (
     check_omega_invariance,
     check_proposition_higher,
     check_symmetric_identity,
+    det_coefficients,
     elementary_from_power_sums,
     elementary_symmetric,
     higher_hamiltonian_sum,
+    sector_products,
     twist_targets,
 )
 from qkzbench.chain import qkz_operator
@@ -192,6 +195,102 @@ def test_det_identity_negative_control():
     assert not r.passed
     assert r.residual != 0
     assert r.witness is not None
+
+
+def _perm_sign(perm):
+    inv = sum(1 for a, b in itertools.combinations(range(len(perm)), 2)
+              if perm[a] > perm[b])
+    return -1 if inv % 2 else 1
+
+
+def _permutation_sum_det(cfg, ops, z):
+    """Reference: det(z d_ij - eta H_i / (x_j - x_i + eta)) as the n!-term
+    signed permutation sum of operator entries, products in row order."""
+    n = cfg.n
+    sub = ops[0].space
+    ident = ChainOperator.identity(sub)
+    mat = [
+        [
+            (ident.scaled(z) if i == j else ChainOperator.zero(sub))
+            - ops[i].scaled(cfg.eta / (cfg.x[j] - cfg.x[i] + cfg.eta))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    det = ChainOperator.zero(sub)
+    for perm in itertools.permutations(range(n)):
+        term = mat[0][perm[0]]
+        for i in range(1, n):
+            term = term @ mat[i][perm[i]]
+        det = det + term.scaled(Fraction(_perm_sign(perm)))
+    return det
+
+
+def _principal_minor_det(cfg, table, z):
+    det = None
+    for A in det_coefficients(cfg, table):
+        det = A if det is None else det.scaled(z) + A
+    return det
+
+
+X4 = X3 + (Fraction(-3, 4),)
+G3 = G2 + (Fraction(5),)
+
+
+@pytest.mark.parametrize("N,n", [(2, 3), (3, 3), (2, 4)])
+def test_principal_minor_det_equals_permutation_sum(N, n):
+    cfg = ModelConfig.rational(N, n, ETA, HBAR, X4[:n], G3[:N])
+    zs = [(-1) ** (k + 1) * ((k + 1) // 2) for k in range(n + 1)]
+    for M in all_sectors(N, n):
+        table = sector_products(cfg, M)
+        for z in zs:
+            ref = _permutation_sum_det(cfg, table.ops, Fraction(z))
+            assert _principal_minor_det(cfg, table, Fraction(z)).rows == ref.rows
+        assert check_det_identity(cfg, M).residual == 0
+
+
+def test_principal_minor_det_on_foreign_operators():
+    # the perturbed-twist negative control (test_det_identity_negative_control)
+    # meets the same determinant as before
+    bad = ModelConfig.rational(2, 3, ETA, HBAR, X3, (G2[0] + 1, G2[1]))
+    foreign = [hamiltonian(bad, i) for i in (1, 2, 3)]
+    table = sector_products(CFG, (2, 1), hamiltonians=foreign)
+    for z in (0, 1, -1, 2):
+        ref = _permutation_sum_det(CFG, table.ops, Fraction(z))
+        assert _principal_minor_det(CFG, table, Fraction(z)).rows == ref.rows
+
+
+# ----------------------------------------------------- sector product table
+
+def test_sector_products_are_built_once():
+    table = sector_products(CFG, (2, 1))
+    assert sector_products(CFG, (2, 1)) is table
+    assert table.product((0, 2)) is table.product((0, 2))
+    assert table.ops[1].rows == hamiltonian(CFG, 2).restrict((2, 1)).rows
+
+
+def test_sector_products_keep_left_to_right_order():
+    # in complex doubles the order of the products shows in the last bits;
+    # H_S must be ((H_a H_b) H_c), as a plain left-to-right loop builds it
+    cfg = CFG.to_domain(ComplexDomain(1e-10))
+    table = sector_products(cfg, (2, 1))
+    assert table.domain is cfg.domain
+    H = [hamiltonian(cfg, i).restrict((2, 1)) for i in (1, 2, 3)]
+    assert table.product((0, 1, 2)).rows == ((H[0] @ H[1]) @ H[2]).rows
+    assert table.product((1, 2)).rows == (H[1] @ H[2]).rows
+
+
+def test_injected_hamiltonians_never_enter_the_table():
+    bad = ModelConfig.rational(2, 3, ETA, HBAR, X3, (G2[0] + 1, G2[1]))
+    foreign = [hamiltonian(bad, i) for i in (1, 2, 3)]
+    assert sector_products(CFG, (2, 1), hamiltonians=foreign) is not (
+        sector_products(CFG, (2, 1)))
+    assert not check_det_identity(CFG, (2, 1), hamiltonians=foreign).passed
+    assert not check_symmetric_identity(CFG, (2, 1), 2, hamiltonians=foreign).passed
+    r = check_det_identity(CFG, (2, 1))
+    assert r.passed and r.residual == 0
+    r = check_symmetric_identity(CFG, (2, 1), 2)
+    assert r.passed and r.residual == 0
 
 
 # ----------------------------------------------------- symmetric identities
