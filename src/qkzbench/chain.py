@@ -4,11 +4,14 @@ Everything here is built from chain products of two-site R-matrices around a
 diagonal twist: the qKZ connection operators K_i (plain R-matrices, shifted
 left block), the commuting Hamiltonians H_i (tilde R-matrices, no shifts),
 the weight operators M_a, and the transfer matrix T(x) whose pole expansion
-generates the H_i.
+generates the H_i.  A check that needs only a covector times K_i applies the
+covector to the factors one at a time (qkz_covector) and never forms K_i.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,44 +220,54 @@ def _r_factor(cfg, space, i, j, pos, plus, tilde):
     return build(space, i, j, arg, cfg.t, cfg.domain)
 
 
-def _chain_product(cfg, i, shifted_sites, plus_left, tilde):
+def _chain_factors(cfg, i, shifted_sites, plus_left, tilde):
+    """The factors of the chain product around the twist at site i, in
+    product order: R_{i,i-1} ... R_{i,1}, g_i, R_{i,n} ... R_{i,i+1}, each
+    built when the iteration reaches it.  plus_left shifts the arguments of
+    the factors left of g_i by eta*hbar.
+    """
     if not (1 <= i <= cfg.n):
         raise BadSite(f"site {i} outside 1..{cfg.n}")
     space = cfg.space()
     pos = _positions(cfg, frozenset(shifted_sites))
-    op = None
     for j in range(i - 1, 0, -1):
-        f = _r_factor(cfg, space, i, j, pos, plus_left, tilde)
-        op = f if op is None else op @ f
-    gi = site_embed(space, cfg.twist_table(), i, cfg.domain)
-    op = gi if op is None else op @ gi
+        yield _r_factor(cfg, space, i, j, pos, plus_left, tilde)
+    yield site_embed(space, cfg.twist_table(), i, cfg.domain)
     for j in range(cfg.n, i, -1):
-        op = op @ _r_factor(cfg, space, i, j, pos, False, tilde)
-    return op
+        yield _r_factor(cfg, space, i, j, pos, False, tilde)
+
+
+def _chain_product(cfg, i, shifted_sites, plus_left, tilde):
+    return functools.reduce(
+        operator.matmul, _chain_factors(cfg, i, shifted_sites, plus_left, tilde))
 
 
 def qkz_operator(cfg, i, shifted_sites=()):
-    """qKZ connection operator K_i.
+    """qKZ connection operator K_i, as one chain operator.
 
     The R factors to the left of the twist carry the extra eta*hbar shift;
     shifted_sites first replaces x_s -> x_s + eta*hbar (u_s -> u_s h) for the
     listed sites, which is how nested connection operators such as
     K_j(x_i + eta*hbar) are formed.  With hbar = 0 and no shifts this is the
-    commuting Hamiltonian generator K_i^(0).
+    commuting Hamiltonian generator K_i^(0).  A check that needs only a
+    covector times K_i uses qkz_covector, which never forms this product.
     """
     return _chain_product(cfg, i, shifted_sites, plus_left=True, tilde=False)
 
 
-def qkz_left_block(cfg, i, shifted_sites=()):
-    """Only the shifted R factors to the left of the twist inside K_i."""
-    if not (1 <= i <= cfg.n):
-        raise BadSite(f"site {i} outside 1..{cfg.n}")
-    space = cfg.space()
-    pos = _positions(cfg, frozenset(shifted_sites))
-    op = ChainOperator.identity(space, cfg.domain)
-    for j in range(i - 1, 0, -1):
-        op = op @ _r_factor(cfg, space, i, j, pos, True, tilde=False)
-    return op
+def qkz_covector(cfg, cov, i, shifted_sites=(), left_block=False):
+    """The covector cov . K_i, applied one factor of K_i at a time.
+
+    Equal to qkz_operator(cfg, i, shifted_sites).apply_left(cov) in exact
+    arithmetic, without the N^n x N^n product.  With left_block, only the
+    shifted R factors left of the twist are applied.
+    """
+    factors = _chain_factors(cfg, i, shifted_sites, plus_left=True, tilde=False)
+    for k, f in enumerate(factors):
+        if left_block and k == i - 1:
+            break
+        cov = f.apply_left(cov)
+    return cov
 
 
 # cfg -> {i: H_i}.  A config is frozen and hashable and its domain compares

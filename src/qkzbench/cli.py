@@ -536,11 +536,11 @@ def _cmd_spectrum(args):
 def _cmd_correspond(args):
     rc = _select(args)
     rng = random.Random(rc.seed)
-    tol = require_tolerance(args.tol if args.tol is not None else 1e-8)
+    rc.tol = require_tolerance(args.tol if args.tol is not None else 1e-8)
     doc = {"config": _describe_run(rc), "sectors": []}
     ok = True
     for M in _sector_list(rc):
-        rep = correspond.check_correspondence(rc.model, M, tol=tol, rng=rng)
+        rep = correspond.check_correspondence(rc.model, M, tol=rc.tol, rng=rng)
         ok = ok and rep.passed
         doc["sectors"].append(
             {

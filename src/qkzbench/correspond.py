@@ -326,10 +326,11 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None):
                 for j in range(cfg.n):
                     lax[i, j] = velocities[j] / dens[i][j]
             try:
-                spectrum, _ = mpmath.eig(lax, left=False, right=True)
+                # eigenvalues only; a 1 x 1 matrix still comes with vectors
+                spectrum = mpmath.eig(lax, left=False, right=False)
             except Exception as exc:
                 raise NonConvergence(str(exc)) from exc
-            spectrum = list(spectrum)
+            spectrum = list(spectrum[0] if cfg.n == 1 else spectrum)
             dist = match_distance(spectrum, targets_mp)
             invariants = [
                 elementary_symmetric(spectrum, d) for d in range(1, cfg.n + 1)

@@ -18,7 +18,7 @@ import itertools
 import weakref
 from fractions import Fraction
 
-from .chain import hamiltonian, qkz_left_block, qkz_operator, twist_sinh_sum
+from .chain import hamiltonian, qkz_covector, twist_sinh_sum
 from .errors import FlavorMismatch, PoleHit
 from .report import CheckResult, from_residual
 from .rmatrix import r_rational, r_trig
@@ -95,16 +95,17 @@ def check_k_projection(cfg, i):
 
     Also verifies the intermediate step used in the proofs: the covector
     times the shifted left block equals the covector times the bare
-    permutation product P_{i,i-1} ... P_{i1}.
+    permutation product P_{i,i-1} ... P_{i1}.  The covector meets the
+    factors of K_i one at a time; K_i itself is never formed.
     """
     space = cfg.space()
     dom = cfg.domain
     w = _flavor_covector(cfg, space)
-    lhs = qkz_operator(cfg, i).apply_left(w)
-    rhs = qkz_operator(cfg.at_hbar_zero(), i).apply_left(w)
+    lhs = qkz_covector(cfg, w, i)
+    rhs = qkz_covector(cfg.at_hbar_zero(), w, i)
     worst, witness = covector_residual(lhs, rhs, space, dom)
     if i >= 2:
-        left = qkz_left_block(cfg, i).apply_left(w)
+        left = qkz_covector(cfg, w, i, left_block=True)
         pprod = w
         for j in range(i - 1, 0, -1):
             pprod = permutation(space, i, j, dom).apply_left(pprod)
@@ -122,7 +123,8 @@ def check_proposition_higher(cfg, sites):
     shifted product K_{i_d}(shifts i_1..i_{d-1}) ... K_{i_2}(shift i_1) K_{i_1}
     equals the covector times K^(0)_{i_1} ... K^(0)_{i_d}.  This is the
     operator content from which the difference-operator eigenproblem follows
-    for every qKZ solution, without constructing one.
+    for every qKZ solution, without constructing one.  Both sides push the
+    covector through the R factors one at a time and never form a K_i.
     """
     sites = tuple(sorted(set(int(s) for s in sites)))
     if not sites or len(sites) != len(set(sites)):
@@ -132,12 +134,11 @@ def check_proposition_higher(cfg, sites):
     w0 = _flavor_covector(cfg, space)
     lhs = w0
     for pos in range(len(sites), 0, -1):
-        shifted = set(sites[: pos - 1])
-        lhs = qkz_operator(cfg, sites[pos - 1], shifted).apply_left(lhs)
+        lhs = qkz_covector(cfg, lhs, sites[pos - 1], sites[: pos - 1])
     cfg0 = cfg.at_hbar_zero()
     rhs = w0
     for s in sites:
-        rhs = qkz_operator(cfg0, s).apply_left(rhs)
+        rhs = qkz_covector(cfg0, rhs, s)
     res, wit = covector_residual(lhs, rhs, space, dom)
     return from_residual("proposition-higher", res, dom.threshold, witness=wit,
                          params={"sites": sites})

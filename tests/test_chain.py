@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import gc
 import itertools
+import operator
 import weakref
 from fractions import Fraction
 
@@ -8,11 +10,13 @@ import pytest
 
 from qkzbench.chain import (
     ModelConfig,
+    _chain_factors,
     check_transfer_commute,
     hamiltonian,
     hamiltonian_prefactor,
     pole_expansion,
     qkz_compatibility,
+    qkz_covector,
     qkz_operator,
     sum_rule,
     transfer_matrix,
@@ -21,11 +25,18 @@ from qkzbench.chain import (
 )
 from qkzbench.errors import (
     BadColor,
+    BadSite,
     GenericPositionViolation,
     PoleHit,
 )
 from qkzbench.scalars import ComplexDomain
-from qkzbench.tensor import ChainOperator, Space, all_sectors, site_embed
+from qkzbench.tensor import (
+    ChainOperator,
+    Space,
+    all_sectors,
+    covector_residual,
+    site_embed,
+)
 
 ETA = Fraction(1, 2)
 HBAR = Fraction(1, 3)
@@ -277,6 +288,56 @@ def test_shifted_argument_can_hit_pole():
     )
     with pytest.raises(PoleHit):
         qkz_operator(cfg, 2)
+
+
+# ------------------------------------------------------------ covector path
+
+def _covector_configs():
+    rational33 = ModelConfig.rational(3, 3, ETA, HBAR, X3,
+                                      (Fraction(2), Fraction(3), Fraction(5)))
+    trig24 = ModelConfig.trigonometric(
+        2, 4, Fraction(2), Fraction(5, 4),
+        (Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(5, 2)), G2)
+    return [rational33, rational33.at_hbar_zero(), trig24, trig24.at_hbar_zero()]
+
+
+def _shift_sets(cfg, i):
+    others = [s for s in range(1, cfg.n + 1) if s != i]
+    return [()] + [(s,) for s in others] + [tuple(others)]
+
+
+@pytest.mark.parametrize("cfg", _covector_configs(),
+                         ids=["rational33", "rational33-hbar0", "trig24", "trig24-hbar0"])
+def test_qkz_covector_equals_operator_product(cfg):
+    # a covector with distinct entries, so no cancellation hides a wrong factor
+    sp = cfg.space()
+    w = [Fraction((-1) ** k * (k + 1), k + 3) for k in range(sp.dim)]
+    for i in range(1, cfg.n + 1):
+        for S in _shift_sets(cfg, i):
+            got = qkz_covector(cfg, w, i, S)
+            want = qkz_operator(cfg, i, S).apply_left(w)
+            assert covector_residual(got, want, sp) == (0, None), (i, S)
+            left = qkz_covector(cfg, w, i, S, left_block=True)
+            if i == 1:
+                assert left == w
+                continue
+            block = functools.reduce(operator.matmul, itertools.islice(
+                _chain_factors(cfg, i, S, True, False), i - 1))
+            assert covector_residual(left, block.apply_left(w), sp) == (0, None), (i, S)
+
+
+def test_qkz_covector_rejects_bad_site_and_hits_poles():
+    cfg = rational_cfg()
+    w = [Fraction(1)] * cfg.space().dim
+    for i in (0, cfg.n + 1):
+        with pytest.raises(BadSite):
+            qkz_covector(cfg, w, i)
+        with pytest.raises(BadSite):
+            qkz_covector(cfg, w, i, left_block=True)
+    # the pole of test_shifted_argument_can_hit_pole sits in the left block
+    cfg = ModelConfig.rational(2, 2, ETA, Fraction(1), (Fraction(0), Fraction(-1)), G2)
+    with pytest.raises(PoleHit):
+        qkz_covector(cfg, [Fraction(1)] * 4, 2, left_block=True)
 
 
 # ------------------------------------------------------------------ H_i memo

@@ -337,6 +337,15 @@ def test_report_echoes_seed_and_sector_overrides(rational_path, capsys, command)
     assert config["seed"] == 1 and config["sectors"] == "all"
 
 
+def test_correspond_echoes_the_tolerance_it_gates_at(rational_path, capsys):
+    assert main(["correspond", "--config", rational_path, "--sector", "2,1",
+                 "--tol", "1e-6"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-6
+    # without --tol the command gates at 1e-8, whatever the file's tol
+    assert main(["correspond", "--config", rational_path, "--sector", "2,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-8
+
+
 def test_check_registry_is_published():
     assert len(CHECK_NAMES) == 14
     assert "ybe" in CHECK_NAMES and "correspondence" in CHECK_NAMES

@@ -190,6 +190,18 @@ def test_correspondence_trig_string_example():
     assert row.match_distance <= 1e-8
 
 
+def test_correspondence_single_site():
+    # a 1 x 1 Lax matrix: its one eigenvalue is the twist entry of the sector
+    for cfg in (ModelConfig.rational(2, 1, ETA, HBAR, (Fraction(0),), G2),
+                ModelConfig.trigonometric(2, 1, Fraction(2), Fraction(5, 4),
+                                          (Fraction(1),), G2)):
+        for M, g in (((1, 0), G2[0]), ((0, 1), G2[1])):
+            rep = check_correspondence(cfg, M, rng=random.Random(7))
+            assert rep.passed
+            (row,) = rep.rows
+            assert row.lax_spectrum == [complex(g)]
+
+
 def test_correspondence_velocity_trace_identity():
     # sum_i xdot_i / scale = sum_a g_a M_a within 1e-10
     rng = random.Random(9)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkzbench import verify
 from qkzbench.chain import ModelConfig, hamiltonian, sum_rule
 from qkzbench.errors import FlavorMismatch, GenericPositionViolation, PoleHit
 from qkzbench.rmatrix import r_trig
@@ -123,6 +124,39 @@ def test_proposition_rhs_order_independent():
     for cov in results[1:]:
         res, _ = covector_residual(cov, results[0], sp)
         assert res == 0
+
+
+# ------------------------------------------- negative controls, covector side
+
+def _perturb_flavor_covector(monkeypatch):
+    # component 2 is the state (1, 2, 1), inside a sector of dimension 3
+    original = verify._flavor_covector
+
+    def perturbed(cfg, space):
+        w = list(original(cfg, space))
+        w[2] = w[2] + 1
+        return w
+
+    monkeypatch.setattr(verify, "_flavor_covector", perturbed)
+
+
+def _assert_fails_with_state_witness(r, cfg):
+    assert not r.passed and r.residual != 0
+    assert r.witness in cfg.space().states
+
+
+@pytest.mark.parametrize("cfg", [CFG, TCFG], ids=["rational", "trig"])
+def test_k_projection_fails_on_perturbed_covector(cfg, monkeypatch):
+    _perturb_flavor_covector(monkeypatch)
+    for i in (2, 3):
+        _assert_fails_with_state_witness(check_k_projection(cfg, i), cfg)
+
+
+@pytest.mark.parametrize("cfg", [CFG, TCFG], ids=["rational", "trig"])
+def test_proposition_fails_on_perturbed_covector(cfg, monkeypatch):
+    _perturb_flavor_covector(monkeypatch)
+    for sites in [(2,), (3,), (1, 3), (2, 3)]:
+        _assert_fails_with_state_witness(check_proposition_higher(cfg, sites), cfg)
 
 
 # -------------------------------------------------------- determinant layer
