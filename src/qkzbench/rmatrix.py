@@ -19,8 +19,8 @@ from .tensor import (
     ChainOperator,
     Space,
     permutation,
-    q_permutation,
     site_embed,
+    swap_embed,
     two_site_embed,
 )
 
@@ -32,10 +32,12 @@ def r_rational(space, i, j, x, eta, domain=EXACT):
     den = x + eta
     if den == 0:
         raise PoleHit(f"spectral point x = -eta = {x}")
-    op = permutation(space, i, j, domain).scaled(eta / den)
-    if x != 0:
-        op = op + ChainOperator.identity(space, domain).scaled(x / den)
-    return op
+    # entries as P_ij.scaled(eta/den) + I.scaled(x/den) sums them
+    p = eta / den * domain.one
+    if x == 0:
+        return swap_embed(space, i, j, 0, p, (p, p), "PD", domain)
+    d = x / den * domain.one
+    return swap_embed(space, i, j, 0 + d, p + d, (p, p), "PD", domain)
 
 
 def r_rational_tilde(space, i, j, x, eta, domain=EXACT):
@@ -44,9 +46,10 @@ def r_rational_tilde(space, i, j, x, eta, domain=EXACT):
     eta = domain.coerce(eta)
     if x == 0:
         raise PoleHit("spectral point x = 0")
-    return ChainOperator.identity(space, domain) + permutation(
-        space, i, j, domain
-    ).scaled(eta / x)
+    # entries as I + P_ij.scaled(eta/x) sums them
+    one = domain.one
+    p = eta / x * one
+    return swap_embed(space, i, j, one, one + p, (0 + p, 0 + p), "DP", domain)
 
 
 def sinh_ratio_up(u, t, domain=EXACT):
@@ -74,13 +77,13 @@ def r_trig(space, i, j, u, t, domain=EXACT):
     if u == 0:
         raise NonInvertibleQ("u = e^x must be nonzero")
     s = sinh_ratio_up(u, t, domain)
-    op = permutation(space, i, j, domain)
-    if s != 0:
-        diff = ChainOperator.identity(space, domain) - q_permutation(
-            space, i, j, t, domain
-        )
-        op = op + diff.scaled(s)
-    return op
+    if s == 0:
+        return permutation(space, i, j, domain)
+    # entries as P_ij + (I - Pq_ij).scaled(s) sums them
+    one = domain.one
+    q = domain.coerce(t)
+    swap = tuple(one + s * (0 + -one * w) for w in (q, domain.inverse(q)))
+    return swap_embed(space, i, j, 0 + s * one, one, swap, "PD", domain)
 
 
 def r_trig_entrywise(space, i, j, u, t, domain=EXACT):
@@ -116,12 +119,12 @@ def r_trig_tilde(space, i, j, u, t, domain=EXACT):
     """I - Pq_ij + [sinh(x+eta)/sinh x] P_ij; proportional to r_trig."""
     if u == 0:
         raise NonInvertibleQ("u = e^x must be nonzero")
-    c = sinh_ratio_down(u, t, domain)
-    return (
-        ChainOperator.identity(space, domain)
-        - q_permutation(space, i, j, t, domain)
-        + permutation(space, i, j, domain).scaled(c)
-    )
+    # entries as (I - Pq_ij) + P_ij.scaled(c) sums them
+    one = domain.one
+    p = sinh_ratio_down(u, t, domain) * one
+    q = domain.coerce(t)
+    swap = tuple((0 + -one * w) + p for w in (q, domain.inverse(q)))
+    return swap_embed(space, i, j, one, 0 + p, swap, "DQP", domain)
 
 
 def _pair_r(flavor, space, i, j, point, coupling, domain):

@@ -1,7 +1,13 @@
 """Scalar domains: exact big rationals and tolerance-equipped complex doubles.
 
 Exact values are `fractions.Fraction` instances (arbitrary precision, always
-reduced, denominator positive), printed and parsed as ``p/q``.  The
+reduced, denominator positive), printed and parsed as ``p/q``.  Operators
+store them as Python-int numerators over one common denominator; each domain
+supplies the three hooks for that storage: ``split`` (values to numerators
+and a denominator), ``join`` (one numerator and the denominator back to a
+value) and ``common`` (the factor shared by a denominator and numerators).
+In the complex domain the numerators are the values and the denominator is
+always 1.  The
 trigonometric family of operators stays exactly computable because every
 matrix entry is a rational function of the exponentials u_i = e^{x_i},
 t = e^{eta}, h = e^{eta*hbar}; nothing transcendental is evaluated until
@@ -44,6 +50,21 @@ class RationalDomain:
     def residual(a, b):
         return abs(a - b)
 
+    @staticmethod
+    def split(values):
+        """Integer numerators of values over their least common denominator."""
+        den = math.lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+
+    @staticmethod
+    def join(num, den):
+        return Fraction(num, den)
+
+    @staticmethod
+    def common(den, nums):
+        """gcd of the denominator and all the numerators."""
+        return 1 if den == 1 else math.gcd(den, *nums)
+
     def __repr__(self):
         return "RationalDomain()"
 
@@ -77,6 +98,18 @@ class ComplexDomain:
         running maximum or threshold comparison can pass over it."""
         r = abs(a - b) / max(1.0, abs(a), abs(b))
         return math.inf if math.isnan(r) else r
+
+    @staticmethod
+    def split(values):
+        return list(values), 1
+
+    @staticmethod
+    def join(num, den):
+        return complex(num)
+
+    @staticmethod
+    def common(den, nums):
+        return 1
 
     def __repr__(self):
         return f"ComplexDomain(tol={self.tol!r})"

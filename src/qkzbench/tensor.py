@@ -3,8 +3,10 @@
 Basis states are tuples J = (j_1, ..., j_n) with letters in 1..N; site 1 is
 the leftmost tensor factor and the linear index is big-endian,
 index(J) = sum_k (j_k - 1) * N^(n-k).  Operators are stored as row-major
-sparse maps and never keep explicit zeros; everything is immutable after
-construction.
+sparse maps of numerators over one common denominator (Python ints in the
+exact domain, so products and sums run in integer arithmetic with one gcd
+pass per result), reduced and without explicit zeros; everything is
+immutable after construction.  Scalars enter and leave as domain values.
 """
 from __future__ import annotations
 
@@ -131,40 +133,59 @@ class Space:
 class ChainOperator:
     """Sparse linear operator on a Space over a fixed scalar domain.
 
-    ``rows[r][c]`` is the matrix element sending basis column c to row r.
+    The matrix element sending basis column c to row r is
+    ``domain.join(rows[r][c], den)``: ``rows`` holds numerators (Python ints
+    in the exact domain) over one positive common denominator ``den``.  The
+    storage is kept reduced: gcd(den, all numerators) = 1 and no stored
+    zeros, so equal operators have equal (rows, den).  In the complex
+    domain the numerators are the values and ``den`` is 1.  Values cross
+    the interface (entry, entries, trace, apply, apply_left, scaled) as
+    domain scalars.
     """
 
-    __slots__ = ("space", "domain", "rows")
+    __slots__ = ("space", "domain", "rows", "den")
 
-    def __init__(self, space, domain, rows):
+    def __init__(self, space, domain, rows, den=1):
         self.space = space
         self.domain = domain
         self.rows = rows
+        self.den = den
 
     # ---------------------------------------------------------------- build
+    @classmethod
+    def from_numerators(cls, space, domain, rows, den):
+        """Operator from nonzero numerators over den, divided by their
+        common factor with den."""
+        nums = itertools.chain.from_iterable(map(dict.values, rows.values()))
+        g = domain.common(den, nums)
+        if g != 1:
+            den //= g
+            rows = {r: {c: v // g for c, v in row.items()} for r, row in rows.items()}
+        return cls(space, domain, rows, den)
+
     @classmethod
     def zero(cls, space, domain=EXACT):
         return cls(space, domain, {})
 
     @classmethod
     def identity(cls, space, domain=EXACT):
-        one = domain.one
+        (one,), _ = domain.split([domain.one])
         return cls(space, domain, {k: {k: one} for k in range(space.dim)})
 
     @classmethod
     def diagonal(cls, space, values, domain=EXACT):
         """Diagonal operator from a per-basis-state list of scalars."""
-        rows = {}
-        for k, v in enumerate(values):
-            if v != 0:
-                rows[k] = {k: v}
-        return cls(space, domain, rows)
+        nums, den = domain.split(list(values))
+        return cls(space, domain,
+                   {k: {k: v} for k, v in enumerate(nums) if v != 0}, den)
 
     @classmethod
     def from_entries(cls, space, entries, domain=EXACT):
         """Accumulate (row, col, value) triples, dropping zeros."""
+        entries = list(entries)
+        nums, den = domain.split([v for _, _, v in entries])
         rows = {}
-        for r, c, v in entries:
+        for (r, c, _), v in zip(entries, nums):
             if v == 0:
                 continue
             acc = rows.setdefault(r, {})
@@ -173,28 +194,31 @@ class ChainOperator:
                 del acc[c]
             else:
                 acc[c] = s
-        return cls(space, domain, {r: row for r, row in rows.items() if row})
+        return cls.from_numerators(
+            space, domain, {r: row for r, row in rows.items() if row}, den)
 
     # ---------------------------------------------------------------- query
     def entry(self, r, c):
-        return self.rows.get(r, {}).get(c, self.domain.zero)
+        v = self.rows.get(r, {}).get(c)
+        return self.domain.zero if v is None else self.domain.join(v, self.den)
 
     def entries(self):
+        join, den = self.domain.join, self.den
         for r, row in self.rows.items():
             for c, v in row.items():
-                yield r, c, v
+                yield r, c, join(v, den)
 
     @property
     def nnz(self):
         return sum(len(row) for row in self.rows.values())
 
     def trace(self):
-        t = self.domain.zero
+        t = 0
         for r, row in self.rows.items():
             v = row.get(r)
             if v is not None:
                 t = t + v
-        return t
+        return self.domain.join(t, self.den)
 
     def is_zero(self):
         return not self.rows
@@ -208,17 +232,20 @@ class ChainOperator:
 
     def __add__(self, other):
         self._check_compat(other)
-        rows = {r: dict(row) for r, row in self.rows.items()}
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        rows = {r: {c: v * fa for c, v in row.items()} if fa != 1 else dict(row)
+                for r, row in self.rows.items()}
         for r, orow in other.rows.items():
             row = rows.setdefault(r, {})
             for c, v in orow.items():
-                s = row.get(c, 0) + v
+                s = row.get(c, 0) + (v * fb if fb != 1 else v)
                 if s == 0:
                     row.pop(c, None)
                 else:
                     row[c] = s
-        return ChainOperator(
-            self.space, self.domain, {r: row for r, row in rows.items() if row}
+        return ChainOperator.from_numerators(
+            self.space, self.domain, {r: row for r, row in rows.items() if row}, den
         )
 
     def __sub__(self, other):
@@ -230,10 +257,12 @@ class ChainOperator:
     def scaled(self, s):
         if s == 0:
             return ChainOperator.zero(self.space, self.domain)
+        (s,), sden = self.domain.split([s])
         rows = {
             r: {c: s * v for c, v in row.items()} for r, row in self.rows.items()
         }
-        return ChainOperator(self.space, self.domain, rows)
+        return ChainOperator.from_numerators(self.space, self.domain, rows,
+                                             self.den * sden)
 
     def __rmul__(self, s):
         return self.scaled(s)
@@ -254,24 +283,28 @@ class ChainOperator:
             acc = {c: s for c, s in acc.items() if s != 0}
             if acc:
                 out[r] = acc
-        return ChainOperator(self.space, self.domain, out)
+        return ChainOperator.from_numerators(self.space, self.domain, out,
+                                             self.den * other.den)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a list over the space's basis."""
         if len(vec) != self.space.dim:
             raise DimensionMismatch(f"vector of length {len(vec)} on {self.space}")
+        vec, vden = self.domain.split(vec)
         out = [0] * self.space.dim
         for r, row in self.rows.items():
             s = 0
             for c, v in row.items():
                 s += v * vec[c]
             out[r] = s
-        return out
+        join, den = self.domain.join, self.den * vden
+        return [join(s, den) for s in out]
 
     def apply_left(self, cov):
         """Covector-matrix product cov . self."""
         if len(cov) != self.space.dim:
             raise DimensionMismatch(f"covector of length {len(cov)} on {self.space}")
+        cov, cden = self.domain.split(cov)
         out = [0] * self.space.dim
         for r, row in self.rows.items():
             w = cov[r]
@@ -279,7 +312,8 @@ class ChainOperator:
                 continue
             for c, v in row.items():
                 out[c] += w * v
-        return out
+        join, den = self.domain.join, self.den * cden
+        return [join(s, den) for s in out]
 
     def restrict(self, sector):
         """The block of a full-space operator on one weight sector.
@@ -305,20 +339,26 @@ class ChainOperator:
                         f"entry {space.states[r]} <- {space.states[c]} leaves "
                         f"sector {sub.sector}"
                     )
-        return ChainOperator(sub, self.domain, rows)
+        return ChainOperator.from_numerators(sub, self.domain, rows, self.den)
 
     # ------------------------------------------------------------ compare
     def residual(self, other):
         """Largest entrywise deviation and the basis pair where it occurs."""
         self._check_compat(other)
         dom = self.domain
+        join, da, db = dom.join, self.den, other.den
         worst = dom.residual(dom.zero, dom.zero)
         witness = None
         for r in set(self.rows) | set(other.rows):
             arow = self.rows.get(r, {})
             brow = other.rows.get(r, {})
             for c in set(arow) | set(brow):
-                d = dom.residual(arow.get(c, dom.zero), brow.get(c, dom.zero))
+                a, b = arow.get(c, 0), brow.get(c, 0)
+                # equal numerators over one denominator deviate by exactly 0
+                # (a - b, not a == b: inf - inf is NaN and must be measured)
+                if da == db and a - b == 0:
+                    continue
+                d = dom.residual(join(a, da), join(b, db))
                 if d > worst:
                     worst = d
                     witness = (self.space.states[r], self.space.states[c])
@@ -408,25 +448,21 @@ def site_embed(space, op, i, domain=EXACT):
     if not (1 <= i <= space.n):
         raise BadSite(f"site {i} outside 1..{space.n}")
     cols = _one_site_columns(op, space.N)
+    step = space.N ** (space.n - i)
 
     def entries():
         for ci, J in enumerate(space.states):
-            for a, v in cols.get(J[i - 1], ()):
-                yield space.index_of(J[: i - 1] + (a,) + J[i:]), ci, v
+            b = J[i - 1]
+            for a, v in cols.get(b, ()):
+                yield ci + (a - b) * step, ci, v
 
     return ChainOperator.from_entries(space, entries(), domain)
 
 
 def permutation(space, i, j, domain=EXACT):
     """Swap of the tensor factors at sites i and j."""
-    _check_pair(space, i, j)
     one = domain.one
-    rows = {}
-    for ci, J in enumerate(space.states):
-        JJ = list(J)
-        JJ[i - 1], JJ[j - 1] = JJ[j - 1], JJ[i - 1]
-        rows.setdefault(space.index_of(tuple(JJ)), {})[ci] = one
-    return ChainOperator(space, domain, rows)
+    return swap_embed(space, i, j, 0, one, (one, one), "PD", domain)
 
 
 def q_permutation(space, i, j, q, domain=EXACT):
@@ -439,16 +475,8 @@ def q_permutation(space, i, j, q, domain=EXACT):
     if q == 0:
         raise NonInvertibleQ("q must be invertible")
     q = domain.coerce(q)
-    qinv = domain.inverse(q)
-    one = domain.one
-    rows = {}
-    for ci, J in enumerate(space.states):
-        a, b = J[i - 1], J[j - 1]
-        JJ = list(J)
-        JJ[i - 1], JJ[j - 1] = b, a
-        v = one if a == b else (q if a < b else qinv)
-        rows.setdefault(space.index_of(tuple(JJ)), {})[ci] = v
-    return ChainOperator(space, domain, rows)
+    return swap_embed(space, i, j, 0, domain.one, (q, domain.inverse(q)), "PD",
+                      domain)
 
 
 def two_site_embed(space, i, j, table, domain=EXACT):
@@ -477,3 +505,47 @@ def two_site_embed(space, i, j, table, domain=EXACT):
                 yield ri, ci, v
 
     return ChainOperator.from_entries(space, entries(), domain)
+
+
+def swap_embed(space, i, j, diagonal, fixed, swap, order, domain=EXACT):
+    """Operator that keeps or exchanges the letters (a, b) at sites (i, j),
+    built in one pass over the basis.
+
+    A state keeps its letters with the weight `fixed` if a = b and
+    `diagonal` otherwise; it is sent to (b, a) with the weight swap[0] if
+    a < b and swap[1] if a > b.  Zeros are not stored.  `order` gives the
+    order of the stored rows and entries, which the float sums of later
+    products, traces and covectors follow.  It is the order that the sum of
+    full-space operators named by it leaves:
+
+    "PD"  permutation + diagonal: rows in the order of the swapped basis
+          states, the swap entry first;
+    "DP"  diagonal + permutation: rows in basis order, the diagonal first;
+    "DQP" diagonal - q-permutation + permutation: as "DP", but the rows of
+          equal letters (where the first two terms cancel) come last.
+    """
+    _check_pair(space, i, j)
+    (diagonal, fixed, up, down), den = domain.split([diagonal, fixed, *swap])
+    step = space.N ** (space.n - i) - space.N ** (space.n - j)
+    rows, late = {}, {}
+    for k, J in enumerate(space.states):
+        a, b = J[i - 1], J[j - 1]
+        if a == b:
+            if fixed != 0:
+                (late if order == "DQP" else rows)[k] = {k: fixed}
+            continue
+        if space.sector is None:
+            s = k + (b - a) * step
+        else:
+            JJ = list(J)
+            JJ[i - 1], JJ[j - 1] = b, a
+            s = space.index_of(tuple(JJ))
+        if order == "PD":   # row s takes state k, then keeps its own letters
+            r, row = s, ((k, up if a < b else down), (s, diagonal))
+        else:               # row k keeps its letters, then takes state s
+            r, row = k, ((k, diagonal), (s, up if b < a else down))
+        row = {c: v for c, v in row if v != 0}
+        if row:
+            rows[r] = row
+    rows.update(late)
+    return ChainOperator.from_numerators(space, domain, rows, den)

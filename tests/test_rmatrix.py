@@ -16,7 +16,8 @@ from qkzbench.rmatrix import (
     sinh_ratio_down,
     sinh_ratio_up,
 )
-from qkzbench.tensor import ChainOperator, Space, permutation
+from qkzbench.scalars import EXACT, ComplexDomain
+from qkzbench.tensor import ChainOperator, Space, permutation, q_permutation
 
 ETA = Fraction(1, 2)
 
@@ -166,3 +167,36 @@ def test_twist_commutation(flavor):
     g = (Fraction(2), Fraction(3), Fraction(-5, 7))
     r = check_twist_commutation(flavor, Fraction(3, 7), coupling, g, 3)
     assert r.passed and r.residual == 0
+
+
+# --------------------------------------------- one-pass builds, stored order
+
+def _sum_forms(space, i, j, arg, coupling, dom):
+    """Each R builder written as the sum of full-space operators it stands
+    for; its stored rows and entries must come in the order this sum leaves
+    them, since float products, traces and covectors add in that order."""
+    I = ChainOperator.identity(space, dom)
+    P = permutation(space, i, j, dom)
+    Q = q_permutation(space, i, j, coupling, dom)
+    x, c = dom.coerce(arg), dom.coerce(coupling)
+    return {
+        r_rational: P.scaled(c / (x + c)) + I.scaled(x / (x + c)),
+        r_rational_tilde: I + P.scaled(c / x),
+        r_trig: P + (I - Q).scaled(sinh_ratio_up(x, c, dom)),
+        r_trig_tilde: I - Q + P.scaled(sinh_ratio_down(x, c, dom)),
+    }
+
+
+@pytest.mark.parametrize("dom", [EXACT, ComplexDomain(1e-10)], ids=["exact", "float"])
+@pytest.mark.parametrize("N,n,i,j",
+                         [(2, 3, 1, 3), (2, 3, 3, 2), (3, 3, 2, 1), (3, 2, 1, 2)])
+def test_one_pass_builds_keep_the_order_of_their_sums(dom, N, n, i, j):
+    sp = Space(N, n)
+    for arg in (Fraction(3, 7), Fraction(-5, 2), Fraction(7, 3)):
+        for build, want in _sum_forms(sp, i, j, arg, Fraction(2), dom).items():
+            got = build(sp, i, j, arg, Fraction(2), dom)
+            assert [(r, list(row)) for r, row in got.rows.items()] == [
+                (r, list(row)) for r, row in want.rows.items()], build.__name__
+            # repr shows every bit of a complex double, signed zeros included
+            assert [repr(e) for e in got.entries()] == [
+                repr(e) for e in want.entries()], build.__name__

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -29,7 +30,7 @@ from qkzbench.tensor import (
     site_embed,
     weight_of,
 )
-from qkzbench.scalars import ComplexDomain
+from qkzbench.scalars import EXACT, ComplexDomain
 
 
 # ----------------------------------------------------------------- sectors
@@ -324,3 +325,126 @@ def test_nan_entry_fails_comparison():
         cov[k] = complex(float("nan"), 0)
         res, witness = covector_residual(cov, omega(space, dom), space, dom)
         assert res == float("inf") and witness == space.states[k]
+
+
+# ------------------------------------- numerators over a common denominator
+# Each operator result is compared with a plain dict-of-Fraction reference
+# and checked for the reduced storage: den >= 1, gcd(den, numerators) = 1,
+# integer numerators, no stored zeros and no empty rows.
+
+SP3 = Space(2, 3)
+fractions_st = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+entries_st = st.lists(
+    st.tuples(st.integers(0, SP3.dim - 1), st.integers(0, SP3.dim - 1), fractions_st),
+    max_size=12)
+covector_st = st.lists(fractions_st, min_size=SP3.dim, max_size=SP3.dim)
+
+
+def _reference(entries):
+    ref = {}
+    for r, c, v in entries:
+        ref[(r, c)] = ref.get((r, c), 0) + v
+    return {k: v for k, v in ref.items() if v != 0}
+
+
+def _values(op):
+    """The entries of op as a dict, after asserting its reduced storage."""
+    nums = [v for row in op.rows.values() for v in row.values()]
+    assert type(op.den) is int and op.den >= 1
+    assert all(type(v) is int and v != 0 for v in nums)
+    assert all(op.rows.values())
+    assert math.gcd(op.den, *nums) == 1
+    out = {(r, c): v for r, c, v in op.entries()}
+    assert all(type(v) is Fraction for v in out.values())
+    return out
+
+
+def _product(a, b):
+    out = {}
+    for (r, k), v in a.items():
+        for (k2, c), w in b.items():
+            if k == k2:
+                out[(r, c)] = out.get((r, c), 0) + v * w
+    return {key: v for key, v in out.items() if v != 0}
+
+
+@settings(max_examples=80, deadline=None)
+@given(entries_st, entries_st, fractions_st)
+def test_exact_algebra_matches_fraction_reference(ea, eb, s):
+    A = ChainOperator.from_entries(SP3, ea)
+    B = ChainOperator.from_entries(SP3, eb)
+    a, b = _reference(ea), _reference(eb)
+    assert _values(A) == a and _values(B) == b
+    assert _values(A @ B) == _product(a, b)
+    keys = set(a) | set(b)
+    total = {k: a.get(k, 0) + b.get(k, 0) for k in keys}
+    diff = {k: a.get(k, 0) - b.get(k, 0) for k in keys}
+    assert _values(A + B) == {k: v for k, v in total.items() if v != 0}
+    assert _values(A - B) == {k: v for k, v in diff.items() if v != 0}
+    assert _values(A.scaled(s)) == {k: s * v for k, v in a.items() if s * v != 0}
+    assert _values(-A) == {k: -v for k, v in a.items()}
+    assert A.trace() == sum((v for (r, c), v in a.items() if r == c), Fraction(0))
+    for r in range(SP3.dim):
+        for c in range(SP3.dim):
+            assert A.entry(r, c) == a.get((r, c), 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(entries_st, entries_st)
+def test_exact_sums_that_cancel(ea, extra):
+    A = ChainOperator.from_entries(SP3, ea)
+    negated = [(r, c, -v) for r, c, v in ea]
+    B = ChainOperator.from_entries(SP3, negated + extra)
+    # A + B leaves only the extra entries; A - A and A + (-A) are zero
+    assert _values(A + B) == _reference(extra)
+    for Z in (A - A, A + (-A), A.scaled(Fraction(0))):
+        assert _values(Z) == {} and Z.rows == {} and Z.den == 1
+    # halves that add up to integers give denominator 1
+    half = ChainOperator.from_entries(SP3, [(r, c, v / 2) for r, c, v in ea])
+    whole = half + half
+    assert _values(whole) == _values(A) and whole.den == A.den
+
+
+@settings(max_examples=80, deadline=None)
+@given(entries_st, covector_st, covector_st)
+def test_exact_apply_and_apply_left_match_reference(ea, vec, cov):
+    A = ChainOperator.from_entries(SP3, ea)
+    a = _reference(ea)
+    got = A.apply(vec)
+    assert all(type(v) is Fraction for v in got)
+    assert got == [sum((v * vec[c] for (r2, c), v in a.items() if r2 == r),
+                       Fraction(0)) for r in range(SP3.dim)]
+    got = A.apply_left(cov)
+    assert all(type(v) is Fraction for v in got)
+    assert got == [sum((cov[r] * v for (r, c2), v in a.items() if c2 == c),
+                       Fraction(0)) for c in range(SP3.dim)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries_st, st.sampled_from(all_sectors(2, 3)))
+def test_exact_restrict_matches_reference(ea, sector):
+    # keep the block-diagonal entries, so every sector can be restricted to
+    weight = [weight_of(J, 2) for J in SP3.states]
+    ea = [(r, c, v) for r, c, v in ea if weight[r] == weight[c]]
+    A = ChainOperator.from_entries(SP3, ea)
+    sub = Space(2, 3, sector)
+    pos = {SP3.index_of(J): k for k, J in enumerate(sub.states)}
+    want = {(pos[r], pos[c]): v for (r, c), v in _reference(ea).items()
+            if r in pos and c in pos}
+    assert _values(A.restrict(sector)) == want
+
+
+def test_values_cross_the_interface_as_domain_scalars():
+    # the correspond backends read entries() and the benchmark's tracer
+    # counts the bits of Fraction entries: both need domain values
+    cases = [(EXACT, Fraction), (ComplexDomain(1e-10), complex)]
+    for dom, kind in cases:
+        sp = Space(2, 2)
+        entries = [(0, 1, Fraction(3, 4)), (3, 3, Fraction(-2, 3))]
+        op = ChainOperator.from_entries(
+            sp, [(r, c, dom.coerce(v)) for r, c, v in entries], dom)
+        vec = [dom.coerce(Fraction(k + 1, 5)) for k in range(sp.dim)]
+        values = [op.entry(0, 1), op.entry(1, 2), op.trace(),
+                  ChainOperator.zero(sp, dom).trace()]
+        values += [v for _, _, v in op.entries()] + op.apply(vec) + op.apply_left(vec)
+        assert all(type(v) is kind for v in values), dom

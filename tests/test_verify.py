@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkzbench import verify
+from qkzbench import chain, verify
 from qkzbench.chain import ModelConfig, hamiltonian, sum_rule
 from qkzbench.errors import FlavorMismatch, GenericPositionViolation, PoleHit
 from qkzbench.rmatrix import r_trig
@@ -159,6 +159,69 @@ def test_proposition_fails_on_perturbed_covector(cfg, monkeypatch):
         _assert_fails_with_state_witness(check_proposition_higher(cfg, sites), cfg)
 
 
+# ------------------------------------- negative controls, integer storage
+# A wrong numerator or a wrong common denominator inside a built operator or
+# a pushed covector must show as a nonzero exact residual.
+
+def _perturb_k(monkeypatch, site, change):
+    """Make chain.qkz_operator return change(K) for the unshifted K_site."""
+    original = chain.qkz_operator
+
+    def perturbed(cfg, i, shifted_sites=()):
+        K = original(cfg, i, shifted_sites)
+        return change(K) if i == site and not shifted_sites else K
+
+    monkeypatch.setattr(chain, "qkz_operator", perturbed)
+
+
+def _bump_numerator(K):
+    rows = {r: dict(row) for r, row in K.rows.items()}
+    r = next(iter(rows))
+    c = next(iter(rows[r]))
+    rows[r][c] += 1
+    return ChainOperator.from_numerators(K.space, K.domain, rows, K.den)
+
+
+def _scale_denominator(K):
+    return ChainOperator.from_numerators(K.space, K.domain, K.rows, K.den * 3)
+
+
+@pytest.mark.parametrize("change", [_bump_numerator, _scale_denominator],
+                         ids=["numerator", "denominator"])
+@pytest.mark.parametrize("cfg", [CFG, TCFG], ids=["rational", "trig"])
+def test_qkz_compat_fails_on_perturbed_storage(cfg, change, monkeypatch):
+    _perturb_k(monkeypatch, 1, change)
+    states = cfg.space().states
+    for j in (2, 3):
+        r = chain.qkz_compatibility(cfg, 1, j)
+        assert not r.passed and r.residual != 0
+        assert len(r.witness) == 2 and all(J in states for J in r.witness)
+    # the unperturbed pair still passes
+    assert chain.qkz_compatibility(cfg, 2, 3).passed
+
+
+@pytest.mark.parametrize("change", [
+    lambda v: Fraction(v.numerator + 1, v.denominator),
+    lambda v: Fraction(v.numerator, v.denominator * 3),
+], ids=["numerator", "denominator"])
+@pytest.mark.parametrize("cfg", [CFG, TCFG], ids=["rational", "trig"])
+def test_k_projection_fails_on_perturbed_pushed_covector(cfg, change, monkeypatch):
+    # one component of <w| K_i (at the config's own hbar) changes its
+    # numerator or its denominator after the push through the factors
+    original = verify.qkz_covector
+
+    def perturbed(c, cov, i, shifted_sites=(), left_block=False):
+        out = original(c, cov, i, shifted_sites, left_block)
+        if c is cfg and not left_block:
+            out = list(out)
+            out[2] = change(out[2])
+        return out
+
+    monkeypatch.setattr(verify, "qkz_covector", perturbed)
+    for i in (1, 2, 3):
+        _assert_fails_with_state_witness(check_k_projection(cfg, i), cfg)
+
+
 # -------------------------------------------------------- determinant layer
 
 def _ed_bruteforce(values, d):
@@ -260,6 +323,13 @@ def _permutation_sum_det(cfg, ops, z):
     return det
 
 
+def _stored(op):
+    """What an operator stores: its numerators and their one denominator.
+    Both are reduced, so equal operators store equal pairs; comparing the
+    numerators alone would equate operators that differ by a scale factor."""
+    return op.rows, op.den
+
+
 def _principal_minor_det(cfg, table, z):
     det = None
     for A in det_coefficients(cfg, table):
@@ -279,7 +349,8 @@ def test_principal_minor_det_equals_permutation_sum(N, n):
         table = sector_products(cfg, M)
         for z in zs:
             ref = _permutation_sum_det(cfg, table.ops, Fraction(z))
-            assert _principal_minor_det(cfg, table, Fraction(z)).rows == ref.rows
+            got = _principal_minor_det(cfg, table, Fraction(z))
+            assert _stored(got) == _stored(ref)
         assert check_det_identity(cfg, M).residual == 0
 
 
@@ -291,7 +362,7 @@ def test_principal_minor_det_on_foreign_operators():
     table = sector_products(CFG, (2, 1), hamiltonians=foreign)
     for z in (0, 1, -1, 2):
         ref = _permutation_sum_det(CFG, table.ops, Fraction(z))
-        assert _principal_minor_det(CFG, table, Fraction(z)).rows == ref.rows
+        assert _stored(_principal_minor_det(CFG, table, Fraction(z))) == _stored(ref)
 
 
 # ----------------------------------------------------- sector product table
@@ -300,7 +371,7 @@ def test_sector_products_are_built_once():
     table = sector_products(CFG, (2, 1))
     assert sector_products(CFG, (2, 1)) is table
     assert table.product((0, 2)) is table.product((0, 2))
-    assert table.ops[1].rows == hamiltonian(CFG, 2).restrict((2, 1)).rows
+    assert _stored(table.ops[1]) == _stored(hamiltonian(CFG, 2).restrict((2, 1)))
 
 
 def test_sector_products_keep_left_to_right_order():
@@ -310,8 +381,8 @@ def test_sector_products_keep_left_to_right_order():
     table = sector_products(cfg, (2, 1))
     assert table.domain is cfg.domain
     H = [hamiltonian(cfg, i).restrict((2, 1)) for i in (1, 2, 3)]
-    assert table.product((0, 1, 2)).rows == ((H[0] @ H[1]) @ H[2]).rows
-    assert table.product((1, 2)).rows == (H[1] @ H[2]).rows
+    assert _stored(table.product((0, 1, 2))) == _stored((H[0] @ H[1]) @ H[2])
+    assert _stored(table.product((1, 2))) == _stored(H[1] @ H[2])
 
 
 def test_injected_hamiltonians_never_enter_the_table():
