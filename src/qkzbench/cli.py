@@ -23,7 +23,6 @@ from fractions import Fraction
 from . import chain, correspond, rmatrix, verify
 from .chain import ModelConfig
 from .errors import (
-    FlavorMismatch,
     NeedsFloat,
     NonPositiveTolerance,
     ParseError,
@@ -551,10 +550,9 @@ def _cmd_correspond(args):
                     {
                         "eigenvalues": [_float_fmt(z) for z in row.eigenvalues],
                         "velocities": [_float_fmt(z) for z in row.velocities],
-                        "lax_spectrum": [_float_fmt(z) for z in row.lax_spectrum],
                         "target": [_float_fmt(z) for z in row.target],
                         "invariants": [_float_fmt(z) for z in row.invariants],
-                        "match_distance": row.match_distance,
+                        "radius": row.radius,
                         "hamiltonian_deviation": row.hamiltonian_deviation,
                     }
                     for row in rep.rows
@@ -592,7 +590,8 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("correspond", help="Lax spectra against their targets")
+    p = sub.add_parser("correspond",
+                       help="certified Lax spectra against their targets")
     p.add_argument("--config", required=True)
     p.add_argument("--sector", action="append", metavar="M1,M2,...")
     p.add_argument("--tol", type=float)

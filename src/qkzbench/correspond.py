@@ -17,14 +17,19 @@ the strings, which the sum rule identifies with sum_i lambda_i.  Both scales
 degenerate to eta * lambda as eta -> 0.
 
 Numerical note: on the correspondence level sets the Lax matrix is defective
-(repeated target eigenvalues sit in Jordan blocks), so extracting its
-spectrum in double precision splits a multiplicity-m eigenvalue by
-eps^(1/m) ~ 1e-5.  The correspondence check therefore runs the eigensolver
-and the Lax spectra through mpmath; double precision, several times faster,
-serves the spectrum listings.
+(repeated targets sit in Jordan blocks), so a multiplicity-m eigenvalue
+moves by eps^(1/m) under a perturbation eps, and an eigensolver converges
+slowly on it.  The check never diagonalizes it.  Faddeev-LeVerrier in
+mpmath.iv interval arithmetic encloses the characteristic coefficients of
+the Lax matrix as built at 60 digits, and Rouche's theorem (S. M. Rump,
+J. Comput. Appl. Math. 156, 2003) certifies that exactly m of its
+eigenvalues lie within a radius r of each distinct target of multiplicity
+m.  The largest r bounds the distance from the spectrum to the target
+multiset.  Double precision serves the spectrum listings.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import random
@@ -33,11 +38,13 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath import iv
 
 from .chain import hamiltonian
-from .errors import DegeneracyUnresolved, MatchFailure, NonConvergence, PoleHit
+from .errors import DegeneracyUnresolved, NonConvergence
 from .scalars import require_tolerance
-from .verify import elementary_symmetric, twist_targets
+from .verify import (elementary_symmetric, lax_denominator, twist_targets,
+                     velocity_scale)
 
 MP_DPS = 60  # working digits of the mpmath backend
 with mpmath.workdps(MP_DPS):
@@ -60,10 +67,9 @@ class JointEigenstate:
 class CorrespondenceRow:
     eigenvalues: list
     velocities: list
-    lax_spectrum: list
     target: list
     invariants: list
-    match_distance: float
+    radius: float
     hamiltonian_deviation: float
 
 
@@ -79,13 +85,9 @@ class CorrespondenceReport:
         return self.status == "pass"
 
 
-def _nan_as_inf(x):
-    return math.inf if math.isnan(x) else x
-
-
 def _peak(values):
     """The largest of the values, reading NaN as inf so that no gate passes it."""
-    return max(map(_nan_as_inf, values), default=0.0)
+    return max((math.inf if math.isnan(x) else x for x in values), default=0.0)
 
 
 # ------------------------------------------------------- precision backends
@@ -232,86 +234,96 @@ _joint_eigenvalues_mp = diagonalize_sector
 
 # ------------------------------------------------------------------ Lax side
 
-def velocity_scale(cfg):
-    """eta (rational) or sinh(eta) = (t - 1/t)/2 (trigonometric), exactly."""
-    if cfg.is_rational:
-        return cfg.eta
-    return (cfg.t - cfg.domain.inverse(cfg.t)) / 2
+def _char_coefficients(a, n):
+    """Enclosures of c_1..c_n, det(z - a) = z^n + sum_k c_k z^(n-k), for the
+    matrix a as stored: Faddeev-LeVerrier in interval arithmetic,
+    M_1 = I, c_k = -tr(a M_k)/k, M_{k+1} = a M_k + c_k I."""
+    a = iv.matrix(a)
+    coeffs, am = [], a
+    for k in range(1, n + 1):
+        coeffs.append(-sum(am[i, i] for i in range(n)) / k)
+        if k < n:
+            am = a * (am + coeffs[-1] * iv.eye(n))
+    return coeffs
 
 
-def lax_denominator(cfg, i, j):
-    """x_i - x_j + eta, or its sinh in exponential variables, exactly."""
-    if cfg.is_rational:
-        den = cfg.x[i - 1] - cfg.x[j - 1] + cfg.eta
-    else:
-        v = cfg.u[i - 1] * cfg.t / cfg.u[j - 1]
-        den = (v - cfg.domain.inverse(cfg.domain.coerce(v))) / 2
-    if den == 0:
-        raise PoleHit(f"Lax denominator vanishes at ({i}, {j})")
-    return den
+@contextlib.contextmanager
+def _iv_workdps(dps):
+    old, iv.dps = iv.dps, dps
+    try:
+        yield
+    finally:
+        iv.dps = old
 
 
-def _perfect_matching(dist, cap):
-    """Whether rows and columns pair up one-to-one along entries <= cap
-    (augmenting paths)."""
-    owner = [None] * len(dist)
-
-    def augment(i, seen):
-        for j, d in enumerate(dist[i]):
-            if d <= cap and j not in seen:
-                seen.add(j)
-                if owner[j] is None or augment(owner[j], seen):
-                    owner[j] = i
-                    return True
-        return False
-
-    return all(augment(i, set()) for i in range(len(dist)))
+def _iv_exact(q):
+    """An interval enclosing the rational q."""
+    return iv.mpf(q.numerator) / q.denominator
 
 
-def match_distance(values, targets):
-    """Bottleneck distance between two complex multisets: the least, over
-    one-to-one assignments, of the largest |value - target|.
+def _rouche_radius(errs, g, m, others):
+    """The least power of two r with exactly m roots within r of the target
+    g, or inf, given enclosures errs[k - 1] of |c~_k - c_k|, k = 1..n.
 
-    Exact for every size: the optimum is one of the pairwise distances, so
-    a binary search over them for the least one that still admits a perfect
-    matching finds it.  A NaN distance counts as inf.
+    Rouche's theorem on |z - g| = r, where |c~(z) - c(z)| is at most
+    sum_k |c~_k - c_k| (|g| + r)^(n-k) and |c(z)| at least
+    r^m prod (|t - g| - r) over the `others`; r < min |t - g| / 2 keeps
+    distinct targets apart.  The ladder starts at the rung below the r -> 0
+    estimate, below which no rung passes.
     """
-    if len(values) != len(targets):
-        raise MatchFailure(f"multiset sizes differ: {len(values)} vs {len(targets)}")
-    if not values:
-        return 0.0
-    dist = [[_nan_as_inf(abs(v - t)) for t in targets] for v in values]
-    levels = sorted({d for row in dist for d in row})
-    lo, hi = 0, len(levels) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _perfect_matching(dist, levels[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(levels[lo])
+    gaps = [abs(t - g) for t in others]
+    mod_g = _iv_exact(abs(g))
+
+    def error(rho):  # sum_k errs[k - 1] rho^(n-k), by Horner's rule
+        acc = iv.mpf(0)
+        for e in errs:
+            acc = acc * rho + e
+        return acc
+
+    err0 = error(mod_g)
+    if err0.b == 0:
+        return 0.0  # the polynomials agree exactly
+    est = mpmath.mpf(err0.a if err0.a > 0 else err0.b) / _mp_scalar(
+        math.prod(gaps, start=Fraction(1)))
+    j = int(mpmath.floor(mpmath.log(est, 2) / m))
+    while not gaps or Fraction(2) ** j < min(gaps) / 2:
+        r = iv.mpf(mpmath.ldexp(1, j))
+        if error(mod_g + r) < r**m * math.prod(_iv_exact(d) - r for d in gaps):
+            return math.ldexp(1.0, j)
+        j += 1
+    return math.inf
+
+
+def certified_radius(errs, targets):
+    """The largest _rouche_radius over the distinct targets: a rigorous
+    bound on the distance from the roots to the target multiset,
+    multiplicities included, since disjoint circles hold all n roots.  A
+    non-finite error enclosure reads inf."""
+    if not all(mpmath.isfinite(mpmath.mpf(e.b)) for e in errs):
+        return math.inf
+    return max(_rouche_radius(errs, g, m, [t for t in targets if t != g])
+               for g, m in collections.Counter(targets).items())
 
 
 def check_correspondence(cfg, sector, tol=1e-8, rng=None):
-    """Lax spectra and characteristic invariants against their targets.
+    """Lax characteristic polynomials against their targets.
 
     For every joint eigenstate (MPMATH backend): velocities from the
-    eigenvalues, the Lax matrix from the velocities, then (i) its spectrum
-    must match the target multiset and (ii) its characteristic invariants
-    must match the elementary symmetric polynomials of the target, both
-    within tol.
+    eigenvalues, the Lax matrix from the velocities, and enclosures of its
+    characteristic coefficients c~_k.  Both the certified radius of their
+    roots around the targets and max_k |c~_k - c_k|, against
+    prod_t (z - t), must be within tol.  The reported invariants are the
+    classical Hamiltonians (-1)^k c~_k, to be compared with e_k(targets).
     """
     sector = tuple(int(m) for m in sector)
     rng = rng if rng is not None else random.Random(0)
     targets_exact = twist_targets(cfg, sector)
-    target_inv = [
-        elementary_symmetric(targets_exact, d) for d in range(1, cfg.n + 1)
-    ]
     report = CorrespondenceReport(sector=sector)
     worst = 0.0
-    with mpmath.workdps(MP_DPS):
-        targets_mp = [_mp_scalar(t) for t in targets_exact]
-        inv_mp = [_mp_scalar(t) for t in target_inv]
+    with mpmath.workdps(MP_DPS), _iv_workdps(MP_DPS):
+        target_coeffs = [_iv_exact((-1) ** k * elementary_symmetric(targets_exact, k))
+                         for k in range(1, cfg.n + 1)]
+        target = [complex(_mp_scalar(t)) for t in sorted(targets_exact)]
         scale = _mp_scalar(velocity_scale(cfg))
         dens = [
             [_mp_scalar(lax_denominator(cfg, i, j)) for j in range(1, cfg.n + 1)]
@@ -320,35 +332,28 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None):
         for state in diagonalize_sector(cfg, sector, tol=MP_GATE, rng=rng,
                                         backend=MPMATH):
             lams = state.eigenvalues
-            velocities = [scale * lam for lam in lams]
+            # exactly real eigenvalues stay real: real intervals are cheaper
+            velocities = [scale * (lam.real if lam.imag == 0 else lam) for lam in lams]
             lax = mpmath.matrix(cfg.n, cfg.n)
             for i in range(cfg.n):
                 for j in range(cfg.n):
                     lax[i, j] = velocities[j] / dens[i][j]
-            try:
-                # eigenvalues only; a 1 x 1 matrix still comes with vectors
-                spectrum = mpmath.eig(lax, left=False, right=False)
-            except Exception as exc:
-                raise NonConvergence(str(exc)) from exc
-            spectrum = list(spectrum[0] if cfg.n == 1 else spectrum)
-            dist = match_distance(spectrum, targets_mp)
-            invariants = [
-                elementary_symmetric(spectrum, d) for d in range(1, cfg.n + 1)
-            ]
-            hdev = _peak(float(abs(a - b)) for a, b in zip(invariants, inv_mp))
-            key = lambda z: (mpmath.re(z), mpmath.im(z))
+            coeffs = _char_coefficients(lax, cfg.n)
+            errs = [abs(c - e) for c, e in zip(coeffs, target_coeffs)]
+            radius = certified_radius(errs, targets_exact)
+            hdev = _peak(float(mpmath.mpf(e.b)) for e in errs)
             report.rows.append(
                 CorrespondenceRow(
                     eigenvalues=[complex(l) for l in lams],
                     velocities=[complex(v) for v in velocities],
-                    lax_spectrum=[complex(z) for z in sorted(spectrum, key=key)],
-                    target=[complex(z) for z in sorted(targets_mp, key=key)],
-                    invariants=[complex(v) for v in invariants],
-                    match_distance=dist,
+                    target=list(target),
+                    invariants=[complex((-1) ** k * mpmath.mpc(c.real.mid, c.imag.mid))
+                                for k, c in enumerate(coeffs, 1)],
+                    radius=radius,
                     hamiltonian_deviation=hdev,
                 )
             )
-            worst = _peak((worst, dist, hdev))
+            worst = _peak((worst, radius, hdev))
     report.worst = worst
     report.status = "pass" if worst <= tol else "fail"
     return report

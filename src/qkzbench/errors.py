@@ -65,10 +65,6 @@ class NonConvergence(WorkbenchError, RuntimeError):
     """The underlying eigensolver did not converge."""
 
 
-class MatchFailure(WorkbenchError, RuntimeError):
-    """Spectra cannot be matched (e.g. multisets of different size)."""
-
-
 class NeedsFloat(WorkbenchError, RuntimeError):
     """Check requires the floating-point domain but mode is exact."""
 

@@ -57,15 +57,6 @@ def enumerate_sector(N, n, weights):
     return out
 
 
-def sector_dimension(weights):
-    """n! / (M_1! ... M_N!) for the weight vector (M_1, ..., M_N)."""
-    n = sum(weights)
-    d = math.factorial(n)
-    for m in weights:
-        d //= math.factorial(m)
-    return d
-
-
 def all_sectors(N, n):
     """Every weight vector (M_1, ..., M_N) with sum n, lexicographic order."""
     out = []
@@ -219,9 +210,6 @@ class ChainOperator:
             if v is not None:
                 t = t + v
         return self.domain.join(t, self.den)
-
-    def is_zero(self):
-        return not self.rows
 
     # -------------------------------------------------------------- algebra
     def _check_compat(self, other):

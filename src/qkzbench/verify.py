@@ -269,16 +269,30 @@ def _perm_sign(perm):
     return -1 if inv % 2 else 1
 
 
+def velocity_scale(cfg):
+    """eta (rational) or sinh(eta) = (t - 1/t)/2 (trigonometric), exactly."""
+    if cfg.is_rational:
+        return cfg.eta
+    return (cfg.t - cfg.domain.inverse(cfg.t)) / 2
+
+
+def lax_denominator(cfg, i, j):
+    """x_i - x_j + eta, or its sinh in exponential variables, exactly."""
+    if cfg.is_rational:
+        den = cfg.x[i - 1] - cfg.x[j - 1] + cfg.eta
+    else:
+        v = cfg.u[i - 1] * cfg.t / cfg.u[j - 1]
+        den = (v - cfg.domain.inverse(cfg.domain.coerce(v))) / 2
+    if den == 0:
+        raise PoleHit(f"Lax denominator vanishes at ({i}, {j})")
+    return den
+
+
 def _det_matrix(cfg):
-    """The scalar matrix C_ij = eta / (x_j - x_i + eta), 0-based."""
-    coef = {}
-    for i in range(cfg.n):
-        for j in range(cfg.n):
-            den = cfg.x[j] - cfg.x[i] + cfg.eta
-            if den == 0:
-                raise PoleHit(f"x_{j+1} - x_{i+1} + eta = 0")
-            coef[(i, j)] = cfg.eta / den
-    return coef
+    """The scalar matrix C_ij = eta / (x_j - x_i + eta), 0-based, from the
+    scale and denominators of the Lax matrix."""
+    return {(i, j): velocity_scale(cfg) / lax_denominator(cfg, j + 1, i + 1)
+            for i in range(cfg.n) for j in range(cfg.n)}
 
 
 def _principal_minor(coef, S, dom):
@@ -366,6 +380,8 @@ def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
 
 
 def _weighted_product_sum(cfg, table, d):
+    """sum_{i_1<...<i_d} H_{i_1}...H_{i_d} prod_{a<b} (1 - eta^2/(x_a - x_b)^2)^{-1}
+    over the products of a SectorProducts table."""
     dom = cfg.domain
     total = ChainOperator.zero(table.space, dom)
     for combo in itertools.combinations(range(cfg.n), d):
@@ -375,13 +391,6 @@ def _weighted_product_sum(cfg, table, d):
             weight = weight / (dom.one - cfg.eta * cfg.eta / (diff * diff))
         total = total + table.product(combo).scaled(weight)
     return total
-
-
-def higher_hamiltonian_sum(cfg, sector, d, hamiltonians=None):
-    """Sector restriction of the weighted sum of d-fold Hamiltonian products:
-    sum_{i_1<...<i_d} H_{i_1}...H_{i_d} prod_{a<b} (1 - eta^2/(x_a - x_b)^2)^{-1}."""
-    _require_rational(cfg, "the higher Hamiltonian sum")
-    return _weighted_product_sum(cfg, sector_products(cfg, sector, hamiltonians), d)
 
 
 def check_symmetric_identity(cfg, sector, d, hamiltonians=None):

@@ -252,7 +252,7 @@ def test_criterion_09_quantum_classical_correspondence():
         rep = check_correspondence(cfg, M, tol=1e-8, rng=rng)
         ok = ok and rep.passed
         for row in rep.rows:
-            ok = ok and row.match_distance <= 1e-8
+            ok = ok and row.radius <= 1e-8
             ok = ok and row.hamiltonian_deviation <= 1e-8
     for n in (2, 3):
         cfg = trig_cfg(2, n)

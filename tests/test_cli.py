@@ -322,7 +322,7 @@ def test_main_correspond(rational_path, capsys):
     rows = doc["sectors"][0]["rows"]
     assert len(rows) == 3
     for row in rows:
-        assert row["match_distance"] <= 1e-8
+        assert row["radius"] <= 1e-8
 
 
 @pytest.mark.parametrize("command", ["spectrum", "correspond"])

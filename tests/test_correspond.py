@@ -5,18 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+import mpmath
+from mpmath import iv
+
 from qkzbench import correspond
-from qkzbench.chain import ModelConfig
+from qkzbench.chain import ModelConfig, hamiltonian
 from qkzbench.correspond import (
     COMPLEX128,
     MPMATH,
+    certified_radius,
     check_correspondence,
     diagonalize_sector,
-    match_distance,
     velocity_scale,
 )
-from qkzbench.errors import MatchFailure
-from qkzbench.tensor import all_sectors, sector_dimension
+from qkzbench.tensor import all_sectors
 from qkzbench.verify import elementary_symmetric, twist_targets
 
 ETA = Fraction(1, 2)
@@ -28,6 +30,10 @@ CFG = ModelConfig.rational(2, 3, ETA, HBAR, X3, G2)
 TCFG2 = ModelConfig.trigonometric(
     2, 2, Fraction(2), Fraction(5, 4), (Fraction(1), Fraction(3, 2)), G2
 )
+
+
+def _dim(cfg, M):
+    return hamiltonian(cfg, 1).restrict(M).space.dim
 
 
 def test_single_site_sectors():
@@ -47,7 +53,7 @@ def test_one_dimensional_sector_sum_rule():
 def test_sector_eigenvalue_sums():
     # every joint eigenstate satisfies the sum rule: sum_i lambda_i = 7
     states = diagonalize_sector(CFG, (2, 1), rng=random.Random(3))
-    assert len(states) == sector_dimension((2, 1))
+    assert len(states) == _dim(CFG, (2, 1))
     for st in states:
         assert abs(sum(st.eigenvalues) - 7) < 1e-10
 
@@ -55,7 +61,7 @@ def test_sector_eigenvalue_sums():
 def test_eigenstate_counts():
     rng = random.Random(3)
     for M in all_sectors(2, 3):
-        assert len(diagonalize_sector(CFG, M, rng=rng)) == sector_dimension(M)
+        assert len(diagonalize_sector(CFG, M, rng=rng)) == _dim(CFG, M)
 
 
 def test_diagonalize_rejects_bad_tol():
@@ -71,7 +77,7 @@ def test_backends_agree_on_joint_spectrum():
         lo = diagonalize_sector(CFG, M, rng=random.Random(4), backend=COMPLEX128)
         hi = diagonalize_sector(CFG, M, tol=correspond.MP_GATE,
                                 rng=random.Random(4), backend=MPMATH)
-        assert len(lo) == len(hi) == sector_dimension(M)
+        assert len(lo) == len(hi) == _dim(CFG, M)
         for a, b in zip(lo, hi):
             assert max(abs(x - complex(y))
                        for x, y in zip(a.eigenvalues, b.eigenvalues)) < 1e-10
@@ -94,56 +100,144 @@ def test_lax_spectrum_invariant_under_relabeling():
         rep = check_correspondence(cfg, (2, 1), rng=random.Random(5))
         assert rep.passed, rep.worst
         for row in rep.rows:
-            assert [round(z.real, 9) for z in row.lax_spectrum] == [2.0, 2.0, 3.0]
+            assert row.radius <= 1e-8
+            # e_k of the spectrum {2, 2, 3}
+            assert [round(z.real, 9) for z in row.invariants] == [7.0, 16.0, 12.0]
 
 
-# ------------------------------------------------------------------ matching
+# ------------------------------------------------------------- certificate
 
-def test_match_distance_exact_assignment():
-    vals = [1 + 0j, 2 + 0j, 3 + 0j]
-    assert match_distance(vals, [3 + 0j, 1 + 0j, 2 + 0j]) == 0.0
-    assert match_distance(vals, [1 + 0j, 2 + 0j, 3.5 + 0j]) == 0.5
-
-
-def test_match_distance_beyond_seven_is_optimal():
-    # sorting both multisets by (real, imaginary) pairs 1j with 0 and 0.1
-    # with 0.1 + 1j (distance 1); the optimal assignment stays at 0.1
-    far = [10 + 0j, 20 + 0j, 30 + 0j, 40 + 0j, 50 + 0j, 60 + 0j]
-    vals = [0.1 + 0j, 1j] + far
-    targets = [0j, 0.1 + 1j] + far
-    assert match_distance(vals, targets) == 0.1
+def _errs(roots, targets):
+    """Enclosures of |c_k(roots) - c_k(targets)| for exact rational roots:
+    the coefficients of prod (z - t) are (-1)^k e_k."""
+    return [abs(correspond._iv_exact(elementary_symmetric(roots, k)
+                                     - elementary_symmetric(targets, k)))
+            for k in range(1, len(targets) + 1)]
 
 
-def test_match_distance_agrees_with_brute_force():
+def _bottleneck(values, targets):
+    n = len(values)
+    return min(
+        max(abs(values[i] - targets[p[i]]) for i in range(n))
+        for p in itertools.permutations(range(n))
+    )
+
+
+def test_certified_radius_of_exact_and_shifted_roots():
+    targets = [Fraction(3), Fraction(1), Fraction(2)]
+    roots = [Fraction(1), Fraction(2), Fraction(3)]
+    assert certified_radius(_errs(roots, targets), targets) == 0.0
+    shifted = [Fraction(1), Fraction(2), Fraction(301, 100)]
+    r = certified_radius(_errs(shifted, targets), targets)
+    # the coefficient-wise bound is loose by about |g|^(n-1), but finite
+    assert 0.01 <= r < 0.5
+    # a root halfway between two targets cannot be assigned to either
+    halfway = [Fraction(1), Fraction(2), Fraction(5, 2)]
+    assert certified_radius(_errs(halfway, targets), targets) == math.inf
+
+
+def test_certified_radius_counts_multiplicities():
+    # {2, 2, 3} and {2, 3, 3} have the same distinct values, but the circle
+    # around 2 holds two roots of one and one root of the other
+    twice = [Fraction(2), Fraction(2), Fraction(3)]
+    once = [Fraction(2), Fraction(3), Fraction(3)]
+    assert certified_radius(_errs(once, twice), twice) == math.inf
+    # a double root split by 2e-6 moves its circle by about 1e-6
+    split = [Fraction(2) - Fraction(1, 10**6), Fraction(2) + Fraction(1, 10**6),
+             Fraction(3)]
+    r = certified_radius(_errs(split, twice), twice)
+    assert 1e-6 <= r <= 4e-6
+
+
+def test_certified_radius_bounds_brute_force_distance():
+    # the radius is rigorous: never below the true bottleneck distance
     rng = random.Random(2)
-    for n in range(1, 7):
-        for _ in range(30):
-            # a coarse grid, so that ties and repeated points occur
-            draw = lambda: complex(rng.randint(-3, 3), rng.randint(-3, 3)) / 2
-            vals = [draw() for _ in range(n)]
-            targets = [draw() for _ in range(n)]
-            best = min(
-                max(abs(vals[i] - targets[p[i]]) for i in range(n))
-                for p in itertools.permutations(range(n))
-            )
-            assert match_distance(vals, targets) == best
+    for n in range(1, 6):
+        for _ in range(20):
+            # a coarse grid, so that repeated targets occur
+            targets = [Fraction(rng.randint(-3, 3), 2) for _ in range(n)]
+            roots = [t + Fraction(rng.randint(-50, 50), 10**rng.randint(3, 9))
+                     for t in targets]
+            r = certified_radius(_errs(roots, targets), targets)
+            assert r >= _bottleneck(roots, targets)
 
 
-def test_match_distance_nan_is_inf():
-    assert match_distance([complex(math.nan, 0), 1 + 0j], [1 + 0j, 0j]) == math.inf
+def test_certified_radius_nan_is_inf():
+    targets = [Fraction(1), Fraction(2)]
+    errs = [iv.mpf(0), iv.convert(mpmath.nan)]
+    assert certified_radius(errs, targets) == math.inf
 
 
 def test_correspondence_fails_on_nan_distance(monkeypatch):
-    # a NaN anywhere in the running maximum must fail the check
-    monkeypatch.setattr(correspond, "match_distance", lambda v, t: math.nan)
+    # a NaN Lax entry leaves nothing to certify: the radius reads inf and the
+    # check fails
+    real = correspond.lax_denominator
+    monkeypatch.setattr(correspond, "lax_denominator", lambda cfg, i, j: (
+        math.nan if (i, j) == (1, 2) else real(cfg, i, j)))
     rep = check_correspondence(CFG, (2, 1), rng=random.Random(7))
-    assert not rep.passed
+    assert rep.status == "fail"
     assert rep.worst == math.inf
+    assert all(row.radius == math.inf for row in rep.rows)
 
 
-def test_match_distance_size_mismatch():
-    with pytest.raises(MatchFailure):
-        match_distance([1 + 0j], [1 + 0j, 2 + 0j])
+def test_correspondence_fails_on_scaled_velocity(monkeypatch):
+    # one velocity (through its Hamiltonian eigenvalue) scaled by 1 + 1e-6
+    real = correspond.diagonalize_sector
+
+    def perturbed(*args, **kwargs):
+        states = real(*args, **kwargs)
+        for st in states:
+            st.eigenvalues[0] = st.eigenvalues[0] * (1 + mpmath.mpf(10) ** -6)
+        return states
+
+    monkeypatch.setattr(correspond, "diagonalize_sector", perturbed)
+    for M in ((2, 1), (1, 2)):
+        rep = check_correspondence(CFG, M, rng=random.Random(7))
+        assert rep.status == "fail"
+        assert rep.worst > 1e-8
+
+
+def test_correspondence_fails_on_moved_target(monkeypatch):
+    monkeypatch.setattr(correspond, "twist_targets", lambda cfg, M: (
+        [twist_targets(cfg, M)[0] + Fraction(1, 10**6)] + twist_targets(cfg, M)[1:]))
+    for cfg, M in ((CFG, (2, 1)), (CFG, (1, 2)), (TCFG2, (1, 1))):
+        rep = check_correspondence(cfg, M, rng=random.Random(7))
+        assert rep.status == "fail"
+        assert rep.worst > 1e-8
+
+
+def test_certified_radius_bounds_the_eig_distance(monkeypatch):
+    # reference: the eigenvalues mpmath.eig finds for each Lax matrix sit
+    # within the certified radius of the targets
+    lax = []
+    real = correspond._char_coefficients
+
+    def spy(a, n):
+        lax.append(a.copy())
+        return real(a, n)
+
+    monkeypatch.setattr(correspond, "_char_coefficients", spy)
+    g3 = G2 + (Fraction(5),)
+    chains = (
+        CFG,
+        ModelConfig.rational(3, 3, ETA, HBAR, X3, g3),
+        ModelConfig.trigonometric(
+            2, 4, Fraction(2), Fraction(5, 4),
+            (Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(9, 5)), G2),
+    )
+    for cfg in chains:
+        rng = random.Random(7)
+        for M in all_sectors(cfg.N, cfg.n):
+            lax.clear()
+            rep = check_correspondence(cfg, M, rng=rng)
+            assert len(lax) == len(rep.rows) == _dim(cfg, M)
+            with mpmath.workdps(correspond.MP_DPS):
+                targets = [correspond._mp_scalar(t) for t in twist_targets(cfg, M)]
+                for a, row in zip(lax, rep.rows):
+                    spectrum = mpmath.eig(a, left=False, right=False)
+                    spectrum = list(spectrum[0] if cfg.n == 1 else spectrum)
+                    assert row.radius >= _bottleneck(spectrum, targets), M
+                    assert row.radius <= 1e-10, M
 
 
 # ----------------------------------------------------------- correspondence
@@ -175,9 +269,9 @@ def test_correspondence_rational_all_sectors():
     for M in all_sectors(2, 3):
         rep = check_correspondence(CFG, M, tol=1e-8, rng=rng)
         assert rep.passed, (M, rep.worst)
-        assert len(rep.rows) == sector_dimension(M)
+        assert len(rep.rows) == _dim(CFG, M)
         for row in rep.rows:
-            assert row.match_distance <= 1e-8
+            assert row.radius <= 1e-8
             assert row.hamiltonian_deviation <= 1e-8
 
 
@@ -187,7 +281,7 @@ def test_correspondence_trig_string_example():
     assert rep.passed
     (row,) = rep.rows
     assert [round(z.real, 6) for z in row.target] == [1.0, 4.0]
-    assert row.match_distance <= 1e-8
+    assert row.radius <= 1e-8
 
 
 def test_correspondence_single_site():
@@ -199,7 +293,8 @@ def test_correspondence_single_site():
             rep = check_correspondence(cfg, M, rng=random.Random(7))
             assert rep.passed
             (row,) = rep.rows
-            assert row.lax_spectrum == [complex(g)]
+            assert row.invariants == [complex(g)]
+            assert row.radius <= 1e-50
 
 
 def test_correspondence_velocity_trace_identity():
@@ -223,6 +318,5 @@ def test_correspondence_invariants_match_energy_levels():
         for d in range(1, 4):
             e_d = float(elementary_symmetric(targets, d))
             assert abs(row.invariants[d - 1] - e_d) < 1e-8
-            # and the reported spectrum reproduces them
-            got = elementary_symmetric(row.lax_spectrum, d)
-            assert abs(got - e_d) < 1e-8
+        # and the certified spectrum is the multiset itself
+        assert row.radius <= 1e-8

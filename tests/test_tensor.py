@@ -26,7 +26,6 @@ from qkzbench.tensor import (
     omega_q,
     permutation,
     q_permutation,
-    sector_dimension,
     site_embed,
     weight_of,
 )
@@ -60,10 +59,13 @@ def test_enumerate_sector_bad_weight():
 
 @pytest.mark.parametrize("N,n", [(2, 2), (2, 4), (3, 3), (3, 4)])
 def test_sector_dimensions_sum_to_full(N, n):
-    total = sum(sector_dimension(M) for M in all_sectors(N, n))
-    assert total == N**n
-    for M in all_sectors(N, n):
-        assert len(enumerate_sector(N, n, M)) == sector_dimension(M)
+    full = ChainOperator.identity(Space(N, n))
+    dims = [full.restrict(M).space.dim for M in all_sectors(N, n)]
+    assert sum(dims) == N**n
+    for M, dim in zip(all_sectors(N, n), dims):
+        assert len(enumerate_sector(N, n, M)) == dim
+        # the multinomial n! / (M_1! ... M_N!)
+        assert dim == math.factorial(n) // math.prod(map(math.factorial, M))
 
 
 # --------------------------------------------------------- inversion length
@@ -253,7 +255,7 @@ def test_add_scale_and_apply_left():
     P = permutation(sp, 1, 2)
     ident = ChainOperator.identity(sp)
     assert (P + P) == P.scaled(Fraction(2))
-    assert (P - P).is_zero()
+    assert not (P - P).rows
     w = omega(sp)
     assert P.apply_left(w) == w
 

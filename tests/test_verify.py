@@ -19,6 +19,7 @@ from qkzbench.tensor import (
 )
 from qkzbench.scalars import ComplexDomain
 from qkzbench.verify import (
+    _weighted_product_sum,
     check_det_identity,
     check_k_projection,
     check_macdonald_eigenvalue,
@@ -28,7 +29,6 @@ from qkzbench.verify import (
     det_coefficients,
     elementary_from_power_sums,
     elementary_symmetric,
-    higher_hamiltonian_sum,
     sector_products,
     twist_targets,
 )
@@ -413,7 +413,7 @@ def test_symmetric_identity_second_degree_explicit():
     p1 = 2 * G2[0] + 1 * G2[1]
     p2 = 2 * G2[0] ** 2 + 1 * G2[1] ** 2
     expect = Fraction(1, 2) * p1**2 - Fraction(1, 2) * p2
-    lhs = higher_hamiltonian_sum(CFG, M, 2)
+    lhs = _weighted_product_sum(CFG, sector_products(CFG, M), 2)
     sub = Space(2, 3, M)
     assert lhs == ChainOperator.identity(sub).scaled(expect)
 
