@@ -4,8 +4,10 @@ Everything here is built from chain products of two-site R-matrices around a
 diagonal twist: the qKZ connection operators K_i (plain R-matrices, shifted
 left block), the commuting Hamiltonians H_i (tilde R-matrices, no shifts),
 the weight operators M_a, and the transfer matrix T(x) whose pole expansion
-generates the H_i.  A check that needs only a covector times K_i applies the
-covector to the factors one at a time (qkz_covector) and never forms K_i.
+generates the H_i.  T(x) is the H_1 product of the chain with one auxiliary
+site at x in front, traced over that site.  A check that needs only a
+covector times K_i applies the covector to the factors one at a time
+(qkz_covector) and never forms K_i.
 """
 from __future__ import annotations
 
@@ -16,13 +18,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    BadColor,
-    BadSite,
-    GenericPositionViolation,
-    IdentityViolation,
-    PoleHit,
-)
+from .errors import BadColor, BadSite, GenericPositionViolation
 from .report import from_residual
 from .rmatrix import (
     r_rational,
@@ -318,73 +314,22 @@ def weight_operator(cfg, a):
 
 # ------------------------------------------------------------ transfer matrix
 
-def _aux_entries(cfg, space, k, x0):
-    """R~_{0k}(x0 - x_k) as an N x N matrix of one-site chain operators."""
-    dom = cfg.domain
-    N = cfg.N
-    ident = ChainOperator.identity(space, dom)
-    out = {}
-    if cfg.is_rational:
-        s = x0 - cfg.x[k - 1]
-        if s == 0:
-            raise PoleHit(f"transfer argument hits x_{k}")
-        f = cfg.eta / s
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                op = site_embed(space, {(b, a): f}, k, dom)
-                if a == b:
-                    op = op + ident
-                out[(a, b)] = op
-        return out
-    v = x0 / cfg.u[k - 1]
-    c = sinh_ratio_down(v, cfg.t, dom)  # raises PoleHit at v^2 = 1
-    tinv = dom.inverse(cfg.t)
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            w = dom.one if a == b else (cfg.t if a > b else tinv)
-            coef = c - w
-            op = site_embed(space, {(b, a): coef}, k, dom)
-            if a == b:
-                op = op + ident
-            out[(a, b)] = op
-    return out
-
-
 def transfer_matrix(cfg, x0):
-    """Trace over an auxiliary C^N factor of the tilde-R monodromy with twist.
+    """T(x0) = tr_0 g_0 R~_{0n}(x0 - x_n) ... R~_{01}(x0 - x_1).
 
-    The monodromy R~_{0n} ... R~_{01} is tracked as an N x N matrix of chain
-    operators, so the (N * N^n)-dimensional product space never appears.
-    x0 is the spectral point (its exponential in the trigonometric flavor).
+    The auxiliary space 0 is one more site in front of the chain, at x0 (its
+    exponential in the trigonometric flavor): the monodromy is the chain
+    product of H_1 on that longer chain, and T(x0) its partial trace over
+    site 1.  The longer chain is not validated, because x0 - x_j = +-eta is no
+    pole of R~.
     """
-    space = cfg.space()
-    dom = cfg.domain
-    x0 = dom.coerce(x0)
-    N = cfg.N
-    mono = _aux_entries(cfg, space, cfg.n, x0)
-    for k in range(cfg.n - 1, 0, -1):
-        nxt = _aux_entries(cfg, space, k, x0)
-        prod = {}
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                acc = None
-                for c in range(1, N + 1):
-                    term = mono[(a, c)] @ nxt[(c, b)]
-                    acc = term if acc is None else acc + term
-                prod[(a, b)] = acc
-        mono = prod
-    total = ChainOperator.zero(space, dom)
-    for a in range(1, N + 1):
-        total = total + mono[(a, a)].scaled(cfg.g[a - 1])
-    return total
-
-
-@dataclass
-class TransferExpansion:
-    """Constant term and residues of the transfer matrix pole expansion."""
-
-    constant: ChainOperator
-    residues: list
+    x0 = cfg.domain.coerce(x0)
+    if cfg.is_rational:
+        ext = dataclasses.replace(cfg, n=cfg.n + 1, x=(x0,) + cfg.x)
+    else:
+        ext = dataclasses.replace(cfg, n=cfg.n + 1, u=(x0,) + cfg.u)
+    mono = _chain_product(ext, 1, (), plus_left=False, tilde=True)
+    return mono.trace_first_site()
 
 
 def _fresh_points(cfg, count):
@@ -419,40 +364,31 @@ def twist_weight_exponential(cfg, sign):
     return ChainOperator.diagonal(space, values, dom)
 
 
-def pole_expansion(cfg, sample_points=None):
-    """Rebuild T(x) from the directly constructed Hamiltonians and verify it.
+def _worst_residual(dom, pairs):
+    """Largest residual over (lhs, rhs) operator pairs and its witness."""
+    worst, witness = dom.residual(dom.zero, dom.zero), None
+    for lhs, rhs in pairs:
+        res, wit = lhs.residual(rhs)
+        if res > worst:
+            worst, witness = res, wit
+    return worst, witness
 
-    Rational: T(x) = tr(g) I + sum_j eta H_j / (x - x_j), checked exactly at
-    n+1 fresh points (enough, since both sides share the pole set and decay).
-    Trigonometric: T(x) = C + sinh(eta) sum_k H_k coth(x - x_k); C is taken
-    from the first sample, the remaining n samples cross-check it, and the
-    boundary relations C +- sinh(eta) sum_k H_k = sum_a g_a t^{+-M_a} pin the
-    two-sided behavior at x -> +-infinity.
-    """
+
+def _expansion_pairs(cfg, pts):
+    """T(x) against its pole expansion at each sample, then (trigonometric
+    flavor) the two boundary values."""
     dom = cfg.domain
     space = cfg.space()
     hams = [hamiltonian(cfg, i) for i in range(1, cfg.n + 1)]
-    pts = list(sample_points) if sample_points is not None else _fresh_points(
-        cfg, cfg.n + 1
-    )
-    if len(pts) < cfg.n + 1:
-        raise ValueError(f"need at least {cfg.n + 1} sample points")
-
+    pts = [dom.coerce(s) for s in pts]
     if cfg.is_rational:
-        trg = sum(cfg.g, dom.zero)
-        const = ChainOperator.identity(space, dom).scaled(trg)
+        const = ChainOperator.identity(space, dom).scaled(sum(cfg.g, dom.zero))
         for s in pts:
-            s = dom.coerce(s)
             rhs = const
             for j, H in enumerate(hams):
                 rhs = rhs + H.scaled(cfg.eta / (s - cfg.x[j]))
-            res, wit = transfer_matrix(cfg, s).residual(rhs)
-            if res > dom.threshold:
-                raise IdentityViolation(
-                    f"pole expansion fails at sample x = {s} (residual {res})",
-                    witness=wit,
-                )
-        return TransferExpansion(const, hams)
+            yield transfer_matrix(cfg, s), rhs
+        return
 
     sh = (cfg.t - dom.inverse(cfg.t)) / 2
 
@@ -463,29 +399,37 @@ def pole_expansion(cfg, sample_points=None):
             acc = acc + H.scaled(sh * (v * v + 1) / (v * v - 1))
         return acc
 
-    first = dom.coerce(pts[0])
-    const = transfer_matrix(cfg, first) - coth_sum(first)
+    const = transfer_matrix(cfg, pts[0]) - coth_sum(pts[0])
     for s in pts[1:]:
-        s = dom.coerce(s)
-        res, wit = transfer_matrix(cfg, s).residual(const + coth_sum(s))
-        if res > dom.threshold:
-            raise IdentityViolation(
-                f"pole expansion fails at sample u = {s} (residual {res})",
-                witness=wit,
-            )
+        yield transfer_matrix(cfg, s), const + coth_sum(s)
     total = ChainOperator.zero(space, dom)
     for H in hams:
         total = total + H
     for sign in (1, -1):
-        lhs = const + total.scaled(sh if sign > 0 else -sh)
-        res, wit = lhs.residual(twist_weight_exponential(cfg, sign))
-        if res > dom.threshold:
-            raise IdentityViolation(
-                f"boundary value at {'+' if sign > 0 else '-'}infinity fails "
-                f"(residual {res})",
-                witness=wit,
-            )
-    return TransferExpansion(const, hams)
+        yield (const + total.scaled(sh if sign > 0 else -sh),
+               twist_weight_exponential(cfg, sign))
+
+
+def pole_expansion(cfg, sample_points=None):
+    """T(x) rebuilt from the directly constructed Hamiltonians.
+
+    Rational: T(x) = tr(g) I + sum_j eta H_j / (x - x_j), checked exactly at
+    n+1 fresh points (enough, since both sides share the pole set and decay).
+    Trigonometric: T(x) = C + sinh(eta) sum_k H_k coth(x - x_k); C is taken
+    from the first sample, the remaining n samples cross-check it, and the
+    boundary relations C +- sinh(eta) sum_k H_k = sum_a g_a t^{+-M_a} pin the
+    two-sided behavior at x -> +-infinity.  The result carries the largest
+    residual over all of these and, on failure, the basis pair where it
+    occurs.
+    """
+    pts = list(sample_points) if sample_points is not None else _fresh_points(
+        cfg, cfg.n + 1
+    )
+    if len(pts) < cfg.n + 1:
+        raise ValueError(f"need at least {cfg.n + 1} sample points")
+    dom = cfg.domain
+    worst, witness = _worst_residual(dom, _expansion_pairs(cfg, pts))
+    return from_residual("pole-expansion", worst, dom.threshold, witness=witness)
 
 
 # ------------------------------------------------------------------ sum rules
@@ -547,14 +491,13 @@ def check_transfer_commute(cfg, pairs=None):
     if pairs is None:
         pts = _fresh_points(cfg, 4)
         pairs = [(pts[0], pts[1]), (pts[2], pts[3])]
-    worst = dom.residual(dom.zero, dom.zero)
-    witness = None
-    for p, q in pairs:
-        tp = transfer_matrix(cfg, p)
-        tq = transfer_matrix(cfg, q)
-        res, wit = (tp @ tq).residual(tq @ tp)
-        if res > worst:
-            worst, witness = res, wit
+
+    def commutators():
+        for p, q in pairs:
+            tp, tq = transfer_matrix(cfg, p), transfer_matrix(cfg, q)
+            yield tp @ tq, tq @ tp
+
+    worst, witness = _worst_residual(dom, commutators())
     return from_residual(
         "transfer-commute",
         worst,

@@ -45,14 +45,6 @@ class PoleHit(WorkbenchError, ZeroDivisionError):
     """A spectral argument landed on a pole of an R-matrix."""
 
 
-class IdentityViolation(WorkbenchError):
-    """An identity that must hold exactly failed at some evaluation point."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class FlavorMismatch(WorkbenchError, ValueError):
     """Check is only defined for the other R-matrix flavor."""
 

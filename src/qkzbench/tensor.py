@@ -329,6 +329,26 @@ class ChainOperator:
                     )
         return ChainOperator.from_numerators(sub, self.domain, rows, self.den)
 
+    def trace_first_site(self):
+        """Partial trace over tensor factor 1 of a full-space operator: the
+        operator on the remaining n - 1 sites, renumbered from 1."""
+        space = self.space
+        if space.sector is not None or space.n < 2:
+            raise DimensionMismatch(f"no first site to trace out of {space}")
+        sub = Space(space.N, space.n - 1)
+        rows = {}
+        for r, row in self.rows.items():
+            a, rr = divmod(r, sub.dim)  # site 1 is the leading digit
+            acc = rows.setdefault(rr, {})
+            for c, v in row.items():
+                b, cc = divmod(c, sub.dim)
+                if a == b:
+                    acc[cc] = acc.get(cc, 0) + v
+        rows = {r: {c: v for c, v in row.items() if v != 0}
+                for r, row in rows.items()}
+        return ChainOperator.from_numerators(
+            sub, self.domain, {r: row for r, row in rows.items() if row}, self.den)
+
     # ------------------------------------------------------------ compare
     def residual(self, other):
         """Largest entrywise deviation and the basis pair where it occurs."""

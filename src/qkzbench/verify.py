@@ -20,9 +20,8 @@ from fractions import Fraction
 
 from .chain import hamiltonian, qkz_covector, twist_sinh_sum
 from .errors import FlavorMismatch, PoleHit
-from .report import CheckResult, from_residual
+from .report import from_residual
 from .rmatrix import r_rational, r_trig
-from .scalars import EXACT
 from .tensor import (
     ChainOperator,
     Space,

@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from qkzbench import chain
 from qkzbench.chain import (
     ModelConfig,
     _chain_factors,
+    _fresh_points,
     check_transfer_commute,
     hamiltonian,
     hamiltonian_prefactor,
@@ -29,6 +31,7 @@ from qkzbench.errors import (
     GenericPositionViolation,
     PoleHit,
 )
+from qkzbench.rmatrix import sinh_ratio_down
 from qkzbench.scalars import ComplexDomain
 from qkzbench.tensor import (
     ChainOperator,
@@ -180,26 +183,134 @@ def test_transfer_constant_term_is_twist_trace():
 
 
 def test_pole_expansion_rational():
-    cfg = rational_cfg(n=2, x=(Fraction(0), Fraction(2, 5)))
-    exp = pole_expansion(cfg)
-    assert len(exp.residues) == 2
-    sp = cfg.space()
-    assert exp.constant == ChainOperator.identity(sp).scaled(Fraction(5))
-
-
-def test_pole_expansion_single_site_residue():
-    cfg = ModelConfig.rational(2, 1, ETA, HBAR, (Fraction(1, 4),), G2)
-    exp = pole_expansion(cfg)
-    assert exp.residues[0] == site_embed(cfg.space(), cfg.twist_table(), 1)
+    r = pole_expansion(rational_cfg(n=2, x=(Fraction(0), Fraction(2, 5))))
+    assert r.passed and r.residual == 0 and r.witness is None
 
 
 def test_pole_expansion_trig_boundary_values():
+    # C = T(x) - sinh(eta) sum_k H_k coth(x - x_k) at one point; its values
+    # at x -> +-infinity are sum_a g_a t^{+-M_a}
     cfg = trig_cfg(n=2)
-    exp = pole_expansion(cfg)
+    hams = [hamiltonian(cfg, i) for i in (1, 2)]
     sh = (cfg.t - 1 / cfg.t) / 2
-    total = exp.residues[0] + exp.residues[1]
-    assert exp.constant + total.scaled(sh) == twist_weight_exponential(cfg, 1)
-    assert exp.constant - total.scaled(sh) == twist_weight_exponential(cfg, -1)
+    x0 = Fraction(5)
+    const = transfer_matrix(cfg, x0)
+    for u, H in zip(cfg.u, hams):
+        v = x0 / u
+        const = const - H.scaled(sh * (v * v + 1) / (v * v - 1))
+    total = hams[0] + hams[1]
+    assert const + total.scaled(sh) == twist_weight_exponential(cfg, 1)
+    assert const - total.scaled(sh) == twist_weight_exponential(cfg, -1)
+    r = pole_expansion(cfg)
+    assert r.passed and r.residual == 0
+
+
+def _reference_transfer(cfg, x0):
+    """T(x0) from the N x N monodromy: R~_{0k}(x0 - x_k) as an N x N matrix
+    of one-site chain operators, multiplied over k = n, ..., 1 and traced
+    against the twist."""
+    space, dom, N = cfg.space(), cfg.domain, cfg.N
+    x0 = dom.coerce(x0)
+    ident = ChainOperator.identity(space, dom)
+
+    def aux(k):
+        out = {}
+        for a in range(1, N + 1):
+            for b in range(1, N + 1):
+                if cfg.is_rational:
+                    coef = cfg.eta / (x0 - cfg.x[k - 1])
+                else:
+                    w = dom.one if a == b else (cfg.t if a > b else 1 / cfg.t)
+                    coef = sinh_ratio_down(x0 / cfg.u[k - 1], cfg.t, dom) - w
+                op = site_embed(space, {(b, a): coef}, k, dom)
+                out[(a, b)] = op + ident if a == b else op
+        return out
+
+    mono = aux(cfg.n)
+    for k in range(cfg.n - 1, 0, -1):
+        nxt = aux(k)
+        mono = {(a, b): functools.reduce(operator.add, (
+            mono[(a, c)] @ nxt[(c, b)] for c in range(1, N + 1)))
+            for a in range(1, N + 1) for b in range(1, N + 1)}
+    return functools.reduce(operator.add, (
+        mono[(a, a)].scaled(cfg.g[a - 1]) for a in range(1, N + 1)))
+
+
+def _transfer_configs():
+    g3 = (Fraction(2), Fraction(3), Fraction(5))
+    u4 = (Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(5, 2))
+    return [
+        rational_cfg(),
+        ModelConfig.rational(3, 3, ETA, HBAR, X3, g3),
+        ModelConfig.trigonometric(2, 4, Fraction(2), Fraction(5, 4), u4, G2),
+        ModelConfig.trigonometric(3, 3, Fraction(2), Fraction(5, 4), u4[:3], g3),
+    ]
+
+
+TRANSFER_IDS = ["rational23", "rational33", "trig24", "trig33"]
+
+
+@pytest.mark.parametrize("cfg", _transfer_configs(), ids=TRANSFER_IDS)
+def test_transfer_matrix_equals_monodromy_reference(cfg):
+    for x0 in _fresh_points(cfg, 3):
+        got, want = transfer_matrix(cfg, x0), _reference_transfer(cfg, x0)
+        assert (got.rows, got.den) == (want.rows, want.den), x0
+        assert got.space == cfg.space()
+
+
+@pytest.mark.parametrize("cfg", _transfer_configs(), ids=TRANSFER_IDS)
+def test_transfer_matrix_equals_monodromy_reference_in_floats(cfg):
+    cfg = cfg.to_domain(ComplexDomain(1e-12))
+    for x0 in _fresh_points(cfg, 3):
+        res, _ = transfer_matrix(cfg, x0).residual(_reference_transfer(cfg, x0))
+        assert res <= cfg.domain.tol, x0
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_transfer_matrix_at_eta_separated_point(make):
+    # x0 - x_1 = eta (u0 = u_1 t) would fail validation of a chain site, but
+    # it is no pole of R~, so T is defined there
+    cfg = make()
+    x0 = cfg.x[0] + cfg.eta if cfg.is_rational else cfg.u[0] * cfg.t
+    got, want = transfer_matrix(cfg, x0), _reference_transfer(cfg, x0)
+    assert (got.rows, got.den) == (want.rows, want.den)
+
+
+def _is_basis_pair(cfg, witness):
+    return len(witness) == 2 and set(witness) <= set(cfg.space().states)
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_pole_expansion_fails_on_a_perturbed_hamiltonian(make, monkeypatch):
+    build = chain.hamiltonian
+
+    def perturbed(cfg, i):
+        H = build(cfg, i)
+        if i != 2:
+            return H
+        r = next(iter(H.rows))
+        c = next(iter(H.rows[r]))
+        rows = dict(H.rows)
+        rows[r] = {**H.rows[r], c: H.rows[r][c] + 1}
+        return ChainOperator(H.space, H.domain, rows, H.den)
+
+    monkeypatch.setattr(chain, "hamiltonian", perturbed)
+    cfg = make()
+    r = pole_expansion(cfg)
+    assert not r.passed and r.residual > 0
+    assert _is_basis_pair(cfg, r.witness)
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_transfer_commute_fails_on_a_perturbed_transfer_matrix(make, monkeypatch):
+    # T(x) + x E_12 at site 1
+    build = chain.transfer_matrix
+    monkeypatch.setattr(chain, "transfer_matrix", lambda cfg, x: build(cfg, x)
+                        + site_embed(cfg.space(), {(1, 2): x}, 1, cfg.domain))
+    cfg = make()
+    r = check_transfer_commute(cfg)
+    assert not r.passed and r.residual > 0
+    assert _is_basis_pair(cfg, r.witness)
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])

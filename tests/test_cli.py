@@ -7,7 +7,6 @@ import pytest
 from qkzbench import cli
 from qkzbench.cli import (
     CHECK_NAMES,
-    RunConfig,
     emit,
     load_config,
     main,

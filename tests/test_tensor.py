@@ -436,6 +436,36 @@ def test_exact_restrict_matches_reference(ea, sector):
     assert _values(A.restrict(sector)) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(entries_st)
+def test_exact_trace_first_site_matches_reference(ea):
+    A = ChainOperator.from_entries(SP3, ea)
+    sub = Space(2, 2)
+    want = {}
+    for (r, c), v in _reference(ea).items():
+        (a, *rest), (b, *cest) = SP3.states[r], SP3.states[c]
+        if a == b:
+            key = (sub.index_of(tuple(rest)), sub.index_of(tuple(cest)))
+            want[key] = want.get(key, 0) + v
+    traced = A.trace_first_site()
+    assert traced.space == sub
+    assert _values(traced) == {k: v for k, v in want.items() if v != 0}
+
+
+def test_trace_first_site_of_a_product_state_operator():
+    # tr_1 (A (x) I (x) B) = tr(A) I (x) B
+    A = {(1, 1): Fraction(2), (1, 2): Fraction(5), (2, 2): Fraction(-1, 3)}
+    B = {(1, 2): Fraction(7), (2, 1): Fraction(1, 2)}
+    sp = Space(2, 3)
+    op = site_embed(sp, A, 1) @ site_embed(sp, B, 3)
+    want = site_embed(Space(2, 2), B, 2).scaled(Fraction(5, 3))
+    assert op.trace_first_site() == want
+    with pytest.raises(DimensionMismatch):
+        ChainOperator.identity(Space(2, 1)).trace_first_site()
+    with pytest.raises(DimensionMismatch):
+        ChainOperator.identity(Space(2, 3, (2, 1))).trace_first_site()
+
+
 def test_values_cross_the_interface_as_domain_scalars():
     # the correspond backends read entries() and the benchmark's tracer
     # counts the bits of Fraction entries: both need domain values
