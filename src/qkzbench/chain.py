@@ -256,13 +256,24 @@ def qkz_covector(cfg, cov, i, shifted_sites=(), left_block=False):
 
     Equal to qkz_operator(cfg, i, shifted_sites).apply_left(cov) in exact
     arithmetic, without the N^n x N^n product.  With left_block, only the
-    shifted R factors left of the twist are applied.
+    shifted R factors left of the twist are applied.  Values go in and come
+    out; in between the covector stays numerators (qkz_covector_numerators).
     """
+    nums, den = qkz_covector_numerators(cfg, cfg.domain.split(cov), i,
+                                        shifted_sites, left_block)
+    join = cfg.domain.join
+    return [join(v, den) for v in nums]
+
+
+def qkz_covector_numerators(cfg, cov, i, shifted_sites=(), left_block=False):
+    """qkz_covector on a covector given as a (numerators, den) pair, returned
+    as one: each factor's push reduces the pair once (ChainOperator.push_left),
+    and no domain value is formed on the way."""
     factors = _chain_factors(cfg, i, shifted_sites, plus_left=True, tilde=False)
     for k, f in enumerate(factors):
         if left_block and k == i - 1:
             break
-        cov = f.apply_left(cov)
+        cov = f.push_left(*cov)
     return cov
 
 
@@ -380,7 +391,6 @@ def _expansion_pairs(cfg, pts):
     dom = cfg.domain
     space = cfg.space()
     hams = [hamiltonian(cfg, i) for i in range(1, cfg.n + 1)]
-    pts = [dom.coerce(s) for s in pts]
     if cfg.is_rational:
         const = ChainOperator.identity(space, dom).scaled(sum(cfg.g, dom.zero))
         for s in pts:
@@ -410,7 +420,7 @@ def _expansion_pairs(cfg, pts):
                twist_weight_exponential(cfg, sign))
 
 
-def pole_expansion(cfg, sample_points=None):
+def pole_expansion(cfg):
     """T(x) rebuilt from the directly constructed Hamiltonians.
 
     Rational: T(x) = tr(g) I + sum_j eta H_j / (x - x_j), checked exactly at
@@ -422,12 +432,8 @@ def pole_expansion(cfg, sample_points=None):
     residual over all of these and, on failure, the basis pair where it
     occurs.
     """
-    pts = list(sample_points) if sample_points is not None else _fresh_points(
-        cfg, cfg.n + 1
-    )
-    if len(pts) < cfg.n + 1:
-        raise ValueError(f"need at least {cfg.n + 1} sample points")
     dom = cfg.domain
+    pts = _fresh_points(cfg, cfg.n + 1)
     worst, witness = _worst_residual(dom, _expansion_pairs(cfg, pts))
     return from_residual("pole-expansion", worst, dom.threshold, witness=witness)
 

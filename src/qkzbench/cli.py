@@ -246,9 +246,14 @@ def _check_k_projection(cfg, sectors, rc, rng):
 
 
 def _check_proposition(cfg, sectors, rc, rng):
+    # each right side extends that of its subset's prefix by one push; a size
+    # level is dropped once the next one is done
+    right_sides = {}
     for d in range(1, cfg.n + 1):
         for sites in itertools.combinations(range(1, cfg.n + 1), d):
-            yield verify.check_proposition_higher(cfg, sites)
+            yield verify.check_proposition_higher(cfg, sites, right_sides)
+        for sites in itertools.combinations(range(1, cfg.n + 1), d - 1):
+            right_sides.pop(sites, None)
 
 
 def _check_det_identity(cfg, sectors, rc, rng):

@@ -131,7 +131,9 @@ class ChainOperator:
     zeros, so equal operators have equal (rows, den).  In the complex
     domain the numerators are the values and ``den`` is 1.  Values cross
     the interface (entry, entries, trace, apply, apply_left, scaled) as
-    domain scalars.
+    domain scalars; push_left, the kernel of apply_left, takes and returns
+    a covector as (numerators, den), for a covector pushed through many
+    operators in a row.
     """
 
     __slots__ = ("space", "domain", "rows", "den")
@@ -290,18 +292,28 @@ class ChainOperator:
 
     def apply_left(self, cov):
         """Covector-matrix product cov . self."""
-        if len(cov) != self.space.dim:
-            raise DimensionMismatch(f"covector of length {len(cov)} on {self.space}")
-        cov, cden = self.domain.split(cov)
+        out, den = self.push_left(*self.domain.split(cov))
+        join = self.domain.join
+        return [join(s, den) for s in out]
+
+    def push_left(self, nums, cden):
+        """cov . self on numerators: the covector nums / cden in, the product
+        out as (numerators, den), divided by their common factor with den."""
+        if len(nums) != self.space.dim:
+            raise DimensionMismatch(f"covector of length {len(nums)} on {self.space}")
         out = [0] * self.space.dim
         for r, row in self.rows.items():
-            w = cov[r]
+            w = nums[r]
             if w == 0:
                 continue
             for c, v in row.items():
                 out[c] += w * v
-        join, den = self.domain.join, self.den * cden
-        return [join(s, den) for s in out]
+        den = self.den * cden
+        g = self.domain.common(den, out)
+        if g != 1:
+            den //= g
+            out = [s // g for s in out]
+        return out, den
 
     def restrict(self, sector):
         """The block of a full-space operator on one weight sector.

@@ -18,7 +18,8 @@ import itertools
 import weakref
 from fractions import Fraction
 
-from .chain import hamiltonian, qkz_covector, twist_sinh_sum
+from .chain import (hamiltonian, qkz_covector, qkz_covector_numerators,
+                    twist_sinh_sum)
 from .errors import FlavorMismatch, PoleHit
 from .report import from_residual
 from .rmatrix import r_rational, r_trig
@@ -42,7 +43,7 @@ def _flavor_covector(cfg, space):
     return omega_q(space, cfg.t, cfg.domain)
 
 
-def check_omega_invariance(cfg, sample_args=None):
+def check_omega_invariance(cfg):
     """Left-invariance of the projection covector.
 
     Rational: <Omega| R_ij(x) = <Omega| for every ordered pair and sampled x.
@@ -60,7 +61,7 @@ def check_omega_invariance(cfg, sample_args=None):
             worst, witness = res, wit
 
     if cfg.is_rational:
-        args = [dom.coerce(a) for a in (sample_args or _RATIONAL_ARGS)]
+        args = [dom.coerce(a) for a in _RATIONAL_ARGS]
         w = omega(space, dom)
         for i in range(1, cfg.n + 1):
             for j in range(1, cfg.n + 1):
@@ -74,7 +75,7 @@ def check_omega_invariance(cfg, sample_args=None):
                     R = r_rational(space, i, j, x, cfg.eta, dom)
                     track(*covector_residual(R.apply_left(w), w, space, dom))
     else:
-        args = [dom.coerce(a) for a in (sample_args or _TRIG_ARGS)]
+        args = [dom.coerce(a) for a in _TRIG_ARGS]
         wq = omega_q(space, cfg.t, dom)
         for i in range(2, cfg.n + 1):
             pq = q_permutation(space, i, i - 1, cfg.t, dom)
@@ -115,7 +116,19 @@ def check_k_projection(cfg, i):
                          params={"i": i})
 
 
-def check_proposition_higher(cfg, sites):
+def _right_side(cfg0, w0, sites, right_sides):
+    """w0 K^(0)_{s_1} ... K^(0)_{s_d} as a (numerators, den) pair: the right
+    side of sites[:-1] pushed through K^(0)_{s_d}, kept in right_sides."""
+    if not sites:
+        return w0
+    rhs = right_sides.get(sites)
+    if rhs is None:
+        prev = _right_side(cfg0, w0, sites[:-1], right_sides)
+        rhs = right_sides[sites] = qkz_covector_numerators(cfg0, prev, sites[-1])
+    return rhs
+
+
+def check_proposition_higher(cfg, sites, right_sides=None):
     """Covector identity behind the higher-operator projection.
 
     For an ordered subset i_1 < ... < i_d, the covector times the nested
@@ -123,22 +136,29 @@ def check_proposition_higher(cfg, sites):
     equals the covector times K^(0)_{i_1} ... K^(0)_{i_d}.  This is the
     operator content from which the difference-operator eigenproblem follows
     for every qKZ solution, without constructing one.  Both sides push the
-    covector through the R factors one at a time and never form a K_i.
+    covector through the R factors one at a time and never form a K_i; the
+    covector stays a (numerators, den) pair until the comparison.
+
+    The right side is a prefix fold: ``right_sides`` maps site tuples to
+    right sides, and the one of ``sites`` is that of ``sites[:-1]`` (read
+    from the map, or built into it first) pushed through K^(0)_{i_d}.  A
+    caller that visits the subsets in size order with one map makes one
+    right-side push per subset.
     """
     sites = tuple(sorted(set(int(s) for s in sites)))
-    if not sites or len(sites) != len(set(sites)):
+    if not sites:
         raise ValueError("need a nonempty set of distinct sites")
     space = cfg.space()
     dom = cfg.domain
-    w0 = _flavor_covector(cfg, space)
+    w0 = dom.split(_flavor_covector(cfg, space))
     lhs = w0
     for pos in range(len(sites), 0, -1):
-        lhs = qkz_covector(cfg, lhs, sites[pos - 1], sites[: pos - 1])
-    cfg0 = cfg.at_hbar_zero()
-    rhs = w0
-    for s in sites:
-        rhs = qkz_covector(cfg0, rhs, s)
-    res, wit = covector_residual(lhs, rhs, space, dom)
+        lhs = qkz_covector_numerators(cfg, lhs, sites[pos - 1], sites[: pos - 1])
+    rhs = _right_side(cfg.at_hbar_zero(), w0, sites,
+                      {} if right_sides is None else right_sides)
+    join = dom.join
+    res, wit = covector_residual([join(v, lhs[1]) for v in lhs[0]],
+                                 [join(v, rhs[1]) for v in rhs[0]], space, dom)
     return from_residual("proposition-higher", res, dom.threshold, witness=wit,
                          params={"sites": sites})
 

@@ -19,6 +19,7 @@ from qkzbench.chain import (
     pole_expansion,
     qkz_compatibility,
     qkz_covector,
+    qkz_covector_numerators,
     qkz_operator,
     sum_rule,
     transfer_matrix,
@@ -423,11 +424,14 @@ def test_qkz_covector_equals_operator_product(cfg):
     # a covector with distinct entries, so no cancellation hides a wrong factor
     sp = cfg.space()
     w = [Fraction((-1) ** k * (k + 1), k + 3) for k in range(sp.dim)]
+    split = cfg.domain.split
     for i in range(1, cfg.n + 1):
         for S in _shift_sets(cfg, i):
             got = qkz_covector(cfg, w, i, S)
             want = qkz_operator(cfg, i, S).apply_left(w)
             assert covector_residual(got, want, sp) == (0, None), (i, S)
+            # the numerator fold is reduced, so it is the split of the values
+            assert qkz_covector_numerators(cfg, split(w), i, S) == split(want), (i, S)
             left = qkz_covector(cfg, w, i, S, left_block=True)
             if i == 1:
                 assert left == w

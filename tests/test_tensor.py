@@ -265,6 +265,10 @@ def test_dimension_mismatch_raises():
     B = ChainOperator.identity(Space(2, 3))
     with pytest.raises(DimensionMismatch):
         A @ B
+    with pytest.raises(DimensionMismatch):
+        B.apply_left([Fraction(1)] * 4)
+    with pytest.raises(DimensionMismatch):
+        B.push_left([1] * 4, 1)
 
 
 # ------------------------------------------------------------------ restrict
@@ -420,6 +424,42 @@ def test_exact_apply_and_apply_left_match_reference(ea, vec, cov):
     assert all(type(v) is Fraction for v in got)
     assert got == [sum((cov[r] * v for (r, c2), v in a.items() if c2 == c),
                        Fraction(0)) for c in range(SP3.dim)]
+
+
+# dyadic values keep the complex-domain pushes exact, so both domains can be
+# compared with the same Fraction reference
+dyadic_st = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 4]))
+PUSH_CASES = {
+    "exact": (EXACT, fractions_st),
+    "complex": (ComplexDomain(1e-10), dyadic_st),
+}
+
+
+@pytest.mark.parametrize("case", PUSH_CASES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_push_left_matches_reference_and_stays_reduced(case, data):
+    dom, values = PUSH_CASES[case]
+    entries = st.lists(st.tuples(st.integers(0, SP3.dim - 1),
+                                 st.integers(0, SP3.dim - 1), values), max_size=12)
+    ops = data.draw(st.lists(entries, min_size=1, max_size=3))
+    ref = data.draw(st.lists(values, min_size=SP3.dim, max_size=SP3.dim))
+    cov = dom.split([dom.coerce(v) for v in ref])
+    for ea in ops:
+        a = _reference(ea)
+        A = ChainOperator.from_entries(
+            SP3, [(r, c, dom.coerce(v)) for r, c, v in ea], dom)
+        cov = A.push_left(*cov)
+        ref = [sum((ref[r] * v for (r, c2), v in a.items() if c2 == c), Fraction(0))
+               for c in range(SP3.dim)]
+        nums, den = cov
+        assert type(den) is int and den > 0
+        if dom is EXACT:
+            assert all(type(v) is int for v in nums)
+            assert math.gcd(den, *nums) == 1
+        else:
+            assert den == 1
+        assert [dom.join(v, den) for v in nums] == [dom.coerce(v) for v in ref]
 
 
 @settings(max_examples=60, deadline=None)

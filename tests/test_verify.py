@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkzbench import chain, verify
+from qkzbench import chain, cli, verify
 from qkzbench.chain import ModelConfig, hamiltonian, sum_rule
 from qkzbench.errors import FlavorMismatch, GenericPositionViolation, PoleHit
 from qkzbench.rmatrix import r_trig
@@ -124,6 +124,49 @@ def test_proposition_rhs_order_independent():
     for cov in results[1:]:
         res, _ = covector_residual(cov, results[0], sp)
         assert res == 0
+
+
+def _chain_25(flavor):
+    if flavor == "rational":
+        x = (Fraction(0), Fraction(2, 5), Fraction(9, 7), Fraction(-3, 4), Fraction(5, 3))
+        return ModelConfig.rational(2, 5, ETA, HBAR, x, G2)
+    u = (Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(9, 5), Fraction(11, 4))
+    return ModelConfig.trigonometric(2, 5, Fraction(2), Fraction(5, 4), u, G2)
+
+
+@pytest.mark.parametrize("flavor", ["rational", "trig"])
+def test_proposition_prefix_fold_matches_fresh_right_sides(flavor):
+    cfg = _chain_25(flavor)
+    subsets = [S for d in range(1, cfg.n + 1)
+               for S in itertools.combinations(range(1, cfg.n + 1), d)]
+    fresh = [check_proposition_higher(cfg, S) for S in subsets]
+    assert all(r.passed for r in fresh)
+    # the CLI's size-ordered walk with one shared map of right sides
+    assert list(cli._check_proposition(cfg, None, None, None)) == fresh
+    # the reverse walk builds each prefix into the map before it is read
+    right_sides = {}
+    for S, want in reversed(list(zip(subsets, fresh))):
+        assert check_proposition_higher(cfg, S, right_sides) == want
+    assert set(right_sides) == set(subsets)
+    cfg0 = cfg.at_hbar_zero()
+    w0 = cfg.domain.split(verify._flavor_covector(cfg, cfg.space()))
+    for S, rhs in right_sides.items():
+        assert rhs == verify._right_side(cfg0, w0, S, {}), S
+
+
+@pytest.mark.parametrize("cfg", [CFG, TCFG], ids=["rational", "trig"])
+def test_proposition_fails_on_a_perturbed_stored_right_side(cfg):
+    right_sides = {}
+    assert check_proposition_higher(cfg, (1,), right_sides).passed
+    nums, den = right_sides[(1,)]
+    nums = list(nums)
+    nums[2] += 1
+    right_sides[(1,)] = (nums, den)
+    for sites in [(1, 2), (1, 3)]:
+        r = check_proposition_higher(cfg, sites, right_sides)
+        _assert_fails_with_state_witness(r, cfg)
+    # a subset that does not extend the perturbed prefix still passes
+    assert check_proposition_higher(cfg, (2, 3), right_sides).passed
 
 
 # ------------------------------------------- negative controls, covector side
