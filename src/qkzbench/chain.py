@@ -325,6 +325,10 @@ def weight_operator(cfg, a):
 
 # ------------------------------------------------------------ transfer matrix
 
+# cfg -> {x0: T(x0)}, kept like the Hamiltonians
+_TRANSFER = weakref.WeakKeyDictionary()
+
+
 def transfer_matrix(cfg, x0):
     """T(x0) = tr_0 g_0 R~_{0n}(x0 - x_n) ... R~_{01}(x0 - x_1).
 
@@ -332,15 +336,18 @@ def transfer_matrix(cfg, x0):
     exponential in the trigonometric flavor): the monodromy is the chain
     product of H_1 on that longer chain, and T(x0) its partial trace over
     site 1.  The longer chain is not validated, because x0 - x_j = +-eta is no
-    pole of R~.
+    pole of R~.  Built once per config and point.
     """
     x0 = cfg.domain.coerce(x0)
-    if cfg.is_rational:
-        ext = dataclasses.replace(cfg, n=cfg.n + 1, x=(x0,) + cfg.x)
-    else:
-        ext = dataclasses.replace(cfg, n=cfg.n + 1, u=(x0,) + cfg.u)
-    mono = _chain_product(ext, 1, (), plus_left=False, tilde=True)
-    return mono.trace_first_site()
+    built = _TRANSFER.setdefault(cfg, {})
+    if x0 not in built:
+        if cfg.is_rational:
+            ext = dataclasses.replace(cfg, n=cfg.n + 1, x=(x0,) + cfg.x)
+        else:
+            ext = dataclasses.replace(cfg, n=cfg.n + 1, u=(x0,) + cfg.u)
+        mono = _chain_product(ext, 1, (), plus_left=False, tilde=True)
+        built[x0] = mono.trace_first_site()
+    return built[x0]
 
 
 def _fresh_points(cfg, count):

@@ -41,7 +41,6 @@ class RunConfig:
     checks: list
     sectors: object  # "all" or list of weight tuples
     tol: float = 1e-10
-    fmt: str = "text"
     seed: int = 0
     mode: str = "exact"
 
@@ -418,7 +417,7 @@ def _json_safe(v):
 def emit(report: RunReport, fmt: str = "text", timings: bool = False) -> str:
     """Render a report; json output is byte-stable for a fixed config and seed
     (per-check wall-clock appears only when timings is requested)."""
-    overall = "pass" if all(r.passed for r in report.results) else "fail"
+    overall = report.overall
     if fmt == "json":
         doc = {
             "config": report.config,
@@ -491,10 +490,9 @@ def _cmd_verify(args):
         rc.checks = list(args.check)
     if args.tol is not None:
         rc.tol = require_tolerance(args.tol)
-    rc.fmt = args.format
     report = run(rc)
-    print(emit(report, rc.fmt, timings=args.timings))
-    return 0 if all(r.passed for r in report.results) else 1
+    print(emit(report, args.format, timings=args.timings))
+    return 0 if report.overall == "pass" else 1
 
 
 def _cmd_spectrum(args):

@@ -8,9 +8,9 @@ commute, because the principal-minor expansion of an operator-valued
 determinant holds only for commuting entries.
 
 On a weight sector the determinant, symmetric-function and eigenvalue checks
-all reduce to the ordered products H_S of the restricted Hamiltonians.  They
-read them from one SectorProducts table per config and sector, so each H_S
-(and the commutator residual) is computed once per run.
+read sums over the ordered products H_S of the restricted Hamiltonians.  One
+level-by-level pass per config and sector stores those sums (SectorSums), and
+no H_S outlives it; the minors det(C_SS) are computed once per config.
 """
 from __future__ import annotations
 
@@ -170,29 +170,51 @@ def _require_rational(cfg, what):
         raise FlavorMismatch(f"{what} is defined for the rational flavor only")
 
 
-class SectorProducts:
-    """The Hamiltonians restricted to one weight sector, and their products.
+class SectorSums:
+    """The Hamiltonians restricted to one weight sector (``ops[i]`` is
+    H_{i+1}) and the subset sums of their products.
 
-    ``ops[i]`` is H_{i+1} on the sector.  ``product(S)`` is the ordered
-    product H_S = H_{S[0]} ... H_{S[-1]} for a sorted tuple S of 0-based
-    sites, built once as H_{S[:-1]} @ H_{S[-1]} (left to right); H_() is the
-    identity.  The commutator residual is computed on first use.
+    ``sums(cfg)`` visits the sorted subsets S of the 0-based sites level by
+    level, in itertools.combinations order, builds H_S = H_{S[:-1]} @ H_{S[-1]}
+    (left to right) from the previous level and drops that level.  It keeps
+    det_sums[k] = (-1)^k sum_{|S|=k} det(C_SS) H_S and weighted_sums[k] =
+    sum_{|S|=k} w_S H_S, w_S = prod_{a<b in S} (1 - eta^2/(x_a - x_b)^2)^{-1}.
+    The pass and the commutator residual run on first use only.
     """
 
     def __init__(self, cfg, sector, ops):
         self.space = Space(cfg.N, cfg.n, sector)
         self.domain = cfg.domain
         self.ops = [H.restrict(sector) for H in ops]
-        self._products = {(): ChainOperator.identity(self.space, cfg.domain)}
+        self.identity = ChainOperator.identity(self.space, cfg.domain)
+        self.det_sums = self.weighted_sums = None
         self._commutator = None
 
-    def product(self, S):
-        P = self._products.get(S)
-        if P is None:
-            P = self.ops[S[0]] if len(S) == 1 else (
-                self.product(S[:-1]) @ self.ops[S[-1]])
-            self._products[S] = P
-        return P
+    def sums(self, cfg):
+        """(det_sums, weighted_sums); cfg is the config of the table."""
+        if self.det_sums is None:
+            dom = self.domain
+            minors = principal_minors(cfg)
+            det_sums, weighted_sums = [], []
+            level = {(): self.identity}
+            for k in range(cfg.n + 1):
+                if k:
+                    level = {S: level[S[:-1]] @ self.ops[S[-1]] if k > 1
+                             else self.ops[S[0]]
+                             for S in itertools.combinations(range(cfg.n), k)}
+                sign = dom.coerce((-1) ** k)
+                det_sum = weighted = ChainOperator.zero(self.space, dom)
+                for S, P in level.items():
+                    weight = dom.one
+                    for a, b in itertools.combinations(S, 2):
+                        diff = cfg.x[a] - cfg.x[b]
+                        weight = weight / (dom.one - cfg.eta * cfg.eta / (diff * diff))
+                    det_sum = det_sum + P.scaled(sign * minors[S])
+                    weighted = weighted + P.scaled(weight)
+                det_sums.append(det_sum)
+                weighted_sums.append(weighted)
+            self.det_sums, self.weighted_sums = det_sums, weighted_sums
+        return self.det_sums, self.weighted_sums
 
     def commutator_residual(self):
         """Largest entry of H_i H_j - H_j H_i over all pairs, and its witness."""
@@ -207,23 +229,22 @@ class SectorProducts:
         return self._commutator
 
 
-# cfg -> {sector: SectorProducts} of the config's own Hamiltonians
-_SECTOR_PRODUCTS = weakref.WeakKeyDictionary()
+# cfg -> {sector: SectorSums} of the config's own Hamiltonians
+_SECTOR_SUMS = weakref.WeakKeyDictionary()
 
 
-def sector_products(cfg, sector, hamiltonians=None):
-    """The SectorProducts of cfg's Hamiltonians on a sector, built once per
+def sector_sums(cfg, sector, hamiltonians=None):
+    """The SectorSums of cfg's Hamiltonians on a sector, built once per
     config and sector.  Injected `hamiltonians` get a private table that is
     never stored."""
     if hamiltonians is not None:
-        return SectorProducts(cfg, sector, hamiltonians)
-    tables = _SECTOR_PRODUCTS.setdefault(cfg, {})
+        return SectorSums(cfg, sector, hamiltonians)
+    tables = _SECTOR_SUMS.setdefault(cfg, {})
     key = tuple(sector)
-    table = tables.get(key)
-    if table is None:
+    if key not in tables:
         ops = [hamiltonian(cfg, i) for i in range(1, cfg.n + 1)]
-        table = tables[key] = SectorProducts(cfg, key, ops)
-    return table
+        tables[key] = SectorSums(cfg, key, ops)
+    return tables[key]
 
 
 def elementary_symmetric(values, d):
@@ -261,31 +282,34 @@ def twist_targets(cfg, sector):
     return out
 
 
-def _solve_poly_coeffs(zs, vals):
-    """Exact coefficients (low degree first) of the polynomial through the
-    given points; len(zs) points determine degree len(zs) - 1."""
-    m = len(zs)
-    rows = [[z ** k for k in range(m)] + [v] for z, v in zip(zs, vals)]
+def _eliminate(rows, m):
+    """Gauss-Jordan elimination, in place, of the first m columns of m rows
+    whose m x m block is nonsingular: each pivot row is divided by its pivot
+    and cleared from every other row, so the columns after the first m end
+    up holding the solved system.  Returns the determinant of the block."""
+    det = 1
     for col in range(m):
         piv = next(r for r in range(col, m) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
         pv = rows[col][col]
+        det = det * pv
         rows[col] = [e / pv for e in rows[col]]
         for r in range(m):
             if r != col and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [e - f * p for e, p in zip(rows[r], rows[col])]
+    return det
+
+
+def _solve_poly_coeffs(zs, vals):
+    """Exact coefficients (low degree first) of the polynomial through the
+    given points; len(zs) points determine degree len(zs) - 1."""
+    m = len(zs)
+    rows = [[z ** k for k in range(m)] + [v] for z, v in zip(zs, vals)]
+    _eliminate(rows, m)
     return [rows[k][m] for k in range(m)]
-
-
-def _perm_sign(perm):
-    inv = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inv % 2 else 1
 
 
 def velocity_scale(cfg):
@@ -307,44 +331,22 @@ def lax_denominator(cfg, i, j):
     return den
 
 
-def _det_matrix(cfg):
-    """The scalar matrix C_ij = eta / (x_j - x_i + eta), 0-based, from the
-    scale and denominators of the Lax matrix."""
-    return {(i, j): velocity_scale(cfg) / lax_denominator(cfg, j + 1, i + 1)
-            for i in range(cfg.n) for j in range(cfg.n)}
+# cfg -> {S: det(C_SS)}
+_MINORS = weakref.WeakKeyDictionary()
 
 
-def _principal_minor(coef, S, dom):
-    """det of the principal submatrix of coef on the sites S, as a signed
-    permutation sum of its scalar entries."""
-    total = dom.zero
-    for perm in itertools.permutations(S):
-        term = dom.coerce(_perm_sign(perm))
-        for i, j in zip(S, perm):
-            term = term * coef[(i, j)]
-        total = total + term
-    return total
-
-
-def det_coefficients(cfg, table):
-    """Operator coefficients A_0, ..., A_n of the sector determinant
-    det(z d_ij - eta H_i / (x_j - x_i + eta)) = sum_k A_k z^{n-k}.
-
-    The matrix is z - D_H C with D_H = diag(H_1, ..., H_n), so for commuting
-    H_i the principal-minor expansion gives
-    A_k = (-1)^k sum_{|S| = k} det(C_SS) H_S, with H_S read from the
-    SectorProducts `table`.
-    """
-    dom = cfg.domain
-    coef = _det_matrix(cfg)
-    out = []
-    for k in range(cfg.n + 1):
-        sign = dom.coerce((-1) ** k)
-        acc = ChainOperator.zero(table.space, dom)
-        for S in itertools.combinations(range(cfg.n), k):
-            acc = acc + table.product(S).scaled(sign * _principal_minor(coef, S, dom))
-        out.append(acc)
-    return out
+def principal_minors(cfg):
+    """det(C_SS) for every sorted subset S of the 0-based sites, with
+    C_ij = eta / (x_j - x_i + eta) from the scale and denominators of the Lax
+    matrix.  Each minor is an elimination of its submatrix, once per config;
+    their Cauchy closed form stays out, as the symmetric identity's weight."""
+    if cfg not in _MINORS:
+        C = [[velocity_scale(cfg) / lax_denominator(cfg, j + 1, i + 1)
+              for j in range(cfg.n)] for i in range(cfg.n)]
+        _MINORS[cfg] = {S: _eliminate([[C[i][j] for j in S] for i in S], len(S))
+                        for k in range(cfg.n + 1)
+                        for S in itertools.combinations(range(cfg.n), k)}
+    return _MINORS[cfg]
 
 
 def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
@@ -352,9 +354,10 @@ def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
     weight sector against prod_a (z - g_a)^{M_a}, at n+1 values of z
     (by default 0, 1, -1, 2, -2, ...).
 
-    The determinant is the principal-minor expansion of det_coefficients,
-    legitimate because the sector Hamiltonians commute (asserted first),
-    evaluated at each z by Horner's rule.  The z-samples also pin the
+    The matrix is z - D_H C with D_H = diag(H_1, ..., H_n), and its
+    principal-minor expansion sum_k det_sums[k] z^{n-k} is legitimate because
+    the sector Hamiltonians commute (asserted first); it is evaluated at each
+    z by Horner's rule.  The z-samples also pin the
     polynomial coefficients, which are compared with the signed elementary
     symmetric polynomials of the twist multiset.  `hamiltonians` lets a
     caller inject foreign operators (negative controls).
@@ -362,9 +365,9 @@ def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
     _require_rational(cfg, "the determinant identity")
     dom = cfg.domain
     n = cfg.n
-    table = sector_products(cfg, sector, hamiltonians)
+    table = sector_sums(cfg, sector, hamiltonians)
     worst, witness = table.commutator_residual()
-    ident = table.product(())
+    ident = table.identity
 
     if z_samples is None:
         z_samples = [(-1) ** (k + 1) * ((k + 1) // 2) for k in range(n + 1)]
@@ -372,7 +375,7 @@ def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
     if len(set(zs)) < n + 1:
         raise ValueError(f"need {n + 1} distinct z samples")
 
-    coeffs = det_coefficients(cfg, table)
+    coeffs, _ = table.sums(cfg)
     det_values = []
     for z in zs:
         det = coeffs[0]
@@ -398,20 +401,6 @@ def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
                          sector=sector, params={"z_samples": [str(z) for z in zs]})
 
 
-def _weighted_product_sum(cfg, table, d):
-    """sum_{i_1<...<i_d} H_{i_1}...H_{i_d} prod_{a<b} (1 - eta^2/(x_a - x_b)^2)^{-1}
-    over the products of a SectorProducts table."""
-    dom = cfg.domain
-    total = ChainOperator.zero(table.space, dom)
-    for combo in itertools.combinations(range(cfg.n), d):
-        weight = dom.one
-        for a, b in itertools.combinations(combo, 2):
-            diff = cfg.x[a] - cfg.x[b]
-            weight = weight / (dom.one - cfg.eta * cfg.eta / (diff * diff))
-        total = total + table.product(combo).scaled(weight)
-    return total
-
-
 def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     """Weighted Hamiltonian products against e_d of the twist power sums.
 
@@ -425,10 +414,10 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     if not (1 <= d <= cfg.n):
         raise ValueError(f"need 1 <= d <= n, got d={d}")
     dom = cfg.domain
-    table = sector_products(cfg, sector, hamiltonians)
+    table = sector_sums(cfg, sector, hamiltonians)
     worst, witness = table.commutator_residual()
 
-    lhs = _weighted_product_sum(cfg, table, d)
+    lhs = table.sums(cfg)[1][d]
     ps = [
         sum((m * g ** k for m, g in zip(sector, cfg.g)), dom.zero)
         for k in range(1, d + 1)
@@ -451,7 +440,7 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
         if res > worst:
             worst, witness = res, ("power-sum expansion", d)
 
-    res, wit = lhs.residual(table.product(()).scaled(value))
+    res, wit = lhs.residual(table.identity.scaled(value))
     if res > worst:
         worst, witness = res, wit
     return from_residual("symmetric-identity", worst, dom.threshold,
@@ -462,9 +451,10 @@ def check_macdonald_eigenvalue(cfg, sector, d):
     """Eigenvalue of the d-th difference operator on a weight sector.
 
     Rational: E_d = e_d of the twist multiset must equal the normalized trace
-    of the weighted Hamiltonian-product sum.  Trigonometric (d = 1 only):
-    E = sum_a g_a sinh(eta M_a)/sinh(eta), cross-checked against the
-    multiplicative-string sum sum_a sum_alpha g_a t^{2 alpha - M_a + 1}.
+    of the weighted Hamiltonian-product sum that symmetric-identity reads.
+    Trigonometric (d = 1 only): E = sum_a g_a sinh(eta M_a)/sinh(eta),
+    cross-checked against the multiplicative-string sum
+    sum_a sum_alpha g_a t^{2 alpha - M_a + 1}, against H_1 + ... + H_n.
     """
     dom = cfg.domain
     worst = dom.residual(dom.zero, dom.zero)
@@ -478,7 +468,7 @@ def check_macdonald_eigenvalue(cfg, sector, d):
             res = dom.residual(energy, direct)
             if res > worst:
                 worst, witness = res, "weighted twist sum"
-        lhs = _weighted_product_sum(cfg, sector_products(cfg, sector), d)
+        lhs = sector_sums(cfg, sector).sums(cfg)[1][d]
     else:
         if d != 1:
             raise FlavorMismatch(
@@ -489,10 +479,8 @@ def check_macdonald_eigenvalue(cfg, sector, d):
         res = dom.residual(energy, strings)
         if res > worst:
             worst, witness = res, "string sum"
-        ops = sector_products(cfg, sector).ops
-        lhs = ops[0]
-        for H in ops[1:]:
-            lhs = lhs + H
+        ops = sector_sums(cfg, sector).ops
+        lhs = sum(ops[1:], ops[0])
     trace = lhs.trace()
     res = dom.residual(trace, energy * dom.coerce(lhs.space.dim))
     if res > worst:

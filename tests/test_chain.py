@@ -491,3 +491,34 @@ def test_hamiltonian_memo_does_not_keep_its_config_alive():
     del cfg
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_transfer_matrix_is_built_once_per_config_and_point(make, monkeypatch):
+    cfg = make()
+    x0 = Fraction(11, 5)
+    T = transfer_matrix(cfg, x0)
+    assert transfer_matrix(cfg, x0) is T
+    assert transfer_matrix(make(), x0) is T
+    del chain._TRANSFER[cfg]
+    fresh = transfer_matrix(cfg, x0)
+    assert fresh is not T and fresh == T
+    assert (fresh.rows, fresh.den) == (T.rows, T.den)
+    # transfer-commute samples the first four points of pole-expansion, so a
+    # config that runs both builds T(x) at n + 1 points
+    builds = []
+    product = chain._chain_product
+    monkeypatch.setattr(chain, "_chain_product",
+                        lambda c, *a, **k: builds.append(c.n) or product(c, *a, **k))
+    del chain._TRANSFER[cfg]
+    assert check_transfer_commute(cfg).passed and pole_expansion(cfg).passed
+    assert builds.count(cfg.n + 1) == cfg.n + 1
+
+
+def test_transfer_memo_does_not_keep_its_config_alive():
+    cfg = ModelConfig.rational(2, 2, ETA, HBAR, (Fraction(7), Fraction(13)), G2)
+    transfer_matrix(cfg, Fraction(3))
+    ref = weakref.ref(cfg)
+    del cfg
+    gc.collect()
+    assert ref() is None

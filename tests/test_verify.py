@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -19,17 +21,16 @@ from qkzbench.tensor import (
 )
 from qkzbench.scalars import ComplexDomain
 from qkzbench.verify import (
-    _weighted_product_sum,
     check_det_identity,
     check_k_projection,
     check_macdonald_eigenvalue,
     check_omega_invariance,
     check_proposition_higher,
     check_symmetric_identity,
-    det_coefficients,
     elementary_from_power_sums,
     elementary_symmetric,
-    sector_products,
+    principal_minors,
+    sector_sums,
     twist_targets,
 )
 from qkzbench.chain import qkz_operator
@@ -374,8 +375,9 @@ def _stored(op):
 
 
 def _principal_minor_det(cfg, table, z):
+    """The determinant from the stored det_sums, by Horner's rule in z."""
     det = None
-    for A in det_coefficients(cfg, table):
+    for A in table.sums(cfg)[0]:
         det = A if det is None else det.scaled(z) + A
     return det
 
@@ -389,7 +391,7 @@ def test_principal_minor_det_equals_permutation_sum(N, n):
     cfg = ModelConfig.rational(N, n, ETA, HBAR, X4[:n], G3[:N])
     zs = [(-1) ** (k + 1) * ((k + 1) // 2) for k in range(n + 1)]
     for M in all_sectors(N, n):
-        table = sector_products(cfg, M)
+        table = sector_sums(cfg, M)
         for z in zs:
             ref = _permutation_sum_det(cfg, table.ops, Fraction(z))
             got = _principal_minor_det(cfg, table, Fraction(z))
@@ -402,43 +404,130 @@ def test_principal_minor_det_on_foreign_operators():
     # meets the same determinant as before
     bad = ModelConfig.rational(2, 3, ETA, HBAR, X3, (G2[0] + 1, G2[1]))
     foreign = [hamiltonian(bad, i) for i in (1, 2, 3)]
-    table = sector_products(CFG, (2, 1), hamiltonians=foreign)
+    table = sector_sums(CFG, (2, 1), hamiltonians=foreign)
     for z in (0, 1, -1, 2):
         ref = _permutation_sum_det(CFG, table.ops, Fraction(z))
         assert _stored(_principal_minor_det(CFG, table, Fraction(z))) == _stored(ref)
 
 
-# ----------------------------------------------------- sector product table
+def _permutation_minor(cfg, S):
+    """Reference: det(C_SS), C_ij = eta / (x_j - x_i + eta), as the signed
+    |S|!-term permutation sum."""
+    total = Fraction(0)
+    for perm in itertools.permutations(S):
+        term = Fraction(_perm_sign(perm))
+        for i, j in zip(S, perm):
+            term *= cfg.eta / (cfg.x[j] - cfg.x[i] + cfg.eta)
+        total += term
+    return total
 
-def test_sector_products_are_built_once():
-    table = sector_products(CFG, (2, 1))
-    assert sector_products(CFG, (2, 1)) is table
-    assert table.product((0, 2)) is table.product((0, 2))
+
+@pytest.mark.parametrize("N,n", [(2, 4), (3, 3)])
+def test_elimination_minors_equal_permutation_sum(N, n):
+    cfg = ModelConfig.rational(N, n, ETA, HBAR, X4[:n], G3[:N])
+    minors = principal_minors(cfg)
+    subsets = [S for k in range(n + 1) for S in itertools.combinations(range(n), k)]
+    assert list(minors) == subsets
+    for S in subsets:
+        assert minors[S] == _permutation_minor(cfg, S), S
+    assert principal_minors(cfg) is minors
+
+
+@pytest.mark.parametrize("S", [(), (1,), (0, 2), (0, 1, 2)])
+def test_det_identity_fails_on_a_scaled_minor(S, monkeypatch):
+    own = [hamiltonian(CFG, i) for i in (1, 2, 3)]
+    assert check_det_identity(CFG, (2, 1), hamiltonians=own).residual == 0
+    scaled = dict(principal_minors(CFG))
+    scaled[S] *= Fraction(98, 97)
+    monkeypatch.setattr(verify, "principal_minors", lambda cfg: scaled)
+    # injected operators get a private table, so the pass runs again
+    r = check_det_identity(CFG, (2, 1), hamiltonians=own)
+    assert not r.passed and r.residual != 0
+    assert r.witness is not None
+
+
+# -------------------------------------------------------- sector subset sums
+
+def test_sector_sums_are_built_once(monkeypatch):
+    table = sector_sums(CFG, (2, 1))
+    assert sector_sums(CFG, (2, 1)) is table
+    det_sums, weighted_sums = table.sums(CFG)
+    assert table.sums(CFG)[0] is det_sums and table.sums(CFG)[1] is weighted_sums
+    assert len(det_sums) == len(weighted_sums) == CFG.n + 1
     assert _stored(table.ops[1]) == _stored(hamiltonian(CFG, 2).restrict((2, 1)))
+    # one pass makes one product per subset of two or more sites
+    products = []
+    matmul = ChainOperator.__matmul__
+    monkeypatch.setattr(ChainOperator, "__matmul__",
+                        lambda a, b: products.append(1) or matmul(a, b))
+    fresh = sector_sums(CFG, (2, 1), hamiltonians=[hamiltonian(CFG, i) for i in (1, 2, 3)])
+    fresh.sums(CFG)
+    assert len(products) == 2 ** CFG.n - CFG.n - 1
+    fresh.sums(CFG)
+    assert len(products) == 2 ** CFG.n - CFG.n - 1
+    assert [_stored(A) for A in fresh.det_sums] == [_stored(A) for A in det_sums]
 
 
-def test_sector_products_keep_left_to_right_order():
-    # in complex doubles the order of the products shows in the last bits;
-    # H_S must be ((H_a H_b) H_c), as a plain left-to-right loop builds it
+def test_sector_sums_keep_left_to_right_order():
+    # in complex doubles the order of the products and of the summation
+    # shows in the last bits; each H_S must be ((H_a H_b) H_c), as a plain
+    # left-to-right loop builds it, summed in itertools.combinations order
     cfg = CFG.to_domain(ComplexDomain(1e-10))
-    table = sector_products(cfg, (2, 1))
-    assert table.domain is cfg.domain
+    dom = cfg.domain
+    table = sector_sums(cfg, (2, 1))
+    assert table.domain is dom
     H = [hamiltonian(cfg, i).restrict((2, 1)) for i in (1, 2, 3)]
-    assert _stored(table.product((0, 1, 2))) == _stored((H[0] @ H[1]) @ H[2])
-    assert _stored(table.product((1, 2))) == _stored(H[1] @ H[2])
+    minors = principal_minors(cfg)
+    det_sums, weighted_sums = table.sums(cfg)
+    for k in range(cfg.n + 1):
+        det = weighted = ChainOperator.zero(table.space, dom)
+        for S in itertools.combinations(range(cfg.n), k):
+            P = (functools.reduce(operator.matmul, [H[i] for i in S]) if S
+                 else ChainOperator.identity(table.space, dom))
+            det = det + P.scaled(dom.coerce((-1) ** k) * minors[S])
+            weight = dom.one
+            for a, b in itertools.combinations(S, 2):
+                diff = cfg.x[a] - cfg.x[b]
+                weight = weight / (dom.one - cfg.eta * cfg.eta / (diff * diff))
+            weighted = weighted + P.scaled(weight)
+        assert _stored(det_sums[k]) == _stored(det), k
+        assert _stored(weighted_sums[k]) == _stored(weighted), k
 
 
 def test_injected_hamiltonians_never_enter_the_table():
     bad = ModelConfig.rational(2, 3, ETA, HBAR, X3, (G2[0] + 1, G2[1]))
     foreign = [hamiltonian(bad, i) for i in (1, 2, 3)]
-    assert sector_products(CFG, (2, 1), hamiltonians=foreign) is not (
-        sector_products(CFG, (2, 1)))
+    assert sector_sums(CFG, (2, 1), hamiltonians=foreign) is not (
+        sector_sums(CFG, (2, 1)))
     assert not check_det_identity(CFG, (2, 1), hamiltonians=foreign).passed
     assert not check_symmetric_identity(CFG, (2, 1), 2, hamiltonians=foreign).passed
     r = check_det_identity(CFG, (2, 1))
     assert r.passed and r.residual == 0
     r = check_symmetric_identity(CFG, (2, 1), 2)
     assert r.passed and r.residual == 0
+
+
+def test_symmetric_and_eigenvalue_checks_read_one_weighted_sum(monkeypatch):
+    # a twist no other test uses, so the perturbed table below dies with cfg
+    cfg = ModelConfig.rational(2, 3, ETA, HBAR, X3, (Fraction(5), Fraction(7)))
+    M = (2, 1)
+    for d in (1, 2, 3):
+        assert check_symmetric_identity(cfg, M, d).residual == 0
+    table = sector_sums(cfg, M)
+    stored = table.weighted_sums
+    products = []
+    matmul = ChainOperator.__matmul__
+    monkeypatch.setattr(ChainOperator, "__matmul__",
+                        lambda a, b: products.append(1) or matmul(a, b))
+    for d in (1, 2, 3):
+        assert check_macdonald_eigenvalue(cfg, M, d).residual == 0
+    assert products == [] and table.weighted_sums is stored
+    # both checks now see a perturbed stored sum of degree 2, and only that
+    stored[2] = stored[2].scaled(Fraction(98, 97))
+    for check in (check_symmetric_identity, check_macdonald_eigenvalue):
+        r = check(cfg, M, 2)
+        assert not r.passed and r.residual != 0 and r.witness is not None
+        assert check(cfg, M, 3).passed
 
 
 # ----------------------------------------------------- symmetric identities
@@ -456,7 +545,7 @@ def test_symmetric_identity_second_degree_explicit():
     p1 = 2 * G2[0] + 1 * G2[1]
     p2 = 2 * G2[0] ** 2 + 1 * G2[1] ** 2
     expect = Fraction(1, 2) * p1**2 - Fraction(1, 2) * p2
-    lhs = _weighted_product_sum(CFG, sector_products(CFG, M), 2)
+    lhs = sector_sums(CFG, M).sums(CFG)[1][2]
     sub = Space(2, 3, M)
     assert lhs == ChainOperator.identity(sub).scaled(expect)
 
