@@ -462,10 +462,6 @@ def _compact(v):
 
 # ----------------------------------------------------------------- commands
 
-def _float_fmt(z):
-    return [z.real, z.imag]
-
-
 def _select(args):
     """The RunConfig of a command: its config file, with the seed (--seed,
     else the file's) and the sectors (--sector, else "all") it runs on, so
@@ -506,7 +502,7 @@ def _cmd_spectrum(args):
                 "sector": list(M),
                 "states": [
                     {
-                        "eigenvalues": [_float_fmt(l) for l in st.eigenvalues],
+                        "eigenvalues": _json_safe(st.eigenvalues),
                         "residuals": st.residuals,
                     }
                     for st in states
@@ -533,10 +529,10 @@ def _cmd_correspond(args):
                 "worst": rep.worst,
                 "rows": [
                     {
-                        "eigenvalues": [_float_fmt(z) for z in row.eigenvalues],
-                        "velocities": [_float_fmt(z) for z in row.velocities],
-                        "target": [_float_fmt(z) for z in row.target],
-                        "invariants": [_float_fmt(z) for z in row.invariants],
+                        "eigenvalues": _json_safe(row.eigenvalues),
+                        "velocities": _json_safe(row.velocities),
+                        "target": _json_safe(row.target),
+                        "invariants": _json_safe(row.invariants),
                         "radius": row.radius,
                         "hamiltonian_deviation": row.hamiltonian_deviation,
                     }

@@ -39,13 +39,7 @@ def from_residual(name, residual, threshold, witness=None, params=None, sector=N
     )
 
 
-def error_result(name, exc, params=None, sector=None):
+def error_result(name, exc):
     """Record an exception as a failed check instead of aborting the suite."""
-    return CheckResult(
-        name=name,
-        status="fail",
-        residual=None,
-        params=dict(params or {}),
-        sector=tuple(sector) if sector is not None else None,
-        witness=f"{type(exc).__name__}: {exc}",
-    )
+    return CheckResult(name=name, status="fail", residual=None,
+                       witness=f"{type(exc).__name__}: {exc}")

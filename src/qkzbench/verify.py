@@ -9,8 +9,10 @@ determinant holds only for commuting entries.
 
 On a weight sector the determinant, symmetric-function and eigenvalue checks
 read sums over the ordered products H_S of the restricted Hamiltonians.  One
-level-by-level pass per config and sector stores those sums (SectorSums), and
-no H_S outlives it; the minors det(C_SS) are computed once per config.
+level-by-level pass per config and sector stores those sums (SectorSums) and
+the commutator residual of its level-2 products, and no H_S outlives it; the
+minors det(C_SS) are computed once per config.  The determinant identity is
+compared coefficient by coefficient in z on the stored sums.
 """
 from __future__ import annotations
 
@@ -179,7 +181,9 @@ class SectorSums:
     (left to right) from the previous level and drops that level.  It keeps
     det_sums[k] = (-1)^k sum_{|S|=k} det(C_SS) H_S and weighted_sums[k] =
     sum_{|S|=k} w_S H_S, w_S = prod_{a<b in S} (1 - eta^2/(x_a - x_b)^2)^{-1}.
-    The pass and the commutator residual run on first use only.
+    At level 2 it also compares each H_a H_b (a < b) with H_b H_a and keeps
+    the largest entry of the difference and its witness as ``commutator``.
+    The pass runs on first use only.
     """
 
     def __init__(self, cfg, sector, ops):
@@ -187,8 +191,7 @@ class SectorSums:
         self.domain = cfg.domain
         self.ops = [H.restrict(sector) for H in ops]
         self.identity = ChainOperator.identity(self.space, cfg.domain)
-        self.det_sums = self.weighted_sums = None
-        self._commutator = None
+        self.det_sums = self.weighted_sums = self.commutator = None
 
     def sums(self, cfg):
         """(det_sums, weighted_sums); cfg is the config of the table."""
@@ -196,6 +199,7 @@ class SectorSums:
             dom = self.domain
             minors = principal_minors(cfg)
             det_sums, weighted_sums = [], []
+            commutator = (dom.residual(dom.zero, dom.zero), None)
             level = {(): self.identity}
             for k in range(cfg.n + 1):
                 if k:
@@ -205,6 +209,10 @@ class SectorSums:
                 sign = dom.coerce((-1) ** k)
                 det_sum = weighted = ChainOperator.zero(self.space, dom)
                 for S, P in level.items():
+                    if k == 2:
+                        res, wit = P.residual(self.ops[S[1]] @ self.ops[S[0]])
+                        if res > commutator[0]:
+                            commutator = (res, wit)
                     weight = dom.one
                     for a, b in itertools.combinations(S, 2):
                         diff = cfg.x[a] - cfg.x[b]
@@ -214,19 +222,8 @@ class SectorSums:
                 det_sums.append(det_sum)
                 weighted_sums.append(weighted)
             self.det_sums, self.weighted_sums = det_sums, weighted_sums
+            self.commutator = commutator
         return self.det_sums, self.weighted_sums
-
-    def commutator_residual(self):
-        """Largest entry of H_i H_j - H_j H_i over all pairs, and its witness."""
-        if self._commutator is None:
-            dom = self.domain
-            worst, witness = dom.residual(dom.zero, dom.zero), None
-            for A, B in itertools.combinations(self.ops, 2):
-                res, wit = (A @ B).residual(B @ A)
-                if res > worst:
-                    worst, witness = res, wit
-            self._commutator = (worst, witness)
-        return self._commutator
 
 
 # cfg -> {sector: SectorSums} of the config's own Hamiltonians
@@ -283,10 +280,9 @@ def twist_targets(cfg, sector):
 
 
 def _eliminate(rows, m):
-    """Gauss-Jordan elimination, in place, of the first m columns of m rows
-    whose m x m block is nonsingular: each pivot row is divided by its pivot
-    and cleared from every other row, so the columns after the first m end
-    up holding the solved system.  Returns the determinant of the block."""
+    """Gauss-Jordan elimination, in place, of an m x m nonsingular matrix
+    given as m rows: each pivot row is divided by its pivot and cleared from
+    every other row.  Returns the determinant."""
     det = 1
     for col in range(m):
         piv = next(r for r in range(col, m) if rows[r][col] != 0)
@@ -301,15 +297,6 @@ def _eliminate(rows, m):
                 f = rows[r][col]
                 rows[r] = [e - f * p for e, p in zip(rows[r], rows[col])]
     return det
-
-
-def _solve_poly_coeffs(zs, vals):
-    """Exact coefficients (low degree first) of the polynomial through the
-    given points; len(zs) points determine degree len(zs) - 1."""
-    m = len(zs)
-    rows = [[z ** k for k in range(m)] + [v] for z, v in zip(zs, vals)]
-    _eliminate(rows, m)
-    return [rows[k][m] for k in range(m)]
 
 
 def velocity_scale(cfg):
@@ -349,56 +336,31 @@ def principal_minors(cfg):
     return _MINORS[cfg]
 
 
-def check_det_identity(cfg, sector, z_samples=None, hamiltonians=None):
+def check_det_identity(cfg, sector, hamiltonians=None):
     """Operator determinant det(z d_ij - eta H_i / (x_j - x_i + eta)) on a
-    weight sector against prod_a (z - g_a)^{M_a}, at n+1 values of z
-    (by default 0, 1, -1, 2, -2, ...).
+    weight sector against prod_a (z - g_a)^{M_a}, as polynomials in z.
 
     The matrix is z - D_H C with D_H = diag(H_1, ..., H_n), and its
     principal-minor expansion sum_k det_sums[k] z^{n-k} is legitimate because
-    the sector Hamiltonians commute (asserted first); it is evaluated at each
-    z by Horner's rule.  The z-samples also pin the
-    polynomial coefficients, which are compared with the signed elementary
-    symmetric polynomials of the twist multiset.  `hamiltonians` lets a
-    caller inject foreign operators (negative controls).
+    the sector Hamiltonians commute (the pass's commutator residual, read
+    first).  Each stored coefficient det_sums[k] is compared with
+    (-1)^k e_k of the twist multiset times the identity, so a failure names
+    a basis pair.  `hamiltonians` lets a caller inject foreign operators
+    (negative controls).
     """
     _require_rational(cfg, "the determinant identity")
     dom = cfg.domain
-    n = cfg.n
     table = sector_sums(cfg, sector, hamiltonians)
-    worst, witness = table.commutator_residual()
-    ident = table.identity
-
-    if z_samples is None:
-        z_samples = [(-1) ** (k + 1) * ((k + 1) // 2) for k in range(n + 1)]
-    zs = [dom.coerce(z) for z in z_samples]
-    if len(set(zs)) < n + 1:
-        raise ValueError(f"need {n + 1} distinct z samples")
-
-    coeffs, _ = table.sums(cfg)
-    det_values = []
-    for z in zs:
-        det = coeffs[0]
-        for A in coeffs[1:]:
-            det = det.scaled(z) + A
-        target = dom.one
-        for a in range(cfg.N):
-            target = target * (z - cfg.g[a]) ** sector[a]
-        res, wit = det.residual(ident.scaled(target))
+    det_sums, _ = table.sums(cfg)
+    worst, witness = table.commutator
+    multiset = twist_targets(cfg, sector)
+    for k, coeff in enumerate(det_sums):
+        expect = dom.coerce((-1) ** k) * elementary_symmetric(multiset, k)
+        res, wit = coeff.residual(table.identity.scaled(expect))
         if res > worst:
             worst, witness = res, wit
-        det_values.append(det.entry(0, 0))
-
-    # coefficient extraction: z^{n-d} coefficient must be (-1)^d e_d(multiset)
-    coeffs = _solve_poly_coeffs(zs, det_values)
-    multiset = twist_targets(cfg, sector)
-    for d in range(n + 1):
-        expect = dom.coerce((-1) ** d) * elementary_symmetric(multiset, d)
-        res = dom.residual(coeffs[n - d], expect)
-        if res > worst:
-            worst, witness = res, ("coefficient", d)
     return from_residual("det-identity", worst, dom.threshold, witness=witness,
-                         sector=sector, params={"z_samples": [str(z) for z in zs]})
+                         sector=sector)
 
 
 def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
@@ -415,9 +377,8 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
         raise ValueError(f"need 1 <= d <= n, got d={d}")
     dom = cfg.domain
     table = sector_sums(cfg, sector, hamiltonians)
-    worst, witness = table.commutator_residual()
-
     lhs = table.sums(cfg)[1][d]
+    worst, witness = table.commutator
     ps = [
         sum((m * g ** k for m, g in zip(sector, cfg.g)), dom.zero)
         for k in range(1, d + 1)

@@ -298,8 +298,8 @@ def test_det_identity_single_site():
 
 
 def test_det_identity_example_sector():
-    r = check_det_identity(CFG, (2, 1), z_samples=[0, 1, 2, -1])
-    assert r.passed and r.residual == 0
+    r = check_det_identity(CFG, (2, 1))
+    assert r.passed and r.residual == 0 and r.params == {}
 
 
 def test_det_identity_all_sectors():
@@ -308,18 +308,13 @@ def test_det_identity_all_sectors():
 
 
 def test_det_identity_default_samples_for_seven_sites():
-    # the default z samples 0, 1, -1, 2, -2, ... exist for every n
+    # all eight coefficients of the degree-7 polynomial in z are compared
     x7 = (0, Fraction(2, 5), Fraction(9, 7), Fraction(-3, 4), Fraction(5, 3),
           Fraction(-8, 5), Fraction(13, 4))
     cfg = ModelConfig.rational(2, 7, ETA, HBAR, x7, G2)
     r = check_det_identity(cfg, (7, 0))
     assert r.passed and r.residual == 0
-    assert r.params["z_samples"] == ["0", "1", "-1", "2", "-2", "3", "-3", "4"]
-
-
-def test_det_identity_needs_distinct_samples():
-    with pytest.raises(ValueError):
-        check_det_identity(CFG, (2, 1), z_samples=[0, 1, 1, 2])
+    assert len(sector_sums(cfg, (7, 0)).det_sums) == 8
 
 
 def test_det_identity_rejects_trig():
@@ -336,6 +331,39 @@ def test_det_identity_negative_control():
     assert not r.passed
     assert r.residual != 0
     assert r.witness is not None
+
+
+def test_noncommuting_hamiltonians_fail_on_the_commutator():
+    # H_1 of CFG with H_2, H_3 of a chain with x_3 moved do not commute; the
+    # pass compares each stored H_a H_b with H_b H_a and both checks fail
+    moved = ModelConfig.rational(2, 3, ETA, HBAR, X3[:2] + (Fraction(-3, 4),), G2)
+    mixed = [hamiltonian(CFG, 1), hamiltonian(moved, 2), hamiltonian(moved, 3)]
+    M = (2, 1)
+    table = sector_sums(CFG, M, hamiltonians=mixed)
+    table.sums(CFG)
+    commutator, pair = table.commutator
+    states = table.space.states
+    assert commutator != 0 and pair[0] in states and pair[1] in states
+    for r in (check_det_identity(CFG, M, hamiltonians=mixed),
+              check_symmetric_identity(CFG, M, 2, hamiltonians=mixed)):
+        assert not r.passed and r.residual >= commutator
+        assert len(r.witness) == 2
+        assert r.witness[0] in states and r.witness[1] in states
+
+
+@pytest.mark.parametrize("k", range(CFG.n + 1))
+def test_det_identity_fails_on_a_perturbed_coefficient(k, monkeypatch):
+    M = (2, 1)
+    table = sector_sums(CFG, M, hamiltonians=[hamiltonian(CFG, i) for i in (1, 2, 3)])
+    det_sums, _ = table.sums(CFG)
+    monkeypatch.setattr(verify, "sector_sums", lambda cfg, sector, hamiltonians=None: table)
+    assert check_det_identity(CFG, M).residual == 0
+    r, c = k % table.space.dim, (k + 1) % table.space.dim
+    det_sums[k] = det_sums[k] + ChainOperator.from_entries(
+        table.space, [(r, c, Fraction(1, 97))])
+    res = check_det_identity(CFG, M)
+    assert not res.passed and res.residual != 0
+    assert res.witness == (table.space.states[r], table.space.states[c])
 
 
 def _perm_sign(perm):
@@ -455,17 +483,30 @@ def test_sector_sums_are_built_once(monkeypatch):
     assert table.sums(CFG)[0] is det_sums and table.sums(CFG)[1] is weighted_sums
     assert len(det_sums) == len(weighted_sums) == CFG.n + 1
     assert _stored(table.ops[1]) == _stored(hamiltonian(CFG, 2).restrict((2, 1)))
-    # one pass makes one product per subset of two or more sites
+    # one pass makes one product per subset of two or more sites, and one
+    # reversed product H_b H_a per pair a < b for the commutator
     products = []
     matmul = ChainOperator.__matmul__
     monkeypatch.setattr(ChainOperator, "__matmul__",
                         lambda a, b: products.append(1) or matmul(a, b))
-    fresh = sector_sums(CFG, (2, 1), hamiltonians=[hamiltonian(CFG, i) for i in (1, 2, 3)])
+    per_pass = 2 ** CFG.n - CFG.n - 1 + math.comb(CFG.n, 2)
+    own = [hamiltonian(CFG, i) for i in (1, 2, 3)]
+    fresh = sector_sums(CFG, (2, 1), hamiltonians=own)
     fresh.sums(CFG)
-    assert len(products) == 2 ** CFG.n - CFG.n - 1
+    assert len(products) == per_pass
     fresh.sums(CFG)
-    assert len(products) == 2 ** CFG.n - CFG.n - 1
+    assert len(products) == per_pass
     assert [_stored(A) for A in fresh.det_sums] == [_stored(A) for A in det_sums]
+    assert fresh.commutator == table.commutator == (0, None)
+    # the checks read the stored sums and commutator and make no product
+    del products[:]
+    assert check_det_identity(CFG, (2, 1)).passed
+    for d in (1, 2, 3):
+        assert check_symmetric_identity(CFG, (2, 1), d).passed
+    assert products == []
+    # a private table makes exactly one pass, whichever check reads it first
+    assert check_symmetric_identity(CFG, (2, 1), 2, hamiltonians=own).passed
+    assert len(products) == per_pass
 
 
 def test_sector_sums_keep_left_to_right_order():
@@ -603,11 +644,12 @@ def test_macdonald_eigenvalue_trig_rejects_higher_degree():
 
 def test_det_identity_polynomial_degree():
     # the z-polynomial on every sector has degree exactly n: its leading
-    # coefficient (checked inside the suite) is 1 = (-1)^0 e_0
+    # coefficient det_sums[0], compared at k = 0, is 1 = (-1)^0 e_0
     for M in all_sectors(2, 3):
-        r = check_det_identity(CFG, M)
-        assert r.passed
-        assert len(r.params["z_samples"]) == CFG.n + 1
+        assert check_det_identity(CFG, M).passed
+        table = sector_sums(CFG, M)
+        assert len(table.det_sums) == CFG.n + 1
+        assert _stored(table.det_sums[0]) == _stored(table.identity)
 
 
 def _random_generic_rational(rng, N, n):
