@@ -216,26 +216,26 @@ def _r_factor(cfg, space, i, j, pos, plus, tilde):
     return build(space, i, j, arg, cfg.t, cfg.domain)
 
 
-def _chain_factors(cfg, i, shifted_sites, plus_left, tilde):
+def _chain_factors(cfg, i, shifted_sites, tilde):
     """The factors of the chain product around the twist at site i, in
     product order: R_{i,i-1} ... R_{i,1}, g_i, R_{i,n} ... R_{i,i+1}, each
-    built when the iteration reaches it.  plus_left shifts the arguments of
-    the factors left of g_i by eta*hbar.
+    built when the iteration reaches it.  The qKZ factors (not tilde) left of
+    g_i carry the eta*hbar shift; the tilde factors carry none.
     """
     if not (1 <= i <= cfg.n):
         raise BadSite(f"site {i} outside 1..{cfg.n}")
     space = cfg.space()
     pos = _positions(cfg, frozenset(shifted_sites))
     for j in range(i - 1, 0, -1):
-        yield _r_factor(cfg, space, i, j, pos, plus_left, tilde)
+        yield _r_factor(cfg, space, i, j, pos, not tilde, tilde)
     yield site_embed(space, cfg.twist_table(), i, cfg.domain)
     for j in range(cfg.n, i, -1):
         yield _r_factor(cfg, space, i, j, pos, False, tilde)
 
 
-def _chain_product(cfg, i, shifted_sites, plus_left, tilde):
+def _chain_product(cfg, i, shifted_sites, tilde):
     return functools.reduce(
-        operator.matmul, _chain_factors(cfg, i, shifted_sites, plus_left, tilde))
+        operator.matmul, _chain_factors(cfg, i, shifted_sites, tilde))
 
 
 def qkz_operator(cfg, i, shifted_sites=()):
@@ -248,7 +248,7 @@ def qkz_operator(cfg, i, shifted_sites=()):
     commuting Hamiltonian generator K_i^(0).  A check that needs only a
     covector times K_i uses qkz_covector, which never forms this product.
     """
-    return _chain_product(cfg, i, shifted_sites, plus_left=True, tilde=False)
+    return _chain_product(cfg, i, shifted_sites, tilde=False)
 
 
 def qkz_covector(cfg, cov, i, shifted_sites=(), left_block=False):
@@ -269,7 +269,7 @@ def qkz_covector_numerators(cfg, cov, i, shifted_sites=(), left_block=False):
     """qkz_covector on a covector given as a (numerators, den) pair, returned
     as one: each factor's push reduces the pair once (ChainOperator.push_left),
     and no domain value is formed on the way."""
-    factors = _chain_factors(cfg, i, shifted_sites, plus_left=True, tilde=False)
+    factors = _chain_factors(cfg, i, shifted_sites, tilde=False)
     for k, f in enumerate(factors):
         if left_block and k == i - 1:
             break
@@ -293,8 +293,7 @@ def hamiltonian(cfg, i):
     built = _HAMILTONIANS.setdefault(cfg, {})
     H = built.get(i)
     if H is None:
-        H = built[i] = _chain_product(cfg, i, frozenset(), plus_left=False,
-                                      tilde=True)
+        H = built[i] = _chain_product(cfg, i, frozenset(), tilde=True)
     return H
 
 
@@ -345,7 +344,7 @@ def transfer_matrix(cfg, x0):
             ext = dataclasses.replace(cfg, n=cfg.n + 1, x=(x0,) + cfg.x)
         else:
             ext = dataclasses.replace(cfg, n=cfg.n + 1, u=(x0,) + cfg.u)
-        mono = _chain_product(ext, 1, (), plus_left=False, tilde=True)
+        mono = _chain_product(ext, 1, (), tilde=True)
         built[x0] = mono.trace_first_site()
     return built[x0]
 

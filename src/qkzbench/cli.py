@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import chain, correspond, rmatrix, verify
 from .chain import ModelConfig
 from .errors import (
+    GenericPositionViolation,
     NeedsFloat,
     NonPositiveTolerance,
     ParseError,
@@ -376,20 +377,12 @@ def _describe_run(rc):
 
 # ------------------------------------------------------------------ emitting
 
-def _encode_residual(r):
-    if r is None:
-        return None
-    if isinstance(r, Fraction):
-        return str(r)
-    return float(r)
-
-
 def _result_to_dict(r, millis=None):
     d = {
         "name": r.name,
         "sector": list(r.sector) if r.sector is not None else None,
         "status": r.status,
-        "residual": _encode_residual(r.residual),
+        "residual": _json_safe(r.residual),
     }
     if r.params:
         d["params"] = {k: _json_safe(v) for k, v in r.params.items()}
@@ -585,7 +578,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NonPositiveTolerance, OSError) as exc:
+    except (ParseError, NonPositiveTolerance, GenericPositionViolation,
+            OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except WorkbenchError as exc:

@@ -8,11 +8,14 @@ commute, because the principal-minor expansion of an operator-valued
 determinant holds only for commuting entries.
 
 On a weight sector the determinant, symmetric-function and eigenvalue checks
-read sums over the ordered products H_S of the restricted Hamiltonians.  One
+read one operator sum per degree d, det_sums[d] = (-1)^d sum_{|S|=d} det(C_SS)
+H_S over the ordered products H_S of the restricted Hamiltonians.  One
 level-by-level pass per config and sector stores those sums (SectorSums) and
 the commutator residual of its level-2 products, and no H_S outlives it; the
 minors det(C_SS) are computed once per config.  The determinant identity is
-compared coefficient by coefficient in z on the stored sums.
+compared coefficient by coefficient in z on the stored sums.  The rational
+Macdonald weights are the same minors in closed form (Cauchy's determinant),
+so the symmetric-function check compares them as scalars, subset by subset.
 """
 from __future__ import annotations
 
@@ -174,56 +177,40 @@ def _require_rational(cfg, what):
 
 class SectorSums:
     """The Hamiltonians restricted to one weight sector (``ops[i]`` is
-    H_{i+1}) and the subset sums of their products.
+    H_{i+1}) and the coefficients of their operator determinant.
 
-    ``sums(cfg)`` visits the sorted subsets S of the 0-based sites level by
-    level, in itertools.combinations order, builds H_S = H_{S[:-1]} @ H_{S[-1]}
-    (left to right) from the previous level and drops that level.  It keeps
-    det_sums[k] = (-1)^k sum_{|S|=k} det(C_SS) H_S and weighted_sums[k] =
-    sum_{|S|=k} w_S H_S, w_S = prod_{a<b in S} (1 - eta^2/(x_a - x_b)^2)^{-1}.
-    At level 2 it also compares each H_a H_b (a < b) with H_b H_a and keeps
-    the largest entry of the difference and its witness as ``commutator``.
-    The pass runs on first use only.
+    The constructor visits the sorted subsets S of the 0-based sites level
+    by level, in itertools.combinations order, builds H_S = H_{S[:-1]} @
+    H_{S[-1]} (left to right) from the previous level and drops that level.
+    It keeps det_sums[k] = (-1)^k sum_{|S|=k} det(C_SS) H_S, with the minors
+    of principal_minors.  At level 2 it also compares each H_a H_b (a < b)
+    with H_b H_a and keeps the largest entry of the difference and its
+    witness as ``commutator``.
     """
 
     def __init__(self, cfg, sector, ops):
+        dom = cfg.domain
         self.space = Space(cfg.N, cfg.n, sector)
-        self.domain = cfg.domain
         self.ops = [H.restrict(sector) for H in ops]
-        self.identity = ChainOperator.identity(self.space, cfg.domain)
-        self.det_sums = self.weighted_sums = self.commutator = None
-
-    def sums(self, cfg):
-        """(det_sums, weighted_sums); cfg is the config of the table."""
-        if self.det_sums is None:
-            dom = self.domain
-            minors = principal_minors(cfg)
-            det_sums, weighted_sums = [], []
-            commutator = (dom.residual(dom.zero, dom.zero), None)
-            level = {(): self.identity}
-            for k in range(cfg.n + 1):
-                if k:
-                    level = {S: level[S[:-1]] @ self.ops[S[-1]] if k > 1
-                             else self.ops[S[0]]
-                             for S in itertools.combinations(range(cfg.n), k)}
-                sign = dom.coerce((-1) ** k)
-                det_sum = weighted = ChainOperator.zero(self.space, dom)
-                for S, P in level.items():
-                    if k == 2:
-                        res, wit = P.residual(self.ops[S[1]] @ self.ops[S[0]])
-                        if res > commutator[0]:
-                            commutator = (res, wit)
-                    weight = dom.one
-                    for a, b in itertools.combinations(S, 2):
-                        diff = cfg.x[a] - cfg.x[b]
-                        weight = weight / (dom.one - cfg.eta * cfg.eta / (diff * diff))
-                    det_sum = det_sum + P.scaled(sign * minors[S])
-                    weighted = weighted + P.scaled(weight)
-                det_sums.append(det_sum)
-                weighted_sums.append(weighted)
-            self.det_sums, self.weighted_sums = det_sums, weighted_sums
-            self.commutator = commutator
-        return self.det_sums, self.weighted_sums
+        self.identity = ChainOperator.identity(self.space, dom)
+        self.det_sums = []
+        self.commutator = (dom.residual(dom.zero, dom.zero), None)
+        minors = principal_minors(cfg)
+        level = {(): self.identity}
+        for k in range(cfg.n + 1):
+            if k:
+                level = {S: level[S[:-1]] @ self.ops[S[-1]] if k > 1
+                         else self.ops[S[0]]
+                         for S in itertools.combinations(range(cfg.n), k)}
+            sign = dom.coerce((-1) ** k)
+            det_sum = ChainOperator.zero(self.space, dom)
+            for S, P in level.items():
+                if k == 2:
+                    res, wit = P.residual(self.ops[S[1]] @ self.ops[S[0]])
+                    if res > self.commutator[0]:
+                        self.commutator = (res, wit)
+                det_sum = det_sum + P.scaled(sign * minors[S])
+            self.det_sums.append(det_sum)
 
 
 # cfg -> {sector: SectorSums} of the config's own Hamiltonians
@@ -326,7 +313,7 @@ def principal_minors(cfg):
     """det(C_SS) for every sorted subset S of the 0-based sites, with
     C_ij = eta / (x_j - x_i + eta) from the scale and denominators of the Lax
     matrix.  Each minor is an elimination of its submatrix, once per config;
-    their Cauchy closed form stays out, as the symmetric identity's weight."""
+    symmetric-identity compares them with their Cauchy closed form."""
     if cfg not in _MINORS:
         C = [[velocity_scale(cfg) / lax_denominator(cfg, j + 1, i + 1)
               for j in range(cfg.n)] for i in range(cfg.n)]
@@ -351,10 +338,9 @@ def check_det_identity(cfg, sector, hamiltonians=None):
     _require_rational(cfg, "the determinant identity")
     dom = cfg.domain
     table = sector_sums(cfg, sector, hamiltonians)
-    det_sums, _ = table.sums(cfg)
     worst, witness = table.commutator
     multiset = twist_targets(cfg, sector)
-    for k, coeff in enumerate(det_sums):
+    for k, coeff in enumerate(table.det_sums):
         expect = dom.coerce((-1) ** k) * elementary_symmetric(multiset, k)
         res, wit = coeff.residual(table.identity.scaled(expect))
         if res > worst:
@@ -364,21 +350,33 @@ def check_det_identity(cfg, sector, hamiltonians=None):
 
 
 def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
-    """Weighted Hamiltonian products against e_d of the twist power sums.
+    """Cauchy-weighted Hamiltonian products against e_d of the twist power
+    sums.
 
-    On a sector the right side is the scalar e_d evaluated from
-    p_k = sum_a M_a g_a^k; for d <= 3 the explicit expansions in the power
-    sums are cross-checked, and the multiset form e_d(g_1 x M_1, ...) must
-    agree as well.  The left side is required to be that scalar times the
-    identity, not merely to have the right trace.
+    The left side sum_{|S|=d} w_S H_S, w_S = prod_{a<b in S} (1 - eta^2 /
+    (x_a - x_b)^2)^{-1}, is (-1)^d det_sums[d], because w_S is the principal
+    minor det(C_SS) of the Cauchy matrix; that scalar identity is checked for
+    every S with |S| = d.  On a sector the right side is the scalar e_d
+    evaluated from p_k = sum_a M_a g_a^k; for d <= 3 the explicit expansions
+    in the power sums are cross-checked, and the multiset form
+    e_d(g_1 x M_1, ...) must agree as well.  The left side is required to be
+    that scalar times the identity, not merely to have the right trace.
     """
     _require_rational(cfg, "the symmetric-function identity")
     if not (1 <= d <= cfg.n):
         raise ValueError(f"need 1 <= d <= n, got d={d}")
     dom = cfg.domain
     table = sector_sums(cfg, sector, hamiltonians)
-    lhs = table.sums(cfg)[1][d]
     worst, witness = table.commutator
+    minors = principal_minors(cfg)
+    for S in itertools.combinations(range(cfg.n), d):
+        weight = dom.one
+        for a, b in itertools.combinations(S, 2):
+            diff = cfg.x[a] - cfg.x[b]
+            weight = weight / (dom.one - cfg.eta * cfg.eta / (diff * diff))
+        res = dom.residual(weight, minors[S])
+        if res > worst:
+            worst, witness = res, ("Cauchy weight", S)
     ps = [
         sum((m * g ** k for m, g in zip(sector, cfg.g)), dom.zero)
         for k in range(1, d + 1)
@@ -401,7 +399,8 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
         if res > worst:
             worst, witness = res, ("power-sum expansion", d)
 
-    res, wit = lhs.residual(table.identity.scaled(value))
+    sign = dom.coerce((-1) ** d)
+    res, wit = table.det_sums[d].residual(table.identity.scaled(sign * value))
     if res > worst:
         worst, witness = res, wit
     return from_residual("symmetric-identity", worst, dom.threshold,
@@ -412,7 +411,8 @@ def check_macdonald_eigenvalue(cfg, sector, d):
     """Eigenvalue of the d-th difference operator on a weight sector.
 
     Rational: E_d = e_d of the twist multiset must equal the normalized trace
-    of the weighted Hamiltonian-product sum that symmetric-identity reads.
+    of (-1)^d det_sums[d], the Cauchy-weighted product sum that
+    symmetric-identity reads.
     Trigonometric (d = 1 only): E = sum_a g_a sinh(eta M_a)/sinh(eta),
     cross-checked against the multiplicative-string sum
     sum_a sum_alpha g_a t^{2 alpha - M_a + 1}, against H_1 + ... + H_n.
@@ -429,7 +429,8 @@ def check_macdonald_eigenvalue(cfg, sector, d):
             res = dom.residual(energy, direct)
             if res > worst:
                 worst, witness = res, "weighted twist sum"
-        lhs = sector_sums(cfg, sector).sums(cfg)[1][d]
+        sign = dom.coerce((-1) ** d)
+        lhs = sector_sums(cfg, sector).det_sums[d]
     else:
         if d != 1:
             raise FlavorMismatch(
@@ -440,9 +441,10 @@ def check_macdonald_eigenvalue(cfg, sector, d):
         res = dom.residual(energy, strings)
         if res > worst:
             worst, witness = res, "string sum"
-        ops = sector_sums(cfg, sector).ops
+        sign = dom.one
+        ops = [hamiltonian(cfg, i).restrict(sector) for i in range(1, cfg.n + 1)]
         lhs = sum(ops[1:], ops[0])
-    trace = lhs.trace()
+    trace = sign * lhs.trace()
     res = dom.residual(trace, energy * dom.coerce(lhs.space.dim))
     if res > worst:
         worst, witness = res, "sector trace"

@@ -437,7 +437,7 @@ def test_qkz_covector_equals_operator_product(cfg):
                 assert left == w
                 continue
             block = functools.reduce(operator.matmul, itertools.islice(
-                _chain_factors(cfg, i, S, True, False), i - 1))
+                _chain_factors(cfg, i, S, tilde=False), i - 1))
             assert covector_residual(left, block.apply_left(w), sp) == (0, None), (i, S)
 
 

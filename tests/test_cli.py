@@ -265,12 +265,15 @@ def test_main_verify_failure_exit_code(rational_path, capsys):
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):
+    # non-generic positions, zero twist entries and too few x are config errors
     p = tmp_path / "bad.cfg"
-    p.write_text("model = rational\nN = 2\nn = 2\neta = 1/2\nhbar = 0\n"
-                 "x = [0, 1/2]\ng = [2, 3]\n")
-    code = main(["verify", "--config", str(p)])
-    assert code == 2
-    assert "x_2 - x_1 = eta" in capsys.readouterr().err
+    for x, g, message in (("[0, 1/2]", "[2, 3]", "x_2 - x_1 = eta"),
+                          ("[0, 2/5]", "[0, 3]", "twist entry g_1 = 0"),
+                          ("[0]", "[2, 3]", "need 2 inhomogeneities, got 1")):
+        p.write_text("model = rational\nN = 2\nn = 2\neta = 1/2\nhbar = 0\n"
+                     f"x = {x}\ng = {g}\n")
+        assert main(["verify", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_main_missing_file(capsys):

@@ -340,7 +340,6 @@ def test_noncommuting_hamiltonians_fail_on_the_commutator():
     mixed = [hamiltonian(CFG, 1), hamiltonian(moved, 2), hamiltonian(moved, 3)]
     M = (2, 1)
     table = sector_sums(CFG, M, hamiltonians=mixed)
-    table.sums(CFG)
     commutator, pair = table.commutator
     states = table.space.states
     assert commutator != 0 and pair[0] in states and pair[1] in states
@@ -355,7 +354,7 @@ def test_noncommuting_hamiltonians_fail_on_the_commutator():
 def test_det_identity_fails_on_a_perturbed_coefficient(k, monkeypatch):
     M = (2, 1)
     table = sector_sums(CFG, M, hamiltonians=[hamiltonian(CFG, i) for i in (1, 2, 3)])
-    det_sums, _ = table.sums(CFG)
+    det_sums = table.det_sums
     monkeypatch.setattr(verify, "sector_sums", lambda cfg, sector, hamiltonians=None: table)
     assert check_det_identity(CFG, M).residual == 0
     r, c = k % table.space.dim, (k + 1) % table.space.dim
@@ -402,10 +401,10 @@ def _stored(op):
     return op.rows, op.den
 
 
-def _principal_minor_det(cfg, table, z):
+def _principal_minor_det(table, z):
     """The determinant from the stored det_sums, by Horner's rule in z."""
     det = None
-    for A in table.sums(cfg)[0]:
+    for A in table.det_sums:
         det = A if det is None else det.scaled(z) + A
     return det
 
@@ -422,7 +421,7 @@ def test_principal_minor_det_equals_permutation_sum(N, n):
         table = sector_sums(cfg, M)
         for z in zs:
             ref = _permutation_sum_det(cfg, table.ops, Fraction(z))
-            got = _principal_minor_det(cfg, table, Fraction(z))
+            got = _principal_minor_det(table, Fraction(z))
             assert _stored(got) == _stored(ref)
         assert check_det_identity(cfg, M).residual == 0
 
@@ -435,7 +434,7 @@ def test_principal_minor_det_on_foreign_operators():
     table = sector_sums(CFG, (2, 1), hamiltonians=foreign)
     for z in (0, 1, -1, 2):
         ref = _permutation_sum_det(CFG, table.ops, Fraction(z))
-        assert _stored(_principal_minor_det(CFG, table, Fraction(z))) == _stored(ref)
+        assert _stored(_principal_minor_det(table, Fraction(z))) == _stored(ref)
 
 
 def _permutation_minor(cfg, S):
@@ -474,14 +473,32 @@ def test_det_identity_fails_on_a_scaled_minor(S, monkeypatch):
     assert r.witness is not None
 
 
+@pytest.mark.parametrize("S", [(1,), (0, 2), (0, 1, 2)])
+def test_symmetric_identity_fails_on_a_scaled_cauchy_weight(S, monkeypatch):
+    M = (2, 1)
+    # the table of CFG is built, and its det_sums stored, before the patch
+    sector_sums(CFG, M)
+    scaled = dict(principal_minors(CFG))
+    scaled[S] *= Fraction(98, 97)
+    monkeypatch.setattr(verify, "principal_minors", lambda cfg: scaled)
+    r = check_symmetric_identity(CFG, M, len(S))
+    assert not r.passed and r.residual != 0
+    assert r.witness == ("Cauchy weight", S)
+    # the other degrees and the determinant read only the stored sums
+    for d in range(1, CFG.n + 1):
+        if d != len(S):
+            assert check_symmetric_identity(CFG, M, d).residual == 0
+    assert check_det_identity(CFG, M).residual == 0
+
+
 # -------------------------------------------------------- sector subset sums
 
 def test_sector_sums_are_built_once(monkeypatch):
     table = sector_sums(CFG, (2, 1))
     assert sector_sums(CFG, (2, 1)) is table
-    det_sums, weighted_sums = table.sums(CFG)
-    assert table.sums(CFG)[0] is det_sums and table.sums(CFG)[1] is weighted_sums
-    assert len(det_sums) == len(weighted_sums) == CFG.n + 1
+    det_sums = table.det_sums
+    assert sector_sums(CFG, (2, 1)).det_sums is det_sums
+    assert len(det_sums) == CFG.n + 1
     assert _stored(table.ops[1]) == _stored(hamiltonian(CFG, 2).restrict((2, 1)))
     # one pass makes one product per subset of two or more sites, and one
     # reversed product H_b H_a per pair a < b for the commutator
@@ -492,9 +509,6 @@ def test_sector_sums_are_built_once(monkeypatch):
     per_pass = 2 ** CFG.n - CFG.n - 1 + math.comb(CFG.n, 2)
     own = [hamiltonian(CFG, i) for i in (1, 2, 3)]
     fresh = sector_sums(CFG, (2, 1), hamiltonians=own)
-    fresh.sums(CFG)
-    assert len(products) == per_pass
-    fresh.sums(CFG)
     assert len(products) == per_pass
     assert [_stored(A) for A in fresh.det_sums] == [_stored(A) for A in det_sums]
     assert fresh.commutator == table.commutator == (0, None)
@@ -503,8 +517,9 @@ def test_sector_sums_are_built_once(monkeypatch):
     assert check_det_identity(CFG, (2, 1)).passed
     for d in (1, 2, 3):
         assert check_symmetric_identity(CFG, (2, 1), d).passed
+        assert check_macdonald_eigenvalue(CFG, (2, 1), d).passed
     assert products == []
-    # a private table makes exactly one pass, whichever check reads it first
+    # a private table makes exactly one pass, whichever check builds it
     assert check_symmetric_identity(CFG, (2, 1), 2, hamiltonians=own).passed
     assert len(products) == per_pass
 
@@ -516,23 +531,16 @@ def test_sector_sums_keep_left_to_right_order():
     cfg = CFG.to_domain(ComplexDomain(1e-10))
     dom = cfg.domain
     table = sector_sums(cfg, (2, 1))
-    assert table.domain is dom
+    assert table.identity.domain is dom
     H = [hamiltonian(cfg, i).restrict((2, 1)) for i in (1, 2, 3)]
     minors = principal_minors(cfg)
-    det_sums, weighted_sums = table.sums(cfg)
     for k in range(cfg.n + 1):
-        det = weighted = ChainOperator.zero(table.space, dom)
+        det = ChainOperator.zero(table.space, dom)
         for S in itertools.combinations(range(cfg.n), k):
             P = (functools.reduce(operator.matmul, [H[i] for i in S]) if S
                  else ChainOperator.identity(table.space, dom))
             det = det + P.scaled(dom.coerce((-1) ** k) * minors[S])
-            weight = dom.one
-            for a, b in itertools.combinations(S, 2):
-                diff = cfg.x[a] - cfg.x[b]
-                weight = weight / (dom.one - cfg.eta * cfg.eta / (diff * diff))
-            weighted = weighted + P.scaled(weight)
-        assert _stored(det_sums[k]) == _stored(det), k
-        assert _stored(weighted_sums[k]) == _stored(weighted), k
+        assert _stored(table.det_sums[k]) == _stored(det), k
 
 
 def test_injected_hamiltonians_never_enter_the_table():
@@ -549,20 +557,21 @@ def test_injected_hamiltonians_never_enter_the_table():
 
 
 def test_symmetric_and_eigenvalue_checks_read_one_weighted_sum(monkeypatch):
+    # the one weighted sum of degree d is (-1)^d det_sums[d]
     # a twist no other test uses, so the perturbed table below dies with cfg
     cfg = ModelConfig.rational(2, 3, ETA, HBAR, X3, (Fraction(5), Fraction(7)))
     M = (2, 1)
     for d in (1, 2, 3):
         assert check_symmetric_identity(cfg, M, d).residual == 0
     table = sector_sums(cfg, M)
-    stored = table.weighted_sums
+    stored = table.det_sums
     products = []
     matmul = ChainOperator.__matmul__
     monkeypatch.setattr(ChainOperator, "__matmul__",
                         lambda a, b: products.append(1) or matmul(a, b))
     for d in (1, 2, 3):
         assert check_macdonald_eigenvalue(cfg, M, d).residual == 0
-    assert products == [] and table.weighted_sums is stored
+    assert products == [] and table.det_sums is stored
     # both checks now see a perturbed stored sum of degree 2, and only that
     stored[2] = stored[2].scaled(Fraction(98, 97))
     for check in (check_symmetric_identity, check_macdonald_eigenvalue):
@@ -586,7 +595,7 @@ def test_symmetric_identity_second_degree_explicit():
     p1 = 2 * G2[0] + 1 * G2[1]
     p2 = 2 * G2[0] ** 2 + 1 * G2[1] ** 2
     expect = Fraction(1, 2) * p1**2 - Fraction(1, 2) * p2
-    lhs = sector_sums(CFG, M).sums(CFG)[1][2]
+    lhs = sector_sums(CFG, M).det_sums[2]
     sub = Space(2, 3, M)
     assert lhs == ChainOperator.identity(sub).scaled(expect)
 
