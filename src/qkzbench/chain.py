@@ -20,13 +20,7 @@ from fractions import Fraction
 
 from .errors import BadColor, BadSite, GenericPositionViolation
 from .report import from_residual
-from .rmatrix import (
-    r_rational,
-    r_rational_tilde,
-    r_trig,
-    r_trig_tilde,
-    sinh_ratio_down,
-)
+from .rmatrix import r_factor, sinh_ratio_down
 from .scalars import EXACT
 from .tensor import ChainOperator, Space, site_embed, weight_of
 
@@ -90,6 +84,11 @@ class ModelConfig:
     @property
     def is_rational(self):
         return self.flavor == RATIONAL
+
+    @property
+    def coupling(self):
+        """The R-matrix coupling: eta, or t = e^eta in the trigonometric flavor."""
+        return self.eta if self.is_rational else self.t
 
     def validate(self):
         """Generic-position and non-degeneracy requirements, checked eagerly."""
@@ -207,13 +206,11 @@ def _r_factor(cfg, space, i, j, pos, plus, tilde):
         arg = pos[i - 1] - pos[j - 1]
         if plus:
             arg = arg + cfg.eta * cfg.hbar
-        build = r_rational_tilde if tilde else r_rational
-        return build(space, i, j, arg, cfg.eta, cfg.domain)
-    arg = pos[i - 1] / pos[j - 1]
-    if plus:
-        arg = arg * cfg.h
-    build = r_trig_tilde if tilde else r_trig
-    return build(space, i, j, arg, cfg.t, cfg.domain)
+    else:
+        arg = pos[i - 1] / pos[j - 1]
+        if plus:
+            arg = arg * cfg.h
+    return r_factor(cfg.flavor, space, i, j, arg, cfg.coupling, cfg.domain, tilde)
 
 
 def _chain_factors(cfg, i, shifted_sites, tilde):

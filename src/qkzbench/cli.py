@@ -145,17 +145,10 @@ def parse_sector(text, N, n):
 
 # ------------------------------------------------------------ check registry
 
-def _draw_rational(rng, nonzero=False):
-    while True:
-        v = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
-        if not nonzero or v != 0:
-            return v
-
-
 def _draw_spectral(cfg, rng):
     """A generic spectral sample away from the flavor's poles."""
     while True:
-        v = _draw_rational(rng)
+        v = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
         if cfg.is_rational:
             if v + cfg.eta != 0:
                 return cfg.domain.coerce(v)
@@ -188,15 +181,12 @@ def _check_ybe(cfg, sectors, rc, rng):
             ok = r * r != 1 and r * r * cfg.t * cfg.t != 1
         if not ok:
             continue
-        coupling = cfg.eta if cfg.is_rational else cfg.t
-        out.append(
-            rmatrix.check_yang_baxter(cfg.flavor, p1, p2, coupling, cfg.N, cfg.domain)
-        )
+        out.append(rmatrix.check_yang_baxter(
+            cfg.flavor, p1, p2, cfg.coupling, cfg.N, cfg.domain))
     yield _merge("ybe", out)
 
 
 def _check_unitarity(cfg, sectors, rc, rng):
-    coupling = cfg.eta if cfg.is_rational else cfg.t
     out = []
     while len(out) < 3:
         p = _draw_spectral(cfg, rng)
@@ -206,16 +196,15 @@ def _check_unitarity(cfg, sectors, rc, rng):
             inv = 1 / p
             if inv * inv * cfg.t * cfg.t == 1:
                 continue
-        out.append(rmatrix.check_unitarity(cfg.flavor, p, coupling, cfg.N, cfg.domain))
+        out.append(rmatrix.check_unitarity(
+            cfg.flavor, p, cfg.coupling, cfg.N, cfg.domain))
     yield _merge("unitarity", out)
 
 
 def _check_twist(cfg, sectors, rc, rng):
-    coupling = cfg.eta if cfg.is_rational else cfg.t
     p = _draw_spectral(cfg, rng)
     yield rmatrix.check_twist_commutation(
-        cfg.flavor, p, coupling, cfg.g, cfg.N, cfg.domain
-    )
+        cfg.flavor, p, cfg.coupling, cfg.g, cfg.N, cfg.domain)
 
 
 def _check_transfer_commute(cfg, sectors, rc, rng):

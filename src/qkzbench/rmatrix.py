@@ -6,9 +6,15 @@ unnormalized variant is Rt_ij(x) = I + (eta/x) P_ij.
 The trigonometric family is parameterized multiplicatively: a matrix at
 spectral difference x carries u = e^x and the deformation t = e^eta, so
 sinh ratios become rational functions of (u, t) and all identities can be
-checked with exact arithmetic.  Two independent encodings are provided
-(permutation/q-permutation form and the explicit entry table) so that
-transcription errors in either one are caught by comparing them.
+checked with exact arithmetic.
+
+Each of the four builders computes its entries (equal letters kept,
+distinct letters kept, distinct letters swapped) and hands them to
+tensor.swap_embed.  r_factor is the one place that picks a builder for a
+flavor; the chain products and the R-level checks both go through it.
+r_trig_entrywise builds the trigonometric matrix a second, independent way,
+from its explicit entry table, so that a transcription error in either
+encoding shows when they are compared.
 """
 from __future__ import annotations
 
@@ -18,7 +24,6 @@ from .scalars import EXACT
 from .tensor import (
     ChainOperator,
     Space,
-    permutation,
     site_embed,
     swap_embed,
     two_site_embed,
@@ -32,12 +37,8 @@ def r_rational(space, i, j, x, eta, domain=EXACT):
     den = x + eta
     if den == 0:
         raise PoleHit(f"spectral point x = -eta = {x}")
-    # entries as P_ij.scaled(eta/den) + I.scaled(x/den) sums them
-    p = eta / den * domain.one
-    if x == 0:
-        return swap_embed(space, i, j, 0, p, (p, p), "PD", domain)
-    d = x / den * domain.one
-    return swap_embed(space, i, j, 0 + d, p + d, (p, p), "PD", domain)
+    p = eta / den
+    return swap_embed(space, i, j, x / den, domain.one, (p, p), domain)
 
 
 def r_rational_tilde(space, i, j, x, eta, domain=EXACT):
@@ -46,10 +47,8 @@ def r_rational_tilde(space, i, j, x, eta, domain=EXACT):
     eta = domain.coerce(eta)
     if x == 0:
         raise PoleHit("spectral point x = 0")
-    # entries as I + P_ij.scaled(eta/x) sums them
-    one = domain.one
-    p = eta / x * one
-    return swap_embed(space, i, j, one, one + p, (0 + p, 0 + p), "DP", domain)
+    one, p = domain.one, eta / x
+    return swap_embed(space, i, j, one, one + p, (p, p), domain)
 
 
 def sinh_ratio_up(u, t, domain=EXACT):
@@ -77,13 +76,9 @@ def r_trig(space, i, j, u, t, domain=EXACT):
     if u == 0:
         raise NonInvertibleQ("u = e^x must be nonzero")
     s = sinh_ratio_up(u, t, domain)
-    if s == 0:
-        return permutation(space, i, j, domain)
-    # entries as P_ij + (I - Pq_ij).scaled(s) sums them
-    one = domain.one
-    q = domain.coerce(t)
-    swap = tuple(one + s * (0 + -one * w) for w in (q, domain.inverse(q)))
-    return swap_embed(space, i, j, 0 + s * one, one, swap, "PD", domain)
+    one, q = domain.one, domain.coerce(t)
+    swap = (one - s * q, one - s * domain.inverse(q))
+    return swap_embed(space, i, j, s, one, swap, domain)
 
 
 def r_trig_entrywise(space, i, j, u, t, domain=EXACT):
@@ -119,20 +114,23 @@ def r_trig_tilde(space, i, j, u, t, domain=EXACT):
     """I - Pq_ij + [sinh(x+eta)/sinh x] P_ij; proportional to r_trig."""
     if u == 0:
         raise NonInvertibleQ("u = e^x must be nonzero")
-    # entries as (I - Pq_ij) + P_ij.scaled(c) sums them
-    one = domain.one
-    p = sinh_ratio_down(u, t, domain) * one
+    c = sinh_ratio_down(u, t, domain)
     q = domain.coerce(t)
-    swap = tuple((0 + -one * w) + p for w in (q, domain.inverse(q)))
-    return swap_embed(space, i, j, one, 0 + p, swap, "DQP", domain)
+    return swap_embed(space, i, j, domain.one, c, (c - q, c - domain.inverse(q)),
+                      domain)
 
 
-def _pair_r(flavor, space, i, j, point, coupling, domain):
+def r_factor(flavor, space, i, j, point, coupling, domain=EXACT, tilde=False):
+    """R_ij of the given flavor, or its tilde variant, at the spectral point
+    x (u = e^x) with coupling eta (t = e^eta).  Each builder is looked up
+    when called, so a replaced module attribute is the one that runs."""
     if flavor == "rational":
-        return r_rational(space, i, j, point, coupling, domain)
-    if flavor == "trigonometric":
-        return r_trig(space, i, j, point, coupling, domain)
-    raise ValueError(f"unknown flavor {flavor!r}")
+        build = r_rational_tilde if tilde else r_rational
+    elif flavor == "trigonometric":
+        build = r_trig_tilde if tilde else r_trig
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return build(space, i, j, point, coupling, domain)
 
 
 def check_yang_baxter(flavor, point1, point2, coupling, N, domain=EXACT):
@@ -147,9 +145,9 @@ def check_yang_baxter(flavor, point1, point2, coupling, N, domain=EXACT):
         p12 = domain.coerce(point1) - domain.coerce(point2)
     else:
         p12 = domain.coerce(point1) / domain.coerce(point2)
-    r12 = _pair_r(flavor, space, 1, 2, p12, coupling, domain)
-    r13 = _pair_r(flavor, space, 1, 3, point1, coupling, domain)
-    r23 = _pair_r(flavor, space, 2, 3, point2, coupling, domain)
+    r12 = r_factor(flavor, space, 1, 2, p12, coupling, domain)
+    r13 = r_factor(flavor, space, 1, 3, point1, coupling, domain)
+    r23 = r_factor(flavor, space, 2, 3, point2, coupling, domain)
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
     res, wit = lhs.residual(rhs)
@@ -165,13 +163,10 @@ def check_yang_baxter(flavor, point1, point2, coupling, N, domain=EXACT):
 def check_unitarity(flavor, point, coupling, N, domain=EXACT):
     """R_12(s) R_21(-s) = I on V^(tensor 2); -s maps to 1/u multiplicatively."""
     space = Space(N, 2)
-    fwd = _pair_r(flavor, space, 1, 2, point, coupling, domain)
-    if flavor == "rational":
-        back = _pair_r(flavor, space, 2, 1, -domain.coerce(point), coupling, domain)
-    else:
-        back = _pair_r(
-            flavor, space, 2, 1, domain.inverse(domain.coerce(point)), coupling, domain
-        )
+    fwd = r_factor(flavor, space, 1, 2, point, coupling, domain)
+    p = domain.coerce(point)
+    back = r_factor(flavor, space, 2, 1, -p if flavor == "rational" else 1 / p,
+                    coupling, domain)
     res, wit = (fwd @ back).residual(ChainOperator.identity(space, domain))
     return from_residual(
         "unitarity",
@@ -185,7 +180,7 @@ def check_unitarity(flavor, point, coupling, N, domain=EXACT):
 def check_twist_commutation(flavor, point, coupling, g, N, domain=EXACT):
     """[g (x) g, R(x)] = 0 for a diagonal twist g on V^(tensor 2)."""
     space = Space(N, 2)
-    r = _pair_r(flavor, space, 1, 2, point, coupling, domain)
+    r = r_factor(flavor, space, 1, 2, point, coupling, domain)
     table = {(a, a): domain.coerce(ga) for a, ga in enumerate(g, start=1)}
     gg = site_embed(space, table, 1, domain) @ site_embed(space, table, 2, domain)
     res, wit = (gg @ r).residual(r @ gg)

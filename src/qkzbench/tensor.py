@@ -254,9 +254,6 @@ class ChainOperator:
         return ChainOperator.from_numerators(self.space, self.domain, rows,
                                              self.den * sden)
 
-    def __rmul__(self, s):
-        return self.scaled(s)
-
     def __matmul__(self, other):
         """Matrix product self . other (other is applied first)."""
         self._check_compat(other)
@@ -438,21 +435,10 @@ def _check_pair(space, i, j):
 
 
 def _one_site_columns(op, N):
-    """Column map {b: [(a, value)]} of an N x N one-site matrix.
-
-    Accepts either a dict keyed by 1-based (row, col) pairs or a nested
-    sequence op[a-1][b-1].
-    """
-    if isinstance(op, dict):
-        items = op.items()
-    else:
-        items = (
-            ((a, b), op[a - 1][b - 1])
-            for a in range(1, N + 1)
-            for b in range(1, N + 1)
-        )
+    """Column map {b: [(a, value)]} of an N x N one-site matrix given as a
+    dict keyed by 1-based (row, col) pairs."""
     cols = {}
-    for (a, b), v in items:
+    for (a, b), v in op.items():
         if not (1 <= a <= N and 1 <= b <= N):
             raise ValueError(f"matrix indices ({a}, {b}) outside 1..{N}")
         if v == 0:
@@ -462,7 +448,8 @@ def _one_site_columns(op, N):
 
 
 def site_embed(space, op, i, domain=EXACT):
-    """Act with an N x N matrix on tensor factor i (1-based), identity elsewhere."""
+    """Act with an N x N matrix {(row, col): value} on tensor factor i
+    (1-based), identity elsewhere."""
     if space.sector is not None:
         raise DimensionMismatch("site_embed builds on the full space")
     if not (1 <= i <= space.n):
@@ -482,7 +469,7 @@ def site_embed(space, op, i, domain=EXACT):
 def permutation(space, i, j, domain=EXACT):
     """Swap of the tensor factors at sites i and j."""
     one = domain.one
-    return swap_embed(space, i, j, 0, one, (one, one), "PD", domain)
+    return swap_embed(space, i, j, 0, one, (one, one), domain)
 
 
 def q_permutation(space, i, j, q, domain=EXACT):
@@ -495,8 +482,7 @@ def q_permutation(space, i, j, q, domain=EXACT):
     if q == 0:
         raise NonInvertibleQ("q must be invertible")
     q = domain.coerce(q)
-    return swap_embed(space, i, j, 0, domain.one, (q, domain.inverse(q)), "PD",
-                      domain)
+    return swap_embed(space, i, j, 0, domain.one, (q, domain.inverse(q)), domain)
 
 
 def two_site_embed(space, i, j, table, domain=EXACT):
@@ -527,45 +513,29 @@ def two_site_embed(space, i, j, table, domain=EXACT):
     return ChainOperator.from_entries(space, entries(), domain)
 
 
-def swap_embed(space, i, j, diagonal, fixed, swap, order, domain=EXACT):
-    """Operator that keeps or exchanges the letters (a, b) at sites (i, j),
-    built in one pass over the basis.
+def swap_embed(space, i, j, diagonal, fixed, swap, domain=EXACT):
+    """Operator on the full space that keeps or exchanges the letters (a, b)
+    at sites (i, j), built in one pass over the basis.
 
     A state keeps its letters with the weight `fixed` if a = b and
     `diagonal` otherwise; it is sent to (b, a) with the weight swap[0] if
-    a < b and swap[1] if a > b.  Zeros are not stored.  `order` gives the
-    order of the stored rows and entries, which the float sums of later
-    products, traces and covectors follow.  It is the order that the sum of
-    full-space operators named by it leaves:
-
-    "PD"  permutation + diagonal: rows in the order of the swapped basis
-          states, the swap entry first;
-    "DP"  diagonal + permutation: rows in basis order, the diagonal first;
-    "DQP" diagonal - q-permutation + permutation: as "DP", but the rows of
-          equal letters (where the first two terms cancel) come last.
+    a < b and swap[1] if a > b.  Each basis state gives one row, in basis
+    order: the weight that keeps its letters first, then the one that takes
+    them from the swapped state.  Zeros, and rows left empty, are not stored.
     """
     _check_pair(space, i, j)
+    if space.sector is not None:
+        raise DimensionMismatch("swap_embed builds on the full space")
     (diagonal, fixed, up, down), den = domain.split([diagonal, fixed, *swap])
     step = space.N ** (space.n - i) - space.N ** (space.n - j)
-    rows, late = {}, {}
+    rows = {}
     for k, J in enumerate(space.states):
         a, b = J[i - 1], J[j - 1]
         if a == b:
-            if fixed != 0:
-                (late if order == "DQP" else rows)[k] = {k: fixed}
-            continue
-        if space.sector is None:
-            s = k + (b - a) * step
+            row = ((k, fixed),)
         else:
-            JJ = list(J)
-            JJ[i - 1], JJ[j - 1] = b, a
-            s = space.index_of(tuple(JJ))
-        if order == "PD":   # row s takes state k, then keeps its own letters
-            r, row = s, ((k, up if a < b else down), (s, diagonal))
-        else:               # row k keeps its letters, then takes state s
-            r, row = k, ((k, diagonal), (s, up if b < a else down))
+            row = ((k, diagonal), (k + (b - a) * step, up if b < a else down))
         row = {c: v for c, v in row if v != 0}
         if row:
-            rows[r] = row
-    rows.update(late)
+            rows[k] = row
     return ChainOperator.from_numerators(space, domain, rows, den)

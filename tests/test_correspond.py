@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ import mpmath
 from mpmath import iv
 
 from qkzbench import correspond
+from qkzbench.cli import main
 from qkzbench.chain import ModelConfig, hamiltonian
 from qkzbench.correspond import (
     COMPLEX128,
@@ -18,6 +20,7 @@ from qkzbench.correspond import (
     diagonalize_sector,
     velocity_scale,
 )
+from qkzbench.errors import DegeneracyUnresolved
 from qkzbench.tensor import all_sectors
 from qkzbench.verify import elementary_symmetric, twist_targets
 
@@ -67,6 +70,40 @@ def test_eigenstate_counts():
 def test_diagonalize_rejects_bad_tol():
     with pytest.raises(ValueError):
         diagonalize_sector(CFG, (2, 1), tol=0)
+
+
+def _mix_eigenvectors(monkeypatch):
+    """Make the complex-double backend return sums of two eigenvectors of
+    each combination, which are no joint eigenvectors; returns the list of
+    combinations it was asked to diagonalize."""
+    draws = []
+    eigenvectors = correspond._Complex128.eigenvectors
+
+    def mixed(a):
+        draws.append(a)
+        vecs = eigenvectors(a)
+        return [v + vecs[k - 1] for k, v in enumerate(vecs)]
+
+    monkeypatch.setattr(correspond._Complex128, "eigenvectors", staticmethod(mixed))
+    return draws
+
+
+def test_diagonalize_gives_up_after_three_draws(monkeypatch):
+    draws = _mix_eigenvectors(monkeypatch)
+    with pytest.raises(DegeneracyUnresolved, match="after 3 combination draws"):
+        diagonalize_sector(CFG, (2, 1), rng=random.Random(0))
+    assert len(draws) == 3
+
+
+def test_spectrum_reports_an_unresolved_sector_as_one_error_line(monkeypatch,
+                                                                 capsys):
+    draws = _mix_eigenvectors(monkeypatch)
+    cfg = Path(__file__).parent / "data" / "rational.cfg"
+    assert main(["spectrum", "--config", str(cfg), "--sector", "2,1"]) == 2
+    out, err = capsys.readouterr()
+    assert len(draws) == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "after 3 combination draws" in err and "Traceback" not in err
 
 
 # --------------------------------------------------------------- backends

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -169,34 +170,53 @@ def test_twist_commutation(flavor):
     assert r.passed and r.residual == 0
 
 
-# --------------------------------------------- one-pass builds, stored order
+# --------------------------------------------------- one-pass builds, values
 
 def _sum_forms(space, i, j, arg, coupling, dom):
     """Each R builder written as the sum of full-space operators it stands
-    for; its stored rows and entries must come in the order this sum leaves
-    them, since float products, traces and covectors add in that order."""
+    for, built on demand (a builder's poles differ from the others')."""
     I = ChainOperator.identity(space, dom)
     P = permutation(space, i, j, dom)
     Q = q_permutation(space, i, j, coupling, dom)
     x, c = dom.coerce(arg), dom.coerce(coupling)
     return {
-        r_rational: P.scaled(c / (x + c)) + I.scaled(x / (x + c)),
-        r_rational_tilde: I + P.scaled(c / x),
-        r_trig: P + (I - Q).scaled(sinh_ratio_up(x, c, dom)),
-        r_trig_tilde: I - Q + P.scaled(sinh_ratio_down(x, c, dom)),
+        r_rational: lambda: P.scaled(c / (x + c)) + I.scaled(x / (x + c)),
+        r_rational_tilde: lambda: I + P.scaled(c / x),
+        r_trig: lambda: P + (I - Q).scaled(sinh_ratio_up(x, c, dom)),
+        r_trig_tilde: lambda: I - Q + P.scaled(sinh_ratio_down(x, c, dom)),
     }
+
+
+# x = 0 (the rational swap) and u = +-1 (the trigonometric swap) sit on a
+# pole of the tilde variants, so only the plain builders take them
+_ARGS = (Fraction(3, 7), Fraction(-5, 2), Fraction(7, 3))
+_BUILDER_ARGS = {
+    r_rational: _ARGS + (Fraction(0),),
+    r_rational_tilde: _ARGS,
+    r_trig: _ARGS + (Fraction(1), Fraction(-1)),
+    r_trig_tilde: _ARGS,
+}
 
 
 @pytest.mark.parametrize("dom", [EXACT, ComplexDomain(1e-10)], ids=["exact", "float"])
 @pytest.mark.parametrize("N,n,i,j",
                          [(2, 3, 1, 3), (2, 3, 3, 2), (3, 3, 2, 1), (3, 2, 1, 2)])
 def test_one_pass_builds_keep_the_order_of_their_sums(dom, N, n, i, j):
+    # each builder hands its entries to swap_embed directly; they are the
+    # values of the operator sum it stands for, exactly over Fraction and
+    # within 4 ulp in complex doubles
     sp = Space(N, n)
-    for arg in (Fraction(3, 7), Fraction(-5, 2), Fraction(7, 3)):
-        for build, want in _sum_forms(sp, i, j, arg, Fraction(2), dom).items():
-            got = build(sp, i, j, arg, Fraction(2), dom)
-            assert [(r, list(row)) for r, row in got.rows.items()] == [
-                (r, list(row)) for r, row in want.rows.items()], build.__name__
-            # repr shows every bit of a complex double, signed zeros included
-            assert [repr(e) for e in got.entries()] == [
-                repr(e) for e in want.entries()], build.__name__
+    for build, args in _BUILDER_ARGS.items():
+        for arg in args:
+            got = {(r, c): v for r, c, v in build(sp, i, j, arg, Fraction(2), dom)
+                   .entries()}
+            want = {(r, c): v for r, c, v in _sum_forms(
+                sp, i, j, arg, Fraction(2), dom)[build]().entries()}
+            if dom is EXACT:
+                assert got == want, (build.__name__, arg)
+                continue
+            assert set(got) == set(want), (build.__name__, arg)
+            for key, v in got.items():
+                w = want[key]
+                assert abs(v - w) <= 4 * math.ulp(max(abs(v), abs(w))), (
+                    build.__name__, arg, key, v, w)

@@ -116,7 +116,7 @@ def test_site_embed_matrix_unit():
 
 def test_site_embed_identity_and_diag():
     sp = Space(2, 2)
-    ident = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    ident = {(1, 1): Fraction(1), (1, 2): Fraction(0), (2, 2): Fraction(1)}
     assert site_embed(sp, ident, 2) == ChainOperator.identity(sp)
     g = {(1, 1): Fraction(2), (2, 2): Fraction(3)}
     op = site_embed(sp, g, 2)
@@ -139,6 +139,18 @@ def test_permutation_swap_and_involution():
     out = P.apply(vec)
     assert out[sp.index_of((2, 1))] == 1
     assert P @ P == ChainOperator.identity(sp)
+
+
+def test_swap_builds_need_the_full_space():
+    # the two-site builders act on the full space, as site_embed does; a
+    # sector block comes from restrict
+    sp = Space(2, 3, (2, 1))
+    with pytest.raises(DimensionMismatch):
+        permutation(sp, 1, 2)
+    with pytest.raises(DimensionMismatch):
+        q_permutation(sp, 1, 2, Fraction(3, 2))
+    with pytest.raises(DimensionMismatch):
+        site_embed(sp, {(1, 1): Fraction(1)}, 1)
 
 
 def test_permutation_fixes_omega():

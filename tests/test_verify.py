@@ -18,6 +18,7 @@ from qkzbench.tensor import (
     covector_residual,
     omega_q,
     permutation,
+    weight_of,
 )
 from qkzbench.scalars import ComplexDomain
 from qkzbench.verify import (
@@ -187,6 +188,25 @@ def _perturb_flavor_covector(monkeypatch):
 def _assert_fails_with_state_witness(r, cfg):
     assert not r.passed and r.residual != 0
     assert r.witness in cfg.space().states
+
+
+@pytest.mark.parametrize("cfg,covector", [(CFG, "omega"), (TCFG, "omega_q")],
+                         ids=["rational", "trig"])
+def test_omega_invariance_fails_on_a_perturbed_component(cfg, covector,
+                                                         monkeypatch):
+    # component 2 is the state (1, 2, 1); a swap or R factor that moves it
+    # reads the perturbed value, so the witness carries the same letters
+    original = getattr(verify, covector)
+
+    def perturbed(*args):
+        w = list(original(*args))
+        w[2] = w[2] + 1
+        return w
+
+    monkeypatch.setattr(verify, covector, perturbed)
+    r = check_omega_invariance(cfg)
+    _assert_fails_with_state_witness(r, cfg)
+    assert weight_of(r.witness, cfg.N) == (2, 1)
 
 
 @pytest.mark.parametrize("cfg", [CFG, TCFG], ids=["rational", "trig"])
@@ -491,6 +511,31 @@ def test_symmetric_identity_fails_on_a_scaled_cauchy_weight(S, monkeypatch):
     assert check_det_identity(CFG, M).residual == 0
 
 
+def test_symmetric_identity_fails_on_a_wrong_twist_multiset(monkeypatch):
+    # the multiset g_a x M_a feeds only the multiset-form comparison
+    monkeypatch.setattr(verify, "twist_targets",
+                        lambda cfg, sector: [Fraction(2), Fraction(2), Fraction(4)])
+    for d in (1, 2, 3):
+        r = check_symmetric_identity(CFG, (2, 1), d)
+        assert not r.passed and r.residual != 0
+        assert r.witness == ("multiset form", d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_symmetric_identity_fails_on_a_wrong_newton_value(d, monkeypatch):
+    # shift the Newton value of e_d and the multiset e_d alike: the explicit
+    # power-sum expansion is the first comparison that disagrees, and the
+    # operator comparison after it deviates by the same 1
+    newton, multiset = elementary_from_power_sums, elementary_symmetric
+    monkeypatch.setattr(verify, "elementary_from_power_sums",
+                        lambda ps, k: newton(ps, k) + 1)
+    monkeypatch.setattr(verify, "elementary_symmetric",
+                        lambda values, k: multiset(values, k) + 1)
+    r = check_symmetric_identity(CFG, (2, 1), d)
+    assert not r.passed and r.residual == 1
+    assert r.witness == ("power-sum expansion", d)
+
+
 # -------------------------------------------------------- sector subset sums
 
 def test_sector_sums_are_built_once(monkeypatch):
@@ -644,6 +689,29 @@ def test_macdonald_eigenvalue_trig_single_occupancy():
         )
         assert value == expect
         assert check_macdonald_eigenvalue(cfg, M, 1).passed
+
+
+def test_macdonald_eigenvalue_fails_on_a_wrong_twist_multiset(monkeypatch):
+    # E_1 from the multiset feeds the weighted twist sum and the sector trace
+    monkeypatch.setattr(verify, "twist_targets",
+                        lambda cfg, sector: [Fraction(2), Fraction(2), Fraction(4)])
+    r = check_macdonald_eigenvalue(CFG, (2, 1), 1)
+    assert not r.passed and r.residual != 0
+
+
+def test_macdonald_eigenvalue_trig_fails_on_a_wrong_string(monkeypatch):
+    # the strings feed only the string-sum comparison; E and the trace of
+    # H_1 + ... + H_n come from the sinh sum and still agree
+    strings = twist_targets
+
+    def moved(cfg, sector):
+        out = strings(cfg, sector)
+        return out[:-1] + [out[-1] + 1]
+
+    monkeypatch.setattr(verify, "twist_targets", moved)
+    r = check_macdonald_eigenvalue(TCFG, (2, 1), 1)
+    assert not r.passed and r.residual == 1
+    assert r.witness == "string sum"
 
 
 def test_macdonald_eigenvalue_trig_rejects_higher_degree():
