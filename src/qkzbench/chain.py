@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadColor, BadSite, GenericPositionViolation
-from .report import from_residual
+from .report import from_residual, largest_residual
 from .rmatrix import r_factor, sinh_ratio_down
 from .scalars import EXACT
 from .tensor import ChainOperator, Space, site_embed, weight_of
@@ -274,10 +274,20 @@ def qkz_covector_numerators(cfg, cov, i, shifted_sites=(), left_block=False):
     return cov
 
 
-# cfg -> {i: H_i}.  A config is frozen and hashable and its domain compares
-# by identity, so equal configs share operators only within one domain; an
-# entry lives as long as the config object that first built it.
-_HAMILTONIANS = weakref.WeakKeyDictionary()
+# cfg -> {key: build}: every per-config build (H_i, T(x), the sector sums
+# and the principal minors) is made once and shared.  A config is frozen and
+# hashable and its domain compares by identity, so equal configs share
+# builds only within one domain; a build lives as long as the config object
+# that first made it.
+_BUILT = weakref.WeakKeyDictionary()
+
+
+def memo(cfg, key, build):
+    """build() for this config and key, called on the first request only."""
+    built = _BUILT.setdefault(cfg, {})
+    if key not in built:
+        built[key] = build()
+    return built[key]
 
 
 def hamiltonian(cfg, i):
@@ -287,11 +297,7 @@ def hamiltonian(cfg, i):
     (sinh ratios in the trigonometric case).  Built once per config and
     site; the returned operator is shared, like every ChainOperator immutable.
     """
-    built = _HAMILTONIANS.setdefault(cfg, {})
-    H = built.get(i)
-    if H is None:
-        H = built[i] = _chain_product(cfg, i, frozenset(), tilde=True)
-    return H
+    return memo(cfg, ("H", i), lambda: _chain_product(cfg, i, frozenset(), tilde=True))
 
 
 def hamiltonian_prefactor(cfg, i):
@@ -321,10 +327,6 @@ def weight_operator(cfg, a):
 
 # ------------------------------------------------------------ transfer matrix
 
-# cfg -> {x0: T(x0)}, kept like the Hamiltonians
-_TRANSFER = weakref.WeakKeyDictionary()
-
-
 def transfer_matrix(cfg, x0):
     """T(x0) = tr_0 g_0 R~_{0n}(x0 - x_n) ... R~_{01}(x0 - x_1).
 
@@ -335,15 +337,12 @@ def transfer_matrix(cfg, x0):
     pole of R~.  Built once per config and point.
     """
     x0 = cfg.domain.coerce(x0)
-    built = _TRANSFER.setdefault(cfg, {})
-    if x0 not in built:
-        if cfg.is_rational:
-            ext = dataclasses.replace(cfg, n=cfg.n + 1, x=(x0,) + cfg.x)
-        else:
-            ext = dataclasses.replace(cfg, n=cfg.n + 1, u=(x0,) + cfg.u)
-        mono = _chain_product(ext, 1, (), tilde=True)
-        built[x0] = mono.trace_first_site()
-    return built[x0]
+    if cfg.is_rational:
+        ext = dataclasses.replace(cfg, n=cfg.n + 1, x=(x0,) + cfg.x)
+    else:
+        ext = dataclasses.replace(cfg, n=cfg.n + 1, u=(x0,) + cfg.u)
+    return memo(cfg, ("T", x0),
+                lambda: _chain_product(ext, 1, (), tilde=True).trace_first_site())
 
 
 def _fresh_points(cfg, count):
@@ -378,17 +377,7 @@ def twist_weight_exponential(cfg, sign):
     return ChainOperator.diagonal(space, values, dom)
 
 
-def _worst_residual(dom, pairs):
-    """Largest residual over (lhs, rhs) operator pairs and its witness."""
-    worst, witness = dom.residual(dom.zero, dom.zero), None
-    for lhs, rhs in pairs:
-        res, wit = lhs.residual(rhs)
-        if res > worst:
-            worst, witness = res, wit
-    return worst, witness
-
-
-def _expansion_pairs(cfg, pts):
+def _expansion_residuals(cfg, pts):
     """T(x) against its pole expansion at each sample, then (trigonometric
     flavor) the two boundary values."""
     dom = cfg.domain
@@ -400,7 +389,7 @@ def _expansion_pairs(cfg, pts):
             rhs = const
             for j, H in enumerate(hams):
                 rhs = rhs + H.scaled(cfg.eta / (s - cfg.x[j]))
-            yield transfer_matrix(cfg, s), rhs
+            yield transfer_matrix(cfg, s).residual(rhs)
         return
 
     sh = (cfg.t - dom.inverse(cfg.t)) / 2
@@ -414,13 +403,13 @@ def _expansion_pairs(cfg, pts):
 
     const = transfer_matrix(cfg, pts[0]) - coth_sum(pts[0])
     for s in pts[1:]:
-        yield transfer_matrix(cfg, s), const + coth_sum(s)
+        yield transfer_matrix(cfg, s).residual(const + coth_sum(s))
     total = ChainOperator.zero(space, dom)
     for H in hams:
         total = total + H
     for sign in (1, -1):
-        yield (const + total.scaled(sh if sign > 0 else -sh),
-               twist_weight_exponential(cfg, sign))
+        yield (const + total.scaled(sh if sign > 0 else -sh)).residual(
+            twist_weight_exponential(cfg, sign))
 
 
 def pole_expansion(cfg):
@@ -437,7 +426,7 @@ def pole_expansion(cfg):
     """
     dom = cfg.domain
     pts = _fresh_points(cfg, cfg.n + 1)
-    worst, witness = _worst_residual(dom, _expansion_pairs(cfg, pts))
+    worst, witness = largest_residual(dom, _expansion_residuals(cfg, pts))
     return from_residual("pole-expansion", worst, dom.threshold, witness=witness)
 
 
@@ -473,7 +462,7 @@ def sum_rule(cfg):
     else:
         values = [twist_sinh_sum(cfg, weight_of(J, cfg.N)) for J in space.states]
         rhs = ChainOperator.diagonal(space, values, dom)
-    res, wit = lhs.residual(rhs)
+    res, wit = largest_residual(dom, [lhs.residual(rhs)])
     return from_residual("sum-rule", res, dom.threshold, witness=wit,
                          params={"flavor": cfg.flavor})
 
@@ -488,7 +477,7 @@ def qkz_compatibility(cfg, i, j):
         raise BadSite("compatibility needs two distinct sites")
     lhs = qkz_operator(cfg, j, {i}) @ qkz_operator(cfg, i)
     rhs = qkz_operator(cfg, i, {j}) @ qkz_operator(cfg, j)
-    res, wit = lhs.residual(rhs)
+    res, wit = largest_residual(cfg.domain, [lhs.residual(rhs)])
     return from_residual(
         "qkz-compat", res, cfg.domain.threshold, witness=wit, params={"i": i, "j": j}
     )
@@ -504,9 +493,9 @@ def check_transfer_commute(cfg, pairs=None):
     def commutators():
         for p, q in pairs:
             tp, tq = transfer_matrix(cfg, p), transfer_matrix(cfg, q)
-            yield tp @ tq, tq @ tp
+            yield (tp @ tq).residual(tq @ tp)
 
-    worst, witness = _worst_residual(dom, commutators())
+    worst, witness = largest_residual(dom, commutators())
     return from_residual(
         "transfer-commute",
         worst,

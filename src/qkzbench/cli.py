@@ -3,7 +3,7 @@
 Config files are flat ``key = value`` text with ``[a, b, c]`` lists and no
 nesting; rationals are written ``p/q``.  Keys: model, N, n, eta, hbar, x
 (rational flavor) or u, t, h (trigonometric flavor), g, seed, tol, mode;
-tol must be finite and positive.
+tol must be finite and positive.  A key of the other flavor is an error.
 
 Exit codes: 0 every check passed, 1 at least one failed, 2 the command could
 not run: a config error, or a workbench error outside any single check (such
@@ -60,6 +60,9 @@ class RunReport:
 
 # ------------------------------------------------------------------- parsing
 
+# the parameters of each flavor, in the order its ModelConfig builder takes
+_FLAVOR_KEYS = {chain.RATIONAL: ("eta", "hbar", "x"),
+                chain.TRIGONOMETRIC: ("t", "h", "u")}
 _SCALAR_KEYS = {"eta", "hbar", "t", "h"}
 _LIST_KEYS = {"x", "u", "g"}
 _INT_KEYS = {"N", "n", "seed"}
@@ -83,7 +86,7 @@ def _parse_value(key, text, line):
             if not inner:
                 return []
             return [Fraction(part.strip()) for part in inner.split(",")]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad value for {key!r}: {exc}", line=line) from None
     raise ParseError(f"unknown key {key!r}", line=line)
 
@@ -110,18 +113,21 @@ def load_config(path):
         return raw[key]
 
     model = need("model")
-    if model not in (chain.RATIONAL, chain.TRIGONOMETRIC):
+    if model not in _FLAVOR_KEYS:
         raise ParseError(f"model must be rational or trigonometric, got {model!r}")
+    for flavor, keys in _FLAVOR_KEYS.items():
+        for key in keys:
+            if flavor != model and key in raw:
+                raise ParseError(f"key {key!r} belongs to the {flavor} flavor, "
+                                 f"not to a {model} config")
     N, n = need("N"), need("n")
     g = need("g")
     tol = require_tolerance(raw.get("tol", 1e-10))
     mode = raw.get("mode", "exact")
     if mode not in ("exact", "float"):
         raise ParseError(f"mode must be exact or float, got {mode!r}")
-    if model == chain.RATIONAL:
-        cfg = ModelConfig.rational(N, n, need("eta"), need("hbar"), need("x"), g)
-    else:
-        cfg = ModelConfig.trigonometric(N, n, need("t"), need("h"), need("u"), g)
+    build = ModelConfig.rational if model == chain.RATIONAL else ModelConfig.trigonometric
+    cfg = build(N, n, *map(need, _FLAVOR_KEYS[model]), g)
     return RunConfig(
         model=cfg,
         checks=["all"],

@@ -26,6 +26,18 @@ class CheckResult:
         return self.status == "pass"
 
 
+def largest_residual(domain, comparisons):
+    """The largest residual of a check's (residual, witness) comparisons,
+    taken in order, and the witness of its first occurrence; the zero
+    residual and no witness when none exceeds it.  Every check of verify
+    and chain folds its comparisons here."""
+    worst, witness = domain.residual(domain.zero, domain.zero), None
+    for res, wit in comparisons:
+        if res > worst:
+            worst, witness = res, wit
+    return worst, witness
+
+
 def from_residual(name, residual, threshold, witness=None, params=None, sector=None):
     """Build a CheckResult from a computed residual against a threshold."""
     ok = residual <= threshold

@@ -58,18 +58,10 @@ def enumerate_sector(N, n, weights):
 
 
 def all_sectors(N, n):
-    """Every weight vector (M_1, ..., M_N) with sum n, lexicographic order."""
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == N - 1:
-            out.append(tuple(prefix) + (left,))
-            return
-        for m in range(left + 1):
-            rec(prefix + [m], left - m)
-
-    rec([], n)
-    return out
+    """Every weight vector (M_1, ..., M_N) with sum n, lexicographic order:
+    the weights of the sorted states, one per sector."""
+    return sorted(weight_of(J, N) for J in
+                  itertools.combinations_with_replacement(range(1, N + 1), n))
 
 
 def inversion_length(state):

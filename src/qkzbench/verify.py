@@ -20,13 +20,12 @@ so the symmetric-function check compares them as scalars, subset by subset.
 from __future__ import annotations
 
 import itertools
-import weakref
 from fractions import Fraction
 
-from .chain import (hamiltonian, qkz_covector, qkz_covector_numerators,
+from .chain import (hamiltonian, memo, qkz_covector, qkz_covector_numerators,
                     twist_sinh_sum)
 from .errors import FlavorMismatch, PoleHit
-from .report import from_residual
+from .report import from_residual, largest_residual
 from .rmatrix import r_rational, r_trig
 from .tensor import (
     ChainOperator,
@@ -57,40 +56,36 @@ def check_omega_invariance(cfg):
     """
     space = cfg.space()
     dom = cfg.domain
-    worst = dom.residual(dom.zero, dom.zero)
-    witness = None
 
-    def track(res, wit):
-        nonlocal worst, witness
-        if res > worst:
-            worst, witness = res, wit
-
-    if cfg.is_rational:
-        args = [dom.coerce(a) for a in _RATIONAL_ARGS]
-        w = omega(space, dom)
-        for i in range(1, cfg.n + 1):
-            for j in range(1, cfg.n + 1):
-                if i == j:
-                    continue
-                track(*covector_residual(
-                    permutation(space, i, j, dom).apply_left(w), w, space, dom))
-                for x in args:
-                    if x + cfg.eta == 0:
+    def comparisons():
+        if cfg.is_rational:
+            args = [dom.coerce(a) for a in _RATIONAL_ARGS]
+            w = omega(space, dom)
+            for i in range(1, cfg.n + 1):
+                for j in range(1, cfg.n + 1):
+                    if i == j:
                         continue
-                    R = r_rational(space, i, j, x, cfg.eta, dom)
-                    track(*covector_residual(R.apply_left(w), w, space, dom))
-    else:
-        args = [dom.coerce(a) for a in _TRIG_ARGS]
-        wq = omega_q(space, cfg.t, dom)
-        for i in range(2, cfg.n + 1):
-            pq = q_permutation(space, i, i - 1, cfg.t, dom)
-            track(*covector_residual(pq.apply_left(wq), wq, space, dom))
-            target = permutation(space, i, i - 1, dom).apply_left(wq)
-            for u in args:
-                if u * u * cfg.t * cfg.t == 1:
-                    continue
-                R = r_trig(space, i, i - 1, u, cfg.t, dom)
-                track(*covector_residual(R.apply_left(wq), target, space, dom))
+                    yield covector_residual(
+                        permutation(space, i, j, dom).apply_left(w), w, space, dom)
+                    for x in args:
+                        if x + cfg.eta == 0:
+                            continue
+                        R = r_rational(space, i, j, x, cfg.eta, dom)
+                        yield covector_residual(R.apply_left(w), w, space, dom)
+        else:
+            args = [dom.coerce(a) for a in _TRIG_ARGS]
+            wq = omega_q(space, cfg.t, dom)
+            for i in range(2, cfg.n + 1):
+                pq = q_permutation(space, i, i - 1, cfg.t, dom)
+                yield covector_residual(pq.apply_left(wq), wq, space, dom)
+                target = permutation(space, i, i - 1, dom).apply_left(wq)
+                for u in args:
+                    if u * u * cfg.t * cfg.t == 1:
+                        continue
+                    R = r_trig(space, i, i - 1, u, cfg.t, dom)
+                    yield covector_residual(R.apply_left(wq), target, space, dom)
+
+    worst, witness = largest_residual(dom, comparisons())
     return from_residual("omega", worst, dom.threshold, witness=witness,
                          params={"flavor": cfg.flavor})
 
@@ -108,15 +103,14 @@ def check_k_projection(cfg, i):
     w = _flavor_covector(cfg, space)
     lhs = qkz_covector(cfg, w, i)
     rhs = qkz_covector(cfg.at_hbar_zero(), w, i)
-    worst, witness = covector_residual(lhs, rhs, space, dom)
+    comparisons = [covector_residual(lhs, rhs, space, dom)]
     if i >= 2:
         left = qkz_covector(cfg, w, i, left_block=True)
         pprod = w
         for j in range(i - 1, 0, -1):
             pprod = permutation(space, i, j, dom).apply_left(pprod)
-        res, wit = covector_residual(left, pprod, space, dom)
-        if res > worst:
-            worst, witness = res, wit
+        comparisons.append(covector_residual(left, pprod, space, dom))
+    worst, witness = largest_residual(dom, comparisons)
     return from_residual("k-projection", worst, dom.threshold, witness=witness,
                          params={"i": i})
 
@@ -162,8 +156,9 @@ def check_proposition_higher(cfg, sites, right_sides=None):
     rhs = _right_side(cfg.at_hbar_zero(), w0, sites,
                       {} if right_sides is None else right_sides)
     join = dom.join
-    res, wit = covector_residual([join(v, lhs[1]) for v in lhs[0]],
-                                 [join(v, rhs[1]) for v in rhs[0]], space, dom)
+    res, wit = largest_residual(dom, [covector_residual(
+        [join(v, lhs[1]) for v in lhs[0]], [join(v, rhs[1]) for v in rhs[0]],
+        space, dom)])
     return from_residual("proposition-higher", res, dom.threshold, witness=wit,
                          params={"sites": sites})
 
@@ -194,7 +189,7 @@ class SectorSums:
         self.ops = [H.restrict(sector) for H in ops]
         self.identity = ChainOperator.identity(self.space, dom)
         self.det_sums = []
-        self.commutator = (dom.residual(dom.zero, dom.zero), None)
+        self.commutator = largest_residual(dom, ())  # no pairs below n = 2
         minors = principal_minors(cfg)
         level = {(): self.identity}
         for k in range(cfg.n + 1):
@@ -202,19 +197,15 @@ class SectorSums:
                 level = {S: level[S[:-1]] @ self.ops[S[-1]] if k > 1
                          else self.ops[S[0]]
                          for S in itertools.combinations(range(cfg.n), k)}
+            if k == 2:
+                self.commutator = largest_residual(
+                    dom, (P.residual(self.ops[b] @ self.ops[a])
+                          for (a, b), P in level.items()))
             sign = dom.coerce((-1) ** k)
             det_sum = ChainOperator.zero(self.space, dom)
             for S, P in level.items():
-                if k == 2:
-                    res, wit = P.residual(self.ops[S[1]] @ self.ops[S[0]])
-                    if res > self.commutator[0]:
-                        self.commutator = (res, wit)
                 det_sum = det_sum + P.scaled(sign * minors[S])
             self.det_sums.append(det_sum)
-
-
-# cfg -> {sector: SectorSums} of the config's own Hamiltonians
-_SECTOR_SUMS = weakref.WeakKeyDictionary()
 
 
 def sector_sums(cfg, sector, hamiltonians=None):
@@ -223,12 +214,9 @@ def sector_sums(cfg, sector, hamiltonians=None):
     never stored."""
     if hamiltonians is not None:
         return SectorSums(cfg, sector, hamiltonians)
-    tables = _SECTOR_SUMS.setdefault(cfg, {})
     key = tuple(sector)
-    if key not in tables:
-        ops = [hamiltonian(cfg, i) for i in range(1, cfg.n + 1)]
-        tables[key] = SectorSums(cfg, key, ops)
-    return tables[key]
+    return memo(cfg, ("sector sums", key), lambda: SectorSums(
+        cfg, key, [hamiltonian(cfg, i) for i in range(1, cfg.n + 1)]))
 
 
 def elementary_symmetric(values, d):
@@ -305,22 +293,19 @@ def lax_denominator(cfg, i, j):
     return den
 
 
-# cfg -> {S: det(C_SS)}
-_MINORS = weakref.WeakKeyDictionary()
-
-
 def principal_minors(cfg):
     """det(C_SS) for every sorted subset S of the 0-based sites, with
     C_ij = eta / (x_j - x_i + eta) from the scale and denominators of the Lax
     matrix.  Each minor is an elimination of its submatrix, once per config;
     symmetric-identity compares them with their Cauchy closed form."""
-    if cfg not in _MINORS:
+    def build():
         C = [[velocity_scale(cfg) / lax_denominator(cfg, j + 1, i + 1)
               for j in range(cfg.n)] for i in range(cfg.n)]
-        _MINORS[cfg] = {S: _eliminate([[C[i][j] for j in S] for i in S], len(S))
-                        for k in range(cfg.n + 1)
-                        for S in itertools.combinations(range(cfg.n), k)}
-    return _MINORS[cfg]
+        return {S: _eliminate([[C[i][j] for j in S] for i in S], len(S))
+                for k in range(cfg.n + 1)
+                for S in itertools.combinations(range(cfg.n), k)}
+
+    return memo(cfg, "principal minors", build)
 
 
 def check_det_identity(cfg, sector, hamiltonians=None):
@@ -338,13 +323,12 @@ def check_det_identity(cfg, sector, hamiltonians=None):
     _require_rational(cfg, "the determinant identity")
     dom = cfg.domain
     table = sector_sums(cfg, sector, hamiltonians)
-    worst, witness = table.commutator
+    comparisons = [table.commutator]
     multiset = twist_targets(cfg, sector)
     for k, coeff in enumerate(table.det_sums):
         expect = dom.coerce((-1) ** k) * elementary_symmetric(multiset, k)
-        res, wit = coeff.residual(table.identity.scaled(expect))
-        if res > worst:
-            worst, witness = res, wit
+        comparisons.append(coeff.residual(table.identity.scaled(expect)))
+    worst, witness = largest_residual(dom, comparisons)
     return from_residual("det-identity", worst, dom.threshold, witness=witness,
                          sector=sector)
 
@@ -367,42 +351,37 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
         raise ValueError(f"need 1 <= d <= n, got d={d}")
     dom = cfg.domain
     table = sector_sums(cfg, sector, hamiltonians)
-    worst, witness = table.commutator
+    comparisons = [table.commutator]
     minors = principal_minors(cfg)
     for S in itertools.combinations(range(cfg.n), d):
         weight = dom.one
         for a, b in itertools.combinations(S, 2):
             diff = cfg.x[a] - cfg.x[b]
             weight = weight / (dom.one - cfg.eta * cfg.eta / (diff * diff))
-        res = dom.residual(weight, minors[S])
-        if res > worst:
-            worst, witness = res, ("Cauchy weight", S)
+        comparisons.append((dom.residual(weight, minors[S]), ("Cauchy weight", S)))
     ps = [
         sum((m * g ** k for m, g in zip(sector, cfg.g)), dom.zero)
         for k in range(1, d + 1)
     ]
     value = elementary_from_power_sums(ps, d)
 
-    res = dom.residual(value, elementary_symmetric(twist_targets(cfg, sector), d))
-    if res > worst:
-        worst, witness = res, ("multiset form", d)
+    comparisons.append((
+        dom.residual(value, elementary_symmetric(twist_targets(cfg, sector), d)),
+        ("multiset form", d)))
     if d == 1:
         explicit = ps[0]
     elif d == 2:
         explicit = (ps[0] * ps[0] - ps[1]) / 2
     elif d == 3:
         explicit = ps[0] ** 3 / 6 - ps[1] * ps[0] / 2 + ps[2] / 3
-    else:
-        explicit = None
-    if explicit is not None:
-        res = dom.residual(value, explicit)
-        if res > worst:
-            worst, witness = res, ("power-sum expansion", d)
+    if d <= 3:
+        comparisons.append((dom.residual(value, explicit),
+                            ("power-sum expansion", d)))
 
     sign = dom.coerce((-1) ** d)
-    res, wit = table.det_sums[d].residual(table.identity.scaled(sign * value))
-    if res > worst:
-        worst, witness = res, wit
+    comparisons.append(
+        table.det_sums[d].residual(table.identity.scaled(sign * value)))
+    worst, witness = largest_residual(dom, comparisons)
     return from_residual("symmetric-identity", worst, dom.threshold,
                          witness=witness, sector=sector, params={"d": d})
 
@@ -418,17 +397,14 @@ def check_macdonald_eigenvalue(cfg, sector, d):
     sum_a sum_alpha g_a t^{2 alpha - M_a + 1}, against H_1 + ... + H_n.
     """
     dom = cfg.domain
-    worst = dom.residual(dom.zero, dom.zero)
-    witness = None
+    comparisons = []
     if cfg.is_rational:
         if not (1 <= d <= cfg.n):
             raise ValueError(f"need 1 <= d <= n, got d={d}")
         energy = elementary_symmetric(twist_targets(cfg, sector), d)
         if d == 1:
             direct = sum((m * g for m, g in zip(sector, cfg.g)), dom.zero)
-            res = dom.residual(energy, direct)
-            if res > worst:
-                worst, witness = res, "weighted twist sum"
+            comparisons.append((dom.residual(energy, direct), "weighted twist sum"))
         sign = dom.coerce((-1) ** d)
         lhs = sector_sums(cfg, sector).det_sums[d]
     else:
@@ -438,15 +414,13 @@ def check_macdonald_eigenvalue(cfg, sector, d):
             )
         energy = twist_sinh_sum(cfg, sector)
         strings = sum(twist_targets(cfg, sector), dom.zero)
-        res = dom.residual(energy, strings)
-        if res > worst:
-            worst, witness = res, "string sum"
+        comparisons.append((dom.residual(energy, strings), "string sum"))
         sign = dom.one
         ops = [hamiltonian(cfg, i).restrict(sector) for i in range(1, cfg.n + 1)]
         lhs = sum(ops[1:], ops[0])
     trace = sign * lhs.trace()
-    res = dom.residual(trace, energy * dom.coerce(lhs.space.dim))
-    if res > worst:
-        worst, witness = res, "sector trace"
+    comparisons.append((dom.residual(trace, energy * dom.coerce(lhs.space.dim)),
+                        "sector trace"))
+    worst, witness = largest_residual(dom, comparisons)
     return from_residual("macdonald-eigenvalue", worst, dom.threshold,
                          witness=witness, sector=sector, params={"d": d})

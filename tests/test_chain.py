@@ -500,7 +500,7 @@ def test_transfer_matrix_is_built_once_per_config_and_point(make, monkeypatch):
     T = transfer_matrix(cfg, x0)
     assert transfer_matrix(cfg, x0) is T
     assert transfer_matrix(make(), x0) is T
-    del chain._TRANSFER[cfg]
+    del chain._BUILT[cfg]
     fresh = transfer_matrix(cfg, x0)
     assert fresh is not T and fresh == T
     assert (fresh.rows, fresh.den) == (T.rows, T.den)
@@ -510,7 +510,7 @@ def test_transfer_matrix_is_built_once_per_config_and_point(make, monkeypatch):
     product = chain._chain_product
     monkeypatch.setattr(chain, "_chain_product",
                         lambda c, *a, **k: builds.append(c.n) or product(c, *a, **k))
-    del chain._TRANSFER[cfg]
+    del chain._BUILT[cfg]
     assert check_transfer_commute(cfg).passed and pole_expansion(cfg).passed
     assert builds.count(cfg.n + 1) == cfg.n + 1
 

@@ -109,6 +109,19 @@ def test_load_config_syntax_errors(tmp_path):
         load_config(str(p))
 
 
+@pytest.mark.parametrize("flavor,key,value", [
+    ("rational", "t", "2"), ("rational", "h", "5/4"),
+    ("rational", "u", "[1, 3/2, 7/3]"), ("trigonometric", "eta", "1/2"),
+    ("trigonometric", "hbar", "1/3"), ("trigonometric", "x", "[0, 2/5]"),
+])
+def test_load_config_rejects_keys_of_the_other_flavor(tmp_path, flavor, key, value):
+    p = tmp_path / "c.cfg"
+    text = RATIONAL_CFG if flavor == "rational" else TRIG_CFG
+    p.write_text(text + f"{key} = {value}\n")
+    with pytest.raises(ParseError, match=f"key '{key}'"):
+        load_config(str(p))
+
+
 def test_parse_sector():
     assert parse_sector("2,1", 2, 3) == (2, 1)
     with pytest.raises(ParseError):
@@ -274,6 +287,20 @@ def test_main_config_error_exit_code(tmp_path, capsys):
                      f"x = {x}\ng = {g}\n")
         assert main(["verify", "--config", str(p)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("line,text", [(5, "eta = 1/0"), (7, "x = [0, 1/0, 9/7]")])
+def test_main_zero_denominator_is_a_config_error(tmp_path, capsys, line, text):
+    p = tmp_path / "c.cfg"
+    lines = RATIONAL_CFG.splitlines()
+    key = text.split()[0]
+    assert lines[line - 1].startswith(f"{key} = ")
+    lines[line - 1] = text
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}: bad value for '{key}'")
+    assert "Traceback" not in err
 
 
 def test_main_missing_file(capsys):

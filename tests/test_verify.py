@@ -4,8 +4,11 @@ import math
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkzbench import chain, cli, verify
 from qkzbench.chain import ModelConfig, hamiltonian, sum_rule
@@ -760,3 +763,41 @@ def test_suite_on_random_generic_draws(N, n):
         except PoleHit:
             continue  # hbar shift met a pole; draw again
         draws += 1
+
+
+# ------------------------------------------------- non-finite float entries
+
+@settings(max_examples=30, deadline=None)
+@given(site=st.integers(1, 3), r=st.integers(0, 7),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_a_non_finite_hamiltonian_entry_fails_only_where_it_enters(site, r, value):
+    # one diagonal entry of one float H_i is NaN or +-inf; every check that
+    # reads it fails at residual inf, and no check on another sector notices
+    rc = cli.load_config(Path(__file__).parent / "data" / "rational-float.cfg")
+    built = chain.hamiltonian
+
+    def poisoned(cfg, i):
+        H = built(cfg, i)
+        if i != site or not isinstance(cfg.domain, ComplexDomain):
+            return H
+        entries = [e for e in H.entries() if e[:2] != (r, r)]
+        return ChainOperator.from_entries(
+            H.space, entries + [(r, r, complex(value))], H.domain)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain, "hamiltonian", poisoned)
+        mp.setattr(verify, "hamiltonian", poisoned)
+        results = cli.run(rc).results
+    hit = weight_of(Space(2, 3).states[r], 2)
+    by_name = {}
+    for res in results:
+        by_name.setdefault(res.name, []).append(res)
+    for name in ("pole-expansion", "sum-rule"):
+        (res,) = by_name[name]
+        assert not res.passed and res.residual == math.inf, name
+    for name in ("det-identity", "symmetric-identity", "macdonald-eigenvalue"):
+        for res in by_name[name]:
+            if res.sector != hit:
+                assert res.passed, (name, res.sector, res.params)
+            elif name != "macdonald-eigenvalue" or res.params["d"] == 1:
+                assert not res.passed and res.residual == math.inf, (name, res.params)
