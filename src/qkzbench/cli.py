@@ -7,7 +7,9 @@ tol must be finite and positive.  A key of the other flavor is an error.
 
 Exit codes: 0 every check passed, 1 at least one failed, 2 the command could
 not run: a config error, or a workbench error outside any single check (such
-as a parameter beyond double range in float mode).
+as a parameter beyond double range in float mode), 3 the eigensolver of
+`spectrum` or `correspond` could not resolve a joint spectrum or did not
+converge.
 """
 from __future__ import annotations
 
@@ -23,8 +25,10 @@ from fractions import Fraction
 from . import chain, correspond, rmatrix, verify
 from .chain import ModelConfig
 from .errors import (
+    DegeneracyUnresolved,
     GenericPositionViolation,
     NeedsFloat,
+    NonConvergence,
     NonPositiveTolerance,
     ParseError,
     WorkbenchError,
@@ -577,6 +581,9 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (DegeneracyUnresolved, NonConvergence) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

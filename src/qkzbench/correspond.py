@@ -19,18 +19,23 @@ degenerate to eta * lambda as eta -> 0.
 Numerical note: on the correspondence level sets the Lax matrix is defective
 (repeated targets sit in Jordan blocks), so a multiplicity-m eigenvalue
 moves by eps^(1/m) under a perturbation eps, and an eigensolver converges
-slowly on it.  The check never diagonalizes it.  Faddeev-LeVerrier in
-mpmath.iv interval arithmetic encloses the characteristic coefficients of
-the Lax matrix as built at 60 digits, and Rouche's theorem (S. M. Rump,
-J. Comput. Appl. Math. 156, 2003) certifies that exactly m of its
-eigenvalues lie within a radius r of each distinct target of multiplicity
-m.  The largest r bounds the distance from the spectrum to the target
-multiset.  Double precision serves the spectrum listings.
+slowly on it.  The check never builds or diagonalizes it.  The Lax matrix is
+L = C^T diag(lambda), with C the matrix of verify.principal_minors, so its
+characteristic coefficients are c_k = (-1)^k sum_{|S|=k} det(C_SS)
+prod_{j in S} lambda_j.  mpmath.iv interval arithmetic encloses them from the
+exact minors and the computed 60-digit eigenvalues, and Rouche's theorem
+(S. M. Rump, J. Comput. Appl. Math. 156, 2003) certifies that exactly m
+roots lie within a radius r of each distinct target of multiplicity m.  What
+is certified is the characteristic polynomial of the Lax matrix with exact C
+at the computed eigenvalues; the largest r bounds the distance from its
+roots to the target multiset.  Double precision serves the spectrum
+listings.
 """
 from __future__ import annotations
 
 import collections
 import contextlib
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -43,7 +48,7 @@ from mpmath import iv
 from .chain import hamiltonian
 from .errors import DegeneracyUnresolved, NonConvergence
 from .scalars import require_tolerance
-from .verify import (elementary_symmetric, lax_denominator, twist_targets,
+from .verify import (elementary_symmetric, principal_minors, twist_targets,
                      velocity_scale)
 
 MP_DPS = 60  # working digits of the mpmath backend
@@ -106,12 +111,22 @@ class _Complex128:
     name = "complex128"
     context = contextlib.nullcontext
 
+    scalar = staticmethod(complex)
+
     @staticmethod
-    def matrix(op, dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        for r, c, v in op.entries():
-            m[r, c] = complex(v)
-        return m
+    def operators(ops, dim):
+        """The dense matrix of each operator."""
+        mats = []
+        for op in ops:
+            m = np.zeros((dim, dim), dtype=complex)
+            for r, c, v in op.entries():
+                m[r, c] = complex(v)
+            mats.append(m)
+        return mats
+
+    @staticmethod
+    def combination(mats, coeffs, dim):
+        return sum(k * m for k, m in zip(coeffs, mats))
 
     @staticmethod
     def eigenvectors(a):
@@ -124,12 +139,16 @@ class _Complex128:
     norm = staticmethod(np.linalg.norm)
 
     @staticmethod
-    def rayleigh(m, v):
-        return complex(v.conj() @ (m @ v))
+    def apply(m, v):
+        return m @ v
 
     @staticmethod
-    def residual(m, v, lam):
-        return float(np.linalg.norm(m @ v - lam * v))
+    def rayleigh(v, w):
+        return complex(v.conj() @ w)
+
+    @staticmethod
+    def residual(w, v, lam):
+        return float(np.linalg.norm(w - lam * v))
 
 
 COMPLEX128 = _Complex128()
@@ -144,11 +163,30 @@ class _Mpmath:
     def context():
         return mpmath.workdps(MP_DPS)
 
+    scalar = staticmethod(_mp_scalar)
+
     @staticmethod
-    def matrix(op, dim):
+    def operators(ops, dim):
+        """The nonzero entries of each operator as {row: (columns, values)}."""
+        out = []
+        for op in ops:
+            rows = {}
+            for r, c, v in op.entries():
+                cols, vals = rows.setdefault(r, ([], []))
+                cols.append(c)
+                vals.append(_mp_scalar(v))
+            out.append(rows)
+        return out
+
+    @staticmethod
+    def combination(ops, coeffs, dim):
+        """sum_i coeffs[i] H_i as a dense matrix, each entry summed in the
+        order of the operators."""
         m = mpmath.zeros(dim, dim)
-        for r, c, v in op.entries():
-            m[r, c] = _mp_scalar(v)
+        for rows, k in zip(ops, coeffs):
+            for r, (cols, vals) in rows.items():
+                for c, x in zip(cols, vals):
+                    m[r, c] += k * x
         return m
 
     @staticmethod
@@ -163,12 +201,20 @@ class _Mpmath:
     norm = staticmethod(mpmath.norm)
 
     @staticmethod
-    def rayleigh(m, v):
-        return (v.H * (m * v))[0, 0]
+    def apply(rows, v):
+        """H v as a list, one fdot per nonzero row of H."""
+        w = [mpmath.mpf(0)] * v.rows
+        for r, (cols, vals) in rows.items():
+            w[r] = mpmath.fdot(vals, [v[c] for c in cols])
+        return w
 
     @staticmethod
-    def residual(m, v, lam):
-        return mpmath.norm(m * v - lam * v)
+    def rayleigh(v, w):
+        return mpmath.fdot([x.conjugate() for x in v], w)
+
+    @staticmethod
+    def residual(w, v, lam):
+        return mpmath.norm([x - lam * y for x, y in zip(w, v)])
 
 
 MPMATH = _Mpmath()
@@ -186,7 +232,9 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, backend=COMPLEX128):
     combination up to three times.  One-dimensional sectors bypass the
     eigensolver.  The backend sets the precision of every step after the
     exact build: COMPLEX128 for spectrum listings, MPMATH (gated at MP_GATE)
-    for the correspondence.
+    for the correspondence.  It also holds the operators: numpy as dense
+    matrices, mpmath as their nonzero entries, which form the combination
+    and the products H_i v.
     """
     gate = require_tolerance(tol)
     rng = rng if rng is not None else random.Random(0)
@@ -194,13 +242,15 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, backend=COMPLEX128):
     ops = [hamiltonian(cfg, i).restrict(sector) for i in range(1, cfg.n + 1)]
     dim = ops[0].space.dim
     with backend.context():
-        mats = [backend.matrix(op, dim) for op in ops]
         if dim == 1:
-            return [JointEigenstate(sector, [m[0, 0] for m in mats],
-                                    [0.0] * len(mats))]
+            return [JointEigenstate(
+                sector, [backend.scalar(op.entry(0, 0)) for op in ops],
+                [0.0] * len(ops))]
+        forms = backend.operators(ops, dim)
         worst_seen = None
         for _ in range(3):
-            combo = sum(rng.uniform(0.5, 1.5) * m for m in mats)
+            combo = backend.combination(
+                forms, [rng.uniform(0.5, 1.5) for _ in forms], dim)
             states = []
             ok = True
             for v in backend.eigenvectors(combo):
@@ -209,8 +259,9 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, backend=COMPLEX128):
                     ok = False
                     break
                 v = v / norm
-                lams = [backend.rayleigh(m, v) for m in mats]
-                rs = [backend.residual(m, v, lam) for m, lam in zip(mats, lams)]
+                ws = [backend.apply(a, v) for a in forms]
+                lams = [backend.rayleigh(v, w) for w in ws]
+                rs = [backend.residual(w, v, lam) for w, lam in zip(ws, lams)]
                 bad = _peak(rs)
                 if worst_seen is None or bad < worst_seen:
                     worst_seen = bad
@@ -234,19 +285,6 @@ _joint_eigenvalues_mp = diagonalize_sector
 
 # ------------------------------------------------------------------ Lax side
 
-def _char_coefficients(a, n):
-    """Enclosures of c_1..c_n, det(z - a) = z^n + sum_k c_k z^(n-k), for the
-    matrix a as stored: Faddeev-LeVerrier in interval arithmetic,
-    M_1 = I, c_k = -tr(a M_k)/k, M_{k+1} = a M_k + c_k I."""
-    a = iv.matrix(a)
-    coeffs, am = [], a
-    for k in range(1, n + 1):
-        coeffs.append(-sum(am[i, i] for i in range(n)) / k)
-        if k < n:
-            am = a * (am + coeffs[-1] * iv.eye(n))
-    return coeffs
-
-
 @contextlib.contextmanager
 def _iv_workdps(dps):
     old, iv.dps = iv.dps, dps
@@ -257,8 +295,26 @@ def _iv_workdps(dps):
 
 
 def _iv_exact(q):
-    """An interval enclosing the rational q."""
+    """An interval enclosing the rational q; a float converts as it is, and
+    a NaN reads as the whole line."""
+    if isinstance(q, float):
+        return iv.mpf(q)
     return iv.mpf(q.numerator) / q.denominator
+
+
+def _lax_coefficients(minors, lams, n):
+    """c_1..c_n, det(z - L) = z^n + sum_k c_k z^(n-k), for L = C^T
+    diag(lams), from the minors det(C_SS) by subset S:
+    c_k = (-1)^k sum_{|S|=k} det(C_SS) prod_{j in S} lams_j, each level of
+    subset products built from the level before.  Interval minors and point
+    intervals lams give enclosures; exact ones give the exact c_k."""
+    coeffs, level = [], {}
+    for k in range(1, n + 1):
+        level = {S: level[S[:-1]] * lams[S[-1]] if k > 1 else lams[S[0]]
+                 for S in itertools.combinations(range(n), k)}
+        total = sum(minors[S] * p for S, p in level.items())
+        coeffs.append(-total if k % 2 else total)
+    return coeffs
 
 
 def _rouche_radius(errs, g, m, others):
@@ -308,12 +364,14 @@ def certified_radius(errs, targets):
 def check_correspondence(cfg, sector, tol=1e-8, rng=None):
     """Lax characteristic polynomials against their targets.
 
-    For every joint eigenstate (MPMATH backend): velocities from the
-    eigenvalues, the Lax matrix from the velocities, and enclosures of its
-    characteristic coefficients c~_k.  Both the certified radius of their
-    roots around the targets and max_k |c~_k - c_k|, against
-    prod_t (z - t), must be within tol.  The reported invariants are the
-    classical Hamiltonians (-1)^k c~_k, to be compared with e_k(targets).
+    For every joint eigenstate (MPMATH backend): the eigenvalues lambda_j,
+    the velocities scale * lambda_j, and enclosures of the characteristic
+    coefficients c~_k of the Lax matrix C^T diag(lambda), summed from the
+    exact principal minors det(C_SS) at the computed eigenvalues; the Lax
+    matrix itself is never formed.  Both the certified radius of the roots
+    around the targets and max_k |c~_k - c_k|, against prod_t (z - t), must
+    be within tol.  The reported invariants are the classical Hamiltonians
+    (-1)^k c~_k, to be compared with e_k(targets).
     """
     sector = tuple(int(m) for m in sector)
     rng = rng if rng is not None else random.Random(0)
@@ -325,27 +383,22 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None):
                          for k in range(1, cfg.n + 1)]
         target = [complex(_mp_scalar(t)) for t in sorted(targets_exact)]
         scale = _mp_scalar(velocity_scale(cfg))
-        dens = [
-            [_mp_scalar(lax_denominator(cfg, i, j)) for j in range(1, cfg.n + 1)]
-            for i in range(1, cfg.n + 1)
-        ]
+        minors = {S: _iv_exact(d) for S, d in principal_minors(cfg).items() if S}
         for state in diagonalize_sector(cfg, sector, tol=MP_GATE, rng=rng,
                                         backend=MPMATH):
             lams = state.eigenvalues
-            # exactly real eigenvalues stay real: real intervals are cheaper
-            velocities = [scale * (lam.real if lam.imag == 0 else lam) for lam in lams]
-            lax = mpmath.matrix(cfg.n, cfg.n)
-            for i in range(cfg.n):
-                for j in range(cfg.n):
-                    lax[i, j] = velocities[j] / dens[i][j]
-            coeffs = _char_coefficients(lax, cfg.n)
+            # each eigenvalue enters as its point interval; exactly real
+            # ones get real intervals, which are cheaper
+            coeffs = _lax_coefficients(
+                minors, [iv.mpc(lam.real, lam.imag) if lam.imag else iv.mpf(lam.real)
+                         for lam in lams], cfg.n)
             errs = [abs(c - e) for c, e in zip(coeffs, target_coeffs)]
             radius = certified_radius(errs, targets_exact)
             hdev = _peak(float(mpmath.mpf(e.b)) for e in errs)
             report.rows.append(
                 CorrespondenceRow(
                     eigenvalues=[complex(l) for l in lams],
-                    velocities=[complex(v) for v in velocities],
+                    velocities=[complex(scale * lam) for lam in lams],
                     target=list(target),
                     invariants=[complex((-1) ** k * mpmath.mpc(c.real.mid, c.imag.mid))
                                 for k, c in enumerate(coeffs, 1)],

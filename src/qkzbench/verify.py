@@ -297,7 +297,8 @@ def principal_minors(cfg):
     """det(C_SS) for every sorted subset S of the 0-based sites, with
     C_ij = eta / (x_j - x_i + eta) from the scale and denominators of the Lax
     matrix.  Each minor is an elimination of its submatrix, once per config;
-    symmetric-identity compares them with their Cauchy closed form."""
+    symmetric-identity compares them with their Cauchy closed form, and the
+    correspondence sums the Lax characteristic coefficients from them."""
     def build():
         C = [[velocity_scale(cfg) / lax_denominator(cfg, j + 1, i + 1)
               for j in range(cfg.n)] for i in range(cfg.n)]

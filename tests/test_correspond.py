@@ -9,7 +9,7 @@ import pytest
 import mpmath
 from mpmath import iv
 
-from qkzbench import correspond
+from qkzbench import correspond, verify
 from qkzbench.cli import main
 from qkzbench.chain import ModelConfig, hamiltonian
 from qkzbench.correspond import (
@@ -20,9 +20,10 @@ from qkzbench.correspond import (
     diagonalize_sector,
     velocity_scale,
 )
-from qkzbench.errors import DegeneracyUnresolved
+from qkzbench.errors import DegeneracyUnresolved, NonConvergence
 from qkzbench.tensor import all_sectors
-from qkzbench.verify import elementary_symmetric, twist_targets
+from qkzbench.verify import (elementary_symmetric, lax_denominator,
+                             principal_minors, twist_targets)
 
 ETA = Fraction(1, 2)
 HBAR = Fraction(1, 3)
@@ -99,11 +100,23 @@ def test_spectrum_reports_an_unresolved_sector_as_one_error_line(monkeypatch,
                                                                  capsys):
     draws = _mix_eigenvectors(monkeypatch)
     cfg = Path(__file__).parent / "data" / "rational.cfg"
-    assert main(["spectrum", "--config", str(cfg), "--sector", "2,1"]) == 2
+    assert main(["spectrum", "--config", str(cfg), "--sector", "2,1"]) == 3
     out, err = capsys.readouterr()
     assert len(draws) == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "after 3 combination draws" in err and "Traceback" not in err
+
+
+def test_correspond_reports_a_failed_eigensolve_with_exit_code_3(monkeypatch,
+                                                                   capsys):
+    def fail(a):
+        raise NonConvergence("no convergence")
+
+    monkeypatch.setattr(correspond._Mpmath, "eigenvectors", staticmethod(fail))
+    cfg = Path(__file__).parent / "data" / "rational.cfg"
+    assert main(["correspond", "--config", str(cfg), "--sector", "2,1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no convergence\n"
 
 
 # --------------------------------------------------------------- backends
@@ -207,11 +220,13 @@ def test_certified_radius_nan_is_inf():
 
 def test_correspondence_fails_on_nan_distance(monkeypatch):
     # a NaN Lax entry leaves nothing to certify: the radius reads inf and the
-    # check fails
-    real = correspond.lax_denominator
-    monkeypatch.setattr(correspond, "lax_denominator", lambda cfg, i, j: (
+    # check fails.  The minors are built once per config, so the NaN enters
+    # through the denominators of a config that has built none yet
+    real = verify.lax_denominator
+    monkeypatch.setattr(verify, "lax_denominator", lambda cfg, i, j: (
         math.nan if (i, j) == (1, 2) else real(cfg, i, j)))
-    rep = check_correspondence(CFG, (2, 1), rng=random.Random(7))
+    cfg = ModelConfig.rational(2, 3, ETA, Fraction(1, 4), X3, G2)
+    rep = check_correspondence(cfg, (2, 1), rng=random.Random(7))
     assert rep.status == "fail"
     assert rep.worst == math.inf
     assert all(row.radius == math.inf for row in rep.rows)
@@ -245,15 +260,19 @@ def test_correspondence_fails_on_moved_target(monkeypatch):
 
 def test_certified_radius_bounds_the_eig_distance(monkeypatch):
     # reference: the eigenvalues mpmath.eig finds for each Lax matrix sit
-    # within the certified radius of the targets
-    lax = []
-    real = correspond._char_coefficients
+    # within the certified radius of the targets.  The certificate covers
+    # L_ij = scale lambda_j / lax_denominator(i, j) with exact denominators
+    # at the stored 60-digit eigenvalues.  The test builds L from those at
+    # twice the working digits: rounding L to 60 digits and eigensolving it
+    # there moves its spectrum by more than the radius
+    states = []
+    real = correspond.diagonalize_sector
 
-    def spy(a, n):
-        lax.append(a.copy())
-        return real(a, n)
+    def spy(*args, **kwargs):
+        states[:] = real(*args, **kwargs)
+        return states
 
-    monkeypatch.setattr(correspond, "_char_coefficients", spy)
+    monkeypatch.setattr(correspond, "diagonalize_sector", spy)
     g3 = G2 + (Fraction(5),)
     chains = (
         CFG,
@@ -264,17 +283,71 @@ def test_certified_radius_bounds_the_eig_distance(monkeypatch):
     )
     for cfg in chains:
         rng = random.Random(7)
-        for M in all_sectors(cfg.N, cfg.n):
-            lax.clear()
+        n = cfg.n
+        for M in all_sectors(cfg.N, n):
             rep = check_correspondence(cfg, M, rng=rng)
-            assert len(lax) == len(rep.rows) == _dim(cfg, M)
-            with mpmath.workdps(correspond.MP_DPS):
+            assert len(states) == len(rep.rows) == _dim(cfg, M)
+            with mpmath.workdps(2 * correspond.MP_DPS):
                 targets = [correspond._mp_scalar(t) for t in twist_targets(cfg, M)]
-                for a, row in zip(lax, rep.rows):
-                    spectrum = mpmath.eig(a, left=False, right=False)
-                    spectrum = list(spectrum[0] if cfg.n == 1 else spectrum)
+                scale = correspond._mp_scalar(velocity_scale(cfg))
+                dens = [[correspond._mp_scalar(lax_denominator(cfg, i + 1, j + 1))
+                         for j in range(n)] for i in range(n)]
+                for st, row in zip(states, rep.rows):
+                    velocities = [scale * lam for lam in st.eigenvalues]
+                    assert [complex(v) for v in velocities] == row.velocities
+                    lax = mpmath.matrix([[velocities[j] / dens[i][j] for j in range(n)]
+                                         for i in range(n)])
+                    spectrum = mpmath.eig(lax, left=False, right=False)
+                    spectrum = list(spectrum[0] if n == 1 else spectrum)
                     assert row.radius >= _bottleneck(spectrum, targets), M
                     assert row.radius <= 1e-10, M
+
+
+def _faddeev_leverrier(a):
+    """c_1..c_n of det(z - a) = z^n + sum_k c_k z^(n-k) over Fraction:
+    M_1 = I, c_k = -tr(a M_k)/k, M_{k+1} = a M_k + c_k I."""
+    n = len(a)
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    coeffs = []
+    for k in range(1, n + 1):
+        am = [[sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)]
+              for i in range(n)]
+        coeffs.append(-sum(am[i][i] for i in range(n)) / k)
+        m = [[am[i][j] + (coeffs[-1] if i == j else 0) for j in range(n)]
+             for i in range(n)]
+    return coeffs
+
+
+def test_lax_coefficients_from_minors_match_faddeev_leverrier():
+    # over Fraction the principal-minor route is exact: its coefficients
+    # are those of L = C^T diag(lambda), L_ij = scale lambda_j / den(i, j)
+    rng = random.Random(5)
+    for cfg in (ModelConfig.rational(3, 3, ETA, HBAR, X3, G2 + (Fraction(5),)),
+                ModelConfig.trigonometric(
+                    2, 4, Fraction(2), Fraction(5, 4),
+                    (Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(9, 5)),
+                    G2)):
+        n, scale = cfg.n, velocity_scale(cfg)
+        for _ in range(3):
+            lams = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)]
+            lax = [[scale * lams[j] / lax_denominator(cfg, i + 1, j + 1)
+                    for j in range(n)] for i in range(n)]
+            assert (correspond._lax_coefficients(principal_minors(cfg), lams, n)
+                    == _faddeev_leverrier(lax))
+
+
+def test_correspondence_fails_on_a_scaled_minor(monkeypatch):
+    # det(C_SS) for S = {0, 1} scaled by 98/97 moves c_2 off its target on
+    # every sector of both chains
+    real = correspond.principal_minors
+    monkeypatch.setattr(correspond, "principal_minors", lambda cfg: {
+        **real(cfg), (0, 1): real(cfg)[(0, 1)] * Fraction(98, 97)})
+    for cfg in (CFG, TCFG2):
+        rng = random.Random(7)
+        for M in all_sectors(cfg.N, cfg.n):
+            rep = check_correspondence(cfg, M, rng=rng)
+            assert rep.status == "fail", (cfg.flavor, M)
+            assert rep.worst > 1e-8
 
 
 # ----------------------------------------------------------- correspondence
