@@ -20,12 +20,23 @@ from fractions import Fraction
 
 from .errors import BadColor, BadSite, GenericPositionViolation
 from .report import from_residual, largest_residual
-from .rmatrix import r_factor, sinh_ratio_down
+from .rmatrix import r_factor, sinh_exp, sinh_ratio_down
 from .scalars import EXACT
 from .tensor import ChainOperator, Space, site_embed, weight_of
 
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
+
+# each flavor's (coupling, step, points) parameter names, in builder order
+PARAMETERS = {RATIONAL: ("eta", "hbar", "x"), TRIGONOMETRIC: ("t", "h", "u")}
+
+
+def _coerced(flavor, domain, g, coupling, step, points):
+    """The twist and the flavor's parameters as fields in the domain."""
+    coerce = domain.coerce
+    g = tuple(map(coerce, g))
+    values = (coerce(coupling), coerce(step), tuple(map(coerce, points)))
+    return dict(zip(PARAMETERS[flavor], values), g=g, domain=domain)
 
 
 @dataclass(frozen=True)
@@ -35,7 +46,9 @@ class ModelConfig:
     Rational flavor: inhomogeneities x_i, step eta, deformation hbar.
     Trigonometric flavor: the same data in exponentials u_i = e^{x_i},
     t = e^{eta}, h = e^{eta*hbar}, which keeps every operator entry rational.
-    The twist g = diag(g_1, ..., g_N) is shared by both flavors.
+    PARAMETERS names each flavor's fields; relative and shifted hold its
+    spectral convention.  The twist g = diag(g_1, ..., g_N) is shared by
+    both flavors.
     """
 
     flavor: str
@@ -52,34 +65,20 @@ class ModelConfig:
 
     # ------------------------------------------------------------ builders
     @classmethod
-    def rational(cls, N, n, eta, hbar, x, g, domain=EXACT):
-        cfg = cls(
-            flavor=RATIONAL,
-            N=int(N),
-            n=int(n),
-            g=tuple(domain.coerce(v) for v in g),
-            eta=domain.coerce(eta),
-            hbar=domain.coerce(hbar),
-            x=tuple(domain.coerce(v) for v in x),
-            domain=domain,
-        )
+    def build(cls, flavor, N, n, coupling, step, points, g, domain=EXACT):
+        """A validated chain of the flavor, its parameters in PARAMETERS order."""
+        cfg = cls(flavor=flavor, N=int(N), n=int(n),
+                  **_coerced(flavor, domain, g, coupling, step, points))
         cfg.validate()
         return cfg
 
     @classmethod
+    def rational(cls, N, n, eta, hbar, x, g, domain=EXACT):
+        return cls.build(RATIONAL, N, n, eta, hbar, x, g, domain)
+
+    @classmethod
     def trigonometric(cls, N, n, t, h, u, g, domain=EXACT):
-        cfg = cls(
-            flavor=TRIGONOMETRIC,
-            N=int(N),
-            n=int(n),
-            g=tuple(domain.coerce(v) for v in g),
-            t=domain.coerce(t),
-            h=domain.coerce(h),
-            u=tuple(domain.coerce(v) for v in u),
-            domain=domain,
-        )
-        cfg.validate()
-        return cfg
+        return cls.build(TRIGONOMETRIC, N, n, t, h, u, g, domain)
 
     @property
     def is_rational(self):
@@ -88,7 +87,20 @@ class ModelConfig:
     @property
     def coupling(self):
         """The R-matrix coupling: eta, or t = e^eta in the trigonometric flavor."""
-        return self.eta if self.is_rational else self.t
+        return getattr(self, PARAMETERS[self.flavor][0])
+
+    @property
+    def points(self):
+        """The spectral points: x, or u = e^x in the trigonometric flavor."""
+        return getattr(self, PARAMETERS[self.flavor][2])
+
+    def relative(self, p, q):
+        """The spectral argument of p against q: p - q, or p / q."""
+        return p - q if self.is_rational else p / q
+
+    def shifted(self, p):
+        """The point p moved by the qKZ step: p + eta*hbar, or p * h."""
+        return p + self.eta * self.hbar if self.is_rational else p * self.h
 
     def validate(self):
         """Generic-position and non-degeneracy requirements, checked eagerly."""
@@ -147,23 +159,9 @@ class ModelConfig:
 
     def to_domain(self, domain):
         """Convert every parameter once into another scalar domain."""
-        if self.is_rational:
-            return dataclasses.replace(
-                self,
-                g=tuple(domain.coerce(v) for v in self.g),
-                eta=domain.coerce(self.eta),
-                hbar=domain.coerce(self.hbar),
-                x=tuple(domain.coerce(v) for v in self.x),
-                domain=domain,
-            )
+        values = (getattr(self, name) for name in PARAMETERS[self.flavor])
         return dataclasses.replace(
-            self,
-            g=tuple(domain.coerce(v) for v in self.g),
-            t=domain.coerce(self.t),
-            h=domain.coerce(self.h),
-            u=tuple(domain.coerce(v) for v in self.u),
-            domain=domain,
-        )
+            self, **_coerced(self.flavor, domain, self.g, *values))
 
     def space(self):
         return Space(self.N, self.n)
@@ -173,43 +171,28 @@ class ModelConfig:
 
     def describe(self):
         """Plain-dict echo of the parameters (for reports)."""
-        d = {"flavor": self.flavor, "N": self.N, "n": self.n,
-             "g": [str(v) for v in self.g]}
-        if self.is_rational:
-            d["eta"] = str(self.eta)
-            d["hbar"] = str(self.hbar)
-            d["x"] = [str(v) for v in self.x]
-        else:
-            d["t"] = str(self.t)
-            d["h"] = str(self.h)
-            d["u"] = [str(v) for v in self.u]
-        return d
+        coupling, step, points = PARAMETERS[self.flavor]
+        return {"flavor": self.flavor, "N": self.N, "n": self.n,
+                "g": [str(v) for v in self.g],
+                coupling: str(getattr(self, coupling)),
+                step: str(getattr(self, step)),
+                points: [str(v) for v in getattr(self, points)]}
 
 
 # --------------------------------------------------------------- chain builds
 
 def _positions(cfg, shifted_sites):
-    """Inhomogeneities with the qKZ shift applied at the given sites."""
-    if cfg.is_rational:
-        step = cfg.eta * cfg.hbar
-        return [
-            x + step if (k + 1) in shifted_sites else x for k, x in enumerate(cfg.x)
-        ]
-    return [
-        u * cfg.h if (k + 1) in shifted_sites else u for k, u in enumerate(cfg.u)
-    ]
+    """The spectral points with the qKZ shift applied at the given sites."""
+    return [cfg.shifted(p) if (k + 1) in shifted_sites else p
+            for k, p in enumerate(cfg.points)]
 
 
 def _r_factor(cfg, space, i, j, pos, plus, tilde):
-    """Two-site factor R_ij (or tilde) at argument pos_i - pos_j (+ eta hbar)."""
-    if cfg.is_rational:
-        arg = pos[i - 1] - pos[j - 1]
-        if plus:
-            arg = arg + cfg.eta * cfg.hbar
-    else:
-        arg = pos[i - 1] / pos[j - 1]
-        if plus:
-            arg = arg * cfg.h
+    """Two-site factor R_ij (or tilde) at the argument of pos_i against
+    pos_j, shifted by the qKZ step if plus."""
+    arg = cfg.relative(pos[i - 1], pos[j - 1])
+    if plus:
+        arg = cfg.shifted(arg)
     return r_factor(cfg.flavor, space, i, j, arg, cfg.coupling, cfg.domain, tilde)
 
 
@@ -337,10 +320,8 @@ def transfer_matrix(cfg, x0):
     pole of R~.  Built once per config and point.
     """
     x0 = cfg.domain.coerce(x0)
-    if cfg.is_rational:
-        ext = dataclasses.replace(cfg, n=cfg.n + 1, x=(x0,) + cfg.x)
-    else:
-        ext = dataclasses.replace(cfg, n=cfg.n + 1, u=(x0,) + cfg.u)
+    ext = dataclasses.replace(cfg, n=cfg.n + 1,
+                              **{PARAMETERS[cfg.flavor][2]: (x0,) + cfg.points})
     return memo(cfg, ("T", x0),
                 lambda: _chain_product(ext, 1, (), tilde=True).trace_first_site())
 
@@ -392,7 +373,7 @@ def _expansion_residuals(cfg, pts):
             yield transfer_matrix(cfg, s).residual(rhs)
         return
 
-    sh = (cfg.t - dom.inverse(cfg.t)) / 2
+    sh = sinh_exp(cfg.t)
 
     def coth_sum(u0):
         acc = ChainOperator.zero(space, dom)
@@ -436,7 +417,7 @@ def twist_sinh_sum(cfg, weight):
     """sum_a g_a sinh(eta M_a)/sinh(eta) at the weight (M_1, ..., M_N),
     evaluated as sum_a g_a (t^{M_a} - t^{-M_a}) / (t - 1/t)."""
     dom = cfg.domain
-    tinv = dom.inverse(cfg.t)
+    tinv = 1 / cfg.t
     den = cfg.t - tinv
     s = dom.zero
     for a in range(cfg.N):

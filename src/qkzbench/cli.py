@@ -64,11 +64,9 @@ class RunReport:
 
 # ------------------------------------------------------------------- parsing
 
-# the parameters of each flavor, in the order its ModelConfig builder takes
-_FLAVOR_KEYS = {chain.RATIONAL: ("eta", "hbar", "x"),
-                chain.TRIGONOMETRIC: ("t", "h", "u")}
-_SCALAR_KEYS = {"eta", "hbar", "t", "h"}
-_LIST_KEYS = {"x", "u", "g"}
+# each flavor's coupling and step are scalars, its points a list
+_SCALAR_KEYS = {key for keys in chain.PARAMETERS.values() for key in keys[:2]}
+_LIST_KEYS = {"g", *(keys[2] for keys in chain.PARAMETERS.values())}
 _INT_KEYS = {"N", "n", "seed"}
 
 
@@ -117,9 +115,9 @@ def load_config(path):
         return raw[key]
 
     model = need("model")
-    if model not in _FLAVOR_KEYS:
+    if model not in chain.PARAMETERS:
         raise ParseError(f"model must be rational or trigonometric, got {model!r}")
-    for flavor, keys in _FLAVOR_KEYS.items():
+    for flavor, keys in chain.PARAMETERS.items():
         for key in keys:
             if flavor != model and key in raw:
                 raise ParseError(f"key {key!r} belongs to the {flavor} flavor, "
@@ -130,8 +128,7 @@ def load_config(path):
     mode = raw.get("mode", "exact")
     if mode not in ("exact", "float"):
         raise ParseError(f"mode must be exact or float, got {mode!r}")
-    build = ModelConfig.rational if model == chain.RATIONAL else ModelConfig.trigonometric
-    cfg = build(N, n, *map(need, _FLAVOR_KEYS[model]), g)
+    cfg = ModelConfig.build(model, N, n, *map(need, chain.PARAMETERS[model]), g)
     return RunConfig(
         model=cfg,
         checks=["all"],

@@ -6,9 +6,10 @@ handed to the joint eigensolver, which runs over one of two precision
 backends: complex doubles through numpy (LAPACK) for spectrum listings, and
 mpmath at a fixed 60 working digits for the correspondence check.  For every
 joint eigenstate the Hamiltonian eigenvalues define particle velocities; the
-Lax matrix built from them must have the twist multiset {g_a with
-multiplicity M_a} as its spectrum (rational flavor) or the multiplicative
-strings g_a * t^{2 alpha - M_a + 1}, alpha = 0..M_a-1 (trigonometric flavor).
+Lax matrix they define (never built, see the Numerical note) must have the
+twist multiset {g_a with multiplicity M_a} as its spectrum (rational flavor)
+or the multiplicative strings g_a * t^{2 alpha - M_a + 1}, alpha =
+0..M_a-1 (trigonometric flavor).
 
 Velocity normalization: rational velocities are eta * lambda_i; in the
 trigonometric flavor they are sinh(eta) * lambda_i.  The latter is forced by

@@ -51,6 +51,11 @@ def r_rational_tilde(space, i, j, x, eta, domain=EXACT):
     return swap_embed(space, i, j, one, one + p, (p, p), domain)
 
 
+def sinh_exp(v):
+    """sinh(x) = (v - 1/v) / 2 as a function of v = e^x."""
+    return (v - 1 / v) / 2
+
+
 def sinh_ratio_up(u, t, domain=EXACT):
     """sinh(x) / sinh(x + eta) as a rational function of u = e^x, t = e^eta."""
     u = domain.coerce(u)
@@ -77,7 +82,7 @@ def r_trig(space, i, j, u, t, domain=EXACT):
         raise NonInvertibleQ("u = e^x must be nonzero")
     s = sinh_ratio_up(u, t, domain)
     one, q = domain.one, domain.coerce(t)
-    swap = (one - s * q, one - s * domain.inverse(q))
+    swap = (one - s * q, one - s * (1 / q))
     return swap_embed(space, i, j, s, one, swap, domain)
 
 
@@ -116,8 +121,7 @@ def r_trig_tilde(space, i, j, u, t, domain=EXACT):
         raise NonInvertibleQ("u = e^x must be nonzero")
     c = sinh_ratio_down(u, t, domain)
     q = domain.coerce(t)
-    return swap_embed(space, i, j, domain.one, c, (c - q, c - domain.inverse(q)),
-                      domain)
+    return swap_embed(space, i, j, domain.one, c, (c - q, c - 1 / q), domain)
 
 
 def r_factor(flavor, space, i, j, point, coupling, domain=EXACT, tilde=False):

@@ -43,10 +43,6 @@ class RationalDomain:
         return Fraction(x)
 
     @staticmethod
-    def inverse(a):
-        return 1 / a
-
-    @staticmethod
     def residual(a, b):
         return abs(a - b)
 
@@ -87,10 +83,6 @@ class ComplexDomain:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError(f"non-finite scalar {x!r} not admitted")
         return z
-
-    @staticmethod
-    def inverse(a):
-        return 1 / a
 
     @staticmethod
     def residual(a, b):

@@ -37,24 +37,8 @@ def enumerate_sector(N, n, weights):
     weights = tuple(int(m) for m in weights)
     if len(weights) != N or any(m < 0 for m in weights) or sum(weights) != n:
         raise BadWeight(f"{weights} is not a weight of {n} sites with {N} colors")
-    out = []
-    state = []
-    remaining = list(weights)
-
-    def rec():
-        if len(state) == n:
-            out.append(tuple(state))
-            return
-        for a in range(1, N + 1):
-            if remaining[a - 1]:
-                remaining[a - 1] -= 1
-                state.append(a)
-                rec()
-                state.pop()
-                remaining[a - 1] += 1
-
-    rec()
-    return out
+    return [J for J in itertools.product(range(1, N + 1), repeat=n)
+            if weight_of(J, N) == weights]
 
 
 def all_sectors(N, n):
@@ -474,7 +458,7 @@ def q_permutation(space, i, j, q, domain=EXACT):
     if q == 0:
         raise NonInvertibleQ("q must be invertible")
     q = domain.coerce(q)
-    return swap_embed(space, i, j, 0, domain.one, (q, domain.inverse(q)), domain)
+    return swap_embed(space, i, j, 0, domain.one, (q, 1 / q), domain)
 
 
 def two_site_embed(space, i, j, table, domain=EXACT):

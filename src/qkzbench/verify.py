@@ -26,7 +26,7 @@ from .chain import (hamiltonian, memo, qkz_covector, qkz_covector_numerators,
                     twist_sinh_sum)
 from .errors import FlavorMismatch, PoleHit
 from .report import from_residual, largest_residual
-from .rmatrix import r_rational, r_trig
+from .rmatrix import r_rational, r_trig, sinh_exp
 from .tensor import (
     ChainOperator,
     Space,
@@ -278,7 +278,7 @@ def velocity_scale(cfg):
     """eta (rational) or sinh(eta) = (t - 1/t)/2 (trigonometric), exactly."""
     if cfg.is_rational:
         return cfg.eta
-    return (cfg.t - cfg.domain.inverse(cfg.t)) / 2
+    return sinh_exp(cfg.t)
 
 
 def lax_denominator(cfg, i, j):
@@ -286,8 +286,7 @@ def lax_denominator(cfg, i, j):
     if cfg.is_rational:
         den = cfg.x[i - 1] - cfg.x[j - 1] + cfg.eta
     else:
-        v = cfg.u[i - 1] * cfg.t / cfg.u[j - 1]
-        den = (v - cfg.domain.inverse(cfg.domain.coerce(v))) / 2
+        den = sinh_exp(cfg.u[i - 1] * cfg.t / cfg.u[j - 1])
     if den == 0:
         raise PoleHit(f"Lax denominator vanishes at ({i}, {j})")
     return den

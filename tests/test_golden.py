@@ -7,10 +7,11 @@ The files in tests/data were written by the workbench itself, e.g.
 
 and pin its observable behaviour: a refactor must reproduce every report
 byte for byte, and a deliberate change regenerates the files.  One report
-fails on purpose: at a tolerance of 1e-300 the float chain fails most of
-its results, so that report pins residuals and witnesses of failures too.  `spectrum`
-reads its eigenvalues straight from LAPACK, whose last bits may differ
-between builds, so it is compared numerically at 1e-12 instead.
+per float chain fails on purpose: at a tolerance of 1e-300 the float chain
+fails most of its results, so that report pins residuals and witnesses of
+failures too.  `spectrum` reads its eigenvalues straight from LAPACK, whose
+last bits may differ between builds, so it is compared numerically at 1e-12
+instead.
 """
 import json
 from pathlib import Path
@@ -28,6 +29,9 @@ BYTE_EXACT = [
     (["verify", "--format", "json"], "rational-float", "verify-rational-float.json", 0),
     (["verify", "--format", "json", "--tol", "1e-300"], "rational-float",
      "verify-rational-float-fail.json", 1),
+    (["verify", "--format", "json"], "trig-float", "verify-trig-float.json", 0),
+    (["verify", "--format", "json", "--tol", "1e-300"], "trig-float",
+     "verify-trig-float-fail.json", 1),
     (["correspond"], "rational", "correspond-rational.json", 0),
     (["correspond"], "trig", "correspond-trig.json", 0),
 ]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkzbench import chain, cli, verify
+from qkzbench import chain, cli, rmatrix, verify
 from qkzbench.chain import ModelConfig, hamiltonian, sum_rule
 from qkzbench.errors import FlavorMismatch, GenericPositionViolation, PoleHit
 from qkzbench.rmatrix import r_trig
@@ -801,3 +801,52 @@ def test_a_non_finite_hamiltonian_entry_fails_only_where_it_enters(site, r, valu
                 assert res.passed, (name, res.sector, res.params)
             elif name != "macdonald-eigenvalue" or res.params["d"] == 1:
                 assert not res.passed and res.residual == math.inf, (name, res.params)
+
+
+def _holds_k2(res):
+    # the operators K_2, and the covectors pushed through K_2, carry R_21
+    p = res.params
+    return ((res.name == "qkz-compat" and 2 in (p["i"], p["j"]))
+            or (res.name == "k-projection" and p["i"] == 2)
+            or (res.name == "proposition-higher" and 2 in p["sites"]))
+
+
+def _holds_transfer(res):
+    # T(x) is traced from the extended chain, whose H_1 carries R~_12
+    return res.name in ("transfer-commute", "pole-expansion")
+
+
+@pytest.mark.parametrize("chain_file,builder,pair,extra_site,hit", [
+    ("rational-float", "r_rational", (2, 1), 0, _holds_k2),
+    ("trig-float", "r_trig", (2, 1), 0, _holds_k2),
+    ("rational-float", "r_rational_tilde", (1, 2), 1, _holds_transfer),
+    ("trig-float", "r_trig_tilde", (1, 2), 1, _holds_transfer),
+])
+def test_a_non_finite_factor_entry_fails_only_where_it_enters(
+        chain_file, builder, pair, extra_site, hit):
+    # one entry of one float two-site factor is NaN: on the chain itself for
+    # K_i and the covectors, on the chain with the auxiliary site for T(x).
+    # r_factor looks its builders up when called, so the chain folds build
+    # the poisoned factor; the R-level checks work on 2 or 3 sites and do not
+    rc = cli.load_config(Path(__file__).parent / "data" / f"{chain_file}.cfg")
+    sites = rc.model.n + extra_site
+    build = getattr(rmatrix, builder)
+
+    def poisoned(space, i, j, point, coupling, domain):
+        R = build(space, i, j, point, coupling, domain)
+        if ((i, j) != pair or space.n != sites
+                or not isinstance(domain, ComplexDomain)):
+            return R
+        entries = [e for e in R.entries() if e[:2] != (0, 0)]
+        return ChainOperator.from_entries(
+            space, entries + [(0, 0, complex(math.nan))], domain)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rmatrix, builder, poisoned)
+        results = cli.run(rc).results
+    assert any(hit(res) for res in results)
+    for res in results:
+        if hit(res):
+            assert not res.passed and res.residual == math.inf, (res.name, res.params)
+        else:
+            assert res.passed, (res.name, res.sector, res.params)
