@@ -20,9 +20,9 @@ from fractions import Fraction
 
 from .errors import BadColor, BadSite, GenericPositionViolation
 from .report import from_residual, largest_residual
-from .rmatrix import r_factor, sinh_exp, sinh_ratio_down
+from .rmatrix import r_factor, sinh_exp
 from .scalars import EXACT
-from .tensor import ChainOperator, Space, site_embed, weight_of
+from .tensor import ChainOperator, shared_space, site_embed, weight_of
 
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
@@ -46,9 +46,10 @@ class ModelConfig:
     Rational flavor: inhomogeneities x_i, step eta, deformation hbar.
     Trigonometric flavor: the same data in exponentials u_i = e^{x_i},
     t = e^{eta}, h = e^{eta*hbar}, which keeps every operator entry rational.
-    PARAMETERS names each flavor's fields; relative and shifted hold its
-    spectral convention.  The twist g = diag(g_1, ..., g_N) is shared by
-    both flavors.
+    PARAMETERS names each flavor's fields; relative, shifted, sinh and
+    coupled hold its spectral convention, so that a formula both flavors
+    share (a pole, a sinh ratio) is written once.  The twist
+    g = diag(g_1, ..., g_N) is shared by both flavors.
     """
 
     flavor: str
@@ -102,8 +103,20 @@ class ModelConfig:
         """The point p moved by the qKZ step: p + eta*hbar, or p * h."""
         return p + self.eta * self.hbar if self.is_rational else p * self.h
 
+    def sinh(self, v):
+        """sinh of the spectral argument v: v itself (the rational flavor is
+        the sinh x -> x limit), or sinh_exp(v) of v = e^x."""
+        return v if self.is_rational else sinh_exp(v)
+
+    def coupled(self, v):
+        """The spectral argument v moved by the coupling: v + eta, or v * t."""
+        return v + self.eta if self.is_rational else v * self.t
+
     def validate(self):
-        """Generic-position and non-degeneracy requirements, checked eagerly."""
+        """Generic-position and non-degeneracy requirements, checked eagerly:
+        sinh(eta) != 0, and for every ordered pair i != j both
+        sinh(x_i - x_j) != 0 (no pole of R~) and sinh(x_i - x_j + eta) != 0
+        (no pole of R), read through sinh, coupled and relative."""
         if self.N < 1 or self.n < 1:
             raise GenericPositionViolation(f"need N, n >= 1, got N={self.N}, n={self.n}")
         if len(self.g) != self.N:
@@ -111,45 +124,23 @@ class ModelConfig:
         for a, ga in enumerate(self.g, start=1):
             if ga == 0:
                 raise GenericPositionViolation(f"twist entry g_{a} = 0")
-        if self.is_rational:
-            if self.eta == 0:
-                raise GenericPositionViolation("eta = 0")
-            if len(self.x) != self.n:
-                raise GenericPositionViolation(
-                    f"need {self.n} inhomogeneities, got {len(self.x)}"
-                )
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    d = self.x[i] - self.x[j]
-                    if d == 0:
-                        raise GenericPositionViolation(f"x_{i+1} = x_{j+1}")
-                    if d == self.eta:
-                        raise GenericPositionViolation(f"x_{i+1} - x_{j+1} = eta")
-                    if d == -self.eta:
-                        raise GenericPositionViolation(f"x_{j+1} - x_{i+1} = eta")
-        else:
-            if self.t == 0 or self.h == 0:
-                raise GenericPositionViolation("t and h must be nonzero")
-            if self.t * self.t == 1:
-                raise GenericPositionViolation("t^2 = 1, i.e. eta = 0 mod i*pi")
-            if len(self.u) != self.n:
-                raise GenericPositionViolation(
-                    f"need {self.n} exponentials u_i, got {len(self.u)}"
-                )
-            tt = self.t * self.t
-            for i in range(self.n):
-                if self.u[i] == 0:
-                    raise GenericPositionViolation(f"u_{i+1} = 0")
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    ui2 = self.u[i] * self.u[i]
-                    uj2 = self.u[j] * self.u[j]
-                    if ui2 == uj2:
-                        raise GenericPositionViolation(f"u_{i+1}^2 = u_{j+1}^2")
-                    if ui2 * tt == uj2:
-                        raise GenericPositionViolation(f"u_{i+1}^2 t^2 = u_{j+1}^2")
-                    if uj2 * tt == ui2:
-                        raise GenericPositionViolation(f"u_{j+1}^2 t^2 = u_{i+1}^2")
+        if len(self.points) != self.n:
+            raise GenericPositionViolation(
+                f"need {self.n} inhomogeneities, got {len(self.points)}")
+        # exponentials vanish nowhere; a rational chain has none (all None)
+        if 0 in (self.t, self.h, *(self.u or ())):
+            raise GenericPositionViolation("t, h and every u_i must be nonzero")
+        if self.sinh(self.coupling) == 0:
+            raise GenericPositionViolation("sinh(eta) = 0")
+        for i, p in enumerate(self.points, start=1):
+            for j, q in enumerate(self.points, start=1):
+                if i == j:
+                    continue
+                r = self.relative(p, q)
+                if self.sinh(r) == 0:
+                    raise GenericPositionViolation(f"sinh(x_{i} - x_{j}) = 0")
+                if self.sinh(self.coupled(r)) == 0:
+                    raise GenericPositionViolation(f"sinh(x_{i} - x_{j} + eta) = 0")
 
     def at_hbar_zero(self):
         """The same chain with the qKZ step switched off (K becomes K^(0))."""
@@ -164,7 +155,7 @@ class ModelConfig:
             self, **_coerced(self.flavor, domain, self.g, *values))
 
     def space(self):
-        return Space(self.N, self.n)
+        return shared_space(self.N, self.n)
 
     def twist_table(self):
         return {(a, a): ga for a, ga in enumerate(self.g, start=1)}
@@ -284,17 +275,14 @@ def hamiltonian(cfg, i):
 
 
 def hamiltonian_prefactor(cfg, i):
-    """The scalar relating H_i to K_i^(0)."""
+    """The scalar relating H_i to K_i^(0): the product over j != i of
+    sinh(r + eta) / sinh(r), r the argument of site i against site j."""
     f = cfg.domain.one
-    if cfg.is_rational:
-        for j in range(1, cfg.n + 1):
-            if j != i:
-                d = cfg.x[i - 1] - cfg.x[j - 1]
-                f = f * (d + cfg.eta) / d
-        return f
-    for j in range(1, cfg.n + 1):
+    p = cfg.points[i - 1]
+    for j, q in enumerate(cfg.points, start=1):
         if j != i:
-            f = f * sinh_ratio_down(cfg.u[i - 1] / cfg.u[j - 1], cfg.t, cfg.domain)
+            r = cfg.relative(p, q)
+            f = f * cfg.sinh(cfg.coupled(r)) / cfg.sinh(r)
     return f
 
 
@@ -335,12 +323,8 @@ def _fresh_points(cfg, count):
         cand = Fraction(17 + 29 * k, 13)
         k += 1
         c = dom.coerce(cand)
-        if cfg.is_rational:
-            if all(c != xj for xj in cfg.x):
-                pts.append(c)
-        else:
-            if all(c * c != uj * uj for uj in cfg.u):
-                pts.append(c)
+        if all(cfg.sinh(cfg.relative(c, p)) != 0 for p in cfg.points):
+            pts.append(c)
     return pts
 
 

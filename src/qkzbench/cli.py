@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -181,12 +182,8 @@ def _check_ybe(cfg, sectors, rc, rng):
     while len(out) < 3:
         p1 = _draw_spectral(cfg, rng)
         p2 = _draw_spectral(cfg, rng)
-        if cfg.is_rational:
-            ok = p1 - p2 + cfg.eta != 0 and p1 != p2
-        else:
-            r = p1 / p2
-            ok = r * r != 1 and r * r * cfg.t * cfg.t != 1
-        if not ok:
+        r = cfg.relative(p1, p2)  # the 12-argument: no pole of R or R~
+        if cfg.sinh(r) == 0 or cfg.sinh(cfg.coupled(r)) == 0:
             continue
         out.append(rmatrix.check_yang_baxter(
             cfg.flavor, p1, p2, cfg.coupling, cfg.N, cfg.domain))
@@ -393,7 +390,9 @@ def _json_safe(v):
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, complex):
-        return [v.real, v.imag]
+        return [_json_safe(v.real), _json_safe(v.imag)]
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(v)  # "inf", "-inf" or "nan": JSON has no such number
     if isinstance(v, (list, tuple)):
         return [_json_safe(x) for x in v]
     if isinstance(v, dict):
@@ -492,7 +491,7 @@ def _cmd_spectrum(args):
                 "states": [
                     {
                         "eigenvalues": _json_safe(st.eigenvalues),
-                        "residuals": st.residuals,
+                        "residuals": _json_safe(st.residuals),
                     }
                     for st in states
                 ],
@@ -515,15 +514,15 @@ def _cmd_correspond(args):
             {
                 "sector": list(M),
                 "status": rep.status,
-                "worst": rep.worst,
+                "worst": _json_safe(rep.worst),
                 "rows": [
                     {
                         "eigenvalues": _json_safe(row.eigenvalues),
                         "velocities": _json_safe(row.velocities),
                         "target": _json_safe(row.target),
                         "invariants": _json_safe(row.invariants),
-                        "radius": row.radius,
-                        "hamiltonian_deviation": row.hamiltonian_deviation,
+                        "radius": _json_safe(row.radius),
+                        "hamiltonian_deviation": _json_safe(row.hamiltonian_deviation),
                     }
                     for row in rep.rows
                 ],

@@ -23,7 +23,7 @@ from .report import from_residual
 from .scalars import EXACT
 from .tensor import (
     ChainOperator,
-    Space,
+    shared_space,
     site_embed,
     swap_embed,
     two_site_embed,
@@ -144,7 +144,7 @@ def check_yang_baxter(flavor, point1, point2, coupling, N, domain=EXACT):
     rational case or their exponentials (u_x, u_y) in the trigonometric one;
     the 12-argument is the difference x - y, i.e. the ratio u_x / u_y.
     """
-    space = Space(N, 3)
+    space = shared_space(N, 3)
     if flavor == "rational":
         p12 = domain.coerce(point1) - domain.coerce(point2)
     else:
@@ -166,7 +166,7 @@ def check_yang_baxter(flavor, point1, point2, coupling, N, domain=EXACT):
 
 def check_unitarity(flavor, point, coupling, N, domain=EXACT):
     """R_12(s) R_21(-s) = I on V^(tensor 2); -s maps to 1/u multiplicatively."""
-    space = Space(N, 2)
+    space = shared_space(N, 2)
     fwd = r_factor(flavor, space, 1, 2, point, coupling, domain)
     p = domain.coerce(point)
     back = r_factor(flavor, space, 2, 1, -p if flavor == "rational" else 1 / p,
@@ -183,7 +183,7 @@ def check_unitarity(flavor, point, coupling, N, domain=EXACT):
 
 def check_twist_commutation(flavor, point, coupling, g, N, domain=EXACT):
     """[g (x) g, R(x)] = 0 for a diagonal twist g on V^(tensor 2)."""
-    space = Space(N, 2)
+    space = shared_space(N, 2)
     r = r_factor(flavor, space, 1, 2, point, coupling, domain)
     table = {(a, a): domain.coerce(ga) for a, ga in enumerate(g, start=1)}
     gg = site_embed(space, table, 1, domain) @ site_embed(space, table, 2, domain)

@@ -10,6 +10,7 @@ immutable after construction.  Scalars enter and leave as domain values.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -95,6 +96,16 @@ class Space:
         if self.sector is None:
             return f"Space(N={self.N}, n={self.n})"
         return f"Space(N={self.N}, n={self.n}, sector={self.sector})"
+
+
+_SPACES = functools.cache(Space)
+
+
+def shared_space(N, n, sector=None):
+    """The Space of (N, n, sector), built on the first request only and then
+    shared: a Space is never changed after construction, and building one
+    enumerates the N^n basis states."""
+    return _SPACES(int(N), int(n), None if sector is None else tuple(map(int, sector)))
 
 
 class ChainOperator:
@@ -297,7 +308,7 @@ class ChainOperator:
         space = self.space
         if space.sector is not None:
             raise DimensionMismatch("restrict expects a full-space operator")
-        sub = Space(space.N, space.n, sector)
+        sub = shared_space(space.N, space.n, sector)
         member = [weight_of(J, space.N) == sub.sector for J in space.states]
         pos = {space.index_of(J): k for k, J in enumerate(sub.states)}
         rows = {}
@@ -320,7 +331,7 @@ class ChainOperator:
         space = self.space
         if space.sector is not None or space.n < 2:
             raise DimensionMismatch(f"no first site to trace out of {space}")
-        sub = Space(space.N, space.n - 1)
+        sub = shared_space(space.N, space.n - 1)
         rows = {}
         for r, row in self.rows.items():
             a, rr = divmod(r, sub.dim)  # site 1 is the leading digit

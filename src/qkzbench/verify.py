@@ -26,15 +26,15 @@ from .chain import (hamiltonian, memo, qkz_covector, qkz_covector_numerators,
                     twist_sinh_sum)
 from .errors import FlavorMismatch, PoleHit
 from .report import from_residual, largest_residual
-from .rmatrix import r_rational, r_trig, sinh_exp
+from .rmatrix import r_rational, r_trig
 from .tensor import (
     ChainOperator,
-    Space,
     covector_residual,
     omega,
     omega_q,
     permutation,
     q_permutation,
+    shared_space,
 )
 
 _RATIONAL_ARGS = (Fraction(3, 7), Fraction(-5, 3), Fraction(12, 5))
@@ -185,7 +185,7 @@ class SectorSums:
 
     def __init__(self, cfg, sector, ops):
         dom = cfg.domain
-        self.space = Space(cfg.N, cfg.n, sector)
+        self.space = shared_space(cfg.N, cfg.n, sector)
         self.ops = [H.restrict(sector) for H in ops]
         self.identity = ChainOperator.identity(self.space, dom)
         self.det_sums = []
@@ -275,18 +275,13 @@ def _eliminate(rows, m):
 
 
 def velocity_scale(cfg):
-    """eta (rational) or sinh(eta) = (t - 1/t)/2 (trigonometric), exactly."""
-    if cfg.is_rational:
-        return cfg.eta
-    return sinh_exp(cfg.t)
+    """sinh(eta): eta, or (t - 1/t)/2 in exponential variables, exactly."""
+    return cfg.sinh(cfg.coupling)
 
 
 def lax_denominator(cfg, i, j):
-    """x_i - x_j + eta, or its sinh in exponential variables, exactly."""
-    if cfg.is_rational:
-        den = cfg.x[i - 1] - cfg.x[j - 1] + cfg.eta
-    else:
-        den = sinh_exp(cfg.u[i - 1] * cfg.t / cfg.u[j - 1])
+    """sinh(x_i - x_j + eta), exactly."""
+    den = cfg.sinh(cfg.coupled(cfg.relative(cfg.points[i - 1], cfg.points[j - 1])))
     if den == 0:
         raise PoleHit(f"Lax denominator vanishes at ({i}, {j})")
     return den
@@ -294,10 +289,11 @@ def lax_denominator(cfg, i, j):
 
 def principal_minors(cfg):
     """det(C_SS) for every sorted subset S of the 0-based sites, with
-    C_ij = eta / (x_j - x_i + eta) from the scale and denominators of the Lax
-    matrix.  Each minor is an elimination of its submatrix, once per config;
-    symmetric-identity compares them with their Cauchy closed form, and the
-    correspondence sums the Lax characteristic coefficients from them."""
+    C_ij = sinh(eta) / sinh(x_j - x_i + eta) from the scale and denominators
+    of the Lax matrix.  Each minor is an elimination of its submatrix, once
+    per config; symmetric-identity compares them with their Cauchy closed
+    form, and the correspondence sums the Lax characteristic coefficients
+    from them."""
     def build():
         C = [[velocity_scale(cfg) / lax_denominator(cfg, j + 1, i + 1)
               for j in range(cfg.n)] for i in range(cfg.n)]
@@ -337,12 +333,12 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     """Cauchy-weighted Hamiltonian products against e_d of the twist power
     sums.
 
-    The left side sum_{|S|=d} w_S H_S, w_S = prod_{a<b in S} (1 - eta^2 /
-    (x_a - x_b)^2)^{-1}, is (-1)^d det_sums[d], because w_S is the principal
-    minor det(C_SS) of the Cauchy matrix; that scalar identity is checked for
-    every S with |S| = d.  On a sector the right side is the scalar e_d
-    evaluated from p_k = sum_a M_a g_a^k; for d <= 3 the explicit expansions
-    in the power sums are cross-checked, and the multiset form
+    The left side sum_{|S|=d} w_S H_S, w_S = prod_{a<b in S} (1 - sinh^2 eta /
+    sinh^2(x_a - x_b))^{-1}, is (-1)^d det_sums[d], because w_S is the
+    principal minor det(C_SS) of the Cauchy matrix; that scalar identity is
+    checked for every S with |S| = d.  On a sector the right side is the
+    scalar e_d evaluated from p_k = sum_a M_a g_a^k; for d <= 3 the explicit
+    expansions in the power sums are cross-checked, and the multiset form
     e_d(g_1 x M_1, ...) must agree as well.  The left side is required to be
     that scalar times the identity, not merely to have the right trace.
     """
@@ -353,11 +349,12 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     table = sector_sums(cfg, sector, hamiltonians)
     comparisons = [table.commutator]
     minors = principal_minors(cfg)
+    sh, pts = cfg.sinh(cfg.coupling), cfg.points
     for S in itertools.combinations(range(cfg.n), d):
         weight = dom.one
         for a, b in itertools.combinations(S, 2):
-            diff = cfg.x[a] - cfg.x[b]
-            weight = weight / (dom.one - cfg.eta * cfg.eta / (diff * diff))
+            diff = cfg.sinh(cfg.relative(pts[a], pts[b]))
+            weight = weight / (dom.one - sh * sh / (diff * diff))
         comparisons.append((dom.residual(weight, minors[S]), ("Cauchy weight", S)))
     ps = [
         sum((m * g ** k for m, g in zip(sector, cfg.g)), dom.zero)

@@ -7,6 +7,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkzbench import chain
 from qkzbench.chain import (
@@ -87,6 +89,67 @@ def test_validate_trig_collisions():
         ModelConfig.trigonometric(2, 2, t, h, (Fraction(1), Fraction(2)), G2)
     with pytest.raises(GenericPositionViolation):
         ModelConfig.trigonometric(2, 2, Fraction(1), h, (Fraction(1), Fraction(3)), G2)
+
+
+def _hand_written_rejects(flavor, coupling, step, points):
+    """The pole conditions as they were written out per flavor before
+    validate read them through ModelConfig.sinh, coupled and relative."""
+    n = len(points)
+    if flavor == chain.RATIONAL:
+        eta, x = coupling, points
+        if eta == 0:
+            return True
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = x[i] - x[j]
+                if d == 0 or d == eta or d == -eta:
+                    return True
+        return False
+    t, h, u = coupling, step, points
+    if t == 0 or h == 0 or t * t == 1 or any(ui == 0 for ui in u):
+        return True
+    for i in range(n):
+        for j in range(i + 1, n):
+            ui2, uj2 = u[i] * u[i], u[j] * u[j]
+            if ui2 == uj2 or ui2 * t * t == uj2 or uj2 * t * t == ui2:
+                return True
+    return False
+
+
+_POOL = tuple(Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3))
+# a move puts a point on a pole of the pair it forms with an earlier one;
+# the points are permuted afterwards, so both orders of the pair occur
+_MOVES = {chain.RATIONAL: (lambda p, eta: p, lambda p, eta: p + eta,
+                           lambda p, eta: p - eta),
+          chain.TRIGONOMETRIC: (lambda p, t: p, lambda p, t: -p,
+                                lambda p, t: p * t, lambda p, t: -p * t)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_validate_matches_the_hand_written_pole_conditions(data):
+    flavor = data.draw(st.sampled_from(sorted(chain.PARAMETERS)))
+    coupling = data.draw(st.sampled_from(_POOL))
+    step = data.draw(st.sampled_from((Fraction(0), HBAR, Fraction(5, 4))))
+    points = [data.draw(st.sampled_from(_POOL))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        move = data.draw(st.sampled_from((None,) + _MOVES[flavor]))
+        points.append(data.draw(st.sampled_from(_POOL)) if move is None
+                      else move(data.draw(st.sampled_from(points)), coupling))
+    points = data.draw(st.permutations(points))
+    try:
+        ModelConfig.build(flavor, 2, len(points), coupling, step, points, G2)
+        rejected = False
+    except GenericPositionViolation:
+        rejected = True
+    assert rejected == _hand_written_rejects(flavor, coupling, step, points)
+
+
+@pytest.mark.parametrize("v", [Fraction(3), Fraction(-2, 5), Fraction(7, 3)])
+def test_sinh_of_coupled_over_sinh_is_the_tilde_ratio(v):
+    trig, rat = trig_cfg(), rational_cfg()
+    assert trig.sinh(trig.coupled(v)) / trig.sinh(v) == sinh_ratio_down(v, trig.t)
+    assert rat.sinh(rat.coupled(v)) / rat.sinh(v) == (v + ETA) / v
 
 
 # ----------------------------------------------------------------- operators

@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qkzbench import cli
+from qkzbench import chain, cli, correspond, verify
 from qkzbench.cli import (
     CHECK_NAMES,
     emit,
@@ -19,6 +21,8 @@ from qkzbench.errors import (
     ParseError,
     PoleHit,
 )
+from qkzbench.scalars import ComplexDomain
+from qkzbench.tensor import ChainOperator
 
 RATIONAL_CFG = """\
 # sample chain
@@ -280,7 +284,7 @@ def test_main_verify_failure_exit_code(rational_path, capsys):
 def test_main_config_error_exit_code(tmp_path, capsys):
     # non-generic positions, zero twist entries and too few x are config errors
     p = tmp_path / "bad.cfg"
-    for x, g, message in (("[0, 1/2]", "[2, 3]", "x_2 - x_1 = eta"),
+    for x, g, message in (("[0, 1/2]", "[2, 3]", "sinh(x_1 - x_2 + eta) = 0"),
                           ("[0, 2/5]", "[0, 3]", "twist entry g_1 = 0"),
                           ("[0]", "[2, 3]", "need 2 inhomogeneities, got 1")):
         p.write_text("model = rational\nN = 2\nn = 2\neta = 1/2\nhbar = 0\n"
@@ -301,6 +305,49 @@ def test_main_zero_denominator_is_a_config_error(tmp_path, capsys, line, text):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: line {line}: bad value for '{key}'")
     assert "Traceback" not in err
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not a JSON number")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_safe_writes_non_finite_floats_as_strings():
+    values = [math.inf, -math.inf, math.nan, complex(math.nan, 1), 0.5]
+    assert cli._json_safe(values) == ["inf", "-inf", "nan", ["nan", 1.0], 0.5]
+
+
+def test_correspond_report_with_an_inf_radius_is_strict_json(monkeypatch, capsys):
+    # every target moved by 1/2: no circle around a target holds its roots
+    targets = correspond.twist_targets
+    monkeypatch.setattr(correspond, "twist_targets", lambda cfg, sector: [
+        t + Fraction(1, 2) for t in targets(cfg, sector)])
+    path = Path(__file__).parent / "data" / "rational.cfg"
+    assert main(["correspond", "--config", str(path), "--sector", "2,1"]) == 1
+    (sector,) = _strict_json(capsys.readouterr().out)["sectors"]
+    assert sector["worst"] == "inf"
+    assert {row["radius"] for row in sector["rows"]} == {"inf"}
+
+
+def test_float_verify_report_with_a_nan_entry_is_strict_json(monkeypatch, capsys):
+    # one NaN entry of the float H_1 makes residuals inf
+    built = chain.hamiltonian
+
+    def poisoned(cfg, i):
+        H = built(cfg, i)
+        if i != 1 or not isinstance(cfg.domain, ComplexDomain):
+            return H
+        entries = [e for e in H.entries() if e[:2] != (0, 0)]
+        return ChainOperator.from_entries(
+            H.space, entries + [(0, 0, complex(math.nan))], H.domain)
+
+    monkeypatch.setattr(chain, "hamiltonian", poisoned)
+    monkeypatch.setattr(verify, "hamiltonian", poisoned)
+    path = Path(__file__).parent / "data" / "rational-float.cfg"
+    assert main(["verify", "--config", str(path), "--format", "json"]) == 1
+    doc = _strict_json(capsys.readouterr().out)
+    assert "inf" in [r["residual"] for r in doc["results"]]
 
 
 def test_main_missing_file(capsys):

@@ -26,6 +26,7 @@ from qkzbench.tensor import (
     omega_q,
     permutation,
     q_permutation,
+    shared_space,
     site_embed,
     weight_of,
 )
@@ -304,6 +305,14 @@ def test_restrict_identity():
     sub = Space(3, 2, M)
     assert ChainOperator.identity(sp).restrict(M) == ChainOperator.identity(sub)
     assert sub.dim == 2
+
+
+def test_restrict_shares_one_space_per_sector():
+    full = ChainOperator.identity(shared_space(2, 3))
+    sub = shared_space(2, 3, [2, 1])
+    assert sub is shared_space(2, 3, (2, 1)) == Space(2, 3, (2, 1))
+    assert full.restrict((2, 1)).space is sub
+    assert full.restrict([2, 1]).space is sub
 
 
 def test_restrict_raising_operator_fails():
