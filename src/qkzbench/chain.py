@@ -143,10 +143,22 @@ class ModelConfig:
                     raise GenericPositionViolation(f"sinh(x_{i} - x_{j} + eta) = 0")
 
     def at_hbar_zero(self):
-        """The same chain with the qKZ step switched off (K becomes K^(0))."""
-        if self.is_rational:
-            return dataclasses.replace(self, hbar=self.domain.coerce(0))
-        return dataclasses.replace(self, h=self.domain.one)
+        """The same chain with the qKZ step switched off (K becomes K^(0)).
+
+        One object per config, made on the first call; a chain whose step is
+        off already is its own.  Both chains keep their qKZ factors in the
+        memo under this object (_memo_factor)."""
+        return self._hbar_off or self
+
+    @functools.cached_property
+    def _hbar_off(self):
+        # None if the step is off already: a config holding itself would be
+        # a reference cycle
+        step = PARAMETERS[self.flavor][1]
+        off = self.domain.coerce(0) if self.is_rational else self.domain.one
+        if getattr(self, step) == off:
+            return None
+        return dataclasses.replace(self, **{step: off})
 
     def to_domain(self, domain):
         """Convert every parameter once into another scalar domain."""
@@ -172,10 +184,35 @@ class ModelConfig:
 
 # --------------------------------------------------------------- chain builds
 
+# cfg -> {key: build}: every per-config build is made once and shared: the
+# qKZ two-site factors and twists g_i (under cfg.at_hbar_zero(), so that cfg
+# and its hbar = 0 copy share them), H_i, T(x), the sector sums and the
+# principal minors.  A config is frozen and hashable and its domain compares
+# by identity, so equal configs share builds only within one domain; a build
+# lives as long as the config object that first made it.
+_BUILT = weakref.WeakKeyDictionary()
+
+
+def memo(cfg, key, build):
+    """build() for this config and key, called on the first request only."""
+    built = _BUILT.setdefault(cfg, {})
+    if key not in built:
+        built[key] = build()
+    return built[key]
+
+
 def _positions(cfg, shifted_sites):
     """The spectral points with the qKZ shift applied at the given sites."""
     return [cfg.shifted(p) if (k + 1) in shifted_sites else p
             for k, p in enumerate(cfg.points)]
+
+
+def _memo_factor(cfg, tilde, key, build):
+    """build() for one factor of a chain product.  A qKZ factor or twist
+    depends on its sites and argument but not on the qKZ step, so it is made
+    once, in the memo of cfg.at_hbar_zero().  H_i and T(x) are memoized
+    whole, so each of their factors (tilde) is read once and kept nowhere."""
+    return build() if tilde else memo(cfg.at_hbar_zero(), key, build)
 
 
 def _r_factor(cfg, space, i, j, pos, plus, tilde):
@@ -184,14 +221,16 @@ def _r_factor(cfg, space, i, j, pos, plus, tilde):
     arg = cfg.relative(pos[i - 1], pos[j - 1])
     if plus:
         arg = cfg.shifted(arg)
-    return r_factor(cfg.flavor, space, i, j, arg, cfg.coupling, cfg.domain, tilde)
+    return _memo_factor(cfg, tilde, ("R", i, j, arg), functools.partial(
+        r_factor, cfg.flavor, space, i, j, arg, cfg.coupling, cfg.domain, tilde))
 
 
 def _chain_factors(cfg, i, shifted_sites, tilde):
     """The factors of the chain product around the twist at site i, in
     product order: R_{i,i-1} ... R_{i,1}, g_i, R_{i,n} ... R_{i,i+1}, each
-    built when the iteration reaches it.  The qKZ factors (not tilde) left of
-    g_i carry the eta*hbar shift; the tilde factors carry none.
+    built (or, a qKZ factor, read from the memo) when the iteration reaches
+    it.  The qKZ factors (not tilde) left of g_i carry the eta*hbar shift;
+    the tilde factors carry none.
     """
     if not (1 <= i <= cfg.n):
         raise BadSite(f"site {i} outside 1..{cfg.n}")
@@ -199,7 +238,8 @@ def _chain_factors(cfg, i, shifted_sites, tilde):
     pos = _positions(cfg, frozenset(shifted_sites))
     for j in range(i - 1, 0, -1):
         yield _r_factor(cfg, space, i, j, pos, not tilde, tilde)
-    yield site_embed(space, cfg.twist_table(), i, cfg.domain)
+    yield _memo_factor(cfg, tilde, ("g", i), functools.partial(
+        site_embed, space, cfg.twist_table(), i, cfg.domain))
     for j in range(cfg.n, i, -1):
         yield _r_factor(cfg, space, i, j, pos, False, tilde)
 
@@ -246,22 +286,6 @@ def qkz_covector_numerators(cfg, cov, i, shifted_sites=(), left_block=False):
             break
         cov = f.push_left(*cov)
     return cov
-
-
-# cfg -> {key: build}: every per-config build (H_i, T(x), the sector sums
-# and the principal minors) is made once and shared.  A config is frozen and
-# hashable and its domain compares by identity, so equal configs share
-# builds only within one domain; a build lives as long as the config object
-# that first made it.
-_BUILT = weakref.WeakKeyDictionary()
-
-
-def memo(cfg, key, build):
-    """build() for this config and key, called on the first request only."""
-    built = _BUILT.setdefault(cfg, {})
-    if key not in built:
-        built[key] = build()
-    return built[key]
 
 
 def hamiltonian(cfg, i):
@@ -432,16 +456,23 @@ def sum_rule(cfg):
                          params={"flavor": cfg.flavor})
 
 
-def qkz_compatibility(cfg, i, j):
+def qkz_compatibility(cfg, i, j, unshifted=None):
     """Compatibility of the qKZ system for the pair (i, j).
 
     K_j with site i shifted by eta*hbar, times K_i, must equal the mirrored
-    product; this is the discrete flatness of the connection.
+    product; this is the discrete flatness of the connection.  ``unshifted``
+    maps sites to their unshifted K_i: one that is missing is built through
+    qkz_operator into it, so a caller that runs a family of pairs with one
+    map builds each unshifted K_i once.
     """
     if i == j:
         raise BadSite("compatibility needs two distinct sites")
-    lhs = qkz_operator(cfg, j, {i}) @ qkz_operator(cfg, i)
-    rhs = qkz_operator(cfg, i, {j}) @ qkz_operator(cfg, j)
+    unshifted = {} if unshifted is None else unshifted
+    for s in (i, j):
+        if s not in unshifted:
+            unshifted[s] = qkz_operator(cfg, s)
+    lhs = qkz_operator(cfg, j, {i}) @ unshifted[i]
+    rhs = qkz_operator(cfg, i, {j}) @ unshifted[j]
     res, wit = largest_residual(cfg.domain, [lhs.residual(rhs)])
     return from_residual(
         "qkz-compat", res, cfg.domain.threshold, witness=wit, params={"i": i, "j": j}

@@ -224,9 +224,11 @@ def _check_sum_rule(cfg, sectors, rc, rng):
 
 
 def _check_qkz_compat(cfg, sectors, rc, rng):
+    # each unshifted K_i is built once for the family, and dropped with it
+    unshifted = {}
     for i in range(1, cfg.n + 1):
         for j in range(i + 1, cfg.n + 1):
-            yield chain.qkz_compatibility(cfg, i, j)
+            yield chain.qkz_compatibility(cfg, i, j, unshifted)
 
 
 def _check_omega(cfg, sectors, rc, rng):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import gc
@@ -5,12 +6,13 @@ import itertools
 import operator
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkzbench import chain
+from qkzbench import chain, cli, rmatrix
 from qkzbench.chain import (
     ModelConfig,
     _chain_factors,
@@ -34,7 +36,7 @@ from qkzbench.errors import (
     GenericPositionViolation,
     PoleHit,
 )
-from qkzbench.rmatrix import sinh_ratio_down
+from qkzbench.rmatrix import r_factor, sinh_ratio_down
 from qkzbench.scalars import ComplexDomain
 from qkzbench.tensor import (
     ChainOperator,
@@ -47,6 +49,7 @@ from qkzbench.tensor import (
 ETA = Fraction(1, 2)
 HBAR = Fraction(1, 3)
 X3 = (Fraction(0), Fraction(2, 5), Fraction(9, 7))
+X4 = X3 + (Fraction(-3, 4),)
 G2 = (Fraction(2), Fraction(3))
 
 
@@ -55,7 +58,7 @@ def rational_cfg(n=3, x=X3):
 
 
 def trig_cfg(n=3):
-    u = (Fraction(1), Fraction(3, 2), Fraction(7, 3))[:n]
+    u = (Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(9, 5))[:n]
     return ModelConfig.trigonometric(2, n, Fraction(2), Fraction(5, 4), u, G2)
 
 
@@ -169,22 +172,28 @@ def test_connection_respects_weight_sectors():
         K.restrict(M)  # must not raise
 
 
-def test_proportionality_between_h_and_k0():
-    cfg = rational_cfg()
+def _assert_proportional_with_the_memo_warm(cfg, monkeypatch):
+    """H_i = hamiltonian_prefactor * K_i^(0) for every site, each H_i built
+    after K_i and K_i^(0) have put their factors in the memo.  At hbar = 0
+    every R_ij of K_i^(0) sits at the argument of the R~_ij of H_i, so an
+    H_i that read a memoized factor would be K_i^(0) itself."""
+    monkeypatch.setattr(chain, "_BUILT", weakref.WeakKeyDictionary())
     cfg0 = cfg.at_hbar_zero()
-    for i in (1, 2, 3):
-        lhs = hamiltonian(cfg, i)
-        rhs = qkz_operator(cfg0, i).scaled(hamiltonian_prefactor(cfg, i))
-        assert lhs == rhs
+    for i in range(1, cfg.n + 1):
+        qkz_operator(cfg, i)
+        K0 = qkz_operator(cfg0, i)
+        H = hamiltonian(cfg, i)
+        assert H == K0.scaled(hamiltonian_prefactor(cfg, i)) and H != K0
 
 
-def test_trig_proportionality_between_h_and_k0():
-    cfg = trig_cfg()
-    cfg0 = cfg.at_hbar_zero()
-    for i in (1, 2, 3):
-        lhs = hamiltonian(cfg, i)
-        rhs = qkz_operator(cfg0, i).scaled(hamiltonian_prefactor(cfg, i))
-        assert lhs == rhs
+def test_proportionality_between_h_and_k0(monkeypatch):
+    for n in (3, 4):
+        _assert_proportional_with_the_memo_warm(rational_cfg(n, X4), monkeypatch)
+
+
+def test_trig_proportionality_between_h_and_k0(monkeypatch):
+    for n in (3, 4):
+        _assert_proportional_with_the_memo_warm(trig_cfg(n), monkeypatch)
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
@@ -554,6 +563,131 @@ def test_hamiltonian_memo_does_not_keep_its_config_alive():
     del cfg
     gc.collect()
     assert ref() is None
+
+
+# ------------------------------------------------------- qKZ factor memo
+
+DATA = Path(__file__).parent / "data"
+BUILDERS = ("r_rational", "r_rational_tilde", "r_trig", "r_trig_tilde")
+
+
+def _count_builds(monkeypatch):
+    """Counter of (builder, chain length, i, j, argument) over every call of
+    an R builder from now on; r_factor looks the builders up when called."""
+    builds = collections.Counter()
+    for name in BUILDERS:
+        def counted(space, i, j, point, coupling, domain,
+                    name=name, build=getattr(rmatrix, name)):
+            builds[name, space.n, i, j, point] += 1
+            return build(space, i, j, point, coupling, domain)
+        monkeypatch.setattr(rmatrix, name, counted)
+    return builds
+
+
+@pytest.mark.parametrize("name", ["trig", "rational"])
+def test_a_full_verify_builds_each_factor_once(name, monkeypatch):
+    monkeypatch.setattr(chain, "_BUILT", weakref.WeakKeyDictionary())
+    builds = _count_builds(monkeypatch)
+    results = cli.run(cli.load_config(DATA / f"{name}.cfg")).results
+    assert results and all(r.passed for r in results)
+    assert builds and set(builds.values()) == {1}
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_at_hbar_zero_is_one_object_per_config(make):
+    cfg = make()
+    cfg0 = cfg.at_hbar_zero()
+    assert cfg.at_hbar_zero() is cfg0 and cfg0.at_hbar_zero() is cfg0
+    assert make().at_hbar_zero() == cfg0 != cfg
+    step = chain.PARAMETERS[cfg.flavor][1]
+    assert getattr(cfg0, step) == (0 if cfg.is_rational else 1)
+    assert dataclasses.replace(cfg0, **{step: getattr(cfg, step)}) == cfg
+
+
+def test_factor_memo_is_shared_with_hbar_zero_and_outlives_a_collection(
+        monkeypatch):
+    monkeypatch.setattr(chain, "_BUILT", weakref.WeakKeyDictionary())
+    builds = _count_builds(monkeypatch)
+    cfg = rational_cfg()
+    # an equal config that dies at once takes the table it stored first
+    # along; K_2 holds R_21 and R_23
+    qkz_operator(rational_cfg(), 2)
+    gc.collect()
+    qkz_operator(cfg, 2)
+    assert sum(builds.values()) == 4
+    builds.clear()
+    gc.collect()
+    qkz_operator(cfg, 2)
+    assert not builds
+    # at hbar = 0 only the left block's R_21 moves its argument
+    qkz_operator(cfg.at_hbar_zero(), 2)
+    assert list(builds) == [("r_rational", 3, 2, 1, X3[1] - X3[0])]
+
+
+def test_factor_memo_does_not_keep_its_config_alive():
+    def make():
+        return ModelConfig.rational(2, 2, ETA, HBAR, (Fraction(7), Fraction(17)), G2)
+    cfg = make()
+    qkz_operator(cfg, 2)
+    cfg0 = cfg.at_hbar_zero()
+    assert cfg0 in chain._BUILT
+    refs = weakref.ref(cfg), weakref.ref(cfg0)
+    del cfg, cfg0
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert make().at_hbar_zero() not in chain._BUILT
+
+
+def test_factor_memo_never_crosses_domains():
+    # dyadic parameters: the float factors sit under keys equal to the exact
+    # ones, in the table of another config
+    exact = ModelConfig.rational(2, 3, ETA, Fraction(1, 4),
+                                 (Fraction(0), Fraction(1, 4), Fraction(5, 4)), G2)
+    floats = exact.to_domain(ComplexDomain(1e-10))
+    for i in (1, 2, 3):
+        qkz_operator(exact, i)
+        qkz_operator(floats, i)
+    tables = [chain._BUILT[c.at_hbar_zero()] for c in (exact, floats)]
+    assert tables[0] is not tables[1] and set(tables[0]) == set(tables[1])
+    for cfg, table in zip((exact, floats), tables):
+        assert all(F.domain is cfg.domain for F in table.values())
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_each_memoized_factor_is_a_fresh_build(make, monkeypatch):
+    monkeypatch.setattr(chain, "_BUILT", weakref.WeakKeyDictionary())
+    cfg = make()
+    space = cfg.space()
+    for i, j in itertools.permutations(range(1, cfg.n + 1), 2):
+        assert qkz_compatibility(cfg, i, j).passed
+    table = chain._BUILT[cfg.at_hbar_zero()]
+    # n twists, and each R_ij at two arguments: x_i - x_j, and that moved by
+    # the step (left of the twist, i > j; with site j shifted, i < j)
+    assert len(table) == cfg.n + 2 * cfg.n * (cfg.n - 1)
+    for key, F in table.items():
+        if key[0] == "g":
+            fresh = site_embed(space, cfg.twist_table(), key[1], cfg.domain)
+        else:
+            _, i, j, arg = key
+            fresh = r_factor(cfg.flavor, space, i, j, arg, cfg.coupling, cfg.domain)
+        assert (F.rows, F.den) == (fresh.rows, fresh.den), key
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_r_and_tilde_r_at_one_argument_are_distinct_entries(make, monkeypatch):
+    # at hbar = 0 the R_21 of K_2^(0) and the R~_21 of H_2 share an argument
+    monkeypatch.setattr(chain, "_BUILT", weakref.WeakKeyDictionary())
+    cfg0 = make().at_hbar_zero()
+    space = cfg0.space()
+    arg = cfg0.relative(cfg0.points[1], cfg0.points[0])
+    K = qkz_operator(cfg0, 2)
+    H = hamiltonian(cfg0, 2)
+    table = chain._BUILT[cfg0]
+    R = table["R", 2, 1, arg]
+    tilde = r_factor(cfg0.flavor, space, 2, 1, arg, cfg0.coupling, cfg0.domain, True)
+    assert R == r_factor(cfg0.flavor, space, 2, 1, arg, cfg0.coupling, cfg0.domain)
+    assert R != tilde and tilde not in table.values()
+    assert table["H", 2] is H != K
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])

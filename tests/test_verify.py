@@ -159,6 +159,21 @@ def test_proposition_prefix_fold_matches_fresh_right_sides(flavor):
         assert rhs == verify._right_side(cfg0, w0, S, {}), S
 
 
+@pytest.mark.parametrize("flavor", ["rational", "trig"])
+def test_proposition_family_pushes_each_right_side_once(flavor, monkeypatch):
+    # the factor memo hides a repeated push from the R-factor count, so the
+    # pushes are counted: |S| for the left side of each subset S, and one
+    # for its right side
+    cfg = _chain_25(flavor)
+    pushes = []
+    push = verify.qkz_covector_numerators
+    monkeypatch.setattr(verify, "qkz_covector_numerators",
+                        lambda c, *a: pushes.append(c is cfg) or push(c, *a))
+    assert all(r.passed for r in cli._check_proposition(cfg, None, None, None))
+    assert pushes.count(True) == cfg.n * 2 ** (cfg.n - 1)
+    assert pushes.count(False) == 2 ** cfg.n - 1
+
+
 @pytest.mark.parametrize("cfg", [CFG, TCFG], ids=["rational", "trig"])
 def test_proposition_fails_on_a_perturbed_stored_right_side(cfg):
     right_sides = {}
@@ -265,6 +280,36 @@ def test_qkz_compat_fails_on_perturbed_storage(cfg, change, monkeypatch):
         assert len(r.witness) == 2 and all(J in states for J in r.witness)
     # the unperturbed pair still passes
     assert chain.qkz_compatibility(cfg, 2, 3).passed
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig.rational(2, 4, ETA, HBAR, X3 + (Fraction(-3, 4),), G2),
+    ModelConfig.trigonometric(2, 4, Fraction(2), Fraction(5, 4), (
+        Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(9, 5)), G2),
+], ids=["rational", "trig"])
+def test_one_unshifted_k1_serves_and_fails_every_pair_with_site_1(cfg, monkeypatch):
+    # the qkz-compat family builds each unshifted K_i once, so one wrong K_1
+    # fails the n - 1 pairs that read it, and only those
+    _perturb_k(monkeypatch, 1, _bump_numerator)
+    perturbed, unshifted = chain.qkz_operator, []
+
+    def counted(cfg, i, shifted_sites=()):
+        if not shifted_sites:
+            unshifted.append(i)
+        return perturbed(cfg, i, shifted_sites)
+
+    monkeypatch.setattr(chain, "qkz_operator", counted)
+    results = cli.run(cli.RunConfig(model=cfg, checks=["qkz-compat"],
+                                    sectors="all")).results
+    assert sorted(unshifted) == [1, 2, 3, 4]
+    states = cfg.space().states
+    assert len(results) == 6
+    for r in results:
+        if 1 in (r.params["i"], r.params["j"]):
+            assert not r.passed and r.residual != 0, r.params
+            assert len(r.witness) == 2 and all(J in states for J in r.witness)
+        else:
+            assert r.passed and r.residual == 0, r.params
 
 
 @pytest.mark.parametrize("change", [
