@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadColor, BadSite, GenericPositionViolation
-from .report import from_residual, largest_residual
+from .report import verdict
 from .rmatrix import r_factor, sinh_exp
 from .scalars import EXACT
 from .tensor import ChainOperator, shared_space, site_embed, weight_of
@@ -27,49 +27,40 @@ from .tensor import ChainOperator, shared_space, site_embed, weight_of
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
 
-# each flavor's (coupling, step, points) parameter names, in builder order
+# each flavor's (coupling, step, points) parameter names, in builder order:
+# config keys, builder keywords and describe() keys; a config holds the values
+# as its coupling, step and points fields
 PARAMETERS = {RATIONAL: ("eta", "hbar", "x"), TRIGONOMETRIC: ("t", "h", "u")}
-
-
-def _coerced(flavor, domain, g, coupling, step, points):
-    """The twist and the flavor's parameters as fields in the domain."""
-    coerce = domain.coerce
-    g = tuple(map(coerce, g))
-    values = (coerce(coupling), coerce(step), tuple(map(coerce, points)))
-    return dict(zip(PARAMETERS[flavor], values), g=g, domain=domain)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Parameters of one inhomogeneous twisted chain.
 
-    Rational flavor: inhomogeneities x_i, step eta, deformation hbar.
-    Trigonometric flavor: the same data in exponentials u_i = e^{x_i},
-    t = e^{eta}, h = e^{eta*hbar}, which keeps every operator entry rational.
-    PARAMETERS names each flavor's fields; relative, shifted, sinh and
-    coupled hold its spectral convention, so that a formula both flavors
-    share (a pole, a sinh ratio) is written once.  The twist
-    g = diag(g_1, ..., g_N) is shared by both flavors.
+    One triple serves both flavors: the coupling (eta, or t = e^{eta}), the
+    qKZ step (hbar, or h = e^{eta*hbar}) and the spectral points (x_i, or
+    u_i = e^{x_i}); the exponentials keep every trigonometric operator entry
+    rational.  PARAMETERS names the triple for input and output only;
+    relative, shifted, sinh and coupled hold each flavor's spectral
+    convention, so that a formula both flavors share (a pole, a sinh ratio)
+    is written once.  The twist g = diag(g_1, ..., g_N) is shared by both
+    flavors.
     """
 
     flavor: str
     N: int
     n: int
     g: tuple
-    eta: object = None
-    hbar: object = None
-    x: tuple = None
-    t: object = None
-    h: object = None
-    u: tuple = None
+    coupling: object
+    step: object
+    points: tuple
     domain: object = EXACT
 
     # ------------------------------------------------------------ builders
     @classmethod
     def build(cls, flavor, N, n, coupling, step, points, g, domain=EXACT):
         """A validated chain of the flavor, its parameters in PARAMETERS order."""
-        cfg = cls(flavor=flavor, N=int(N), n=int(n),
-                  **_coerced(flavor, domain, g, coupling, step, points))
+        cfg = cls(flavor, int(N), int(n), g, coupling, step, points).to_domain(domain)
         cfg.validate()
         return cfg
 
@@ -85,23 +76,13 @@ class ModelConfig:
     def is_rational(self):
         return self.flavor == RATIONAL
 
-    @property
-    def coupling(self):
-        """The R-matrix coupling: eta, or t = e^eta in the trigonometric flavor."""
-        return getattr(self, PARAMETERS[self.flavor][0])
-
-    @property
-    def points(self):
-        """The spectral points: x, or u = e^x in the trigonometric flavor."""
-        return getattr(self, PARAMETERS[self.flavor][2])
-
     def relative(self, p, q):
         """The spectral argument of p against q: p - q, or p / q."""
         return p - q if self.is_rational else p / q
 
     def shifted(self, p):
         """The point p moved by the qKZ step: p + eta*hbar, or p * h."""
-        return p + self.eta * self.hbar if self.is_rational else p * self.h
+        return p + self.coupling * self.step if self.is_rational else p * self.step
 
     def sinh(self, v):
         """sinh of the spectral argument v: v itself (the rational flavor is
@@ -110,7 +91,7 @@ class ModelConfig:
 
     def coupled(self, v):
         """The spectral argument v moved by the coupling: v + eta, or v * t."""
-        return v + self.eta if self.is_rational else v * self.t
+        return v + self.coupling if self.is_rational else v * self.coupling
 
     def validate(self):
         """Generic-position and non-degeneracy requirements, checked eagerly:
@@ -127,8 +108,8 @@ class ModelConfig:
         if len(self.points) != self.n:
             raise GenericPositionViolation(
                 f"need {self.n} inhomogeneities, got {len(self.points)}")
-        # exponentials vanish nowhere; a rational chain has none (all None)
-        if 0 in (self.t, self.h, *(self.u or ())):
+        # exponentials vanish nowhere
+        if not self.is_rational and 0 in (self.coupling, self.step, *self.points):
             raise GenericPositionViolation("t, h and every u_i must be nonzero")
         if self.sinh(self.coupling) == 0:
             raise GenericPositionViolation("sinh(eta) = 0")
@@ -154,17 +135,19 @@ class ModelConfig:
     def _hbar_off(self):
         # None if the step is off already: a config holding itself would be
         # a reference cycle
-        step = PARAMETERS[self.flavor][1]
         off = self.domain.coerce(0) if self.is_rational else self.domain.one
-        if getattr(self, step) == off:
+        if self.step == off:
             return None
-        return dataclasses.replace(self, **{step: off})
+        return dataclasses.replace(self, step=off)
 
     def to_domain(self, domain):
-        """Convert every parameter once into another scalar domain."""
-        values = (getattr(self, name) for name in PARAMETERS[self.flavor])
+        """Convert the twist, then every parameter, once into another scalar
+        domain."""
+        coerce = domain.coerce
         return dataclasses.replace(
-            self, **_coerced(self.flavor, domain, self.g, *values))
+            self, g=tuple(map(coerce, self.g)), coupling=coerce(self.coupling),
+            step=coerce(self.step), points=tuple(map(coerce, self.points)),
+            domain=domain)
 
     def space(self):
         return shared_space(self.N, self.n)
@@ -177,9 +160,8 @@ class ModelConfig:
         coupling, step, points = PARAMETERS[self.flavor]
         return {"flavor": self.flavor, "N": self.N, "n": self.n,
                 "g": [str(v) for v in self.g],
-                coupling: str(getattr(self, coupling)),
-                step: str(getattr(self, step)),
-                points: [str(v) for v in getattr(self, points)]}
+                coupling: str(self.coupling), step: str(self.step),
+                points: [str(v) for v in self.points]}
 
 
 # --------------------------------------------------------------- chain builds
@@ -332,8 +314,7 @@ def transfer_matrix(cfg, x0):
     pole of R~.  Built once per config and point.
     """
     x0 = cfg.domain.coerce(x0)
-    ext = dataclasses.replace(cfg, n=cfg.n + 1,
-                              **{PARAMETERS[cfg.flavor][2]: (x0,) + cfg.points})
+    ext = dataclasses.replace(cfg, n=cfg.n + 1, points=(x0,) + cfg.points)
     return memo(cfg, ("T", x0),
                 lambda: _chain_product(ext, 1, (), tilde=True).trace_first_site())
 
@@ -355,13 +336,13 @@ def _fresh_points(cfg, count):
 def twist_weight_exponential(cfg, sign):
     """Diagonal operator sum_a g_a t^{+- M_a} (trigonometric boundary values)."""
     space = cfg.space()
-    dom = cfg.domain
+    dom, t = cfg.domain, cfg.coupling
     values = []
     for J in space.states:
         w = weight_of(J, cfg.N)
         s = dom.zero
         for a in range(cfg.N):
-            s = s + cfg.g[a] * cfg.t ** (sign * w[a])
+            s = s + cfg.g[a] * t ** (sign * w[a])
         values.append(s)
     return ChainOperator.diagonal(space, values, dom)
 
@@ -373,20 +354,22 @@ def _expansion_residuals(cfg, pts):
     space = cfg.space()
     hams = [hamiltonian(cfg, i) for i in range(1, cfg.n + 1)]
     if cfg.is_rational:
+        eta, x = cfg.coupling, cfg.points
         const = ChainOperator.identity(space, dom).scaled(sum(cfg.g, dom.zero))
         for s in pts:
             rhs = const
             for j, H in enumerate(hams):
-                rhs = rhs + H.scaled(cfg.eta / (s - cfg.x[j]))
+                rhs = rhs + H.scaled(eta / (s - x[j]))
             yield transfer_matrix(cfg, s).residual(rhs)
         return
 
-    sh = sinh_exp(cfg.t)
+    t, u = cfg.coupling, cfg.points
+    sh = sinh_exp(t)
 
     def coth_sum(u0):
         acc = ChainOperator.zero(space, dom)
         for k, H in enumerate(hams):
-            v = u0 / cfg.u[k]
+            v = u0 / u[k]
             acc = acc + H.scaled(sh * (v * v + 1) / (v * v - 1))
         return acc
 
@@ -413,10 +396,8 @@ def pole_expansion(cfg):
     residual over all of these and, on failure, the basis pair where it
     occurs.
     """
-    dom = cfg.domain
     pts = _fresh_points(cfg, cfg.n + 1)
-    worst, witness = largest_residual(dom, _expansion_residuals(cfg, pts))
-    return from_residual("pole-expansion", worst, dom.threshold, witness=witness)
+    return verdict("pole-expansion", cfg.domain, _expansion_residuals(cfg, pts))
 
 
 # ------------------------------------------------------------------ sum rules
@@ -424,12 +405,12 @@ def pole_expansion(cfg):
 def twist_sinh_sum(cfg, weight):
     """sum_a g_a sinh(eta M_a)/sinh(eta) at the weight (M_1, ..., M_N),
     evaluated as sum_a g_a (t^{M_a} - t^{-M_a}) / (t - 1/t)."""
-    dom = cfg.domain
-    tinv = 1 / cfg.t
-    den = cfg.t - tinv
+    dom, t = cfg.domain, cfg.coupling
+    tinv = 1 / t
+    den = t - tinv
     s = dom.zero
     for a in range(cfg.N):
-        s = s + cfg.g[a] * (cfg.t ** weight[a] - tinv ** weight[a]) / den
+        s = s + cfg.g[a] * (t ** weight[a] - tinv ** weight[a]) / den
     return s
 
 
@@ -451,9 +432,8 @@ def sum_rule(cfg):
     else:
         values = [twist_sinh_sum(cfg, weight_of(J, cfg.N)) for J in space.states]
         rhs = ChainOperator.diagonal(space, values, dom)
-    res, wit = largest_residual(dom, [lhs.residual(rhs)])
-    return from_residual("sum-rule", res, dom.threshold, witness=wit,
-                         params={"flavor": cfg.flavor})
+    return verdict("sum-rule", dom, [lhs.residual(rhs)],
+                   params={"flavor": cfg.flavor})
 
 
 def qkz_compatibility(cfg, i, j, unshifted=None):
@@ -473,15 +453,12 @@ def qkz_compatibility(cfg, i, j, unshifted=None):
             unshifted[s] = qkz_operator(cfg, s)
     lhs = qkz_operator(cfg, j, {i}) @ unshifted[i]
     rhs = qkz_operator(cfg, i, {j}) @ unshifted[j]
-    res, wit = largest_residual(cfg.domain, [lhs.residual(rhs)])
-    return from_residual(
-        "qkz-compat", res, cfg.domain.threshold, witness=wit, params={"i": i, "j": j}
-    )
+    return verdict("qkz-compat", cfg.domain, [lhs.residual(rhs)],
+                   params={"i": i, "j": j})
 
 
 def check_transfer_commute(cfg, pairs=None):
     """[T(x), T(x')] = 0 at sampled pairs of spectral points."""
-    dom = cfg.domain
     if pairs is None:
         pts = _fresh_points(cfg, 4)
         pairs = [(pts[0], pts[1]), (pts[2], pts[3])]
@@ -491,11 +468,5 @@ def check_transfer_commute(cfg, pairs=None):
             tp, tq = transfer_matrix(cfg, p), transfer_matrix(cfg, q)
             yield (tp @ tq).residual(tq @ tp)
 
-    worst, witness = largest_residual(dom, commutators())
-    return from_residual(
-        "transfer-commute",
-        worst,
-        dom.threshold,
-        witness=witness,
-        params={"pairs": [(str(p), str(q)) for p, q in pairs]},
-    )
+    return verdict("transfer-commute", cfg.domain, commutators(),
+                   params={"pairs": [(str(p), str(q)) for p, q in pairs]})

@@ -96,19 +96,23 @@ def _parse_value(key, text, line):
 
 def load_config(path):
     """Parse and validate a flat key = value config file into a RunConfig."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}") from None
     raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ParseError("expected 'key = value'", line=lineno)
-            key, _, value = body.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in raw:
-                raise ParseError(f"duplicate key {key!r}", line=lineno)
-            raw[key] = _parse_value(key, value, lineno)
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ParseError("expected 'key = value'", line=lineno)
+        key, _, value = body.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in raw:
+            raise ParseError(f"duplicate key {key!r}", line=lineno)
+        raw[key] = _parse_value(key, value, lineno)
 
     def need(key):
         if key not in raw:
@@ -158,10 +162,11 @@ def _draw_spectral(cfg, rng):
     while True:
         v = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
         if cfg.is_rational:
-            if v + cfg.eta != 0:
+            if v + cfg.coupling != 0:
                 return cfg.domain.coerce(v)
         else:
-            if v != 0 and v * v * cfg.t * cfg.t != 1 and v * v != 1:
+            t = cfg.coupling
+            if v != 0 and v * v * t * t != 1 and v * v != 1:
                 return cfg.domain.coerce(v)
 
 
@@ -194,11 +199,11 @@ def _check_unitarity(cfg, sectors, rc, rng):
     out = []
     while len(out) < 3:
         p = _draw_spectral(cfg, rng)
-        if cfg.is_rational and p - cfg.eta == 0:
+        if cfg.is_rational and p - cfg.coupling == 0:
             continue  # the reversed factor would sit on a pole
         if not cfg.is_rational:
-            inv = 1 / p
-            if inv * inv * cfg.t * cfg.t == 1:
+            t, inv = cfg.coupling, 1 / p
+            if inv * inv * t * t == 1:
                 continue
         out.append(rmatrix.check_unitarity(
             cfg.flavor, p, cfg.coupling, cfg.N, cfg.domain))

@@ -29,8 +29,7 @@ class CheckResult:
 def largest_residual(domain, comparisons):
     """The largest residual of a check's (residual, witness) comparisons,
     taken in order, and the witness of its first occurrence; the zero
-    residual and no witness when none exceeds it.  Every check of verify
-    and chain folds its comparisons here."""
+    residual and no witness when none exceeds it."""
     worst, witness = domain.residual(domain.zero, domain.zero), None
     for res, wit in comparisons:
         if res > worst:
@@ -38,9 +37,13 @@ def largest_residual(domain, comparisons):
     return worst, witness
 
 
-def from_residual(name, residual, threshold, witness=None, params=None, sector=None):
-    """Build a CheckResult from a computed residual against a threshold."""
-    ok = residual <= threshold
+def verdict(name, domain, comparisons, params=None, sector=None):
+    """The CheckResult of a check's comparisons: their largest residual
+    (largest_residual) judged against the domain's threshold, with the
+    witness kept on a failure only.  Every check of rmatrix, chain and
+    verify ends here."""
+    residual, witness = largest_residual(domain, comparisons)
+    ok = residual <= domain.threshold
     return CheckResult(
         name=name,
         status="pass" if ok else "fail",

@@ -19,7 +19,7 @@ encoding shows when they are compared.
 from __future__ import annotations
 
 from .errors import NonInvertibleQ, PoleHit
-from .report import from_residual
+from .report import verdict
 from .scalars import EXACT
 from .tensor import (
     ChainOperator,
@@ -154,14 +154,9 @@ def check_yang_baxter(flavor, point1, point2, coupling, N, domain=EXACT):
     r23 = r_factor(flavor, space, 2, 3, point2, coupling, domain)
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
-    res, wit = lhs.residual(rhs)
-    return from_residual(
-        "ybe",
-        res,
-        domain.threshold,
-        witness=wit,
-        params={"flavor": flavor, "points": (str(point1), str(point2)), "N": N},
-    )
+    return verdict(
+        "ybe", domain, [lhs.residual(rhs)],
+        params={"flavor": flavor, "points": (str(point1), str(point2)), "N": N})
 
 
 def check_unitarity(flavor, point, coupling, N, domain=EXACT):
@@ -171,14 +166,10 @@ def check_unitarity(flavor, point, coupling, N, domain=EXACT):
     p = domain.coerce(point)
     back = r_factor(flavor, space, 2, 1, -p if flavor == "rational" else 1 / p,
                     coupling, domain)
-    res, wit = (fwd @ back).residual(ChainOperator.identity(space, domain))
-    return from_residual(
-        "unitarity",
-        res,
-        domain.threshold,
-        witness=wit,
-        params={"flavor": flavor, "point": str(point), "N": N},
-    )
+    return verdict(
+        "unitarity", domain,
+        [(fwd @ back).residual(ChainOperator.identity(space, domain))],
+        params={"flavor": flavor, "point": str(point), "N": N})
 
 
 def check_twist_commutation(flavor, point, coupling, g, N, domain=EXACT):
@@ -187,11 +178,5 @@ def check_twist_commutation(flavor, point, coupling, g, N, domain=EXACT):
     r = r_factor(flavor, space, 1, 2, point, coupling, domain)
     table = {(a, a): domain.coerce(ga) for a, ga in enumerate(g, start=1)}
     gg = site_embed(space, table, 1, domain) @ site_embed(space, table, 2, domain)
-    res, wit = (gg @ r).residual(r @ gg)
-    return from_residual(
-        "twist-commute",
-        res,
-        domain.threshold,
-        witness=wit,
-        params={"flavor": flavor, "point": str(point), "N": N},
-    )
+    return verdict("twist-commute", domain, [(gg @ r).residual(r @ gg)],
+                   params={"flavor": flavor, "point": str(point), "N": N})

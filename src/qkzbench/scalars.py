@@ -72,8 +72,7 @@ class ComplexDomain:
     one = complex(1)
 
     def __init__(self, tol: float = 1e-10):
-        self.tol = require_tolerance(tol)
-        self.threshold = tol
+        self.threshold = require_tolerance(tol)
 
     def coerce(self, x):
         try:
@@ -104,7 +103,7 @@ class ComplexDomain:
         return 1
 
     def __repr__(self):
-        return f"ComplexDomain(tol={self.tol!r})"
+        return f"ComplexDomain(tol={self.threshold!r})"
 
 
 EXACT = RationalDomain()

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .chain import (hamiltonian, memo, qkz_covector, qkz_covector_numerators,
                     twist_sinh_sum)
 from .errors import FlavorMismatch, PoleHit
-from .report import from_residual, largest_residual
+from .report import largest_residual, verdict
 from .rmatrix import r_rational, r_trig
 from .tensor import (
     ChainOperator,
@@ -44,7 +44,7 @@ _TRIG_ARGS = (Fraction(5, 3), Fraction(7, 2), Fraction(2, 9))
 def _flavor_covector(cfg, space):
     if cfg.is_rational:
         return omega(space, cfg.domain)
-    return omega_q(space, cfg.t, cfg.domain)
+    return omega_q(space, cfg.coupling, cfg.domain)
 
 
 def check_omega_invariance(cfg):
@@ -59,6 +59,7 @@ def check_omega_invariance(cfg):
 
     def comparisons():
         if cfg.is_rational:
+            eta = cfg.coupling
             args = [dom.coerce(a) for a in _RATIONAL_ARGS]
             w = omega(space, dom)
             for i in range(1, cfg.n + 1):
@@ -68,26 +69,25 @@ def check_omega_invariance(cfg):
                     yield covector_residual(
                         permutation(space, i, j, dom).apply_left(w), w, space, dom)
                     for x in args:
-                        if x + cfg.eta == 0:
+                        if x + eta == 0:
                             continue
-                        R = r_rational(space, i, j, x, cfg.eta, dom)
+                        R = r_rational(space, i, j, x, eta, dom)
                         yield covector_residual(R.apply_left(w), w, space, dom)
         else:
+            t = cfg.coupling
             args = [dom.coerce(a) for a in _TRIG_ARGS]
-            wq = omega_q(space, cfg.t, dom)
+            wq = omega_q(space, t, dom)
             for i in range(2, cfg.n + 1):
-                pq = q_permutation(space, i, i - 1, cfg.t, dom)
+                pq = q_permutation(space, i, i - 1, t, dom)
                 yield covector_residual(pq.apply_left(wq), wq, space, dom)
                 target = permutation(space, i, i - 1, dom).apply_left(wq)
                 for u in args:
-                    if u * u * cfg.t * cfg.t == 1:
+                    if u * u * t * t == 1:
                         continue
-                    R = r_trig(space, i, i - 1, u, cfg.t, dom)
+                    R = r_trig(space, i, i - 1, u, t, dom)
                     yield covector_residual(R.apply_left(wq), target, space, dom)
 
-    worst, witness = largest_residual(dom, comparisons())
-    return from_residual("omega", worst, dom.threshold, witness=witness,
-                         params={"flavor": cfg.flavor})
+    return verdict("omega", dom, comparisons(), params={"flavor": cfg.flavor})
 
 
 def check_k_projection(cfg, i):
@@ -110,9 +110,7 @@ def check_k_projection(cfg, i):
         for j in range(i - 1, 0, -1):
             pprod = permutation(space, i, j, dom).apply_left(pprod)
         comparisons.append(covector_residual(left, pprod, space, dom))
-    worst, witness = largest_residual(dom, comparisons)
-    return from_residual("k-projection", worst, dom.threshold, witness=witness,
-                         params={"i": i})
+    return verdict("k-projection", dom, comparisons, params={"i": i})
 
 
 def _right_side(cfg0, w0, sites, right_sides):
@@ -156,11 +154,9 @@ def check_proposition_higher(cfg, sites, right_sides=None):
     rhs = _right_side(cfg.at_hbar_zero(), w0, sites,
                       {} if right_sides is None else right_sides)
     join = dom.join
-    res, wit = largest_residual(dom, [covector_residual(
+    return verdict("proposition-higher", dom, [covector_residual(
         [join(v, lhs[1]) for v in lhs[0]], [join(v, rhs[1]) for v in rhs[0]],
-        space, dom)])
-    return from_residual("proposition-higher", res, dom.threshold, witness=wit,
-                         params={"sites": sites})
+        space, dom)], params={"sites": sites})
 
 
 # --------------------------------------------------------- determinant layer
@@ -250,7 +246,8 @@ def twist_targets(cfg, sector):
         if cfg.is_rational:
             out.extend([cfg.g[a]] * m)
         else:
-            out.extend(cfg.g[a] * cfg.t ** (2 * alpha - m + 1) for alpha in range(m))
+            t = cfg.coupling
+            out.extend(cfg.g[a] * t ** (2 * alpha - m + 1) for alpha in range(m))
     return out
 
 
@@ -324,9 +321,7 @@ def check_det_identity(cfg, sector, hamiltonians=None):
     for k, coeff in enumerate(table.det_sums):
         expect = dom.coerce((-1) ** k) * elementary_symmetric(multiset, k)
         comparisons.append(coeff.residual(table.identity.scaled(expect)))
-    worst, witness = largest_residual(dom, comparisons)
-    return from_residual("det-identity", worst, dom.threshold, witness=witness,
-                         sector=sector)
+    return verdict("det-identity", dom, comparisons, sector=sector)
 
 
 def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
@@ -378,9 +373,8 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     sign = dom.coerce((-1) ** d)
     comparisons.append(
         table.det_sums[d].residual(table.identity.scaled(sign * value)))
-    worst, witness = largest_residual(dom, comparisons)
-    return from_residual("symmetric-identity", worst, dom.threshold,
-                         witness=witness, sector=sector, params={"d": d})
+    return verdict("symmetric-identity", dom, comparisons, sector=sector,
+                   params={"d": d})
 
 
 def check_macdonald_eigenvalue(cfg, sector, d):
@@ -418,6 +412,5 @@ def check_macdonald_eigenvalue(cfg, sector, d):
     trace = sign * lhs.trace()
     comparisons.append((dom.residual(trace, energy * dom.coerce(lhs.space.dim)),
                         "sector trace"))
-    worst, witness = largest_residual(dom, comparisons)
-    return from_residual("macdonald-eigenvalue", worst, dom.threshold,
-                         witness=witness, sector=sector, params={"d": d})
+    return verdict("macdonald-eigenvalue", dom, comparisons, sector=sector,
+                   params={"d": d})

@@ -148,10 +148,35 @@ def test_validate_matches_the_hand_written_pole_conditions(data):
     assert rejected == _hand_written_rejects(flavor, coupling, step, points)
 
 
+def test_config_holds_one_parameter_triple():
+    assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+        "flavor", "N", "n", "g", "coupling", "step", "points", "domain"]
+    cfg = rational_cfg()
+    assert (cfg.coupling, cfg.step, cfg.points) == (ETA, HBAR, X3)
+    # a rational chain has nowhere to keep a trigonometric parameter
+    with pytest.raises(TypeError):
+        dataclasses.replace(cfg, t=Fraction(2))
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_to_domain_keeps_describe(make):
+    cfg = make()
+    desc = cfg.describe()
+    assert cfg.to_domain(cfg.domain).describe() == desc
+    floats = cfg.to_domain(ComplexDomain(1e-10)).describe()
+    assert list(floats) == list(desc)
+    coupling, step, points = chain.PARAMETERS[cfg.flavor]
+    assert floats[coupling] == str(complex(cfg.coupling))
+    assert floats[step] == str(complex(cfg.step))
+    assert floats[points] == [str(complex(p)) for p in cfg.points]
+    assert floats["g"] == [str(complex(v)) for v in cfg.g]
+
+
 @pytest.mark.parametrize("v", [Fraction(3), Fraction(-2, 5), Fraction(7, 3)])
 def test_sinh_of_coupled_over_sinh_is_the_tilde_ratio(v):
     trig, rat = trig_cfg(), rational_cfg()
-    assert trig.sinh(trig.coupled(v)) / trig.sinh(v) == sinh_ratio_down(v, trig.t)
+    assert (trig.sinh(trig.coupled(v)) / trig.sinh(v)
+            == sinh_ratio_down(v, trig.coupling))
     assert rat.sinh(rat.coupled(v)) / rat.sinh(v) == (v + ETA) / v
 
 
@@ -240,7 +265,7 @@ def test_transfer_matrices_commute():
 def test_transfer_matrix_pole():
     cfg = rational_cfg()
     with pytest.raises(PoleHit):
-        transfer_matrix(cfg, cfg.x[1])
+        transfer_matrix(cfg, cfg.points[1])
 
 
 def test_transfer_constant_term_is_twist_trace():
@@ -251,7 +276,7 @@ def test_transfer_constant_term_is_twist_trace():
     for x0 in (Fraction(10**3), Fraction(10**6)):
         rest = transfer_matrix(cfg, x0)
         for j, H in enumerate(hams):
-            rest = rest - H.scaled(ETA / (x0 - cfg.x[j]))
+            rest = rest - H.scaled(ETA / (x0 - cfg.points[j]))
         assert rest == ChainOperator.identity(sp).scaled(Fraction(5))
 
 
@@ -265,10 +290,10 @@ def test_pole_expansion_trig_boundary_values():
     # at x -> +-infinity are sum_a g_a t^{+-M_a}
     cfg = trig_cfg(n=2)
     hams = [hamiltonian(cfg, i) for i in (1, 2)]
-    sh = (cfg.t - 1 / cfg.t) / 2
+    sh = (cfg.coupling - 1 / cfg.coupling) / 2
     x0 = Fraction(5)
     const = transfer_matrix(cfg, x0)
-    for u, H in zip(cfg.u, hams):
+    for u, H in zip(cfg.points, hams):
         v = x0 / u
         const = const - H.scaled(sh * (v * v + 1) / (v * v - 1))
     total = hams[0] + hams[1]
@@ -291,10 +316,11 @@ def _reference_transfer(cfg, x0):
         for a in range(1, N + 1):
             for b in range(1, N + 1):
                 if cfg.is_rational:
-                    coef = cfg.eta / (x0 - cfg.x[k - 1])
+                    coef = cfg.coupling / (x0 - cfg.points[k - 1])
                 else:
-                    w = dom.one if a == b else (cfg.t if a > b else 1 / cfg.t)
-                    coef = sinh_ratio_down(x0 / cfg.u[k - 1], cfg.t, dom) - w
+                    t = cfg.coupling
+                    w = dom.one if a == b else (t if a > b else 1 / t)
+                    coef = sinh_ratio_down(x0 / cfg.points[k - 1], t, dom) - w
                 op = site_embed(space, {(b, a): coef}, k, dom)
                 out[(a, b)] = op + ident if a == b else op
         return out
@@ -336,7 +362,7 @@ def test_transfer_matrix_equals_monodromy_reference_in_floats(cfg):
     cfg = cfg.to_domain(ComplexDomain(1e-12))
     for x0 in _fresh_points(cfg, 3):
         res, _ = transfer_matrix(cfg, x0).residual(_reference_transfer(cfg, x0))
-        assert res <= cfg.domain.tol, x0
+        assert res <= cfg.domain.threshold, x0
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
@@ -344,7 +370,7 @@ def test_transfer_matrix_at_eta_separated_point(make):
     # x0 - x_1 = eta (u0 = u_1 t) would fail validation of a chain site, but
     # it is no pole of R~, so T is defined there
     cfg = make()
-    x0 = cfg.x[0] + cfg.eta if cfg.is_rational else cfg.u[0] * cfg.t
+    x0 = cfg.coupled(cfg.points[0])
     got, want = transfer_matrix(cfg, x0), _reference_transfer(cfg, x0)
     assert (got.rows, got.den) == (want.rows, want.den)
 
@@ -400,7 +426,7 @@ def test_transfer_commute_at_random_pairs():
     while len(pairs) < 5:
         p = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
         q = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
-        if all(p != xj and q != xj for xj in cfg.x) and p != q:
+        if all(p != xj and q != xj for xj in cfg.points) and p != q:
             pairs.append((p, q))
     r = check_transfer_commute(cfg, pairs=pairs)
     assert r.passed and r.residual == 0
@@ -439,7 +465,7 @@ def test_sum_rule_on_top_sector():
     # on the single-state sector (n, 0) both sides are the same multiple of 1
     cfg = trig_cfg(n=2)
     lhs = (hamiltonian(cfg, 1) + hamiltonian(cfg, 2)).restrict((2, 0))
-    t = cfg.t
+    t = cfg.coupling
     scalar = cfg.g[0] * (t**2 - t**-2) / (t - 1 / t)
     sub = Space(2, 2, (2, 0))
     assert lhs == ChainOperator.identity(sub).scaled(scalar)
@@ -599,9 +625,8 @@ def test_at_hbar_zero_is_one_object_per_config(make):
     cfg0 = cfg.at_hbar_zero()
     assert cfg.at_hbar_zero() is cfg0 and cfg0.at_hbar_zero() is cfg0
     assert make().at_hbar_zero() == cfg0 != cfg
-    step = chain.PARAMETERS[cfg.flavor][1]
-    assert getattr(cfg0, step) == (0 if cfg.is_rational else 1)
-    assert dataclasses.replace(cfg0, **{step: getattr(cfg, step)}) == cfg
+    assert cfg0.step == (0 if cfg.is_rational else 1)
+    assert dataclasses.replace(cfg0, step=cfg.step) == cfg
 
 
 def test_factor_memo_is_shared_with_hbar_zero_and_outlives_a_collection(

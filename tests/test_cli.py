@@ -68,8 +68,8 @@ def trig_path(tmp_path):
 def test_load_valid_config(rational_path):
     rc = load_config(rational_path)
     assert rc.model.N == 2 and rc.model.n == 3
-    assert rc.model.eta == Fraction(1, 2)
-    assert rc.model.x == (0, Fraction(2, 5), Fraction(9, 7))
+    assert rc.model.coupling == Fraction(1, 2)
+    assert rc.model.points == (0, Fraction(2, 5), Fraction(9, 7))
     assert rc.seed == 1 and rc.mode == "exact"
 
 
@@ -305,6 +305,15 @@ def test_main_zero_denominator_is_a_config_error(tmp_path, capsys, line, text):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: line {line}: bad value for '{key}'")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "correspond"])
+def test_main_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    p = tmp_path / "c.cfg"
+    p.write_bytes(b"\xff" + RATIONAL_CFG.encode())
+    assert main([command, "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: not UTF-8 text: invalid start byte\n"
 
 
 def _strict_json(text):

@@ -357,7 +357,7 @@ def test_rational_targets_are_twist_multiset():
 
 
 def test_trig_targets_are_strings():
-    t = TCFG2.t
+    t = TCFG2.coupling
     assert twist_targets(TCFG2, (2, 0)) == [
         G2[0] / t,
         G2[0] * t,

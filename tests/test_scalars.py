@@ -68,7 +68,7 @@ def test_exact_domain_contract():
 
 
 def test_complex_domain_contract():
-    assert FLOAT.threshold == FLOAT.tol == 1e-10
+    assert FLOAT.threshold == 1e-10
     assert FLOAT.coerce(Fraction(1, 2)) == 0.5 + 0j
     with pytest.raises(ValueError):
         FLOAT.coerce(float("nan"))

@@ -65,9 +65,9 @@ def test_omega_invariance_trig():
 def test_trig_covector_needs_descending_index_order():
     # regression guard: with the reversed pair (i-1, i) the relation breaks
     sp = TCFG.space()
-    wq = omega_q(sp, TCFG.t)
+    wq = omega_q(sp, TCFG.coupling)
     u = Fraction(5, 3)
-    lhs = r_trig(sp, 1, 2, u, TCFG.t).apply_left(wq)
+    lhs = r_trig(sp, 1, 2, u, TCFG.coupling).apply_left(wq)
     rhs = permutation(sp, 1, 2).apply_left(wq)
     res, wit = covector_residual(lhs, rhs, sp)
     assert res != 0 and wit is not None
@@ -448,7 +448,8 @@ def _permutation_sum_det(cfg, ops, z):
     mat = [
         [
             (ident.scaled(z) if i == j else ChainOperator.zero(sub))
-            - ops[i].scaled(cfg.eta / (cfg.x[j] - cfg.x[i] + cfg.eta))
+            - ops[i].scaled(cfg.coupling
+                            / (cfg.points[j] - cfg.points[i] + cfg.coupling))
             for j in range(n)
         ]
         for i in range(n)
@@ -512,7 +513,7 @@ def _permutation_minor(cfg, S):
     for perm in itertools.permutations(S):
         term = Fraction(_perm_sign(perm))
         for i, j in zip(S, perm):
-            term *= cfg.eta / (cfg.x[j] - cfg.x[i] + cfg.eta)
+            term *= cfg.coupling / (cfg.points[j] - cfg.points[i] + cfg.coupling)
         total += term
     return total
 
@@ -729,7 +730,7 @@ def test_macdonald_eigenvalue_trig_single_occupancy():
         (Fraction(2), Fraction(3), Fraction(5)),
     )
     # all M_a in {0, 1}: sinh(eta M_a)/sinh(eta) is 0 or 1, so E is a plain sum
-    t, tinv = cfg.t, 1 / cfg.t
+    t, tinv = cfg.coupling, 1 / cfg.coupling
     for M in ((1, 1, 0), (1, 0, 1), (0, 1, 1)):
         expect = sum(g for g, m in zip(cfg.g, M) if m)
         value = sum(
