@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import chain, correspond, rmatrix, verify
+from . import chain, rmatrix, verify
 from .chain import ModelConfig
 from .errors import (
     DegeneracyUnresolved,
@@ -280,6 +280,7 @@ def _check_correspondence(cfg, sectors, rc, rng):
             "correspondence needs the eigensolver backend; set mode = float "
             "or use the correspond subcommand"
         )
+    from . import correspond  # loads mpmath, which an exact run never needs
     for M in sectors:
         # operators are always built from the exact parameters; floats enter
         # only at the eigensolver boundary
@@ -487,6 +488,7 @@ def _cmd_verify(args):
 
 
 def _cmd_spectrum(args):
+    from . import correspond
     rc = _select(args)
     rng = random.Random(rc.seed)
     doc = {"config": _describe_run(rc), "sectors": []}
@@ -509,6 +511,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_correspond(args):
+    from . import correspond
     rc = _select(args)
     rng = random.Random(rc.seed)
     rc.tol = require_tolerance(args.tol if args.tol is not None else 1e-8)

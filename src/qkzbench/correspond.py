@@ -4,12 +4,13 @@ Lax-matrix side of the spectral correspondence.
 Operators are built exactly, restricted to a weight sector, and only then
 handed to the joint eigensolver, which runs over one of two precision
 backends: complex doubles through numpy (LAPACK) for spectrum listings, and
-mpmath at a fixed 60 working digits for the correspondence check.  For every
-joint eigenstate the Hamiltonian eigenvalues define particle velocities; the
-Lax matrix they define (never built, see the Numerical note) must have the
-twist multiset {g_a with multiplicity M_a} as its spectrum (rational flavor)
-or the multiplicative strings g_a * t^{2 alpha - M_a + 1}, alpha =
-0..M_a-1 (trigonometric flavor).
+mpmath at a fixed 60 working digits for the correspondence check; numpy is
+imported on the first complex-double call, so the correspondence check never
+loads it.  For every joint eigenstate the Hamiltonian eigenvalues define
+particle velocities; the Lax matrix they define (never built, see the
+Numerical note) must have the twist multiset {g_a with multiplicity M_a}
+as its spectrum (rational flavor) or the multiplicative strings
+g_a * t^{2 alpha - M_a + 1}, alpha = 0..M_a-1 (trigonometric flavor).
 
 Velocity normalization: rational velocities are eta * lambda_i; in the
 trigonometric flavor they are sinh(eta) * lambda_i.  The latter is forced by
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 from mpmath import iv
 
 from .chain import hamiltonian
@@ -107,7 +107,7 @@ def _mp_scalar(v):
 
 
 class _Complex128:
-    """Complex doubles through numpy."""
+    """Complex doubles through numpy, imported on first use."""
 
     name = "complex128"
     context = contextlib.nullcontext
@@ -117,6 +117,7 @@ class _Complex128:
     @staticmethod
     def operators(ops, dim):
         """The dense matrix of each operator."""
+        import numpy as np
         mats = []
         for op in ops:
             m = np.zeros((dim, dim), dtype=complex)
@@ -131,13 +132,17 @@ class _Complex128:
 
     @staticmethod
     def eigenvectors(a):
+        import numpy as np
         try:
             _, vecs = np.linalg.eig(a)
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(str(exc)) from exc
         return [vecs[:, k] for k in range(a.shape[0])]
 
-    norm = staticmethod(np.linalg.norm)
+    @staticmethod
+    def norm(v):
+        import numpy as np
+        return np.linalg.norm(v)
 
     @staticmethod
     def apply(m, v):
@@ -149,6 +154,7 @@ class _Complex128:
 
     @staticmethod
     def residual(w, v, lam):
+        import numpy as np
         return float(np.linalg.norm(w - lam * v))
 
 
@@ -329,6 +335,7 @@ def _rouche_radius(errs, g, m, others):
     estimate, below which no rung passes.
     """
     gaps = [abs(t - g) for t in others]
+    gap_ivs = [_iv_exact(d) for d in gaps]  # converted once, not per rung
     mod_g = _iv_exact(abs(g))
 
     def error(rho):  # sum_k errs[k - 1] rho^(n-k), by Horner's rule
@@ -345,7 +352,7 @@ def _rouche_radius(errs, g, m, others):
     j = int(mpmath.floor(mpmath.log(est, 2) / m))
     while not gaps or Fraction(2) ** j < min(gaps) / 2:
         r = iv.mpf(mpmath.ldexp(1, j))
-        if error(mod_g + r) < r**m * math.prod(_iv_exact(d) - r for d in gaps):
+        if error(mod_g + r) < r**m * math.prod(d - r for d in gap_ivs):
             return math.ldexp(1.0, j)
         j += 1
     return math.inf
