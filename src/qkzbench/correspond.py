@@ -2,13 +2,14 @@
 Lax-matrix side of the spectral correspondence.
 
 Operators are built exactly, restricted to a weight sector, and only then
-handed to the joint eigensolver, which runs over one of two precision
-backends: complex doubles through numpy (LAPACK) for spectrum listings, and
-mpmath at a fixed 60 working digits for the correspondence check; numpy is
-imported on the first complex-double call, so the correspondence check never
-loads it.  For every joint eigenstate the Hamiltonian eigenvalues define
-particle velocities; the Lax matrix they define (never built, see the
-Numerical note) must have the twist multiset {g_a with multiplicity M_a}
+handed to the joint eigensolver.  Spectrum listings run it in complex
+doubles through numpy, imported on first use.  The correspondence check
+runs it without numpy: a double start on Python lists, each eigenpair then
+refined by Newton's method with exact integer residuals at a fixed-point
+scale 2^-B (J. J. Dongarra, C. B. Moler and J. H. Wilkinson, SIAM J. Numer.
+Anal. 20, 1983).  For every joint eigenstate the Hamiltonian eigenvalues
+define particle velocities; the Lax matrix they define (never built, see
+the Numerical note) must have the twist multiset {g_a with multiplicity M_a}
 as its spectrum (rational flavor) or the multiplicative strings
 g_a * t^{2 alpha - M_a + 1}, alpha = 0..M_a-1 (trigonometric flavor).
 
@@ -20,23 +21,25 @@ degenerate to eta * lambda as eta -> 0.
 
 Numerical note: on the correspondence level sets the Lax matrix is defective
 (repeated targets sit in Jordan blocks), so a multiplicity-m eigenvalue
-moves by eps^(1/m) under a perturbation eps, and an eigensolver converges
-slowly on it.  The check never builds or diagonalizes it.  The Lax matrix is
-L = C^T diag(lambda), with C the matrix of verify.principal_minors, so its
-characteristic coefficients are c_k = (-1)^k sum_{|S|=k} det(C_SS)
-prod_{j in S} lambda_j.  mpmath.iv interval arithmetic encloses them from the
-exact minors and the computed 60-digit eigenvalues, and Rouche's theorem
-(S. M. Rump, J. Comput. Appl. Math. 156, 2003) certifies that exactly m
-roots lie within a radius r of each distinct target of multiplicity m.  What
-is certified is the characteristic polynomial of the Lax matrix with exact C
-at the computed eigenvalues; the largest r bounds the distance from its
-roots to the target multiset.  Double precision serves the spectrum
-listings.
+moves by eps^(1/m) under a perturbation eps.  The check never builds or
+diagonalizes it.  It is L = C^T diag(lambda), with C the matrix of
+verify.principal_minors, so its characteristic coefficients are c_k =
+(-1)^k sum_{|S|=k} det(C_SS) prod_{j in S} lambda_j.  mpmath.iv interval
+arithmetic encloses them from the exact minors and the refined eigenvalues
+at D = max(60, ceil(m log10(1/tol)) + 20) digits, m the largest target
+multiplicity of the sector, and Rouche's theorem (S. M. Rump, J. Comput.
+Appl. Math. 156, 2003) certifies that exactly m roots lie within a radius r
+of each distinct target of multiplicity m.  What is certified is the
+characteristic polynomial of the Lax matrix with exact C at the computed
+eigenvalues; the largest r bounds the distance from its roots to the target
+multiset.
 """
 from __future__ import annotations
 
+import cmath
 import collections
 import contextlib
+import functools
 import itertools
 import math
 import random
@@ -52,10 +55,7 @@ from .scalars import require_tolerance
 from .verify import (elementary_symmetric, principal_minors, twist_targets,
                      velocity_scale)
 
-MP_DPS = 60  # working digits of the mpmath backend
-with mpmath.workdps(MP_DPS):
-    # its eigensolver residual gate: half the working digits
-    MP_GATE = mpmath.mpf(10) ** (-MP_DPS // 2)
+MP_DPS = 60  # the fewest working digits of the correspondence
 
 
 @dataclass
@@ -101,8 +101,6 @@ def _peak(values):
 def _mp_scalar(v):
     if isinstance(v, Fraction):
         return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-    if isinstance(v, complex):
-        return mpmath.mpc(v.real, v.imag)
     return mpmath.mpf(v)
 
 
@@ -140,91 +138,198 @@ class _Complex128:
         return [vecs[:, k] for k in range(a.shape[0])]
 
     @staticmethod
-    def norm(v):
+    def joint(mats, v):
+        """The Rayleigh quotients lambda_i and residuals of the normalized v."""
         import numpy as np
-        return np.linalg.norm(v)
-
-    @staticmethod
-    def apply(m, v):
-        return m @ v
-
-    @staticmethod
-    def rayleigh(v, w):
-        return complex(v.conj() @ w)
-
-    @staticmethod
-    def residual(w, v, lam):
-        import numpy as np
-        return float(np.linalg.norm(w - lam * v))
+        v = v / np.linalg.norm(v)
+        ws = [m @ v for m in mats]
+        lams = [complex(v.conj() @ w) for w in ws]
+        return lams, [float(np.linalg.norm(w - lam * v)) for w, lam in zip(ws, lams)]
 
 
 COMPLEX128 = _Complex128()
+EPS = 2.0 ** -52  # the spacing of doubles at 1
 
 
-class _Mpmath:
-    """mpmath at MP_DPS working digits."""
+def _eigenvalues(a):
+    """The eigenvalues of the square list matrix a in complex doubles: pivoted
+    Hessenberg elimination, then Wilkinson-shifted QR with deflation."""
+    h, n = [[complex(x) for x in row] for row in a], len(a)
+    for k in range(1, n - 1):
+        q = max(range(k, n), key=lambda i: abs(h[i][k - 1]))
+        h[k], h[q] = h[q], h[k]
+        for row in h:
+            row[k], row[q] = row[q], row[k]
+        for i in range(k + 1, n):
+            if h[i][k - 1]:  # row i -= f row k, then column k += f column i
+                f = h[i][k - 1] / h[k][k - 1]
+                h[i] = [x - f * y for x, y in zip(h[i], h[k])]
+                for row in h:
+                    row[k] += f * row[i]
+    norm, out, hi, steps = max(abs(x) for row in h for x in row), [], n - 1, 0
+    while hi >= 0:  # QR steps on h[:hi + 1] until h[hi][hi - 1] is negligible
+        below = abs(h[hi][hi - 1]) if hi else 0
+        if below <= EPS * (abs(h[hi - 1][hi - 1]) + abs(h[hi][hi]) or norm):
+            out.append(h[hi][hi])
+            hi, steps = hi - 1, 0
+            continue
+        if steps == 30:
+            raise NonConvergence("shifted QR did not converge in 30 steps")
+        steps += 1
+        a, b, c, d = h[hi - 1][hi - 1], h[hi - 1][hi], h[hi][hi - 1], h[hi][hi]
+        root = cmath.sqrt(((a - d) / 2) ** 2 + b * c)  # the eigenvalue nearer d
+        shift = min((a + d) / 2 + root, (a + d) / 2 - root, key=lambda e: abs(e - d))
+        shift += abs(c) if steps % 10 == 0 else 0  # an exceptional shift
+        rotations = []
+        for k in range(hi + 1):
+            h[k][k] -= shift
+        for k in range(hi):  # h - shift = QR by Givens rotations, ...
+            x, y = h[k][k], h[k + 1][k]
+            r = math.hypot(abs(x), abs(y))
+            cs, sn = (x / r, y / r) if r else (1, 0)
+            top, low = h[k], h[k + 1]
+            for j in range(k, hi + 1):
+                top[j], low[j] = (cs.conjugate() * top[j] + sn.conjugate() * low[j],
+                                  cs * low[j] - sn * top[j])
+            rotations.append((cs, sn))
+        for k, (cs, sn) in enumerate(rotations):  # ... then RQ + shift
+            for row in h[:k + 2]:
+                row[k], row[k + 1] = (
+                    row[k] * cs + row[k + 1] * sn,
+                    row[k + 1] * cs.conjugate() - row[k] * sn.conjugate())
+        for k in range(hi + 1):
+            h[k][k] += shift
+    return out
 
-    name = f"mpmath at {MP_DPS} digits"
 
-    @staticmethod
-    def context():
-        return mpmath.workdps(MP_DPS)
+def _lu_solver(m, floor):
+    """A solver of m x = b by row-pivoted LU in place, a pivot of 0 set to floor."""
+    n, perm = len(m), list(range(len(m)))
+    for k in range(n):
+        q = max(range(k, n), key=lambda i: abs(m[i][k]))
+        m[k], m[q], perm[k], perm[q] = m[q], m[k], perm[q], perm[k]
+        pivot = m[k]
+        pivot[k] = pivot[k] or floor
+        for row in m[k + 1:]:
+            f = row[k] = row[k] / pivot[k]
+            row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], pivot[k + 1:])]
+
+    def solve(b):
+        x = [b[i] for i in perm]
+        for i in range(n):
+            x[i] -= sum(m[i][j] * x[j] for j in range(i))
+        for i in reversed(range(n)):
+            x[i] = (x[i] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
+        return x
+    return solve
+
+
+def _fixed(z, bits):
+    """round(z 2^bits) for a finite complex double z, exactly, as a
+    Gaussian integer (re, im)."""
+    out = []
+    for num, den in (z.real.as_integer_ratio(), z.imag.as_integer_ratio()):
+        k = bits + 1 - den.bit_length()  # den = 2^(bit_length - 1)
+        out.append(num << k if k >= 0 else (num + (1 << -k - 1)) >> -k)
+    return tuple(out)
+
+
+def _times(row, vec):
+    """sum_c row[c] vec[c] for a row {column: int} and Gaussian integers."""
+    return (sum(x * vec[c][0] for c, x in row.items()),
+            sum(x * vec[c][1] for c, x in row.items()))
+
+
+def _defect(ws, mu, vec, bits):
+    """w_k 2^bits - mu vec_k for Gaussian integers w_k, mu and vec_k."""
+    return [((wr << bits) - mu[0] * vr + mu[1] * vi,
+             (wi << bits) - mu[0] * vi - mu[1] * vr)
+            for (wr, wi), (vr, vi) in zip(ws, vec)]
+
+
+class _Refined:
+    """The combination exact, each eigenpair refined from a double start in
+    Gaussian integers at the fixed-point scale 2^-bits of `digits` digits."""
 
     scalar = staticmethod(_mp_scalar)
+    operators = staticmethod(lambda ops, dim: ops)  # integer rows over op.den
 
-    @staticmethod
-    def operators(ops, dim):
-        """The nonzero entries of each operator as {row: (columns, values)}."""
-        out = []
-        for op in ops:
-            rows = {}
-            for r, c, v in op.entries():
-                cols, vals = rows.setdefault(r, ([], []))
-                cols.append(c)
-                vals.append(_mp_scalar(v))
-            out.append(rows)
-        return out
+    def __init__(self, digits):
+        self.bits = math.ceil(digits * math.log2(10))
+        self.context = functools.partial(mpmath.workdps, digits)
+        self.name = f"integer refinement at {digits} digits"
 
     @staticmethod
     def combination(ops, coeffs, dim):
-        """sum_i coeffs[i] H_i as a dense matrix, each entry summed in the
-        order of the operators."""
-        m = mpmath.zeros(dim, dim)
-        for rows, k in zip(ops, coeffs):
-            for r, (cols, vals) in rows.items():
-                for c, x in zip(cols, vals):
-                    m[r, c] += k * x
-        return m
+        """sum_i coeffs[i] H_i, exact: each double is the dyadic rational it is."""
+        terms = [op.scaled(Fraction(k)) for op, k in zip(ops, coeffs)]
+        return sum(terms[1:], terms[0])
 
-    @staticmethod
-    def eigenvectors(a):
-        try:
-            _, vecs = mpmath.eig(a)
-        except Exception as exc:  # mpmath raises bare exceptions
-            raise NonConvergence(str(exc)) from exc
-        return [mpmath.matrix([vecs[r, k] for r in range(a.rows)])
-                for k in range(a.rows)]
+    def eigenvectors(self, combo):
+        """Each eigenvector as (p, vec), v = vec 2^-bits with v_p = 1, up to
+        the first whose correction fails to halve or that repeats another.
+        From each eigenvalue mu of the double start (real if nearer the real
+        axis than a quarter of its distance to all others, since a real
+        matrix has conjugate pairs): inverse iteration in doubles, then
+        Newton's method on A v = mu v, v_p = 1, its Jacobian (A - mu, column
+        p set to -v) factored once in doubles and every residual exact."""
+        rows = [combo.rows.get(r, {}) for r in range(combo.space.dim)]
+        bits, den, seen = self.bits, combo.den, []
+        a = [[row.get(c, 0) / den for c in range(len(rows))] for row in rows]
+        floor = EPS * max(abs(x) for row in a for x in row) or EPS
+        mus = _eigenvalues(a)
+        for k, mu in enumerate(mus):
+            if 4 * abs(mu.imag) < min([abs(nu - mu) for nu in mus[:k] + mus[k + 1:]],
+                                      default=math.inf):
+                mu = complex(mu.real)
+            jac = [[x - mu * (r == c) for c, x in enumerate(row)]
+                   for r, row in enumerate(a)]
+            solve = _lu_solver([row[:] for row in jac], floor)
+            v = solve(solve([1.0] * len(a)))
+            p = max(range(len(v)), key=lambda i: abs(v[i]))
+            v = [x / v[p] for x in v]
+            if not all(map(cmath.isfinite, v + [mu])):
+                raise NonConvergence(f"non-finite double start {mu}")
+            for row, x in zip(jac, v):
+                row[p] = -x
+            # the unknowns: v_k for k != p, and mu in place of v_p = 1
+            solve, u = _lu_solver(jac, floor), [_fixed(x, bits) for x in v]
+            u[p], last = _fixed(mu, bits), math.inf
+            while True:
+                # res = den 2^(2 bits) (A v - mu v), exactly; over den 2^s it
+                # fits doubles and gives the correction step 2^(s - 2 bits)
+                vec = u[:p] + [(1 << bits, 0)] + u[p + 1:]
+                res = _defect([_times(row, vec) for row in rows],
+                              (den * u[p][0], den * u[p][1]), vec, bits)
+                top = max(abs(x) for pair in res for x in pair)
+                s = max(0, top.bit_length() - den.bit_length())
+                step = solve([-complex(x / (den << s), y / (den << s)) for x, y in res])
+                size = max(map(abs, step))  # as log2 in units of 2^-bits:
+                size = math.log2(size) + s - bits if size else -math.inf
+                if size < 0 or not size < last - 1:
+                    break
+                last = size
+                u = [(x + dx, y + dy) for (x, y), (dx, dy) in
+                     zip(u, (_fixed(z, s - bits) for z in step))]
+            if not size < 0 or any(abs(u[p][0] - x) + abs(u[p][1] - y) < 1 << bits // 2
+                                   for x, y in seen):
+                return
+            seen.append(u[p])
+            yield p, vec
 
-    norm = staticmethod(mpmath.norm)
-
-    @staticmethod
-    def apply(rows, v):
-        """H v as a list, one fdot per nonzero row of H."""
-        w = [mpmath.mpf(0)] * v.rows
-        for r, (cols, vals) in rows.items():
-            w[r] = mpmath.fdot(vals, [v[c] for c in cols])
-        return w
-
-    @staticmethod
-    def rayleigh(v, w):
-        return mpmath.fdot([x.conjugate() for x in v], w)
-
-    @staticmethod
-    def residual(w, v, lam):
-        return mpmath.norm([x - lam * y for x, y in zip(w, v)])
-
-
-MPMATH = _Mpmath()
+    def joint(self, ops, found):
+        """lambda_i = (H_i v)_p, exact since v_p = 1, and the residuals
+        ||H_i v - lambda_i v|| / ||v|| from the exact H_i v."""
+        p, vec = found
+        norm2, lams, rs = sum(x * x + y * y for x, y in vec), [], []
+        for op in ops:
+            ws = [_times(op.rows.get(r, {}), vec) for r in range(len(vec))]
+            err = sum(x * x + y * y for x, y in _defect(ws, ws[p], vec, self.bits))
+            scale = op.den << self.bits
+            re, im = (_mp_scalar(Fraction(x, scale)) for x in ws[p])
+            lams.append(mpmath.mpc(re, im) if im else re)
+            rs.append(mpmath.sqrt(mpmath.mpf(err) / norm2) / scale)
+        return lams, rs
 
 
 # ----------------------------------------------------------- joint spectrum
@@ -234,14 +339,12 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, backend=COMPLEX128):
     eigenvalue tuples.
 
     Diagonalizes a random real combination of the Hamiltonians (a generic
-    combination separates the joint spectrum), reads each eigenvalue back as
-    a Rayleigh quotient and gates the residuals at tol, re-drawing the
+    combination separates the joint spectrum), reads each eigenvector's
+    eigenvalues back and gates the residuals at tol, re-drawing the
     combination up to three times.  One-dimensional sectors bypass the
-    eigensolver.  The backend sets the precision of every step after the
-    exact build: COMPLEX128 for spectrum listings, MPMATH (gated at MP_GATE)
-    for the correspondence.  It also holds the operators: numpy as dense
-    matrices, mpmath as their nonzero entries, which form the combination
-    and the products H_i v.
+    eigensolver.  The backend sets the precision after the exact build:
+    COMPLEX128 (numpy, Rayleigh quotients) for spectrum listings,
+    _Refined(digits) for the correspondence.
     """
     gate = require_tolerance(tol)
     rng = rng if rng is not None else random.Random(0)
@@ -253,29 +356,15 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, backend=COMPLEX128):
             return [JointEigenstate(
                 sector, [backend.scalar(op.entry(0, 0)) for op in ops],
                 [0.0] * len(ops))]
-        forms = backend.operators(ops, dim)
-        worst_seen = None
+        forms, worst_seen = backend.operators(ops, dim), math.inf
         for _ in range(3):
             combo = backend.combination(
                 forms, [rng.uniform(0.5, 1.5) for _ in forms], dim)
-            states = []
-            ok = True
-            for v in backend.eigenvectors(combo):
-                norm = backend.norm(v)
-                if norm == 0:
-                    ok = False
-                    break
-                v = v / norm
-                ws = [backend.apply(a, v) for a in forms]
-                lams = [backend.rayleigh(v, w) for w in ws]
-                rs = [backend.residual(w, v, lam) for w, lam in zip(ws, lams)]
-                bad = _peak(rs)
-                if worst_seen is None or bad < worst_seen:
-                    worst_seen = bad
-                if not (bad <= gate):
-                    ok = False
-                states.append(JointEigenstate(sector, lams, rs))
-            if ok:
+            states = [JointEigenstate(sector, *backend.joint(forms, v))
+                      for v in backend.eigenvectors(combo)]
+            peaks = [_peak(st.residuals) for st in states]
+            worst_seen = min([worst_seen, *peaks])
+            if len(states) == dim and all(bad <= gate for bad in peaks):
                 states.sort(key=lambda st: tuple(
                     (lam.real, lam.imag) for lam in st.eigenvalues))
                 return states
@@ -285,8 +374,7 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, backend=COMPLEX128):
     )
 
 
-# perfbench/probes.py traces the eigensolver under this name, counting the
-# mpmath.eig calls made inside it as combination draws
+# perfbench/probes.py traces the eigensolver under this name
 _joint_eigenvalues_mp = diagonalize_sector
 
 
@@ -372,8 +460,9 @@ def certified_radius(errs, targets):
 def check_correspondence(cfg, sector, tol=1e-8, rng=None):
     """Lax characteristic polynomials against their targets.
 
-    For every joint eigenstate (MPMATH backend): the eigenvalues lambda_j,
-    the velocities scale * lambda_j, and enclosures of the characteristic
+    For every joint eigenstate (refined at the sector's working digits D,
+    its residuals gated at 10^-(D // 2)): the eigenvalues lambda_j, the
+    velocities scale * lambda_j, and enclosures of the characteristic
     coefficients c~_k of the Lax matrix C^T diag(lambda), summed from the
     exact principal minors det(C_SS) at the computed eigenvalues; the Lax
     matrix itself is never formed.  Both the certified radius of the roots
@@ -384,16 +473,21 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None):
     sector = tuple(int(m) for m in sector)
     rng = rng if rng is not None else random.Random(0)
     targets_exact = twist_targets(cfg, sector)
+    # a root of multiplicity m moves by about err^(1/m), so coefficients
+    # good to 10^-digits keep its certified radius below tol
+    multiplicity = max(collections.Counter(targets_exact).values())
+    digits = max(MP_DPS, math.ceil(-multiplicity * math.log10(tol)) + 20)
     report = CorrespondenceReport(sector=sector)
     worst = 0.0
-    with mpmath.workdps(MP_DPS), _iv_workdps(MP_DPS):
+    with mpmath.workdps(digits), _iv_workdps(digits):
         target_coeffs = [_iv_exact((-1) ** k * elementary_symmetric(targets_exact, k))
                          for k in range(1, cfg.n + 1)]
         target = [complex(_mp_scalar(t)) for t in sorted(targets_exact)]
         scale = _mp_scalar(velocity_scale(cfg))
         minors = {S: _iv_exact(d) for S, d in principal_minors(cfg).items() if S}
-        for state in diagonalize_sector(cfg, sector, tol=MP_GATE, rng=rng,
-                                        backend=MPMATH):
+        gate = mpmath.mpf(10) ** -(digits // 2)
+        for state in diagonalize_sector(cfg, sector, tol=gate, rng=rng,
+                                        backend=_Refined(digits)):
             lams = state.eigenvalues
             # each eigenvalue enters as its point interval; exactly real
             # ones get real intervals, which are cheaper

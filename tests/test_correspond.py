@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,11 +11,10 @@ import mpmath
 from mpmath import iv
 
 from qkzbench import correspond, verify
-from qkzbench.cli import main
+from qkzbench.cli import load_config, main
 from qkzbench.chain import ModelConfig, hamiltonian
 from qkzbench.correspond import (
     COMPLEX128,
-    MPMATH,
     certified_radius,
     check_correspondence,
     diagonalize_sector,
@@ -112,26 +112,105 @@ def test_correspond_reports_a_failed_eigensolve_with_exit_code_3(monkeypatch,
     def fail(a):
         raise NonConvergence("no convergence")
 
-    monkeypatch.setattr(correspond._Mpmath, "eigenvectors", staticmethod(fail))
+    monkeypatch.setattr(correspond, "_eigenvalues", fail)
     cfg = Path(__file__).parent / "data" / "rational.cfg"
     assert main(["correspond", "--config", str(cfg), "--sector", "2,1"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == "error: no convergence\n"
 
 
+def test_correspond_reports_a_nan_double_start_with_exit_code_3(monkeypatch,
+                                                                 capsys):
+    # a NaN in the double start fails loudly, never as a traceback or a pass
+    monkeypatch.setattr(correspond, "_eigenvalues", lambda a: [complex(math.nan)] * len(a))
+    cfg = Path(__file__).parent / "data" / "rational.cfg"
+    assert main(["correspond", "--config", str(cfg), "--sector", "2,1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: non-finite double start")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class _Ones(random.Random):
+    def uniform(self, a, b):
+        return 1.0
+
+
+def test_refinement_fails_every_draw_of_a_scalar_combination():
+    # with every coefficient 1 the combination is sum_i H_i, which the sum
+    # rule makes a scalar on each sector: it separates nothing, so no draw
+    # may pass the joint residual gate
+    cfg = load_config(str(Path(__file__).parent / "data" / "rational-float.cfg")).model
+    for M in ((2, 1), (1, 2)):
+        with pytest.raises(DegeneracyUnresolved, match="after 3 combination draws"):
+            check_correspondence(cfg, M, rng=_Ones())
+
+
+def test_refinement_fails_a_draw_that_finds_one_eigenpair_twice(monkeypatch):
+    # starts that all sit at one eigenvalue refine to one eigenpair, which
+    # passes the joint gate each time; a draw that lists it dim times fails
+    real = correspond._eigenvalues
+    monkeypatch.setattr(correspond, "_eigenvalues", lambda a: real(a)[:1] * len(a))
+    with pytest.raises(DegeneracyUnresolved, match="after 3 combination draws"):
+        check_correspondence(CFG, (2, 1), rng=random.Random(7))
+
+
+def test_correspond_certifies_the_septuple_targets_of_a_seven_site_chain(capsys):
+    # sectors [0, 7] and [7, 0] hold one state whose Lax spectrum is one
+    # target of multiplicity 7: 60 digits certify it only to 3e-8 and 1.5e-8,
+    # so these sectors work at 7 * 8 + 20 = 76 digits
+    cfg = Path(__file__).parent / "data" / "rational-2-7.cfg"
+    assert main(["correspond", "--config", str(cfg), "--sector", "0,7",
+                 "--sector", "7,0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [s["status"] for s in doc["sectors"]] == ["pass", "pass"]
+    assert all(s["worst"] <= 1e-8 for s in doc["sectors"])
+
+
 # --------------------------------------------------------------- backends
 
+def _mpmath_eig_states(cfg, M, rng):
+    """Reference joint eigenvalues: 60-digit mpmath.eig of the combination
+    that the same draws give, read back as Rayleigh quotients and sorted as
+    diagonalize_sector sorts them."""
+    ops = [hamiltonian(cfg, i).restrict(M) for i in range(1, cfg.n + 1)]
+    dim = ops[0].space.dim
+    with mpmath.workdps(60):
+        mats = []
+        for op in ops:
+            m = mpmath.zeros(dim, dim)
+            for r, c, v in op.entries():
+                m[r, c] = correspond._mp_scalar(v)
+            mats.append(m)
+        combo = sum((rng.uniform(0.5, 1.5) * m for m in mats), mpmath.zeros(dim, dim))
+        _, vecs = mpmath.eig(combo)
+        states = []
+        for k in range(dim):
+            v = vecs[:, k] / mpmath.norm(vecs[:, k])
+            states.append([mpmath.fdot([x.conjugate() for x in v], m * v) for m in mats])
+    return sorted(states, key=lambda lams: tuple((complex(l).real, complex(l).imag)
+                                                 for l in lams))
+
+
 def test_backends_agree_on_joint_spectrum():
-    # one algorithm, two precisions: the same draws give the same states
-    for M in all_sectors(2, 3):
-        lo = diagonalize_sector(CFG, M, rng=random.Random(4), backend=COMPLEX128)
-        hi = diagonalize_sector(CFG, M, tol=correspond.MP_GATE,
-                                rng=random.Random(4), backend=MPMATH)
-        assert len(lo) == len(hi) == _dim(CFG, M)
-        for a, b in zip(lo, hi):
-            assert max(abs(x - complex(y))
-                       for x, y in zip(a.eigenvalues, b.eigenvalues)) < 1e-10
-            assert max(b.residuals) <= correspond.MP_GATE
+    # on every sector of both float goldens, the refined eigenvalues agree
+    # with complex doubles and with a 60-digit mpmath.eig of the same
+    # combination, and pass the 60-digit gate
+    gate = mpmath.mpf(10) ** -30
+    for config in ("rational-float.cfg", "trig-float.cfg"):
+        cfg = load_config(str(Path(__file__).parent / "data" / config)).model
+        for M in all_sectors(cfg.N, cfg.n):
+            lo = diagonalize_sector(cfg, M, rng=random.Random(4), backend=COMPLEX128)
+            hi = diagonalize_sector(cfg, M, tol=gate, rng=random.Random(4),
+                                    backend=correspond._Refined(60))
+            assert len(lo) == len(hi) == _dim(cfg, M)
+            ref = (_mpmath_eig_states(cfg, M, random.Random(4)) if len(hi) > 1
+                   else [st.eigenvalues for st in hi])
+            for a, b, c in zip(lo, hi, ref):
+                assert max(abs(x - complex(y))
+                           for x, y in zip(a.eigenvalues, b.eigenvalues)) < 1e-9
+                with mpmath.workdps(60):
+                    assert max(abs(y - z) for y, z in zip(b.eigenvalues, c)) < 1e-50
+                assert max(b.residuals) <= gate
 
 
 def test_velocity_scale_flavors():

@@ -1,7 +1,9 @@
 """numpy and mpmath are loaded only by the commands that use them.
 
 The exact checks run over Fraction and need neither.  The correspondence
-check runs the mpmath eigensolver, and only `spectrum` runs the numpy one.
+check refines a double start on Python lists in exact integers and needs
+mpmath only for its interval enclosures; only `spectrum` runs the numpy
+eigensolver.
 Each test runs in a fresh interpreter and reads sys.modules at its end.
 """
 import json
