@@ -280,7 +280,7 @@ def _check_correspondence(cfg, sectors, rc, rng):
             "correspondence needs the eigensolver backend; set mode = float "
             "or use the correspond subcommand"
         )
-    from . import correspond  # loads mpmath, which an exact run never needs
+    from . import correspond  # the eigensolvers, which an exact run never needs
     for M in sectors:
         # operators are always built from the exact parameters; floats enter
         # only at the eigensolver boundary

@@ -24,30 +24,31 @@ Numerical note: on the correspondence level sets the Lax matrix is defective
 moves by eps^(1/m) under a perturbation eps.  The check never builds or
 diagonalizes it.  It is L = C^T diag(lambda), with C the matrix of
 verify.principal_minors, so its characteristic coefficients are c_k =
-(-1)^k sum_{|S|=k} det(C_SS) prod_{j in S} lambda_j.  mpmath.iv interval
-arithmetic encloses them from the exact minors and the refined eigenvalues
-at D = max(60, ceil(m log10(1/tol)) + 20) digits, m the largest target
-multiplicity of the sector, and Rouche's theorem (S. M. Rump, J. Comput.
-Appl. Math. 156, 2003) certifies that exactly m roots lie within a radius r
-of each distinct target of multiplicity m.  What is certified is the
-characteristic polynomial of the Lax matrix with exact C at the computed
-eigenvalues; the largest r bounds the distance from its roots to the target
-multiset.
+(-1)^k sum_{|S|=k} det(C_SS) prod_{j in S} lambda_j.  The refined
+eigenvalues are exact dyadic (Gaussian) rationals, good to D = max(60,
+ceil(m log10(1/tol)) + 20) digits, m the largest target multiplicity of the
+sector, and the minors are exact.  So the c~_k at the computed eigenvalues
+are summed exactly in (Gaussian) integers, and each |c~_k - c_k|, against
+the target polynomial prod_t (z - t), is bounded above by an integer square
+root.  Rouche's theorem (S. M. Rump, J. Comput. Appl. Math. 156, 2003), in
+exact integer comparisons, certifies that exactly m roots lie within a
+power-of-two radius r of each distinct target of multiplicity m.  What is
+certified is the characteristic polynomial of the Lax matrix with exact C
+at the computed eigenvalues; the largest r bounds the distance from its
+roots to the target multiset.  Pass or fail is decided on the exact radii
+and coefficient errors; the report writes each as the least double not
+below it.
 """
 from __future__ import annotations
 
 import cmath
 import collections
-import contextlib
-import functools
+import decimal
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
-from mpmath import iv
 
 from .chain import hamiltonian
 from .errors import DegeneracyUnresolved, NonConvergence
@@ -62,7 +63,8 @@ MP_DPS = 60  # the fewest working digits of the correspondence
 class JointEigenstate:
     """Joint eigenvalues lambda_i of all sector Hamiltonians on one common
     eigenvector v, with residuals[i] = ||H_i v - lambda_i v||_2 for the
-    normalized v."""
+    normalized v: complex doubles, or, refined, exact eigenvalues (Fraction
+    or Gaussian) and rational upper bounds of the residuals."""
 
     sector: tuple
     eigenvalues: list
@@ -91,24 +93,57 @@ class CorrespondenceReport:
         return self.status == "pass"
 
 
+@dataclass(frozen=True)
+class Gaussian:
+    """An exact non-real eigenvalue, real + imag i with Fraction parts."""
+
+    real: Fraction
+    imag: Fraction
+
+    def __complex__(self):
+        return complex(float(self.real), float(self.imag))
+
+    def __mul__(self, k):  # by a rational k
+        return Gaussian(self.real * k, self.imag * k)
+
+    __rmul__ = __mul__
+
+
 def _peak(values):
     """The largest of the values, reading NaN as inf so that no gate passes it."""
-    return max((math.inf if math.isnan(x) else x for x in values), default=0.0)
+    return max((math.inf if x != x else x for x in values), default=0.0)
+
+
+def _shown(x):
+    """x as a message writes it: a Fraction to four significant digits, at
+    whatever exponent."""
+    if isinstance(x, Fraction):
+        return str(decimal.Context(prec=4).divide(x.numerator, x.denominator))
+    return str(x)
+
+
+def _ceil_sqrt(n):
+    """The least integer r with r^2 >= n, for an integer n >= 0."""
+    r = math.isqrt(n)
+    return r + (r * r < n)
+
+
+def _upper(q):
+    """The least double not below the rational q >= 0 (inf above the double
+    range): a positive q never reads 0.0."""
+    try:
+        x = float(q)
+    except OverflowError:
+        return math.inf
+    return math.nextafter(x, math.inf) if x < q else x
 
 
 # ------------------------------------------------------- precision backends
-
-def _mp_scalar(v):
-    if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-    return mpmath.mpf(v)
-
 
 class _Complex128:
     """Complex doubles through numpy, imported on first use."""
 
     name = "complex128"
-    context = contextlib.nullcontext
 
     scalar = staticmethod(complex)
 
@@ -234,10 +269,11 @@ def _fixed(z, bits):
     return tuple(out)
 
 
-def _times(row, vec):
-    """sum_c row[c] vec[c] for a row {column: int} and Gaussian integers."""
+def _times(row, vec, real):
+    """sum_c row[c] vec[c] for a row {column: int} and Gaussian integers,
+    the imaginary sum skipped when vec is real."""
     return (sum(x * vec[c][0] for c, x in row.items()),
-            sum(x * vec[c][1] for c, x in row.items()))
+            0 if real else sum(x * vec[c][1] for c, x in row.items()))
 
 
 def _defect(ws, mu, vec, bits):
@@ -251,12 +287,11 @@ class _Refined:
     """The combination exact, each eigenpair refined from a double start in
     Gaussian integers at the fixed-point scale 2^-bits of `digits` digits."""
 
-    scalar = staticmethod(_mp_scalar)
+    scalar = staticmethod(Fraction)
     operators = staticmethod(lambda ops, dim: ops)  # integer rows over op.den
 
     def __init__(self, digits):
         self.bits = math.ceil(digits * math.log2(10))
-        self.context = functools.partial(mpmath.workdps, digits)
         self.name = f"integer refinement at {digits} digits"
 
     @staticmethod
@@ -299,7 +334,8 @@ class _Refined:
                 # res = den 2^(2 bits) (A v - mu v), exactly; over den 2^s it
                 # fits doubles and gives the correction step 2^(s - 2 bits)
                 vec = u[:p] + [(1 << bits, 0)] + u[p + 1:]
-                res = _defect([_times(row, vec) for row in rows],
+                real = not any(y for _, y in vec)
+                res = _defect([_times(row, vec, real) for row in rows],
                               (den * u[p][0], den * u[p][1]), vec, bits)
                 top = max(abs(x) for pair in res for x in pair)
                 s = max(0, top.bit_length() - den.bit_length())
@@ -318,17 +354,22 @@ class _Refined:
             yield p, vec
 
     def joint(self, ops, found):
-        """lambda_i = (H_i v)_p, exact since v_p = 1, and the residuals
-        ||H_i v - lambda_i v|| / ||v|| from the exact H_i v."""
+        """lambda_i = (H_i v)_p, exact since v_p = 1 (a Fraction, or a
+        Gaussian if not real), and the residuals ||H_i v - lambda_i v|| /
+        ||v|| from the exact H_i v, each rounded up to a multiple of
+        2^-(2 bits), so that the gate compares them exactly."""
         p, vec = found
+        real, k = not any(y for _, y in vec), 2 * self.bits
         norm2, lams, rs = sum(x * x + y * y for x, y in vec), [], []
         for op in ops:
-            ws = [_times(op.rows.get(r, {}), vec) for r in range(len(vec))]
+            ws = [_times(op.rows.get(r, {}), vec, real) for r in range(len(vec))]
             err = sum(x * x + y * y for x, y in _defect(ws, ws[p], vec, self.bits))
             scale = op.den << self.bits
-            re, im = (_mp_scalar(Fraction(x, scale)) for x in ws[p])
-            lams.append(mpmath.mpc(re, im) if im else re)
-            rs.append(mpmath.sqrt(mpmath.mpf(err) / norm2) / scale)
+            re, im = (Fraction(x, scale) for x in ws[p])
+            lams.append(Gaussian(re, im) if im else re)
+            # the residual is sqrt(err / norm2) / scale, bounded above
+            bound = -(-(err << 2 * k) // (norm2 * scale * scale))
+            rs.append(Fraction(_ceil_sqrt(bound), 1 << k))
         return lams, rs
 
 
@@ -351,25 +392,24 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, backend=COMPLEX128):
     sector = tuple(int(m) for m in sector)
     ops = [hamiltonian(cfg, i).restrict(sector) for i in range(1, cfg.n + 1)]
     dim = ops[0].space.dim
-    with backend.context():
-        if dim == 1:
-            return [JointEigenstate(
-                sector, [backend.scalar(op.entry(0, 0)) for op in ops],
-                [0.0] * len(ops))]
-        forms, worst_seen = backend.operators(ops, dim), math.inf
-        for _ in range(3):
-            combo = backend.combination(
-                forms, [rng.uniform(0.5, 1.5) for _ in forms], dim)
-            states = [JointEigenstate(sector, *backend.joint(forms, v))
-                      for v in backend.eigenvectors(combo)]
-            peaks = [_peak(st.residuals) for st in states]
-            worst_seen = min([worst_seen, *peaks])
-            if len(states) == dim and all(bad <= gate for bad in peaks):
-                states.sort(key=lambda st: tuple(
-                    (lam.real, lam.imag) for lam in st.eigenvalues))
-                return states
+    if dim == 1:
+        return [JointEigenstate(
+            sector, [backend.scalar(op.entry(0, 0)) for op in ops],
+            [0.0] * len(ops))]
+    forms, worst_seen = backend.operators(ops, dim), math.inf
+    for _ in range(3):
+        combo = backend.combination(
+            forms, [rng.uniform(0.5, 1.5) for _ in forms], dim)
+        states = [JointEigenstate(sector, *backend.joint(forms, v))
+                  for v in backend.eigenvectors(combo)]
+        peaks = [_peak(st.residuals) for st in states]
+        worst_seen = min([worst_seen, *peaks])
+        if len(states) == dim and all(bad <= gate for bad in peaks):
+            states.sort(key=lambda st: tuple(
+                (lam.real, lam.imag) for lam in st.eigenvalues))
+            return states
     raise DegeneracyUnresolved(
-        f"residual {worst_seen} above {gate} after 3 combination draws "
+        f"residual {_shown(worst_seen)} above {_shown(gate)} after 3 combination draws "
         f"on sector {sector} ({backend.name})"
     )
 
@@ -380,78 +420,97 @@ _joint_eigenvalues_mp = diagonalize_sector
 
 # ------------------------------------------------------------------ Lax side
 
-@contextlib.contextmanager
-def _iv_workdps(dps):
-    old, iv.dps = iv.dps, dps
+def _integer_minors(cfg):
+    """The minors det(C_SS), S nonempty, as integers over one denominator
+    dm: (minors by S, dm), or None if one is NaN or infinite."""
     try:
-        yield
-    finally:
-        iv.dps = old
+        minors = {S: Fraction(d) for S, d in principal_minors(cfg).items() if S}
+    except (ValueError, OverflowError):
+        return None
+    dm = math.lcm(*(d.denominator for d in minors.values()))
+    return {S: int(d * dm) for S, d in minors.items()}, dm
 
 
-def _iv_exact(q):
-    """An interval enclosing the rational q; a float converts as it is, and
-    a NaN reads as the whole line."""
-    if isinstance(q, float):
-        return iv.mpf(q)
-    return iv.mpf(q.numerator) / q.denominator
-
-
-def _lax_coefficients(minors, lams, n):
+def _lax_coefficients(minors, dm, lams, n):
     """c_1..c_n, det(z - L) = z^n + sum_k c_k z^(n-k), for L = C^T
-    diag(lams), from the minors det(C_SS) by subset S:
-    c_k = (-1)^k sum_{|S|=k} det(C_SS) prod_{j in S} lams_j, each level of
-    subset products built from the level before.  Interval minors and point
-    intervals lams give enclosures; exact ones give the exact c_k."""
-    coeffs, level = [], {}
+    diag(lams), exactly, from the minors det(C_SS) = minors[S] / dm by
+    subset S: c_k = (-1)^k sum_{|S|=k} det(C_SS) prod_{j in S} lams_j.  The
+    lams (rational or Gaussian) are put over one denominator L and each
+    level of subset products is built in Gaussian integers from the level
+    before; c_k is returned as (re, im, dm L^k), re + im i its numerator."""
+    big = math.lcm(*(q.denominator for lam in lams for q in (lam.real, lam.imag)))
+    zs = [(int(lam.real * big), int(lam.imag * big)) for lam in lams]
+    coeffs, level = [], {(): (1, 0)}
     for k in range(1, n + 1):
-        level = {S: level[S[:-1]] * lams[S[-1]] if k > 1 else lams[S[0]]
-                 for S in itertools.combinations(range(n), k)}
-        total = sum(minors[S] * p for S, p in level.items())
-        coeffs.append(-total if k % 2 else total)
+        prev, level = level, {}
+        for S in itertools.combinations(range(n), k):
+            (a, b), (x, y) = prev[S[:-1]], zs[S[-1]]
+            level[S] = (a * x - b * y, a * y + b * x)
+        re = sum(minors[S] * x for S, (x, _) in level.items())
+        im = sum(minors[S] * y for S, (_, y) in level.items())
+        sign = -1 if k % 2 else 1
+        coeffs.append((sign * re, sign * im, dm * big**k))
     return coeffs
+
+
+def _floor_log2(num, den):
+    """floor(log2(num / den)) for integers num, den > 0, exactly."""
+    e = num.bit_length() - den.bit_length()
+    return e if num << max(0, -e) >= den << max(0, e) else e - 1
 
 
 def _rouche_radius(errs, g, m, others):
     """The least power of two r with exactly m roots within r of the target
-    g, or inf, given enclosures errs[k - 1] of |c~_k - c_k|, k = 1..n.
+    g, or inf, given upper bounds errs[k - 1] of |c~_k - c_k|, k = 1..n;
+    0 if the polynomials agree exactly.
 
     Rouche's theorem on |z - g| = r, where |c~(z) - c(z)| is at most
     sum_k |c~_k - c_k| (|g| + r)^(n-k) and |c(z)| at least
     r^m prod (|t - g| - r) over the `others`; r < min |t - g| / 2 keeps
     distinct targets apart.  The ladder starts at the rung below the r -> 0
-    estimate, below which no rung passes.
+    estimate, below which no rung passes.  It is exact: the errors, |g| and
+    the gaps |t - g| are put over one denominator q, and each rung r = rn
+    2^-s compares integers cleared of denominators.
     """
+    if not any(errs):
+        return Fraction(0)  # the polynomials agree exactly
     gaps = [abs(t - g) for t in others]
-    gap_ivs = [_iv_exact(d) for d in gaps]  # converted once, not per rung
-    mod_g = _iv_exact(abs(g))
+    q = math.lcm(*(x.denominator for x in (*errs, g, *gaps)))
 
-    def error(rho):  # sum_k errs[k - 1] rho^(n-k), by Horner's rule
-        acc = iv.mpf(0)
-        for e in errs:
-            acc = acc * rho + e
+    def over(x):  # the numerator of x over q
+        return x.numerator * (q // x.denominator)
+
+    a, b, big_g = [over(e) for e in errs], [over(d) for d in gaps], over(abs(g))
+    top = m - 1  # = n - 1 - len(b)
+
+    def error(x, w):  # q w^(n-1) times the error bound at x / w, by Horner's rule
+        acc, wk = 0, 1
+        for ak in a:
+            acc, wk = acc * x + ak * wk, wk * w
         return acc
 
-    err0 = error(mod_g)
-    if err0.b == 0:
-        return 0.0  # the polynomials agree exactly
-    est = mpmath.mpf(err0.a if err0.a > 0 else err0.b) / _mp_scalar(
-        math.prod(gaps, start=Fraction(1)))
-    j = int(mpmath.floor(mpmath.log(est, 2) / m))
-    while not gaps or Fraction(2) ** j < min(gaps) / 2:
-        r = iv.mpf(mpmath.ldexp(1, j))
-        if error(mod_g + r) < r**m * math.prod(d - r for d in gap_ivs):
-            return math.ldexp(1.0, j)
+    j = _floor_log2(error(big_g, q) * q ** len(b), q ** len(a) * math.prod(b)) // m
+    while True:
+        s = max(0, -j)
+        rn, w = 1 << (j + s), q << s
+        if b and 2 * q * rn >= min(b) << s:
+            return math.inf
+        # error(|g| + r) < r^m prod (gap - r), times q w^(n-1) 2^(s m)
+        if (error((big_g << s) + rn * q, w) << s * m) < (
+                rn**m * math.prod((bt << s) - rn * q for bt in b) * q * w**top):
+            return Fraction(rn, 1 << s)
         j += 1
-    return math.inf
 
 
 def certified_radius(errs, targets):
     """The largest _rouche_radius over the distinct targets: a rigorous
     bound on the distance from the roots to the target multiset,
-    multiplicities included, since disjoint circles hold all n roots.  A
-    non-finite error enclosure reads inf."""
-    if not all(mpmath.isfinite(mpmath.mpf(e.b)) for e in errs):
+    multiplicities included, since disjoint circles hold all n roots.  Each
+    error bound is taken as the rational it is; a non-finite one reads
+    inf."""
+    try:
+        errs = [Fraction(e) for e in errs]
+    except (ValueError, OverflowError):  # NaN or infinite
         return math.inf
     return max(_rouche_radius(errs, g, m, [t for t in targets if t != g])
                for g, m in collections.Counter(targets).items())
@@ -461,14 +520,16 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None):
     """Lax characteristic polynomials against their targets.
 
     For every joint eigenstate (refined at the sector's working digits D,
-    its residuals gated at 10^-(D // 2)): the eigenvalues lambda_j, the
-    velocities scale * lambda_j, and enclosures of the characteristic
-    coefficients c~_k of the Lax matrix C^T diag(lambda), summed from the
-    exact principal minors det(C_SS) at the computed eigenvalues; the Lax
-    matrix itself is never formed.  Both the certified radius of the roots
-    around the targets and max_k |c~_k - c_k|, against prod_t (z - t), must
-    be within tol.  The reported invariants are the classical Hamiltonians
-    (-1)^k c~_k, to be compared with e_k(targets).
+    its residuals gated exactly at 10^-(D // 2)): the exact eigenvalues
+    lambda_j, the velocities scale * lambda_j, and the characteristic
+    coefficients c~_k of the Lax matrix C^T diag(lambda), summed exactly
+    from the principal minors det(C_SS); the Lax matrix itself is never
+    formed.  Both the certified radius of the roots around the targets and
+    max_k |c~_k - c_k|, against prod_t (z - t), must be within tol, judged
+    exactly; the report writes them as doubles rounded up.  The reported
+    invariants are the classical Hamiltonians (-1)^k c~_k, to be compared
+    with e_k(targets).  A NaN or infinite minor leaves nothing to certify:
+    its rows read inf.
     """
     sector = tuple(int(m) for m in sector)
     rng = rng if rng is not None else random.Random(0)
@@ -478,37 +539,38 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None):
     multiplicity = max(collections.Counter(targets_exact).values())
     digits = max(MP_DPS, math.ceil(-multiplicity * math.log10(tol)) + 20)
     report = CorrespondenceReport(sector=sector)
-    worst = 0.0
-    with mpmath.workdps(digits), _iv_workdps(digits):
-        target_coeffs = [_iv_exact((-1) ** k * elementary_symmetric(targets_exact, k))
-                         for k in range(1, cfg.n + 1)]
-        target = [complex(_mp_scalar(t)) for t in sorted(targets_exact)]
-        scale = _mp_scalar(velocity_scale(cfg))
-        minors = {S: _iv_exact(d) for S, d in principal_minors(cfg).items() if S}
-        gate = mpmath.mpf(10) ** -(digits // 2)
-        for state in diagonalize_sector(cfg, sector, tol=gate, rng=rng,
-                                        backend=_Refined(digits)):
-            lams = state.eigenvalues
-            # each eigenvalue enters as its point interval; exactly real
-            # ones get real intervals, which are cheaper
-            coeffs = _lax_coefficients(
-                minors, [iv.mpc(lam.real, lam.imag) if lam.imag else iv.mpf(lam.real)
-                         for lam in lams], cfg.n)
-            errs = [abs(c - e) for c, e in zip(coeffs, target_coeffs)]
-            radius = certified_radius(errs, targets_exact)
-            hdev = _peak(float(mpmath.mpf(e.b)) for e in errs)
-            report.rows.append(
-                CorrespondenceRow(
-                    eigenvalues=[complex(l) for l in lams],
-                    velocities=[complex(scale * lam) for lam in lams],
-                    target=list(target),
-                    invariants=[complex((-1) ** k * mpmath.mpc(c.real.mid, c.imag.mid))
-                                for k, c in enumerate(coeffs, 1)],
-                    radius=radius,
-                    hamiltonian_deviation=hdev,
-                )
+    target_coeffs = [(-1) ** k * elementary_symmetric(targets_exact, k)
+                     for k in range(1, cfg.n + 1)]
+    target = [complex(t) for t in sorted(targets_exact)]
+    scale, minors = velocity_scale(cfg), _integer_minors(cfg)
+    worst = Fraction(0)
+    for state in diagonalize_sector(cfg, sector, tol=Fraction(1, 10 ** (digits // 2)),
+                                    rng=rng, backend=_Refined(digits)):
+        lams = state.eigenvalues
+        if minors is None:
+            invariants, radius, hdev = [complex(math.nan)] * cfg.n, math.inf, math.inf
+        else:
+            coeffs = _lax_coefficients(*minors, lams, cfg.n)
+            invariants, errs = [], []
+            for k, ((re, im, den), c) in enumerate(zip(coeffs, target_coeffs), 1):
+                sign = (-1) ** k  # int / int rounds correctly
+                invariants.append(complex(sign * re / den, sign * im / den))
+                # |c~_k - c_k| = |x + y i| / (den c.denominator), bounded above
+                x, y = re * c.denominator - c.numerator * den, im * c.denominator
+                errs.append(Fraction(_ceil_sqrt(x * x + y * y) if y else abs(x),
+                                     den * c.denominator))
+            radius, hdev = certified_radius(errs, targets_exact), max(errs)
+        report.rows.append(
+            CorrespondenceRow(
+                eigenvalues=[complex(lam) for lam in lams],
+                velocities=[complex(scale * lam) for lam in lams],
+                target=list(target),
+                invariants=invariants,
+                radius=_upper(radius),
+                hamiltonian_deviation=_upper(hdev),
             )
-            worst = _peak((worst, radius, hdev))
-    report.worst = worst
-    report.status = "pass" if worst <= tol else "fail"
+        )
+        worst = max(worst, radius, hdev)
+    report.worst = _upper(worst)
+    report.status = "pass" if worst <= Fraction(tol) else "fail"
     return report

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-import mpmath
+import mpmath  # the test-only references below; the package never loads it
 from mpmath import iv
 
 from qkzbench import correspond, verify
@@ -154,6 +155,32 @@ def test_refinement_fails_a_draw_that_finds_one_eigenpair_twice(monkeypatch):
         check_correspondence(CFG, (2, 1), rng=random.Random(7))
 
 
+def test_correspond_at_tol_1e_300_writes_no_positive_bound_as_zero(capsys):
+    # at 620 working digits the deviations are near 1e-620, below the double
+    # range: they are judged exactly and written rounded up, as the least
+    # subnormal, so that 0.0 is left to the rows whose Lax polynomial is
+    # exactly the target one (the one-dimensional sectors)
+    cfg = Path(__file__).parent / "data" / "rational.cfg"
+    assert main(["correspond", "--config", str(cfg), "--tol", "1e-300"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for sector in doc["sectors"]:
+        assert sector["status"] == "pass" and sector["worst"] <= 1e-300
+        exact = len(sector["rows"]) == 1
+        for row in sector["rows"]:
+            for bound in (row["radius"], row["hamiltonian_deviation"]):
+                assert (bound == 0.0) == exact, sector["sector"]
+
+
+def test_bounds_are_written_as_doubles_rounded_up():
+    smallest = math.ldexp(1.0, -1074)
+    assert correspond._upper(0) == 0.0
+    assert correspond._upper(Fraction(2) ** -1074) == smallest
+    assert correspond._upper(Fraction(2) ** -1100) == smallest
+    assert correspond._upper(Fraction(1, 3)) > Fraction(1, 3)
+    assert correspond._upper(Fraction(10) ** 400) == math.inf
+    assert correspond._upper(math.inf) == math.inf
+
+
 def test_correspond_certifies_the_septuple_targets_of_a_seven_site_chain(capsys):
     # sectors [0, 7] and [7, 0] hold one state whose Lax spectrum is one
     # target of multiplicity 7: 60 digits certify it only to 3e-8 and 1.5e-8,
@@ -168,6 +195,13 @@ def test_correspond_certifies_the_septuple_targets_of_a_seven_site_chain(capsys)
 
 # --------------------------------------------------------------- backends
 
+def _mp(x):
+    """An exact rational or Gaussian x at mpmath's working precision."""
+    re, im = (mpmath.mpf(q.numerator) / q.denominator
+              for q in (Fraction(x.real), Fraction(x.imag)))
+    return mpmath.mpc(re, im) if im else re
+
+
 def _mpmath_eig_states(cfg, M, rng):
     """Reference joint eigenvalues: 60-digit mpmath.eig of the combination
     that the same draws give, read back as Rayleigh quotients and sorted as
@@ -179,7 +213,7 @@ def _mpmath_eig_states(cfg, M, rng):
         for op in ops:
             m = mpmath.zeros(dim, dim)
             for r, c, v in op.entries():
-                m[r, c] = correspond._mp_scalar(v)
+                m[r, c] = _mp(v)
             mats.append(m)
         combo = sum((rng.uniform(0.5, 1.5) * m for m in mats), mpmath.zeros(dim, dim))
         _, vecs = mpmath.eig(combo)
@@ -195,7 +229,7 @@ def test_backends_agree_on_joint_spectrum():
     # on every sector of both float goldens, the refined eigenvalues agree
     # with complex doubles and with a 60-digit mpmath.eig of the same
     # combination, and pass the 60-digit gate
-    gate = mpmath.mpf(10) ** -30
+    gate = Fraction(1, 10**30)
     for config in ("rational-float.cfg", "trig-float.cfg"):
         cfg = load_config(str(Path(__file__).parent / "data" / config)).model
         for M in all_sectors(cfg.N, cfg.n):
@@ -209,8 +243,35 @@ def test_backends_agree_on_joint_spectrum():
                 assert max(abs(x - complex(y))
                            for x, y in zip(a.eigenvalues, b.eigenvalues)) < 1e-9
                 with mpmath.workdps(60):
-                    assert max(abs(y - z) for y, z in zip(b.eigenvalues, c)) < 1e-50
+                    assert max(abs(_mp(y) - z)
+                               for y, z in zip(b.eigenvalues, c)) < 1e-50
                 assert max(b.residuals) <= gate
+
+
+def test_refined_residuals_bound_the_true_residuals():
+    # on vectors that are no eigenvectors, real and complex: each eigenvalue
+    # is (H_i v)_p exactly, and each residual is the least multiple of
+    # 2^-(2 bits) not below ||H_i v - lambda_i v|| / ||v||, compared exactly
+    backend = correspond._Refined(60)
+    bits, k = backend.bits, 2 * backend.bits
+    ops = [hamiltonian(CFG, i).restrict((2, 1)) for i in range(1, 4)]
+    one = 1 << bits
+    for vec in ([(one, 0), (3 * one // 4, 0), (-5 * one // 8, 0)],
+                [(one, 0), (one // 3, one // 7), (-one // 5, 2 * one // 9)]):
+        v = [(Fraction(x, one), Fraction(y, one)) for x, y in vec]
+        lams, residuals = backend.joint(ops, (0, vec))
+        for op, lam, bound in zip(ops, lams, residuals):
+            hv = []
+            for r in range(len(v)):
+                row = op.rows.get(r, {})
+                hv.append(tuple(sum(x * v[c][part] for c, x in row.items()) / op.den
+                                for part in (0, 1)))
+            assert (Fraction(lam.real), Fraction(lam.imag)) == hv[0]
+            square = sum((a - lam.real * x + lam.imag * y) ** 2
+                         + (b - lam.real * y - lam.imag * x) ** 2
+                         for (a, b), (x, y) in zip(hv, v)) / sum(
+                             x * x + y * y for x, y in v)
+            assert (bound - Fraction(1, 1 << k)) ** 2 < square <= bound**2
 
 
 def test_velocity_scale_flavors():
@@ -237,10 +298,9 @@ def test_lax_spectrum_invariant_under_relabeling():
 # ------------------------------------------------------------- certificate
 
 def _errs(roots, targets):
-    """Enclosures of |c_k(roots) - c_k(targets)| for exact rational roots:
-    the coefficients of prod (z - t) are (-1)^k e_k."""
-    return [abs(correspond._iv_exact(elementary_symmetric(roots, k)
-                                     - elementary_symmetric(targets, k)))
+    """|c_k(roots) - c_k(targets)|, exactly, for rational roots: the
+    coefficients of prod (z - t) are (-1)^k e_k."""
+    return [abs(elementary_symmetric(roots, k) - elementary_symmetric(targets, k))
             for k in range(1, len(targets) + 1)]
 
 
@@ -293,7 +353,7 @@ def test_certified_radius_bounds_brute_force_distance():
 
 def test_certified_radius_nan_is_inf():
     targets = [Fraction(1), Fraction(2)]
-    errs = [iv.mpf(0), iv.convert(mpmath.nan)]
+    errs = [Fraction(0), math.nan]
     assert certified_radius(errs, targets) == math.inf
 
 
@@ -318,7 +378,7 @@ def test_correspondence_fails_on_scaled_velocity(monkeypatch):
     def perturbed(*args, **kwargs):
         states = real(*args, **kwargs)
         for st in states:
-            st.eigenvalues[0] = st.eigenvalues[0] * (1 + mpmath.mpf(10) ** -6)
+            st.eigenvalues[0] = st.eigenvalues[0] * (Fraction(1) + Fraction(1, 10**6))
         return states
 
     monkeypatch.setattr(correspond, "diagonalize_sector", perturbed)
@@ -341,9 +401,12 @@ def test_certified_radius_bounds_the_eig_distance(monkeypatch):
     # reference: the eigenvalues mpmath.eig finds for each Lax matrix sit
     # within the certified radius of the targets.  The certificate covers
     # L_ij = scale lambda_j / lax_denominator(i, j) with exact denominators
-    # at the stored 60-digit eigenvalues.  The test builds L from those at
+    # at the exact refined eigenvalues.  The test builds L from those at
     # twice the working digits: rounding L to 60 digits and eigensolving it
-    # there moves its spectrum by more than the radius
+    # there moves its spectrum by more than the radius.  A radius of 0 claims
+    # that the polynomials agree exactly, which mpmath.eig cannot confirm (a
+    # triple root moves by eps^(1/3)); there the exact characteristic
+    # polynomial of L is compared with prod_t (z - t) instead
     states = []
     real = correspond.diagonalize_sector
 
@@ -366,20 +429,103 @@ def test_certified_radius_bounds_the_eig_distance(monkeypatch):
         for M in all_sectors(cfg.N, n):
             rep = check_correspondence(cfg, M, rng=rng)
             assert len(states) == len(rep.rows) == _dim(cfg, M)
+            scale = velocity_scale(cfg)
             with mpmath.workdps(2 * correspond.MP_DPS):
-                targets = [correspond._mp_scalar(t) for t in twist_targets(cfg, M)]
-                scale = correspond._mp_scalar(velocity_scale(cfg))
-                dens = [[correspond._mp_scalar(lax_denominator(cfg, i + 1, j + 1))
+                targets = [_mp(t) for t in twist_targets(cfg, M)]
+                dens = [[_mp(lax_denominator(cfg, i + 1, j + 1))
                          for j in range(n)] for i in range(n)]
                 for st, row in zip(states, rep.rows):
-                    velocities = [scale * lam for lam in st.eigenvalues]
-                    assert [complex(v) for v in velocities] == row.velocities
+                    exact = [scale * lam for lam in st.eigenvalues]
+                    assert [complex(v) for v in exact] == row.velocities
+                    if row.radius == 0:
+                        lax = [[exact[j] / lax_denominator(cfg, i + 1, j + 1)
+                                for j in range(n)] for i in range(n)]
+                        assert _faddeev_leverrier(lax) == [
+                            (-1) ** k * elementary_symmetric(twist_targets(cfg, M), k)
+                            for k in range(1, n + 1)], M
+                        continue
+                    velocities = [_mp(v) for v in exact]
                     lax = mpmath.matrix([[velocities[j] / dens[i][j] for j in range(n)]
                                          for i in range(n)])
                     spectrum = mpmath.eig(lax, left=False, right=False)
                     spectrum = list(spectrum[0] if n == 1 else spectrum)
                     assert row.radius >= _bottleneck(spectrum, targets), M
                     assert row.radius <= 1e-10, M
+
+
+def _iv_radius(cfg, M, lams, digits):
+    """The radius that an mpmath.iv certificate gives at the eigenvalues
+    lams: the Lax coefficients enclosed in intervals at `digits` digits from
+    enclosures of the exact minors and eigenvalues, then Rouche's ladder on
+    the enclosures.  A reference for the exact certificate."""
+    def enclose(q):
+        return iv.mpf(q.numerator) / q.denominator
+
+    old, iv.dps = iv.dps, digits
+    try:
+        n, targets = cfg.n, twist_targets(cfg, M)
+        minors = {S: enclose(d) for S, d in principal_minors(cfg).items() if S}
+        lams = [iv.mpc(enclose(Fraction(lam.real)), enclose(Fraction(lam.imag)))
+                if lam.imag else enclose(lam) for lam in lams]
+        errs, level = [], {(): iv.mpf(1)}
+        for k in range(1, n + 1):
+            level = {S: level[S[:-1]] * lams[S[-1]]
+                     for S in itertools.combinations(range(n), k)}
+            c = (-1) ** k * sum(minors[S] * p for S, p in level.items())
+            errs.append(abs(c - enclose((-1) ** k * elementary_symmetric(targets, k))))
+
+        def error(rho):
+            acc = iv.mpf(0)
+            for e in errs:
+                acc = acc * rho + e
+            return acc
+
+        radius = 0.0
+        for g, m in collections.Counter(targets).items():
+            gaps = [abs(t - g) for t in targets if t != g]
+            err0 = error(enclose(abs(g)))
+            if err0.b == 0:
+                continue
+            est = mpmath.mpf(err0.a if err0.a > 0 else err0.b) / math.prod(
+                (mpmath.mpf(d.numerator) / d.denominator for d in gaps), start=1)
+            j = int(mpmath.floor(mpmath.log(est, 2) / m))
+            while not gaps or Fraction(2) ** j < min(gaps) / 2:
+                r = iv.mpf(mpmath.ldexp(1, j))
+                if error(enclose(abs(g)) + r) < r**m * math.prod(
+                        enclose(d) - r for d in gaps):
+                    break
+                j += 1
+            else:
+                return math.inf
+            radius = max(radius, math.ldexp(1.0, j))
+        return radius
+    finally:
+        iv.dps = old
+
+
+@pytest.mark.parametrize("config", ["rational.cfg", "trig.cfg", "rational-float.cfg"])
+def test_no_radius_exceeds_the_interval_reference(monkeypatch, config):
+    # on every row of the three chains, the exact certificate is at least as
+    # tight as interval enclosures of the same sums at the working digits;
+    # the one-dimensional sectors certify radius 0
+    states = []
+    real = correspond.diagonalize_sector
+
+    def spy(*args, **kwargs):
+        states[:] = real(*args, **kwargs)
+        return states
+
+    monkeypatch.setattr(correspond, "diagonalize_sector", spy)
+    rc = load_config(str(Path(__file__).parent / "data" / config))
+    cfg, rng, tol = rc.model, random.Random(rc.seed), 1e-8
+    for M in all_sectors(cfg.N, cfg.n):
+        rep = check_correspondence(cfg, M, tol=tol, rng=rng)
+        m = max(collections.Counter(twist_targets(cfg, M)).values())
+        digits = max(correspond.MP_DPS, math.ceil(-m * math.log10(tol)) + 20)
+        assert rep.passed and len(rep.rows) == len(states), M
+        for st, row in zip(states, rep.rows):
+            assert row.radius <= _iv_radius(cfg, M, st.eigenvalues, digits), M
+            assert row.radius > 0 or len(states) == 1, M
 
 
 def _faddeev_leverrier(a):
@@ -398,8 +544,9 @@ def _faddeev_leverrier(a):
 
 
 def test_lax_coefficients_from_minors_match_faddeev_leverrier():
-    # over Fraction the principal-minor route is exact: its coefficients
-    # are those of L = C^T diag(lambda), L_ij = scale lambda_j / den(i, j)
+    # the principal-minor route is exact: its coefficients are those of
+    # L = C^T diag(lambda), L_ij = scale lambda_j / den(i, j), over Fraction
+    # for rational lambda and within 1e-12 of complex doubles for Gaussian
     rng = random.Random(5)
     for cfg in (ModelConfig.rational(3, 3, ETA, HBAR, X3, G2 + (Fraction(5),)),
                 ModelConfig.trigonometric(
@@ -411,8 +558,20 @@ def test_lax_coefficients_from_minors_match_faddeev_leverrier():
             lams = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)]
             lax = [[scale * lams[j] / lax_denominator(cfg, i + 1, j + 1)
                     for j in range(n)] for i in range(n)]
-            assert (correspond._lax_coefficients(principal_minors(cfg), lams, n)
-                    == _faddeev_leverrier(lax))
+            coeffs = correspond._lax_coefficients(
+                *correspond._integer_minors(cfg), lams, n)
+            assert all(im == 0 for _, im, _ in coeffs)
+            exact = [Fraction(re, den) for re, _, den in coeffs]
+            assert exact == _faddeev_leverrier(lax)
+            lams = [correspond.Gaussian(lam, Fraction(rng.randint(1, 40), 7))
+                    for lam in lams]
+            lax = [[complex(scale * lams[j]) / float(lax_denominator(cfg, i + 1, j + 1))
+                    for j in range(n)] for i in range(n)]
+            coeffs = correspond._lax_coefficients(
+                *correspond._integer_minors(cfg), lams, n)
+            for (re, im, den), c in zip(coeffs, _faddeev_leverrier(lax)):
+                got = complex(Fraction(re, den), Fraction(im, den))
+                assert abs(got - c) <= 1e-12 * abs(c)
 
 
 def test_correspondence_fails_on_a_scaled_minor(monkeypatch):

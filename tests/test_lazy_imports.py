@@ -1,9 +1,9 @@
 """numpy and mpmath are loaded only by the commands that use them.
 
 The exact checks run over Fraction and need neither.  The correspondence
-check refines a double start on Python lists in exact integers and needs
-mpmath only for its interval enclosures; only `spectrum` runs the numpy
-eigensolver.
+check refines a double start on Python lists in exact integers and
+certifies its Lax spectra in exact integers too, so it needs neither; only
+`spectrum` runs the numpy eigensolver, and no command loads mpmath.
 Each test runs in a fresh interpreter and reads sys.modules at its end.
 """
 import json
@@ -51,10 +51,9 @@ def test_exact_verify_loads_neither(config):
 
 @pytest.mark.parametrize("config,command", [("rational-float.cfg", "verify"),
                                             ("rational.cfg", "correspond")])
-def test_the_correspondence_loads_mpmath_but_not_numpy(config, command):
-    assert _loaded(config, command) == (0, ["mpmath"])
+def test_the_correspondence_loads_neither(config, command):
+    assert _loaded(config, command) == (0, [])
 
 
 def test_spectrum_loads_numpy():
-    code, loaded = _loaded("rational.cfg", "spectrum")
-    assert code == 0 and "numpy" in loaded
+    assert _loaded("rational.cfg", "spectrum") == (0, ["numpy"])
