@@ -157,17 +157,19 @@ def parse_sector(text, N, n):
 
 # ------------------------------------------------------------ check registry
 
-def _draw_spectral(cfg, rng):
-    """A generic spectral sample away from the flavor's poles."""
+def _draw_spectral(model, rng):
+    """A generic spectral sample away from the flavor's poles, an exact
+    Fraction: the callers decide their pole guards on the exact model and
+    only then convert the sample into the run's domain."""
     while True:
         v = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
-        if cfg.is_rational:
-            if v + cfg.coupling != 0:
-                return cfg.domain.coerce(v)
+        if model.is_rational:
+            if v + model.coupling != 0:
+                return v
         else:
-            t = cfg.coupling
+            t = model.coupling
             if v != 0 and v * v * t * t != 1 and v * v != 1:
-                return cfg.domain.coerce(v)
+                return v
 
 
 def _merge(name, results):
@@ -183,35 +185,34 @@ def _merge(name, results):
 
 
 def _check_ybe(cfg, sectors, rc, rng):
-    out = []
+    model, out = rc.model, []
     while len(out) < 3:
-        p1 = _draw_spectral(cfg, rng)
-        p2 = _draw_spectral(cfg, rng)
-        r = cfg.relative(p1, p2)  # the 12-argument: no pole of R or R~
-        if cfg.sinh(r) == 0 or cfg.sinh(cfg.coupled(r)) == 0:
+        p1 = _draw_spectral(model, rng)
+        p2 = _draw_spectral(model, rng)
+        r = model.relative(p1, p2)  # the 12-argument: no pole of R or R~
+        if model.sinh(r) == 0 or model.sinh(model.coupled(r)) == 0:
             continue
         out.append(rmatrix.check_yang_baxter(
-            cfg.flavor, p1, p2, cfg.coupling, cfg.N, cfg.domain))
+            cfg.flavor, cfg.domain.coerce(p1), cfg.domain.coerce(p2),
+            cfg.coupling, cfg.N, cfg.domain))
     yield _merge("ybe", out)
 
 
 def _check_unitarity(cfg, sectors, rc, rng):
-    out = []
+    model, out = rc.model, []
     while len(out) < 3:
-        p = _draw_spectral(cfg, rng)
-        if cfg.is_rational and p - cfg.coupling == 0:
+        p = _draw_spectral(model, rng)
+        if model.is_rational and p - model.coupling == 0:
             continue  # the reversed factor would sit on a pole
-        if not cfg.is_rational:
-            t, inv = cfg.coupling, 1 / p
-            if inv * inv * t * t == 1:
-                continue
+        if not model.is_rational and p * p == model.coupling ** 2:
+            continue
         out.append(rmatrix.check_unitarity(
-            cfg.flavor, p, cfg.coupling, cfg.N, cfg.domain))
+            cfg.flavor, cfg.domain.coerce(p), cfg.coupling, cfg.N, cfg.domain))
     yield _merge("unitarity", out)
 
 
 def _check_twist(cfg, sectors, rc, rng):
-    p = _draw_spectral(cfg, rng)
+    p = cfg.domain.coerce(_draw_spectral(rc.model, rng))
     yield rmatrix.check_twist_commutation(
         cfg.flavor, p, cfg.coupling, cfg.g, cfg.N, cfg.domain)
 
@@ -277,10 +278,10 @@ def _check_macdonald(cfg, sectors, rc, rng):
 def _check_correspondence(cfg, sectors, rc, rng):
     if rc.mode == "exact":
         raise NeedsFloat(
-            "correspondence needs the eigensolver backend; set mode = float "
-            "or use the correspond subcommand"
+            "correspondence runs the joint eigensolver, which an exact verify "
+            "leaves out; set mode = float or use the correspond subcommand"
         )
-    from . import correspond  # the eigensolvers, which an exact run never needs
+    from . import correspond  # the eigensolver, which an exact run never needs
     for M in sectors:
         # operators are always built from the exact parameters; floats enter
         # only at the eigensolver boundary
@@ -499,8 +500,10 @@ def _cmd_spectrum(args):
                 "sector": list(M),
                 "states": [
                     {
-                        "eigenvalues": _json_safe(st.eigenvalues),
-                        "residuals": _json_safe(st.residuals),
+                        "eigenvalues": _json_safe(
+                            [complex(lam) for lam in st.eigenvalues]),
+                        "residuals": _json_safe(
+                            [correspond._upper(r) for r in st.residuals]),
                     }
                     for st in states
                 ],

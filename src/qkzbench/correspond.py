@@ -2,14 +2,16 @@
 Lax-matrix side of the spectral correspondence.
 
 Operators are built exactly, restricted to a weight sector, and only then
-handed to the joint eigensolver.  Spectrum listings run it in complex
-doubles through numpy, imported on first use.  The correspondence check
-runs it without numpy: a double start on Python lists, each eigenpair then
-refined by Newton's method with exact integer residuals at a fixed-point
-scale 2^-B (J. J. Dongarra, C. B. Moler and J. H. Wilkinson, SIAM J. Numer.
-Anal. 20, 1983).  For every joint eigenstate the Hamiltonian eigenvalues
-define particle velocities; the Lax matrix they define (never built, see
-the Numerical note) must have the twist multiset {g_a with multiplicity M_a}
+handed to the joint eigensolver, which needs no package beyond the standard
+library: a double start on Python lists, each eigenpair then refined by
+Newton's method with exact integer residuals at a fixed-point scale 2^-B
+(J. J. Dongarra, C. B. Moler and J. H. Wilkinson, SIAM J. Numer. Anal. 20,
+1983), its eigenvalues read back exactly.  Spectrum listings run it at 60
+digits, the correspondence check at the digits its targets need.
+
+For every joint eigenstate the Hamiltonian eigenvalues define particle
+velocities; the Lax matrix they define (never built, see the Numerical
+note) must have the twist multiset {g_a with multiplicity M_a}
 as its spectrum (rational flavor) or the multiplicative strings
 g_a * t^{2 alpha - M_a + 1}, alpha = 0..M_a-1 (trigonometric flavor).
 
@@ -56,15 +58,15 @@ from .scalars import require_tolerance
 from .verify import (elementary_symmetric, principal_minors, twist_targets,
                      velocity_scale)
 
-MP_DPS = 60  # the fewest working digits of the correspondence
+MP_DPS = 60  # the working digits of spectrum, the fewest of the correspondence
 
 
 @dataclass
 class JointEigenstate:
     """Joint eigenvalues lambda_i of all sector Hamiltonians on one common
-    eigenvector v, with residuals[i] = ||H_i v - lambda_i v||_2 for the
-    normalized v: complex doubles, or, refined, exact eigenvalues (Fraction
-    or Gaussian) and rational upper bounds of the residuals."""
+    eigenvector v, exact (Fraction, or Gaussian if not real), with
+    residuals[i] the least multiple of 2^-(2 B) not below
+    ||H_i v - lambda_i v||_2 / ||v||_2, a Fraction."""
 
     sector: tuple
     eigenvalues: list
@@ -138,51 +140,8 @@ def _upper(q):
     return math.nextafter(x, math.inf) if x < q else x
 
 
-# ------------------------------------------------------- precision backends
+# ------------------------------------------------------------- eigensolver
 
-class _Complex128:
-    """Complex doubles through numpy, imported on first use."""
-
-    name = "complex128"
-
-    scalar = staticmethod(complex)
-
-    @staticmethod
-    def operators(ops, dim):
-        """The dense matrix of each operator."""
-        import numpy as np
-        mats = []
-        for op in ops:
-            m = np.zeros((dim, dim), dtype=complex)
-            for r, c, v in op.entries():
-                m[r, c] = complex(v)
-            mats.append(m)
-        return mats
-
-    @staticmethod
-    def combination(mats, coeffs, dim):
-        return sum(k * m for k, m in zip(coeffs, mats))
-
-    @staticmethod
-    def eigenvectors(a):
-        import numpy as np
-        try:
-            _, vecs = np.linalg.eig(a)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(str(exc)) from exc
-        return [vecs[:, k] for k in range(a.shape[0])]
-
-    @staticmethod
-    def joint(mats, v):
-        """The Rayleigh quotients lambda_i and residuals of the normalized v."""
-        import numpy as np
-        v = v / np.linalg.norm(v)
-        ws = [m @ v for m in mats]
-        lams = [complex(v.conj() @ w) for w in ws]
-        return lams, [float(np.linalg.norm(w - lam * v)) for w, lam in zip(ws, lams)]
-
-
-COMPLEX128 = _Complex128()
 EPS = 2.0 ** -52  # the spacing of doubles at 1
 
 
@@ -283,109 +242,103 @@ def _defect(ws, mu, vec, bits):
             for (wr, wi), (vr, vi) in zip(ws, vec)]
 
 
-class _Refined:
-    """The combination exact, each eigenpair refined from a double start in
-    Gaussian integers at the fixed-point scale 2^-bits of `digits` digits."""
+def _bits(digits):
+    """The fixed-point scale 2^-bits that holds `digits` decimal digits."""
+    return math.ceil(digits * math.log2(10))
 
-    scalar = staticmethod(Fraction)
-    operators = staticmethod(lambda ops, dim: ops)  # integer rows over op.den
 
-    def __init__(self, digits):
-        self.bits = math.ceil(digits * math.log2(10))
-        self.name = f"integer refinement at {digits} digits"
+def _combination(ops, coeffs):
+    """sum_i coeffs[i] H_i, exact: each double is the dyadic rational it is."""
+    terms = [op.scaled(Fraction(k)) for op, k in zip(ops, coeffs)]
+    return sum(terms[1:], terms[0])
 
-    @staticmethod
-    def combination(ops, coeffs, dim):
-        """sum_i coeffs[i] H_i, exact: each double is the dyadic rational it is."""
-        terms = [op.scaled(Fraction(k)) for op, k in zip(ops, coeffs)]
-        return sum(terms[1:], terms[0])
 
-    def eigenvectors(self, combo):
-        """Each eigenvector as (p, vec), v = vec 2^-bits with v_p = 1, up to
-        the first whose correction fails to halve or that repeats another.
-        From each eigenvalue mu of the double start (real if nearer the real
-        axis than a quarter of its distance to all others, since a real
-        matrix has conjugate pairs): inverse iteration in doubles, then
-        Newton's method on A v = mu v, v_p = 1, its Jacobian (A - mu, column
-        p set to -v) factored once in doubles and every residual exact."""
-        rows = [combo.rows.get(r, {}) for r in range(combo.space.dim)]
-        bits, den, seen = self.bits, combo.den, []
-        a = [[row.get(c, 0) / den for c in range(len(rows))] for row in rows]
-        floor = EPS * max(abs(x) for row in a for x in row) or EPS
-        mus = _eigenvalues(a)
-        for k, mu in enumerate(mus):
-            if 4 * abs(mu.imag) < min([abs(nu - mu) for nu in mus[:k] + mus[k + 1:]],
-                                      default=math.inf):
-                mu = complex(mu.real)
-            jac = [[x - mu * (r == c) for c, x in enumerate(row)]
-                   for r, row in enumerate(a)]
-            solve = _lu_solver([row[:] for row in jac], floor)
-            v = solve(solve([1.0] * len(a)))
-            p = max(range(len(v)), key=lambda i: abs(v[i]))
-            v = [x / v[p] for x in v]
-            if not all(map(cmath.isfinite, v + [mu])):
-                raise NonConvergence(f"non-finite double start {mu}")
-            for row, x in zip(jac, v):
-                row[p] = -x
-            # the unknowns: v_k for k != p, and mu in place of v_p = 1
-            solve, u = _lu_solver(jac, floor), [_fixed(x, bits) for x in v]
-            u[p], last = _fixed(mu, bits), math.inf
-            while True:
-                # res = den 2^(2 bits) (A v - mu v), exactly; over den 2^s it
-                # fits doubles and gives the correction step 2^(s - 2 bits)
-                vec = u[:p] + [(1 << bits, 0)] + u[p + 1:]
-                real = not any(y for _, y in vec)
-                res = _defect([_times(row, vec, real) for row in rows],
-                              (den * u[p][0], den * u[p][1]), vec, bits)
-                top = max(abs(x) for pair in res for x in pair)
-                s = max(0, top.bit_length() - den.bit_length())
-                step = solve([-complex(x / (den << s), y / (den << s)) for x, y in res])
-                size = max(map(abs, step))  # as log2 in units of 2^-bits:
-                size = math.log2(size) + s - bits if size else -math.inf
-                if size < 0 or not size < last - 1:
-                    break
-                last = size
-                u = [(x + dx, y + dy) for (x, y), (dx, dy) in
-                     zip(u, (_fixed(z, s - bits) for z in step))]
-            if not size < 0 or any(abs(u[p][0] - x) + abs(u[p][1] - y) < 1 << bits // 2
-                                   for x, y in seen):
-                return
-            seen.append(u[p])
-            yield p, vec
+def _eigenvectors(combo, bits):
+    """Each eigenvector of the exact combination as (p, vec), v = vec 2^-bits
+    with v_p = 1, up to the first whose correction fails to halve or that
+    repeats another.  From each eigenvalue mu of the double start (real if
+    nearer the real axis than a quarter of its distance to all others, since
+    a real matrix has conjugate pairs): inverse iteration in doubles, then
+    Newton's method on A v = mu v, v_p = 1, its Jacobian (A - mu, column p
+    set to -v) factored once in doubles and every residual exact."""
+    rows = [combo.rows.get(r, {}) for r in range(combo.space.dim)]
+    den, seen = combo.den, []
+    a = [[row.get(c, 0) / den for c in range(len(rows))] for row in rows]
+    floor = EPS * max(abs(x) for row in a for x in row) or EPS
+    mus = _eigenvalues(a)
+    for k, mu in enumerate(mus):
+        if 4 * abs(mu.imag) < min([abs(nu - mu) for nu in mus[:k] + mus[k + 1:]],
+                                  default=math.inf):
+            mu = complex(mu.real)
+        jac = [[x - mu * (r == c) for c, x in enumerate(row)]
+               for r, row in enumerate(a)]
+        solve = _lu_solver([row[:] for row in jac], floor)
+        v = solve(solve([1.0] * len(a)))
+        p = max(range(len(v)), key=lambda i: abs(v[i]))
+        v = [x / v[p] for x in v]
+        if not all(map(cmath.isfinite, v + [mu])):
+            raise NonConvergence(f"non-finite double start {mu}")
+        for row, x in zip(jac, v):
+            row[p] = -x
+        # the unknowns: v_k for k != p, and mu in place of v_p = 1
+        solve, u = _lu_solver(jac, floor), [_fixed(x, bits) for x in v]
+        u[p], last = _fixed(mu, bits), math.inf
+        while True:
+            # res = den 2^(2 bits) (A v - mu v), exactly; over den 2^s it
+            # fits doubles and gives the correction step 2^(s - 2 bits)
+            vec = u[:p] + [(1 << bits, 0)] + u[p + 1:]
+            real = not any(y for _, y in vec)
+            res = _defect([_times(row, vec, real) for row in rows],
+                          (den * u[p][0], den * u[p][1]), vec, bits)
+            top = max(abs(x) for pair in res for x in pair)
+            s = max(0, top.bit_length() - den.bit_length())
+            step = solve([-complex(x / (den << s), y / (den << s)) for x, y in res])
+            size = max(map(abs, step))  # as log2 in units of 2^-bits:
+            size = math.log2(size) + s - bits if size else -math.inf
+            if size < 0 or not size < last - 1:
+                break
+            last = size
+            u = [(x + dx, y + dy) for (x, y), (dx, dy) in
+                 zip(u, (_fixed(z, s - bits) for z in step))]
+        if not size < 0 or any(abs(u[p][0] - x) + abs(u[p][1] - y) < 1 << bits // 2
+                               for x, y in seen):
+            return
+        seen.append(u[p])
+        yield p, vec
 
-    def joint(self, ops, found):
-        """lambda_i = (H_i v)_p, exact since v_p = 1 (a Fraction, or a
-        Gaussian if not real), and the residuals ||H_i v - lambda_i v|| /
-        ||v|| from the exact H_i v, each rounded up to a multiple of
-        2^-(2 bits), so that the gate compares them exactly."""
-        p, vec = found
-        real, k = not any(y for _, y in vec), 2 * self.bits
-        norm2, lams, rs = sum(x * x + y * y for x, y in vec), [], []
-        for op in ops:
-            ws = [_times(op.rows.get(r, {}), vec, real) for r in range(len(vec))]
-            err = sum(x * x + y * y for x, y in _defect(ws, ws[p], vec, self.bits))
-            scale = op.den << self.bits
-            re, im = (Fraction(x, scale) for x in ws[p])
-            lams.append(Gaussian(re, im) if im else re)
-            # the residual is sqrt(err / norm2) / scale, bounded above
-            bound = -(-(err << 2 * k) // (norm2 * scale * scale))
-            rs.append(Fraction(_ceil_sqrt(bound), 1 << k))
-        return lams, rs
+
+def _joint(ops, p, vec, bits):
+    """lambda_i = (H_i v)_p, exact since v_p = 1 (a Fraction, or a Gaussian if
+    not real), and the residuals ||H_i v - lambda_i v|| / ||v|| from the exact
+    H_i v, each rounded up to a multiple of 2^-(2 bits), so that the gate
+    compares them exactly."""
+    real, k = not any(y for _, y in vec), 2 * bits
+    norm2, lams, rs = sum(x * x + y * y for x, y in vec), [], []
+    for op in ops:
+        ws = [_times(op.rows.get(r, {}), vec, real) for r in range(len(vec))]
+        err = sum(x * x + y * y for x, y in _defect(ws, ws[p], vec, bits))
+        scale = op.den << bits
+        re, im = (Fraction(x, scale) for x in ws[p])
+        lams.append(Gaussian(re, im) if im else re)
+        # the residual is sqrt(err / norm2) / scale, bounded above
+        bound = -(-(err << 2 * k) // (norm2 * scale * scale))
+        rs.append(Fraction(_ceil_sqrt(bound), 1 << k))
+    return lams, rs
 
 
 # ----------------------------------------------------------- joint spectrum
 
-def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, backend=COMPLEX128):
+def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, digits=MP_DPS):
     """Joint eigenstates of {H_i} on one weight sector, sorted by their
     eigenvalue tuples.
 
     Diagonalizes a random real combination of the Hamiltonians (a generic
-    combination separates the joint spectrum), reads each eigenvector's
-    eigenvalues back and gates the residuals at tol, re-drawing the
+    combination separates the joint spectrum), formed exactly: each
+    eigenpair of the double start is refined in Gaussian integers at the
+    fixed-point scale of `digits` digits, its eigenvalues read back exactly
+    from H_i v, and the residuals gated exactly at tol, re-drawing the
     combination up to three times.  One-dimensional sectors bypass the
-    eigensolver.  The backend sets the precision after the exact build:
-    COMPLEX128 (numpy, Rayleigh quotients) for spectrum listings,
-    _Refined(digits) for the correspondence.
+    eigensolver.
     """
     gate = require_tolerance(tol)
     rng = rng if rng is not None else random.Random(0)
@@ -393,15 +346,13 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, backend=COMPLEX128):
     ops = [hamiltonian(cfg, i).restrict(sector) for i in range(1, cfg.n + 1)]
     dim = ops[0].space.dim
     if dim == 1:
-        return [JointEigenstate(
-            sector, [backend.scalar(op.entry(0, 0)) for op in ops],
-            [0.0] * len(ops))]
-    forms, worst_seen = backend.operators(ops, dim), math.inf
+        return [JointEigenstate(sector, [Fraction(op.entry(0, 0)) for op in ops],
+                                [Fraction(0)] * len(ops))]
+    bits, worst_seen = _bits(digits), math.inf
     for _ in range(3):
-        combo = backend.combination(
-            forms, [rng.uniform(0.5, 1.5) for _ in forms], dim)
-        states = [JointEigenstate(sector, *backend.joint(forms, v))
-                  for v in backend.eigenvectors(combo)]
+        combo = _combination(ops, [rng.uniform(0.5, 1.5) for _ in ops])
+        states = [JointEigenstate(sector, *_joint(ops, p, vec, bits))
+                  for p, vec in _eigenvectors(combo, bits)]
         peaks = [_peak(st.residuals) for st in states]
         worst_seen = min([worst_seen, *peaks])
         if len(states) == dim and all(bad <= gate for bad in peaks):
@@ -410,7 +361,7 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, backend=COMPLEX128):
             return states
     raise DegeneracyUnresolved(
         f"residual {_shown(worst_seen)} above {_shown(gate)} after 3 combination draws "
-        f"on sector {sector} ({backend.name})"
+        f"on sector {sector} (integer refinement at {digits} digits)"
     )
 
 
@@ -545,7 +496,7 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None):
     scale, minors = velocity_scale(cfg), _integer_minors(cfg)
     worst = Fraction(0)
     for state in diagonalize_sector(cfg, sector, tol=Fraction(1, 10 ** (digits // 2)),
-                                    rng=rng, backend=_Refined(digits)):
+                                    rng=rng, digits=digits):
         lams = state.eigenvalues
         if minors is None:
             invariants, radius, hdev = [complex(math.nan)] * cfg.n, math.inf, math.inf

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qkzbench import chain, cli, correspond, verify
+from qkzbench import chain, cli, correspond, rmatrix, verify
 from qkzbench.cli import (
     CHECK_NAMES,
     emit,
@@ -434,3 +434,51 @@ def test_correspond_echoes_the_tolerance_it_gates_at(rational_path, capsys):
 def test_check_registry_is_published():
     assert len(CHECK_NAMES) == 14
     assert "ybe" in CHECK_NAMES and "correspondence" in CHECK_NAMES
+
+
+# at seed 39 one Yang-Baxter draw has the exact ratio p1 / p2 = 4/5 = -1/t, a
+# pole of R12; in complex doubles it reads 0.7999..., so a pole guard decided
+# on the float config missed it and ybe failed at residual 0.339
+YBE_POLE_CFG = """\
+model = trigonometric
+N = 2
+n = 4
+t = -5/4
+h = -7/4
+u = [6/7, 11/10, 10/11, 1]
+g = [3/2, 3]
+seed = 39
+tol = 1e-10
+mode = {mode}
+"""
+
+
+def _ybe_pole_run(tmp_path, mode):
+    p = tmp_path / f"ybe-pole-{mode}.cfg"
+    p.write_text(YBE_POLE_CFG.format(mode=mode))
+    rc = load_config(str(p))
+    rc.checks = ["ybe", "unitarity", "twist-commute"]
+    return run(rc).results
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_spectral_draws_avoid_poles_of_the_exact_config(tmp_path, mode):
+    ybe, unitarity, twist = _ybe_pole_run(tmp_path, mode)
+    assert ybe.passed and unitarity.passed and twist.passed
+    # both modes draw the same exact points
+    assert twist.params["point"] == {"exact": "-2", "float": "(-2+0j)"}[mode]
+
+
+def test_float_ybe_on_the_pole_config_fails_a_perturbed_coupling(tmp_path,
+                                                                   monkeypatch):
+    # the control: R12 built at a coupling moved by 1e-6 breaks the relation
+    r_factor = rmatrix.r_factor
+
+    def perturbed(flavor, space, i, j, point, coupling, domain, tilde=False):
+        if space.n == 3 and (i, j) == (1, 2):
+            coupling *= 1 + 1e-6
+        return r_factor(flavor, space, i, j, point, coupling, domain, tilde)
+
+    monkeypatch.setattr(rmatrix, "r_factor", perturbed)
+    ybe, _, _ = _ybe_pole_run(tmp_path, "float")
+    assert not ybe.passed and ybe.residual > 1e-8

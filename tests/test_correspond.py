@@ -15,7 +15,6 @@ from qkzbench import correspond, verify
 from qkzbench.cli import load_config, main
 from qkzbench.chain import ModelConfig, hamiltonian
 from qkzbench.correspond import (
-    COMPLEX128,
     certified_radius,
     check_correspondence,
     diagonalize_sector,
@@ -75,18 +74,19 @@ def test_diagonalize_rejects_bad_tol():
 
 
 def _mix_eigenvectors(monkeypatch):
-    """Make the complex-double backend return sums of two eigenvectors of
-    each combination, which are no joint eigenvectors; returns the list of
-    combinations it was asked to diagonalize."""
+    """Make the refinement yield each eigenvector plus its neighbour, which
+    are no joint eigenvectors; returns the list of combinations it was asked
+    to diagonalize."""
     draws = []
-    eigenvectors = correspond._Complex128.eigenvectors
+    eigenvectors = correspond._eigenvectors
 
-    def mixed(a):
-        draws.append(a)
-        vecs = eigenvectors(a)
-        return [v + vecs[k - 1] for k, v in enumerate(vecs)]
+    def mixed(combo, bits):
+        draws.append(combo)
+        found = list(eigenvectors(combo, bits))
+        for (p, vec), (_, prev) in zip(found, found[-1:] + found[:-1]):
+            yield p, [(x + a, y + b) for (x, y), (a, b) in zip(vec, prev)]
 
-    monkeypatch.setattr(correspond._Complex128, "eigenvectors", staticmethod(mixed))
+    monkeypatch.setattr(correspond, "_eigenvectors", mixed)
     return draws
 
 
@@ -108,14 +108,15 @@ def test_spectrum_reports_an_unresolved_sector_as_one_error_line(monkeypatch,
     assert "after 3 combination draws" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["correspond", "spectrum"])
 def test_correspond_reports_a_failed_eigensolve_with_exit_code_3(monkeypatch,
-                                                                   capsys):
+                                                                   capsys, command):
     def fail(a):
         raise NonConvergence("no convergence")
 
     monkeypatch.setattr(correspond, "_eigenvalues", fail)
     cfg = Path(__file__).parent / "data" / "rational.cfg"
-    assert main(["correspond", "--config", str(cfg), "--sector", "2,1"]) == 3
+    assert main([command, "--config", str(cfg), "--sector", "2,1"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == "error: no convergence\n"
 
@@ -193,7 +194,7 @@ def test_correspond_certifies_the_septuple_targets_of_a_seven_site_chain(capsys)
     assert all(s["worst"] <= 1e-8 for s in doc["sectors"])
 
 
-# --------------------------------------------------------------- backends
+# ------------------------------------------------------------- eigensolver
 
 def _mp(x):
     """An exact rational or Gaussian x at mpmath's working precision."""
@@ -227,39 +228,35 @@ def _mpmath_eig_states(cfg, M, rng):
 
 def test_backends_agree_on_joint_spectrum():
     # on every sector of both float goldens, the refined eigenvalues agree
-    # with complex doubles and with a 60-digit mpmath.eig of the same
-    # combination, and pass the 60-digit gate
+    # with a 60-digit mpmath.eig of the same combination and pass the
+    # 60-digit gate
     gate = Fraction(1, 10**30)
     for config in ("rational-float.cfg", "trig-float.cfg"):
         cfg = load_config(str(Path(__file__).parent / "data" / config)).model
         for M in all_sectors(cfg.N, cfg.n):
-            lo = diagonalize_sector(cfg, M, rng=random.Random(4), backend=COMPLEX128)
-            hi = diagonalize_sector(cfg, M, tol=gate, rng=random.Random(4),
-                                    backend=correspond._Refined(60))
-            assert len(lo) == len(hi) == _dim(cfg, M)
-            ref = (_mpmath_eig_states(cfg, M, random.Random(4)) if len(hi) > 1
-                   else [st.eigenvalues for st in hi])
-            for a, b, c in zip(lo, hi, ref):
-                assert max(abs(x - complex(y))
-                           for x, y in zip(a.eigenvalues, b.eigenvalues)) < 1e-9
+            states = diagonalize_sector(cfg, M, tol=gate, rng=random.Random(4), digits=60)
+            assert len(states) == _dim(cfg, M)
+            ref = (_mpmath_eig_states(cfg, M, random.Random(4)) if len(states) > 1
+                   else [st.eigenvalues for st in states])
+            for st, want in zip(states, ref):
                 with mpmath.workdps(60):
                     assert max(abs(_mp(y) - z)
-                               for y, z in zip(b.eigenvalues, c)) < 1e-50
-                assert max(b.residuals) <= gate
+                               for y, z in zip(st.eigenvalues, want)) < 1e-50
+                assert max(st.residuals) <= gate
 
 
 def test_refined_residuals_bound_the_true_residuals():
     # on vectors that are no eigenvectors, real and complex: each eigenvalue
     # is (H_i v)_p exactly, and each residual is the least multiple of
     # 2^-(2 bits) not below ||H_i v - lambda_i v|| / ||v||, compared exactly
-    backend = correspond._Refined(60)
-    bits, k = backend.bits, 2 * backend.bits
+    bits = correspond._bits(60)
+    k = 2 * bits
     ops = [hamiltonian(CFG, i).restrict((2, 1)) for i in range(1, 4)]
     one = 1 << bits
     for vec in ([(one, 0), (3 * one // 4, 0), (-5 * one // 8, 0)],
                 [(one, 0), (one // 3, one // 7), (-one // 5, 2 * one // 9)]):
         v = [(Fraction(x, one), Fraction(y, one)) for x, y in vec]
-        lams, residuals = backend.joint(ops, (0, vec))
+        lams, residuals = correspond._joint(ops, 0, vec, bits)
         for op, lam, bound in zip(ops, lams, residuals):
             hv = []
             for r in range(len(v)):

@@ -1,9 +1,9 @@
-"""numpy and mpmath are loaded only by the commands that use them.
+"""No command loads numpy or mpmath.
 
-The exact checks run over Fraction and need neither.  The correspondence
-check refines a double start on Python lists in exact integers and
-certifies its Lax spectra in exact integers too, so it needs neither; only
-`spectrum` runs the numpy eigensolver, and no command loads mpmath.
+The exact checks run over Fraction and need neither.  The joint
+eigensolver of `spectrum` and of the correspondence refines a double start
+on Python lists in exact integers, and the correspondence certifies its Lax
+spectra in exact integers too, so no command loads either.
 Each test runs in a fresh interpreter and reads sys.modules at its end.
 """
 import json
@@ -50,10 +50,7 @@ def test_exact_verify_loads_neither(config):
 
 
 @pytest.mark.parametrize("config,command", [("rational-float.cfg", "verify"),
-                                            ("rational.cfg", "correspond")])
+                                            ("rational.cfg", "correspond"),
+                                            ("rational.cfg", "spectrum")])
 def test_the_correspondence_loads_neither(config, command):
     assert _loaded(config, command) == (0, [])
-
-
-def test_spectrum_loads_numpy():
-    assert _loaded("rational.cfg", "spectrum") == (0, ["numpy"])

@@ -528,8 +528,9 @@ def test_trace_first_site_of_a_product_state_operator():
 
 
 def test_values_cross_the_interface_as_domain_scalars():
-    # the correspond backends read entries() and the benchmark's tracer
-    # counts the bits of Fraction entries: both need domain values
+    # the joint eigensolver reads entry() of one-dimensional sectors and the
+    # benchmark's tracer counts the bits of Fraction entries(): both need
+    # domain values
     cases = [(EXACT, Fraction), (ComplexDomain(1e-10), complex)]
     for dom, kind in cases:
         sp = Space(2, 2)
