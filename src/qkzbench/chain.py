@@ -7,7 +7,7 @@ the weight operators M_a, and the transfer matrix T(x) whose pole expansion
 generates the H_i.  T(x) is the H_1 product of the chain with one auxiliary
 site at x in front, traced over that site.  A check that needs only a
 covector times K_i applies the covector to the factors one at a time
-(qkz_covector) and never forms K_i.
+(qkz_covector_numerators) and never forms K_i.
 """
 from __future__ import annotations
 
@@ -72,6 +72,14 @@ class ModelConfig:
     def trigonometric(cls, N, n, t, h, u, g, domain=EXACT):
         return cls.build(TRIGONOMETRIC, N, n, t, h, u, g, domain)
 
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self):
+        # the dataclass's own field-tuple hash, once: every memo lookup needs it
+        return hash(tuple(getattr(self, f.name) for f in dataclasses.fields(self)))
+
     @property
     def is_rational(self):
         return self.flavor == RATIONAL
@@ -97,7 +105,9 @@ class ModelConfig:
         """Generic-position and non-degeneracy requirements, checked eagerly:
         sinh(eta) != 0, and for every ordered pair i != j both
         sinh(x_i - x_j) != 0 (no pole of R~) and sinh(x_i - x_j + eta) != 0
-        (no pole of R), read through sinh, coupled and relative."""
+        (no pole of R), read through sinh, coupled and relative; nor may R_ij
+        meet its pole at x_i - x_j + eta*hbar (i > j, left of the twist in K_i)
+        or x_i - x_j - eta*hbar (i < j, site j shifted, as in qkz-compat)."""
         if self.N < 1 or self.n < 1:
             raise GenericPositionViolation(f"need N, n >= 1, got N={self.N}, n={self.n}")
         if len(self.g) != self.N:
@@ -122,6 +132,10 @@ class ModelConfig:
                     raise GenericPositionViolation(f"sinh(x_{i} - x_{j}) = 0")
                 if self.sinh(self.coupled(r)) == 0:
                     raise GenericPositionViolation(f"sinh(x_{i} - x_{j} + eta) = 0")
+                r = self.shifted(r) if i > j else self.relative(p, self.shifted(q))
+                if self.sinh(self.coupled(r)) == 0:
+                    raise GenericPositionViolation(
+                        f"sinh(x_{i} - x_{j} {'+' if i > j else '-'} eta*hbar + eta) = 0")
 
     def at_hbar_zero(self):
         """The same chain with the qKZ step switched off (K becomes K^(0)).
@@ -239,29 +253,19 @@ def qkz_operator(cfg, i, shifted_sites=()):
     listed sites, which is how nested connection operators such as
     K_j(x_i + eta*hbar) are formed.  With hbar = 0 and no shifts this is the
     commuting Hamiltonian generator K_i^(0).  A check that needs only a
-    covector times K_i uses qkz_covector, which never forms this product.
+    covector times K_i uses qkz_covector_numerators, never this product.
     """
     return _chain_product(cfg, i, shifted_sites, tilde=False)
 
 
-def qkz_covector(cfg, cov, i, shifted_sites=(), left_block=False):
+def qkz_covector_numerators(cfg, cov, i, shifted_sites=(), left_block=False):
     """The covector cov . K_i, applied one factor of K_i at a time.
 
     Equal to qkz_operator(cfg, i, shifted_sites).apply_left(cov) in exact
     arithmetic, without the N^n x N^n product.  With left_block, only the
-    shifted R factors left of the twist are applied.  Values go in and come
-    out; in between the covector stays numerators (qkz_covector_numerators).
-    """
-    nums, den = qkz_covector_numerators(cfg, cfg.domain.split(cov), i,
-                                        shifted_sites, left_block)
-    join = cfg.domain.join
-    return [join(v, den) for v in nums]
-
-
-def qkz_covector_numerators(cfg, cov, i, shifted_sites=(), left_block=False):
-    """qkz_covector on a covector given as a (numerators, den) pair, returned
-    as one: each factor's push reduces the pair once (ChainOperator.push_left),
-    and no domain value is formed on the way."""
+    shifted R factors left of the twist are applied.  The covector is a
+    (numerators, den) pair in and out, each push reduces it once
+    (ChainOperator.push_left), and no domain value is formed."""
     factors = _chain_factors(cfg, i, shifted_sites, tilde=False)
     for k, f in enumerate(factors):
         if left_block and k == i - 1:

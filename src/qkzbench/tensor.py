@@ -120,7 +120,7 @@ class ChainOperator:
     the interface (entry, entries, trace, apply, apply_left, scaled) as
     domain scalars; push_left, the kernel of apply_left, takes and returns
     a covector as (numerators, den), for a covector pushed through many
-    operators in a row.
+    operators in a row, and covector_residual compares two such pairs.
     """
 
     __slots__ = ("space", "domain", "rows", "den")
@@ -399,13 +399,20 @@ def omega_q(space, q, domain=EXACT):
 
 
 def covector_residual(u, v, space, domain=EXACT):
-    """Largest componentwise deviation between two covectors and its state."""
-    if len(u) != space.dim or len(v) != space.dim:
+    """Largest componentwise deviation between two (numerators, den)
+    covectors and its first state, by the entry rule of
+    ChainOperator.residual: a value is formed only where entries differ."""
+    (a, da), (b, db) = u, v
+    if len(a) != space.dim or len(b) != space.dim:
         raise DimensionMismatch("covector length does not match the space")
+    join, same = domain.join, da == db
     worst = domain.residual(domain.zero, domain.zero)
     witness = None
-    for k in range(space.dim):
-        d = domain.residual(u[k], v[k])
+    for k, (x, y) in enumerate(zip(a, b)):
+        # x - y, not x == y: inf - inf is NaN and must be measured
+        if same and x - y == 0:
+            continue
+        d = domain.residual(join(x, da), join(y, db))
         if d > worst:
             worst = d
             witness = space.states[k]

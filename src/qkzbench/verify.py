@@ -7,6 +7,10 @@ determinant and symmetric-function checks first assert that the Hamiltonians
 commute, because the principal-minor expansion of an operator-valued
 determinant holds only for commuting entries.
 
+The covector checks keep each covector a (numerators, den) pair, from the
+flavor covector (split once per config) through every push to the
+comparison, which forms a domain value only at an entry that differs.
+
 On a weight sector the determinant, symmetric-function and eigenvalue checks
 read one operator sum per degree d, det_sums[d] = (-1)^d sum_{|S|=d} det(C_SS)
 H_S over the ordered products H_S of the restricted Hamiltonians.  One
@@ -22,8 +26,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .chain import (hamiltonian, memo, qkz_covector, qkz_covector_numerators,
-                    twist_sinh_sum)
+from .chain import hamiltonian, memo, qkz_covector_numerators, twist_sinh_sum
 from .errors import FlavorMismatch, PoleHit
 from .report import largest_residual, verdict
 from .rmatrix import r_rational, r_trig
@@ -41,10 +44,11 @@ _RATIONAL_ARGS = (Fraction(3, 7), Fraction(-5, 3), Fraction(12, 5))
 _TRIG_ARGS = (Fraction(5, 3), Fraction(7, 2), Fraction(2, 9))
 
 
-def _flavor_covector(cfg, space):
-    if cfg.is_rational:
-        return omega(space, cfg.domain)
-    return omega_q(space, cfg.coupling, cfg.domain)
+def _flavor_covector(cfg):
+    """<Omega| or <Omega_q| as a (numerators, den) pair, once per config."""
+    return memo(cfg, "flavor covector", lambda: cfg.domain.split(
+        omega(cfg.space(), cfg.domain) if cfg.is_rational
+        else omega_q(cfg.space(), cfg.coupling, cfg.domain)))
 
 
 def check_omega_invariance(cfg):
@@ -56,36 +60,35 @@ def check_omega_invariance(cfg):
     """
     space = cfg.space()
     dom = cfg.domain
+    w = _flavor_covector(cfg)
 
     def comparisons():
         if cfg.is_rational:
             eta = cfg.coupling
             args = [dom.coerce(a) for a in _RATIONAL_ARGS]
-            w = omega(space, dom)
             for i in range(1, cfg.n + 1):
                 for j in range(1, cfg.n + 1):
                     if i == j:
                         continue
                     yield covector_residual(
-                        permutation(space, i, j, dom).apply_left(w), w, space, dom)
+                        permutation(space, i, j, dom).push_left(*w), w, space, dom)
                     for x in args:
                         if x + eta == 0:
                             continue
                         R = r_rational(space, i, j, x, eta, dom)
-                        yield covector_residual(R.apply_left(w), w, space, dom)
+                        yield covector_residual(R.push_left(*w), w, space, dom)
         else:
             t = cfg.coupling
             args = [dom.coerce(a) for a in _TRIG_ARGS]
-            wq = omega_q(space, t, dom)
             for i in range(2, cfg.n + 1):
                 pq = q_permutation(space, i, i - 1, t, dom)
-                yield covector_residual(pq.apply_left(wq), wq, space, dom)
-                target = permutation(space, i, i - 1, dom).apply_left(wq)
+                yield covector_residual(pq.push_left(*w), w, space, dom)
+                target = permutation(space, i, i - 1, dom).push_left(*w)
                 for u in args:
                     if u * u * t * t == 1:
                         continue
                     R = r_trig(space, i, i - 1, u, t, dom)
-                    yield covector_residual(R.apply_left(wq), target, space, dom)
+                    yield covector_residual(R.push_left(*w), target, space, dom)
 
     return verdict("omega", dom, comparisons(), params={"flavor": cfg.flavor})
 
@@ -100,15 +103,15 @@ def check_k_projection(cfg, i):
     """
     space = cfg.space()
     dom = cfg.domain
-    w = _flavor_covector(cfg, space)
-    lhs = qkz_covector(cfg, w, i)
-    rhs = qkz_covector(cfg.at_hbar_zero(), w, i)
+    w = _flavor_covector(cfg)
+    lhs = qkz_covector_numerators(cfg, w, i)
+    rhs = qkz_covector_numerators(cfg.at_hbar_zero(), w, i)
     comparisons = [covector_residual(lhs, rhs, space, dom)]
     if i >= 2:
-        left = qkz_covector(cfg, w, i, left_block=True)
+        left = qkz_covector_numerators(cfg, w, i, left_block=True)
         pprod = w
         for j in range(i - 1, 0, -1):
-            pprod = permutation(space, i, j, dom).apply_left(pprod)
+            pprod = permutation(space, i, j, dom).push_left(*pprod)
         comparisons.append(covector_residual(left, pprod, space, dom))
     return verdict("k-projection", dom, comparisons, params={"i": i})
 
@@ -134,7 +137,7 @@ def check_proposition_higher(cfg, sites, right_sides=None):
     operator content from which the difference-operator eigenproblem follows
     for every qKZ solution, without constructing one.  Both sides push the
     covector through the R factors one at a time and never form a K_i; the
-    covector stays a (numerators, den) pair until the comparison.
+    covector stays a (numerators, den) pair through the comparison.
 
     The right side is a prefix fold: ``right_sides`` maps site tuples to
     right sides, and the one of ``sites`` is that of ``sites[:-1]`` (read
@@ -147,16 +150,14 @@ def check_proposition_higher(cfg, sites, right_sides=None):
         raise ValueError("need a nonempty set of distinct sites")
     space = cfg.space()
     dom = cfg.domain
-    w0 = dom.split(_flavor_covector(cfg, space))
+    w0 = _flavor_covector(cfg)
     lhs = w0
     for pos in range(len(sites), 0, -1):
         lhs = qkz_covector_numerators(cfg, lhs, sites[pos - 1], sites[: pos - 1])
     rhs = _right_side(cfg.at_hbar_zero(), w0, sites,
                       {} if right_sides is None else right_sides)
-    join = dom.join
     return verdict("proposition-higher", dom, [covector_residual(
-        [join(v, lhs[1]) for v in lhs[0]], [join(v, rhs[1]) for v in rhs[0]],
-        space, dom)], params={"sites": sites})
+        lhs, rhs, space, dom)], params={"sites": sites})
 
 
 # --------------------------------------------------------- determinant layer

@@ -155,7 +155,7 @@ def test_criterion_04_qkz_compatibility():
                         for i, j in itertools.combinations(range(1, n + 1), 2)
                     ]
                     break
-                except PoleHit:
+                except (GenericPositionViolation, PoleHit):
                     continue  # shifted argument met a pole; redraw hbar
             ok = ok and all(r.passed and r.residual == 0 for r in results)
     elapsed = time.monotonic() - t0

@@ -22,7 +22,6 @@ from qkzbench.chain import (
     hamiltonian_prefactor,
     pole_expansion,
     qkz_compatibility,
-    qkz_covector,
     qkz_covector_numerators,
     qkz_operator,
     sum_rule,
@@ -42,7 +41,6 @@ from qkzbench.tensor import (
     ChainOperator,
     Space,
     all_sectors,
-    covector_residual,
     site_embed,
 )
 
@@ -96,7 +94,9 @@ def test_validate_trig_collisions():
 
 def _hand_written_rejects(flavor, coupling, step, points):
     """The pole conditions as they were written out per flavor before
-    validate read them through ModelConfig.sinh, coupled and relative."""
+    validate read them through ModelConfig.sinh, coupled and relative.  For
+    i < j the shifted factors R_ij and R_ji meet x_i - x_j - eta*hbar and
+    its negative, so that difference must not be +-eta either."""
     n = len(points)
     if flavor == chain.RATIONAL:
         eta, x = coupling, points
@@ -107,6 +107,8 @@ def _hand_written_rejects(flavor, coupling, step, points):
                 d = x[i] - x[j]
                 if d == 0 or d == eta or d == -eta:
                     return True
+                if d - eta * step in (eta, -eta):
+                    return True
         return False
     t, h, u = coupling, step, points
     if t == 0 or h == 0 or t * t == 1 or any(ui == 0 for ui in u):
@@ -116,16 +118,23 @@ def _hand_written_rejects(flavor, coupling, step, points):
             ui2, uj2 = u[i] * u[i], u[j] * u[j]
             if ui2 == uj2 or ui2 * t * t == uj2 or uj2 * t * t == ui2:
                 return True
+            if ui2 * t * t == uj2 * h * h or uj2 * h * h * t * t == ui2:
+                return True
     return False
 
 
 _POOL = tuple(Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3))
-# a move puts a point on a pole of the pair it forms with an earlier one;
-# the points are permuted afterwards, so both orders of the pair occur
-_MOVES = {chain.RATIONAL: (lambda p, eta: p, lambda p, eta: p + eta,
-                           lambda p, eta: p - eta),
-          chain.TRIGONOMETRIC: (lambda p, t: p, lambda p, t: -p,
-                                lambda p, t: p * t, lambda p, t: -p * t)}
+# a move puts a point on a pole of the pair it forms with an earlier one,
+# unshifted or shifted by the qKZ step; the points are permuted afterwards,
+# so both orders of the pair occur
+_MOVES = {chain.RATIONAL: (lambda p, eta, s: p, lambda p, eta, s: p + eta,
+                           lambda p, eta, s: p - eta,
+                           lambda p, eta, s: p + eta * s + eta,
+                           lambda p, eta, s: p + eta * s - eta),
+          chain.TRIGONOMETRIC: (lambda p, t, h: p, lambda p, t, h: -p,
+                                lambda p, t, h: p * t, lambda p, t, h: -p * t,
+                                lambda p, t, h: p * h * t,
+                                lambda p, t, h: -p * h / t if t else p)}
 
 
 @settings(max_examples=400, deadline=None)
@@ -138,7 +147,7 @@ def test_validate_matches_the_hand_written_pole_conditions(data):
     for _ in range(data.draw(st.integers(1, 3))):
         move = data.draw(st.sampled_from((None,) + _MOVES[flavor]))
         points.append(data.draw(st.sampled_from(_POOL)) if move is None
-                      else move(data.draw(st.sampled_from(points)), coupling))
+                      else move(data.draw(st.sampled_from(points)), coupling, step))
     points = data.draw(st.permutations(points))
     try:
         ModelConfig.build(flavor, 2, len(points), coupling, step, points, G2)
@@ -491,13 +500,47 @@ def test_qkz_compatibility_trig():
         assert r.passed and r.residual == 0
 
 
+# x_2 - x_1 + eta*hbar = -eta with eta=1/2, hbar=1 puts K_2's shifted factor
+# R_21 on the pole of R; dataclasses.replace skips validate, which rejects it
+SHIFTED_POLE = {"step": Fraction(1), "points": (Fraction(0), Fraction(-1))}
+
+
 def test_shifted_argument_can_hit_pole():
-    # x_2 - x_1 + eta*hbar = -eta with eta=1/2, hbar=1 forces a pole in K_2
-    cfg = ModelConfig.rational(
-        2, 2, ETA, Fraction(1), (Fraction(0), Fraction(-1)), G2
-    )
+    with pytest.raises(GenericPositionViolation,
+                       match=r"sinh\(x_2 - x_1 \+ eta\*hbar \+ eta\) = 0"):
+        ModelConfig.rational(2, 2, ETA, Fraction(1), (Fraction(0), Fraction(-1)), G2)
+    # past validate, the builder's own guard still stops the factor
+    cfg = dataclasses.replace(rational_cfg(n=2), **SHIFTED_POLE)
     with pytest.raises(PoleHit):
         qkz_operator(cfg, 2)
+
+
+def test_validate_rejects_only_the_shifted_arguments_the_checks_build():
+    # ROADMAP's trigonometric sweep config: u_1 / (u_2 h) * t = -1 puts R_12
+    # of K_1 with site 2 shifted (qkz-compat) on the pole of R
+    with pytest.raises(GenericPositionViolation,
+                       match=r"sinh\(x_1 - x_2 - eta\*hbar \+ eta\) = 0"):
+        ModelConfig.trigonometric(3, 3, Fraction(5, 9), Fraction(1, 3), (
+            Fraction(-1), Fraction(-5, 3), Fraction(-17, 11)),
+            (Fraction(2), Fraction(3), Fraction(5)))
+    # trig24 has u_1 / u_4 * h * t = 1, but R_14 meets u_1 / u_4 / h only and
+    # R_41 meets u_4 / u_1 * h, so the config stays valid and its checks pass
+    cfg = _covector_configs()[2]
+    assert cfg.points[0] / cfg.points[3] * cfg.step * cfg.coupling == 1
+    for i, j in itertools.combinations(range(1, cfg.n + 1), 2):
+        assert qkz_compatibility(cfg, i, j).passed
+
+
+def test_equal_configs_hash_alike_and_share_memo_builds():
+    a = rational_cfg()
+    b = ModelConfig.rational(2, 3, Fraction(1, 2), Fraction(1, 3),
+                             (Fraction(0), Fraction(2, 5), Fraction(9, 7)), G2)
+    assert a is not b and a == b
+    # the field tuple a frozen dataclass hashes, hashed once per config
+    fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a))
+    assert hash(a) == hash(b) == hash(fields) == vars(a)["_hash"]
+    assert hamiltonian(a, 2) is hamiltonian(b, 2)
+    assert chain.memo(a, "probe", object) is chain.memo(b, "probe", object)
 
 
 # ------------------------------------------------------------ covector path
@@ -520,37 +563,35 @@ def _shift_sets(cfg, i):
                          ids=["rational33", "rational33-hbar0", "trig24", "trig24-hbar0"])
 def test_qkz_covector_equals_operator_product(cfg):
     # a covector with distinct entries, so no cancellation hides a wrong factor
+    # the numerator fold is reduced, so it equals the split of the values
     sp = cfg.space()
     w = [Fraction((-1) ** k * (k + 1), k + 3) for k in range(sp.dim)]
     split = cfg.domain.split
     for i in range(1, cfg.n + 1):
         for S in _shift_sets(cfg, i):
-            got = qkz_covector(cfg, w, i, S)
             want = qkz_operator(cfg, i, S).apply_left(w)
-            assert covector_residual(got, want, sp) == (0, None), (i, S)
-            # the numerator fold is reduced, so it is the split of the values
             assert qkz_covector_numerators(cfg, split(w), i, S) == split(want), (i, S)
-            left = qkz_covector(cfg, w, i, S, left_block=True)
+            left = qkz_covector_numerators(cfg, split(w), i, S, left_block=True)
             if i == 1:
-                assert left == w
+                assert left == split(w)
                 continue
             block = functools.reduce(operator.matmul, itertools.islice(
                 _chain_factors(cfg, i, S, tilde=False), i - 1))
-            assert covector_residual(left, block.apply_left(w), sp) == (0, None), (i, S)
+            assert left == split(block.apply_left(w)), (i, S)
 
 
 def test_qkz_covector_rejects_bad_site_and_hits_poles():
     cfg = rational_cfg()
-    w = [Fraction(1)] * cfg.space().dim
+    w = ([1] * cfg.space().dim, 1)
     for i in (0, cfg.n + 1):
         with pytest.raises(BadSite):
-            qkz_covector(cfg, w, i)
+            qkz_covector_numerators(cfg, w, i)
         with pytest.raises(BadSite):
-            qkz_covector(cfg, w, i, left_block=True)
+            qkz_covector_numerators(cfg, w, i, left_block=True)
     # the pole of test_shifted_argument_can_hit_pole sits in the left block
-    cfg = ModelConfig.rational(2, 2, ETA, Fraction(1), (Fraction(0), Fraction(-1)), G2)
+    cfg = dataclasses.replace(rational_cfg(n=2), **SHIFTED_POLE)
     with pytest.raises(PoleHit):
-        qkz_covector(cfg, [Fraction(1)] * 4, 2, left_block=True)
+        qkz_covector_numerators(cfg, ([1] * 4, 1), 2, left_block=True)
 
 
 # ------------------------------------------------------------------ H_i memo

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -5,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkzbench import chain, cli, correspond, rmatrix, verify
 from qkzbench.cli import (
@@ -482,3 +486,87 @@ def test_float_ybe_on_the_pole_config_fails_a_perturbed_coupling(tmp_path,
     monkeypatch.setattr(rmatrix, "r_factor", perturbed)
     ybe, _, _ = _ybe_pole_run(tmp_path, "float")
     assert not ybe.passed and ybe.residual > 1e-8
+
+
+# ------------------------------------------------------ shifted-point poles
+# A qKZ factor meets x_i - x_j + eta*hbar (i > j) or x_i - x_j - eta*hbar
+# (i < j, site j shifted).  On a pole of R it is a config error in both
+# modes: before, exact mode failed qkz-compat with a PoleHit witness and
+# float mode at an O(1) residual on a true identity.
+SHIFTED_POLE_CFGS = {
+    # x_1 - x_2 - eta*hbar = 1/3 = -eta
+    "rational": ("model = rational\nN = 3\nn = 2\neta = -1/3\nhbar = 16\n"
+                 "x = [-1, 4]\ng = [-17/7, 6/11, 5/2]\nseed = 56\n",
+                 "sinh(x_1 - x_2 - eta*hbar + eta) = 0"),
+    # u_2 / (u_3 h) * t = -1
+    "trig": ("model = trigonometric\nN = 3\nn = 3\nt = -10\nh = 5/3\n"
+             "u = [1, 3/8, 9/4]\ng = [2, 3, 5]\nseed = 1\n",
+             "sinh(x_2 - x_3 - eta*hbar + eta) = 0"),
+}
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("flavor", sorted(SHIFTED_POLE_CFGS))
+def test_a_shifted_point_on_a_pole_is_a_config_error(tmp_path, flavor, mode):
+    text, message = SHIFTED_POLE_CFGS[flavor]
+    p = tmp_path / "pole.cfg"
+    p.write_text(text + f"mode = {mode}\n")
+    code, out, err = _main_quietly(["verify", "--config", str(p),
+                                    "--check", "qkz-compat"])
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+@pytest.fixture(scope="module")
+def sweep_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep") / "chain.cfg"
+
+
+_SWEEP_POOL = tuple(Fraction(p, q) for p in range(-4, 5) if p for q in (1, 2, 3))
+# each later point is drawn freely, or moved from an earlier one onto a pole
+# of the pair, unshifted or shifted by the qKZ step
+_SWEEP = {
+    "rational": ("eta", "hbar", "x",
+                 (Fraction(-1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)),
+                 (Fraction(1), Fraction(-1, 2), Fraction(16), Fraction(1, 3)),
+                 lambda p, eta, s: (p + eta, p - eta, p + eta * s + eta,
+                                    p + eta * s - eta, p - eta * s + eta)),
+    "trigonometric": ("t", "h", "u",
+                      (Fraction(2), Fraction(-1, 2), Fraction(5, 9), Fraction(-10)),
+                      (Fraction(5, 4), Fraction(1, 3), Fraction(-7, 4), Fraction(5, 3)),
+                      lambda p, t, h: (p * t, -p * t, p * h * t, p * h / t,
+                                       -p * h * t)),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_exact_configs_near_poles_pass_or_are_config_errors(sweep_path, data):
+    # every check an exact verify runs; a config that reaches a pole must be
+    # refused before any check builds a factor, never fail a check
+    flavor = data.draw(st.sampled_from(sorted(_SWEEP)))
+    coupling_key, step_key, points_key, couplings, steps, moves = _SWEEP[flavor]
+    coupling = data.draw(st.sampled_from(couplings))
+    step = data.draw(st.sampled_from(steps))
+    points = [data.draw(st.sampled_from(_SWEEP_POOL))]
+    for _ in range(data.draw(st.integers(1, 2))):
+        p = data.draw(st.sampled_from(points))
+        free = data.draw(st.sampled_from([v for v in _SWEEP_POOL if v not in points]))
+        points.append(data.draw(st.sampled_from((free,) * 5 + moves(p, coupling, step))))
+    points = data.draw(st.permutations(points))
+    sweep_path.write_text(
+        f"model = {flavor}\nN = 2\nn = {len(points)}\n"
+        f"{coupling_key} = {coupling}\n{step_key} = {step}\n"
+        f"{points_key} = [{', '.join(map(str, points))}]\ng = [2, 3]\nseed = 1\n")
+    code, out, err = _main_quietly(["verify", "--config", str(sweep_path),
+                                    "--format", "json"])
+    assert code in (0, 2), out
+    assert "PoleHit" not in out
+    if code == 2:
+        assert err.startswith("config error: ")

@@ -26,7 +26,7 @@ def test_a_nan_comparison_fails_at_inf():
     nan = complex(math.nan)
     comparisons = [(FLOAT.residual(1j, 1j), "equal"),
                    (FLOAT.residual(nan, 0j), "nan"),
-                   covector_residual([0j, nan], [0j, 0j], space, FLOAT)]
+                   covector_residual(([0j, nan], 1), ([0j, 0j], 1), space, FLOAT)]
     r = verdict("c", FLOAT, comparisons)
     assert (r.status, r.residual, r.witness) == ("fail", math.inf, "nan")
 

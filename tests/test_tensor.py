@@ -156,11 +156,9 @@ def test_swap_builds_need_the_full_space():
 
 def test_permutation_fixes_omega():
     sp = Space(2, 3)
-    w = omega(sp)
+    w = EXACT.split(omega(sp))
     for i, j in itertools.permutations(range(1, 4), 2):
-        res, _ = covector_residual(
-            permutation(sp, i, j).apply_left(w), w, sp
-        )
+        res, _ = covector_residual(permutation(sp, i, j).push_left(*w), w, sp)
         assert res == 0
 
 
@@ -227,9 +225,9 @@ def test_omega_q_at_one_is_omega():
 def test_omega_q_fixed_by_descending_q_swaps():
     sp = Space(2, 3)
     q = Fraction(2)
-    wq = omega_q(sp, q)
+    wq = EXACT.split(omega_q(sp, q))
     for i in (2, 3):
-        out = q_permutation(sp, i, i - 1, q).apply_left(wq)
+        out = q_permutation(sp, i, i - 1, q).push_left(*wq)
         res, _ = covector_residual(out, wq, sp)
         assert res == 0
 
@@ -350,8 +348,33 @@ def test_nan_entry_fails_comparison():
         assert not bad.equals(ident)
         cov = [dom.one] * space.dim
         cov[k] = complex(float("nan"), 0)
-        res, witness = covector_residual(cov, omega(space, dom), space, dom)
+        res, witness = covector_residual(
+            dom.split(cov), dom.split(omega(space, dom)), space, dom)
         assert res == float("inf") and witness == space.states[k]
+        # one NaN object on both sides is no equal entry either
+        res, witness = covector_residual(dom.split(cov), dom.split(cov), space, dom)
+        assert res == float("inf") and witness == space.states[k]
+
+
+def test_covector_residual_forms_values_only_where_entries_differ(monkeypatch):
+    sp = Space(2, 3)
+    w = EXACT.split([Fraction(k + 1, 3) for k in range(sp.dim)])
+    joined = []
+    join = EXACT.join
+    monkeypatch.setattr(EXACT, "join", lambda num, den: joined.append(num) or join(num, den))
+    assert covector_residual(w, (list(w[0]), w[1]), sp) == (0, None)
+    assert joined == []
+    # one numerator differs: only that entry is formed, on both sides
+    nums = list(w[0])
+    nums[5] += 1
+    assert covector_residual(w, (nums, w[1]), sp) == (Fraction(1, 3), sp.states[5])
+    assert joined == [w[0][5], nums[5]]
+    # a denominator alone differs: every entry is measured, and the first
+    # state of the largest deviation is the witness
+    res, witness = covector_residual(w, (w[0], 2 * w[1]), sp)
+    assert (res, witness) == (Fraction(4, 3), sp.states[7])
+    with pytest.raises(DimensionMismatch):
+        covector_residual(w, (w[0][1:], w[1]), sp)
 
 
 # ------------------------------------- numerators over a common denominator

@@ -65,10 +65,10 @@ def test_omega_invariance_trig():
 def test_trig_covector_needs_descending_index_order():
     # regression guard: with the reversed pair (i-1, i) the relation breaks
     sp = TCFG.space()
-    wq = omega_q(sp, TCFG.coupling)
+    wq = TCFG.domain.split(omega_q(sp, TCFG.coupling))
     u = Fraction(5, 3)
-    lhs = r_trig(sp, 1, 2, u, TCFG.coupling).apply_left(wq)
-    rhs = permutation(sp, 1, 2).apply_left(wq)
+    lhs = r_trig(sp, 1, 2, u, TCFG.coupling).push_left(*wq)
+    rhs = permutation(sp, 1, 2).push_left(*wq)
     res, wit = covector_residual(lhs, rhs, sp)
     assert res != 0 and wit is not None
 
@@ -119,12 +119,12 @@ def test_proposition_rhs_order_independent():
     cfg0 = CFG.at_hbar_zero()
     from qkzbench.tensor import omega
 
-    w = omega(sp)
+    w = CFG.domain.split(omega(sp))
     results = []
     for order in itertools.permutations((1, 2, 3)):
         cov = w
         for s in order:
-            cov = qkz_operator(cfg0, s).apply_left(cov)
+            cov = qkz_operator(cfg0, s).push_left(*cov)
         results.append(cov)
     for cov in results[1:]:
         res, _ = covector_residual(cov, results[0], sp)
@@ -154,7 +154,7 @@ def test_proposition_prefix_fold_matches_fresh_right_sides(flavor):
         assert check_proposition_higher(cfg, S, right_sides) == want
     assert set(right_sides) == set(subsets)
     cfg0 = cfg.at_hbar_zero()
-    w0 = cfg.domain.split(verify._flavor_covector(cfg, cfg.space()))
+    w0 = verify._flavor_covector(cfg)
     for S, rhs in right_sides.items():
         assert rhs == verify._right_side(cfg0, w0, S, {}), S
 
@@ -192,13 +192,16 @@ def test_proposition_fails_on_a_perturbed_stored_right_side(cfg):
 # ------------------------------------------- negative controls, covector side
 
 def _perturb_flavor_covector(monkeypatch):
-    # component 2 is the state (1, 2, 1), inside a sector of dimension 3
+    # component 2 is the state (1, 2, 1), inside a sector of dimension 3; the
+    # checks read the memoized (numerators, den) pair, so the value 1 is
+    # added to a copy of it as den
     original = verify._flavor_covector
 
-    def perturbed(cfg, space):
-        w = list(original(cfg, space))
-        w[2] = w[2] + 1
-        return w
+    def perturbed(cfg):
+        nums, den = original(cfg)
+        nums = list(nums)
+        nums[2] += den
+        return nums, den
 
     monkeypatch.setattr(verify, "_flavor_covector", perturbed)
 
@@ -213,7 +216,9 @@ def _assert_fails_with_state_witness(r, cfg):
 def test_omega_invariance_fails_on_a_perturbed_component(cfg, covector,
                                                          monkeypatch):
     # component 2 is the state (1, 2, 1); a swap or R factor that moves it
-    # reads the perturbed value, so the witness carries the same letters
+    # reads the perturbed value, so the witness carries the same letters.
+    # The config gets an empty memo for the test, so that its flavor
+    # covector is split afresh from the perturbed omega or omega_q
     original = getattr(verify, covector)
 
     def perturbed(*args):
@@ -222,6 +227,7 @@ def test_omega_invariance_fails_on_a_perturbed_component(cfg, covector,
         return w
 
     monkeypatch.setattr(verify, covector, perturbed)
+    monkeypatch.setitem(chain._BUILT, cfg, {})
     r = check_omega_invariance(cfg)
     _assert_fails_with_state_witness(r, cfg)
     assert weight_of(r.witness, cfg.N) == (2, 1)
@@ -313,23 +319,20 @@ def test_one_unshifted_k1_serves_and_fails_every_pair_with_site_1(cfg, monkeypat
 
 
 @pytest.mark.parametrize("change", [
-    lambda v: Fraction(v.numerator + 1, v.denominator),
-    lambda v: Fraction(v.numerator, v.denominator * 3),
+    lambda nums, den: ([v + (k == 2) for k, v in enumerate(nums)], den),
+    lambda nums, den: (nums, den * 3),
 ], ids=["numerator", "denominator"])
 @pytest.mark.parametrize("cfg", [CFG, TCFG], ids=["rational", "trig"])
 def test_k_projection_fails_on_perturbed_pushed_covector(cfg, change, monkeypatch):
-    # one component of <w| K_i (at the config's own hbar) changes its
-    # numerator or its denominator after the push through the factors
-    original = verify.qkz_covector
+    # the pair <w| K_i (at the config's own hbar) changes one numerator, or
+    # its denominator alone, after the push through the factors
+    original = verify.qkz_covector_numerators
 
     def perturbed(c, cov, i, shifted_sites=(), left_block=False):
         out = original(c, cov, i, shifted_sites, left_block)
-        if c is cfg and not left_block:
-            out = list(out)
-            out[2] = change(out[2])
-        return out
+        return change(*out) if c is cfg and not left_block else out
 
-    monkeypatch.setattr(verify, "qkz_covector", perturbed)
+    monkeypatch.setattr(verify, "qkz_covector_numerators", perturbed)
     for i in (1, 2, 3):
         _assert_fails_with_state_witness(check_k_projection(cfg, i), cfg)
 
@@ -806,7 +809,7 @@ def test_suite_on_random_generic_draws(N, n):
             for M in all_sectors(N, n):
                 assert check_det_identity(cfg, M).residual == 0
                 assert check_symmetric_identity(cfg, M, 1).residual == 0
-        except PoleHit:
+        except (GenericPositionViolation, PoleHit):
             continue  # hbar shift met a pole; draw again
         draws += 1
 
