@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import operator
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,14 +70,6 @@ class ModelConfig:
     @classmethod
     def trigonometric(cls, N, n, t, h, u, g, domain=EXACT):
         return cls.build(TRIGONOMETRIC, N, n, t, h, u, g, domain)
-
-    def __hash__(self):
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self):
-        # the dataclass's own field-tuple hash, once: every memo lookup needs it
-        return hash(tuple(getattr(self, f.name) for f in dataclasses.fields(self)))
 
     @property
     def is_rational(self):
@@ -154,6 +145,10 @@ class ModelConfig:
             return None
         return dataclasses.replace(self, step=off)
 
+    @functools.cached_property
+    def _builds(self):
+        return {}
+
     def to_domain(self, domain):
         """Convert the twist, then every parameter, once into another scalar
         domain."""
@@ -180,18 +175,15 @@ class ModelConfig:
 
 # --------------------------------------------------------------- chain builds
 
-# cfg -> {key: build}: every per-config build is made once and shared: the
-# qKZ two-site factors and twists g_i (under cfg.at_hbar_zero(), so that cfg
-# and its hbar = 0 copy share them), H_i, T(x), the sector sums and the
-# principal minors.  A config is frozen and hashable and its domain compares
-# by identity, so equal configs share builds only within one domain; a build
-# lives as long as the config object that first made it.
-_BUILT = weakref.WeakKeyDictionary()
-
-
 def memo(cfg, key, build):
-    """build() for this config and key, called on the first request only."""
-    built = _BUILT.setdefault(cfg, {})
+    """build() for this config and key, called on the first request only.
+
+    The builds are the qKZ two-site factors and twists g_i (under
+    cfg.at_hbar_zero(), so that cfg and its hbar = 0 copy share them), H_i,
+    T(x), the sector sums, the principal minors and the flavor covector.  A
+    build lives as long as the config object that made it; equal configs
+    build apart."""
+    built = cfg._builds
     if key not in built:
         built[key] = build()
     return built[key]

@@ -68,7 +68,6 @@ class JointEigenstate:
     residuals[i] the least multiple of 2^-(2 B) not below
     ||H_i v - lambda_i v||_2 / ||v||_2, a Fraction."""
 
-    sector: tuple
     eigenvalues: list
     residuals: list
 
@@ -109,11 +108,6 @@ class Gaussian:
         return Gaussian(self.real * k, self.imag * k)
 
     __rmul__ = __mul__
-
-
-def _peak(values):
-    """The largest of the values, reading NaN as inf so that no gate passes it."""
-    return max((math.inf if x != x else x for x in values), default=0.0)
 
 
 def _shown(x):
@@ -346,14 +340,14 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, digits=MP_DPS):
     ops = [hamiltonian(cfg, i).restrict(sector) for i in range(1, cfg.n + 1)]
     dim = ops[0].space.dim
     if dim == 1:
-        return [JointEigenstate(sector, [Fraction(op.entry(0, 0)) for op in ops],
+        return [JointEigenstate([Fraction(op.entry(0, 0)) for op in ops],
                                 [Fraction(0)] * len(ops))]
     bits, worst_seen = _bits(digits), math.inf
     for _ in range(3):
         combo = _combination(ops, [rng.uniform(0.5, 1.5) for _ in ops])
-        states = [JointEigenstate(sector, *_joint(ops, p, vec, bits))
+        states = [JointEigenstate(*_joint(ops, p, vec, bits))
                   for p, vec in _eigenvectors(combo, bits)]
-        peaks = [_peak(st.residuals) for st in states]
+        peaks = [max(st.residuals) for st in states]
         worst_seen = min([worst_seen, *peaks])
         if len(states) == dim and all(bad <= gate for bad in peaks):
             states.sort(key=lambda st: tuple(

@@ -206,12 +206,12 @@ def test_connection_respects_weight_sectors():
         K.restrict(M)  # must not raise
 
 
-def _assert_proportional_with_the_memo_warm(cfg, monkeypatch):
-    """H_i = hamiltonian_prefactor * K_i^(0) for every site, each H_i built
-    after K_i and K_i^(0) have put their factors in the memo.  At hbar = 0
-    every R_ij of K_i^(0) sits at the argument of the R~_ij of H_i, so an
-    H_i that read a memoized factor would be K_i^(0) itself."""
-    monkeypatch.setattr(chain, "_BUILT", weakref.WeakKeyDictionary())
+def _assert_proportional_with_the_memo_warm(cfg):
+    """H_i = hamiltonian_prefactor * K_i^(0) for every site of a fresh
+    config, each H_i built after K_i and K_i^(0) have put their factors in
+    the memo.  At hbar = 0 every R_ij of K_i^(0) sits at the argument of the
+    R~_ij of H_i, so an H_i that read a memoized factor would be K_i^(0)
+    itself."""
     cfg0 = cfg.at_hbar_zero()
     for i in range(1, cfg.n + 1):
         qkz_operator(cfg, i)
@@ -220,14 +220,14 @@ def _assert_proportional_with_the_memo_warm(cfg, monkeypatch):
         assert H == K0.scaled(hamiltonian_prefactor(cfg, i)) and H != K0
 
 
-def test_proportionality_between_h_and_k0(monkeypatch):
+def test_proportionality_between_h_and_k0():
     for n in (3, 4):
-        _assert_proportional_with_the_memo_warm(rational_cfg(n, X4), monkeypatch)
+        _assert_proportional_with_the_memo_warm(rational_cfg(n, X4))
 
 
-def test_trig_proportionality_between_h_and_k0(monkeypatch):
+def test_trig_proportionality_between_h_and_k0():
     for n in (3, 4):
-        _assert_proportional_with_the_memo_warm(trig_cfg(n), monkeypatch)
+        _assert_proportional_with_the_memo_warm(trig_cfg(n))
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
@@ -531,16 +531,19 @@ def test_validate_rejects_only_the_shifted_arguments_the_checks_build():
         assert qkz_compatibility(cfg, i, j).passed
 
 
-def test_equal_configs_hash_alike_and_share_memo_builds():
+def test_equal_configs_hash_alike_and_build_their_own():
     a = rational_cfg()
     b = ModelConfig.rational(2, 3, Fraction(1, 2), Fraction(1, 3),
                              (Fraction(0), Fraction(2, 5), Fraction(9, 7)), G2)
     assert a is not b and a == b
-    # the field tuple a frozen dataclass hashes, hashed once per config
+    # the field tuple a frozen dataclass hashes
     fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a))
-    assert hash(a) == hash(b) == hash(fields) == vars(a)["_hash"]
-    assert hamiltonian(a, 2) is hamiltonian(b, 2)
-    assert chain.memo(a, "probe", object) is chain.memo(b, "probe", object)
+    assert hash(a) == hash(b) == hash(fields)
+    # builds live on the config object, so equal configs build apart
+    H = hamiltonian(a, 2)
+    assert hamiltonian(a, 2) is H
+    assert hamiltonian(b, 2) is not H and hamiltonian(b, 2) == H
+    assert chain.memo(a, "probe", object) is not chain.memo(b, "probe", object)
 
 
 # ------------------------------------------------------------ covector path
@@ -599,8 +602,8 @@ def test_qkz_covector_rejects_bad_site_and_hits_poles():
 def test_hamiltonian_is_built_once_per_config_and_site():
     cfg = rational_cfg()
     assert hamiltonian(cfg, 2) is hamiltonian(cfg, 2)
-    # an equal config built separately shares the operator
-    assert hamiltonian(rational_cfg(), 2) is hamiltonian(cfg, 2)
+    # an equal config built separately builds its own
+    assert hamiltonian(rational_cfg(), 2) is not hamiltonian(cfg, 2)
     assert hamiltonian(cfg, 1) is not hamiltonian(cfg, 2)
 
 
@@ -653,11 +656,22 @@ def _count_builds(monkeypatch):
 
 @pytest.mark.parametrize("name", ["trig", "rational"])
 def test_a_full_verify_builds_each_factor_once(name, monkeypatch):
-    monkeypatch.setattr(chain, "_BUILT", weakref.WeakKeyDictionary())
     builds = _count_builds(monkeypatch)
     results = cli.run(cli.load_config(DATA / f"{name}.cfg")).results
     assert results and all(r.passed for r in results)
     assert builds and set(builds.values()) == {1}
+
+
+@pytest.mark.parametrize("name", ["trig", "rational"])
+def test_a_full_verify_hashes_no_config(name, monkeypatch):
+    # the memo is a dict on the config object, so no lookup hashes the config
+    hashes = []
+    field_hash = ModelConfig.__hash__
+    monkeypatch.setattr(ModelConfig, "__hash__",
+                        lambda cfg: hashes.append(cfg) or field_hash(cfg))
+    results = cli.run(cli.load_config(DATA / f"{name}.cfg")).results
+    assert results and all(r.passed for r in results)
+    assert hashes == []
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
@@ -672,11 +686,10 @@ def test_at_hbar_zero_is_one_object_per_config(make):
 
 def test_factor_memo_is_shared_with_hbar_zero_and_outlives_a_collection(
         monkeypatch):
-    monkeypatch.setattr(chain, "_BUILT", weakref.WeakKeyDictionary())
     builds = _count_builds(monkeypatch)
     cfg = rational_cfg()
-    # an equal config that dies at once takes the table it stored first
-    # along; K_2 holds R_21 and R_23
+    # an equal config builds its own factors and takes them along when it
+    # dies; K_2 holds R_21 and R_23
     qkz_operator(rational_cfg(), 2)
     gc.collect()
     qkz_operator(cfg, 2)
@@ -691,17 +704,21 @@ def test_factor_memo_is_shared_with_hbar_zero_and_outlives_a_collection(
 
 
 def test_factor_memo_does_not_keep_its_config_alive():
-    def make():
-        return ModelConfig.rational(2, 2, ETA, HBAR, (Fraction(7), Fraction(17)), G2)
-    cfg = make()
+    # every build, a factor under cfg.at_hbar_zero() or H_i under cfg, is
+    # freed with the config object that made it
+    class Build:
+        pass
+
+    cfg = ModelConfig.rational(2, 2, ETA, HBAR, (Fraction(7), Fraction(17)), G2)
     qkz_operator(cfg, 2)
+    hamiltonian(cfg, 1)
     cfg0 = cfg.at_hbar_zero()
-    assert cfg0 in chain._BUILT
-    refs = weakref.ref(cfg), weakref.ref(cfg0)
+    assert ("g", 2) in cfg0._builds and ("H", 1) in cfg._builds
+    refs = [weakref.ref(c) for c in (cfg, cfg0)]
+    refs += [weakref.ref(chain.memo(c, "probe", Build)) for c in (cfg, cfg0)]
     del cfg, cfg0
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
-    assert make().at_hbar_zero() not in chain._BUILT
+    assert [ref() for ref in refs] == [None] * 4
 
 
 def test_factor_memo_never_crosses_domains():
@@ -713,20 +730,19 @@ def test_factor_memo_never_crosses_domains():
     for i in (1, 2, 3):
         qkz_operator(exact, i)
         qkz_operator(floats, i)
-    tables = [chain._BUILT[c.at_hbar_zero()] for c in (exact, floats)]
+    tables = [c.at_hbar_zero()._builds for c in (exact, floats)]
     assert tables[0] is not tables[1] and set(tables[0]) == set(tables[1])
     for cfg, table in zip((exact, floats), tables):
         assert all(F.domain is cfg.domain for F in table.values())
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
-def test_each_memoized_factor_is_a_fresh_build(make, monkeypatch):
-    monkeypatch.setattr(chain, "_BUILT", weakref.WeakKeyDictionary())
+def test_each_memoized_factor_is_a_fresh_build(make):
     cfg = make()
     space = cfg.space()
     for i, j in itertools.permutations(range(1, cfg.n + 1), 2):
         assert qkz_compatibility(cfg, i, j).passed
-    table = chain._BUILT[cfg.at_hbar_zero()]
+    table = cfg.at_hbar_zero()._builds
     # n twists, and each R_ij at two arguments: x_i - x_j, and that moved by
     # the step (left of the twist, i > j; with site j shifted, i < j)
     assert len(table) == cfg.n + 2 * cfg.n * (cfg.n - 1)
@@ -740,15 +756,14 @@ def test_each_memoized_factor_is_a_fresh_build(make, monkeypatch):
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
-def test_r_and_tilde_r_at_one_argument_are_distinct_entries(make, monkeypatch):
+def test_r_and_tilde_r_at_one_argument_are_distinct_entries(make):
     # at hbar = 0 the R_21 of K_2^(0) and the R~_21 of H_2 share an argument
-    monkeypatch.setattr(chain, "_BUILT", weakref.WeakKeyDictionary())
     cfg0 = make().at_hbar_zero()
     space = cfg0.space()
     arg = cfg0.relative(cfg0.points[1], cfg0.points[0])
     K = qkz_operator(cfg0, 2)
     H = hamiltonian(cfg0, 2)
-    table = chain._BUILT[cfg0]
+    table = cfg0._builds
     R = table["R", 2, 1, arg]
     tilde = r_factor(cfg0.flavor, space, 2, 1, arg, cfg0.coupling, cfg0.domain, True)
     assert R == r_factor(cfg0.flavor, space, 2, 1, arg, cfg0.coupling, cfg0.domain)
@@ -762,18 +777,17 @@ def test_transfer_matrix_is_built_once_per_config_and_point(make, monkeypatch):
     x0 = Fraction(11, 5)
     T = transfer_matrix(cfg, x0)
     assert transfer_matrix(cfg, x0) is T
-    assert transfer_matrix(make(), x0) is T
-    del chain._BUILT[cfg]
-    fresh = transfer_matrix(cfg, x0)
+    # an equal config builds its own
+    fresh = transfer_matrix(make(), x0)
     assert fresh is not T and fresh == T
     assert (fresh.rows, fresh.den) == (T.rows, T.den)
     # transfer-commute samples the first four points of pole-expansion, so a
-    # config that runs both builds T(x) at n + 1 points
+    # fresh config that runs both builds T(x) at n + 1 points
     builds = []
     product = chain._chain_product
     monkeypatch.setattr(chain, "_chain_product",
                         lambda c, *a, **k: builds.append(c.n) or product(c, *a, **k))
-    del chain._BUILT[cfg]
+    cfg = make()
     assert check_transfer_commute(cfg).passed and pole_expansion(cfg).passed
     assert builds.count(cfg.n + 1) == cfg.n + 1
 

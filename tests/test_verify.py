@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -217,7 +218,7 @@ def test_omega_invariance_fails_on_a_perturbed_component(cfg, covector,
                                                          monkeypatch):
     # component 2 is the state (1, 2, 1); a swap or R factor that moves it
     # reads the perturbed value, so the witness carries the same letters.
-    # The config gets an empty memo for the test, so that its flavor
+    # A fresh copy of the config has an empty memo, so that its flavor
     # covector is split afresh from the perturbed omega or omega_q
     original = getattr(verify, covector)
 
@@ -227,7 +228,7 @@ def test_omega_invariance_fails_on_a_perturbed_component(cfg, covector,
         return w
 
     monkeypatch.setattr(verify, covector, perturbed)
-    monkeypatch.setitem(chain._BUILT, cfg, {})
+    cfg = dataclasses.replace(cfg)
     r = check_omega_invariance(cfg)
     _assert_fails_with_state_witness(r, cfg)
     assert weight_of(r.witness, cfg.N) == (2, 1)
