@@ -57,19 +57,19 @@ class ModelConfig:
 
     # ------------------------------------------------------------ builders
     @classmethod
-    def build(cls, flavor, N, n, coupling, step, points, g, domain=EXACT):
-        """A validated chain of the flavor, its parameters in PARAMETERS order."""
-        cfg = cls(flavor, int(N), int(n), g, coupling, step, points).to_domain(domain)
+    def build(cls, flavor, N, n, coupling, step, points, g):
+        """A validated exact chain, its parameters in PARAMETERS order."""
+        cfg = cls(flavor, int(N), int(n), g, coupling, step, points).to_domain(EXACT)
         cfg.validate()
         return cfg
 
     @classmethod
-    def rational(cls, N, n, eta, hbar, x, g, domain=EXACT):
-        return cls.build(RATIONAL, N, n, eta, hbar, x, g, domain)
+    def rational(cls, N, n, eta, hbar, x, g):
+        return cls.build(RATIONAL, N, n, eta, hbar, x, g)
 
     @classmethod
-    def trigonometric(cls, N, n, t, h, u, g, domain=EXACT):
-        return cls.build(TRIGONOMETRIC, N, n, t, h, u, g, domain)
+    def trigonometric(cls, N, n, t, h, u, g):
+        return cls.build(TRIGONOMETRIC, N, n, t, h, u, g)
 
     @property
     def is_rational(self):
@@ -383,14 +383,14 @@ def _expansion_residuals(cfg, pts):
 def pole_expansion(cfg):
     """T(x) rebuilt from the directly constructed Hamiltonians.
 
-    Rational: T(x) = tr(g) I + sum_j eta H_j / (x - x_j), checked exactly at
-    n+1 fresh points (enough, since both sides share the pole set and decay).
-    Trigonometric: T(x) = C + sinh(eta) sum_k H_k coth(x - x_k); C is taken
-    from the first sample, the remaining n samples cross-check it, and the
-    boundary relations C +- sinh(eta) sum_k H_k = sum_a g_a t^{+-M_a} pin the
-    two-sided behavior at x -> +-infinity.  The result carries the largest
-    residual over all of these and, on failure, the basis pair where it
-    occurs.
+    Rational: T(x) = tr(g) I + sum_j eta H_j / (x - x_j).  Trigonometric:
+    T(x) = C + sinh(eta) sum_k H_k coth(x - x_k); C is taken from the first
+    sample, the remaining n samples confirm it, and the boundary relations
+    C +- sinh(eta) sum_k H_k = sum_a g_a t^{+-M_a} pin the two-sided
+    behavior at x -> +-infinity.  Times prod_j (x - x_j), or (u^2 - u_j^2),
+    both sides have degree <= n in x (or u^2), so n+1 distinct positive
+    points prove the expansion.  The result carries the largest residual
+    over all of these and, on failure, the basis pair where it occurs.
     """
     pts = _fresh_points(cfg, cfg.n + 1)
     return verdict("pole-expansion", cfg.domain, _expansion_residuals(cfg, pts))
@@ -453,11 +453,10 @@ def qkz_compatibility(cfg, i, j, unshifted=None):
                    params={"i": i, "j": j})
 
 
-def check_transfer_commute(cfg, pairs=None):
-    """[T(x), T(x')] = 0 at sampled pairs of spectral points."""
-    if pairs is None:
-        pts = _fresh_points(cfg, 4)
-        pairs = [(pts[0], pts[1]), (pts[2], pts[3])]
+def check_transfer_commute(cfg):
+    """[T(x), T(x')] = 0 at two pairs of sampled spectral points."""
+    pts = _fresh_points(cfg, 4)
+    pairs = [(pts[0], pts[1]), (pts[2], pts[3])]
 
     def commutators():
         for p, q in pairs:

@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     WorkbenchError,
 )
-from .report import CheckResult, error_result
+from .report import error_result, verdict
 from .scalars import ComplexDomain, require_tolerance
 from .tensor import all_sectors
 
@@ -172,18 +172,6 @@ def _draw_spectral(model, rng):
                 return v
 
 
-def _merge(name, results):
-    """Collapse several sampled instances of one check into one result."""
-    worst = max(results, key=lambda r: (not r.passed, r.residual))
-    return CheckResult(
-        name=name,
-        status="pass" if all(r.passed for r in results) else "fail",
-        residual=worst.residual,
-        params={"samples": len(results)},
-        witness=worst.witness,
-    )
-
-
 def _check_ybe(cfg, sectors, rc, rng):
     model, out = rc.model, []
     while len(out) < 3:
@@ -195,7 +183,8 @@ def _check_ybe(cfg, sectors, rc, rng):
         out.append(rmatrix.check_yang_baxter(
             cfg.flavor, cfg.domain.coerce(p1), cfg.domain.coerce(p2),
             cfg.coupling, cfg.N, cfg.domain))
-    yield _merge("ybe", out)
+    yield verdict("ybe", cfg.domain, [(s.residual, s.witness) for s in out],
+                  params={"samples": len(out)})
 
 
 def _check_unitarity(cfg, sectors, rc, rng):
@@ -208,7 +197,8 @@ def _check_unitarity(cfg, sectors, rc, rng):
             continue
         out.append(rmatrix.check_unitarity(
             cfg.flavor, cfg.domain.coerce(p), cfg.coupling, cfg.N, cfg.domain))
-    yield _merge("unitarity", out)
+    yield verdict("unitarity", cfg.domain, [(s.residual, s.witness) for s in out],
+                  params={"samples": len(out)})
 
 
 def _check_twist(cfg, sectors, rc, rng):
@@ -286,13 +276,8 @@ def _check_correspondence(cfg, sectors, rc, rng):
         # operators are always built from the exact parameters; floats enter
         # only at the eigensolver boundary
         rep = correspond.check_correspondence(rc.model, M, tol=rc.tol, rng=rng)
-        yield CheckResult(
-            name="correspondence",
-            status=rep.status,
-            residual=rep.worst,
-            sector=rep.sector,
-            params={"eigenstates": len(rep.rows)},
-        )
+        yield verdict("correspondence", cfg.domain, [(rep.worst, None)],
+                      sector=rep.sector, params={"eigenstates": len(rep.rows)})
 
 
 _REGISTRY = {

@@ -367,11 +367,8 @@ _joint_eigenvalues_mp = diagonalize_sector
 
 def _integer_minors(cfg):
     """The minors det(C_SS), S nonempty, as integers over one denominator
-    dm: (minors by S, dm), or None if one is NaN or infinite."""
-    try:
-        minors = {S: Fraction(d) for S, d in principal_minors(cfg).items() if S}
-    except (ValueError, OverflowError):
-        return None
+    dm: (minors by S, dm)."""
+    minors = {S: d for S, d in principal_minors(cfg).items() if S}
     dm = math.lcm(*(d.denominator for d in minors.values()))
     return {S: int(d * dm) for S, d in minors.items()}, dm
 
@@ -450,13 +447,7 @@ def _rouche_radius(errs, g, m, others):
 def certified_radius(errs, targets):
     """The largest _rouche_radius over the distinct targets: a rigorous
     bound on the distance from the roots to the target multiset,
-    multiplicities included, since disjoint circles hold all n roots.  Each
-    error bound is taken as the rational it is; a non-finite one reads
-    inf."""
-    try:
-        errs = [Fraction(e) for e in errs]
-    except (ValueError, OverflowError):  # NaN or infinite
-        return math.inf
+    multiplicities included, since disjoint circles hold all n roots."""
     return max(_rouche_radius(errs, g, m, [t for t in targets if t != g])
                for g, m in collections.Counter(targets).items())
 
@@ -473,8 +464,7 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None):
     max_k |c~_k - c_k|, against prod_t (z - t), must be within tol, judged
     exactly; the report writes them as doubles rounded up.  The reported
     invariants are the classical Hamiltonians (-1)^k c~_k, to be compared
-    with e_k(targets).  A NaN or infinite minor leaves nothing to certify:
-    its rows read inf.
+    with e_k(targets).
     """
     sector = tuple(int(m) for m in sector)
     rng = rng if rng is not None else random.Random(0)
@@ -492,19 +482,16 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None):
     for state in diagonalize_sector(cfg, sector, tol=Fraction(1, 10 ** (digits // 2)),
                                     rng=rng, digits=digits):
         lams = state.eigenvalues
-        if minors is None:
-            invariants, radius, hdev = [complex(math.nan)] * cfg.n, math.inf, math.inf
-        else:
-            coeffs = _lax_coefficients(*minors, lams, cfg.n)
-            invariants, errs = [], []
-            for k, ((re, im, den), c) in enumerate(zip(coeffs, target_coeffs), 1):
-                sign = (-1) ** k  # int / int rounds correctly
-                invariants.append(complex(sign * re / den, sign * im / den))
-                # |c~_k - c_k| = |x + y i| / (den c.denominator), bounded above
-                x, y = re * c.denominator - c.numerator * den, im * c.denominator
-                errs.append(Fraction(_ceil_sqrt(x * x + y * y) if y else abs(x),
-                                     den * c.denominator))
-            radius, hdev = certified_radius(errs, targets_exact), max(errs)
+        coeffs = _lax_coefficients(*minors, lams, cfg.n)
+        invariants, errs = [], []
+        for k, ((re, im, den), c) in enumerate(zip(coeffs, target_coeffs), 1):
+            sign = (-1) ** k  # int / int rounds correctly
+            invariants.append(complex(sign * re / den, sign * im / den))
+            # |c~_k - c_k| = |x + y i| / (den c.denominator), bounded above
+            x, y = re * c.denominator - c.numerator * den, im * c.denominator
+            errs.append(Fraction(_ceil_sqrt(x * x + y * y) if y else abs(x),
+                                 den * c.denominator))
+        radius, hdev = certified_radius(errs, targets_exact), max(errs)
         report.rows.append(
             CorrespondenceRow(
                 eigenvalues=[complex(lam) for lam in lams],

@@ -54,9 +54,11 @@ def _flavor_covector(cfg):
 def check_omega_invariance(cfg):
     """Left-invariance of the projection covector.
 
-    Rational: <Omega| R_ij(x) = <Omega| for every ordered pair and sampled x.
+    Rational: <Omega| R_ij(x) = <Omega| for every ordered pair.
     Trigonometric: <Omega_q| R_{i,i-1}(x) = <Omega_q| P_{i,i-1} for i = 2..n
-    (and <Omega_q| is fixed by the deformed swaps P^t_{i,i-1}).
+    (and <Omega_q| is fixed by the deformed swaps P^t_{i,i-1}).  Cleared of
+    denominators, both have degree 1 in x (or u^2), so the three fixed
+    points, at most one a pole, prove them for every x.
     """
     space = cfg.space()
     dom = cfg.domain

@@ -1,8 +1,11 @@
 import contextlib
+import importlib
 import io
 import itertools
 import json
 import math
+import pkgutil
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qkzbench
 from qkzbench import chain, cli, correspond, rmatrix, verify
 from qkzbench.cli import (
     CHECK_NAMES,
@@ -25,6 +29,7 @@ from qkzbench.errors import (
     ParseError,
     PoleHit,
 )
+from qkzbench.report import error_result, verdict
 from qkzbench.scalars import ComplexDomain
 from qkzbench.tensor import ChainOperator
 
@@ -262,6 +267,30 @@ def test_family_that_raises_reports_one_error(rational_path, monkeypatch):
     assert len(report.results) == len(report.timings) == 1
     assert report.results[0].status == "fail"
     assert report.results[0].witness == "PoleHit: injected"
+
+
+@pytest.mark.parametrize("name", ["rational", "trig", "rational-float", "trig-float"])
+def test_every_result_is_made_by_verdict_or_error_result(monkeypatch, name):
+    # report.verdict judges every check and report.error_result records every
+    # error, so each reported result is an object that one of them returned.
+    # They are kept and compared with `is`: ids of collected results recur
+    for module in pkgutil.iter_modules(qkzbench.__path__):
+        importlib.import_module(f"qkzbench.{module.name}")
+    made = []
+    for fn in (verdict, error_result):
+        def kept(*args, _fn=fn, **kwargs):
+            made.append(_fn(*args, **kwargs))
+            return made[-1]
+
+        for module in [m for key, m in sys.modules.items()
+                       if key.partition(".")[0] == "qkzbench"]:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, kept)
+    results = run(load_config(Path(__file__).parent / "data" / f"{name}.cfg")).results
+    assert results
+    assert [(r.name, r.sector) for r in results
+            if not any(r is m for m in made)] == []
 
 
 def test_emit_text_contains_table(rational_path):

@@ -11,7 +11,7 @@ import pytest
 import mpmath  # the test-only references below; the package never loads it
 from mpmath import iv
 
-from qkzbench import correspond, verify
+from qkzbench import correspond
 from qkzbench.cli import load_config, main
 from qkzbench.chain import ModelConfig, hamiltonian
 from qkzbench.correspond import (
@@ -346,26 +346,6 @@ def test_certified_radius_bounds_brute_force_distance():
                      for t in targets]
             r = certified_radius(_errs(roots, targets), targets)
             assert r >= _bottleneck(roots, targets)
-
-
-def test_certified_radius_nan_is_inf():
-    targets = [Fraction(1), Fraction(2)]
-    errs = [Fraction(0), math.nan]
-    assert certified_radius(errs, targets) == math.inf
-
-
-def test_correspondence_fails_on_nan_distance(monkeypatch):
-    # a NaN Lax entry leaves nothing to certify: the radius reads inf and the
-    # check fails.  The minors are built once per config, so the NaN enters
-    # through the denominators of a config that has built none yet
-    real = verify.lax_denominator
-    monkeypatch.setattr(verify, "lax_denominator", lambda cfg, i, j: (
-        math.nan if (i, j) == (1, 2) else real(cfg, i, j)))
-    cfg = ModelConfig.rational(2, 3, ETA, Fraction(1, 4), X3, G2)
-    rep = check_correspondence(cfg, (2, 1), rng=random.Random(7))
-    assert rep.status == "fail"
-    assert rep.worst == math.inf
-    assert all(row.radius == math.inf for row in rep.rows)
 
 
 def test_correspondence_fails_on_scaled_velocity(monkeypatch):
