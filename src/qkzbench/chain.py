@@ -180,9 +180,9 @@ def memo(cfg, key, build):
 
     The builds are the qKZ two-site factors and twists g_i (under
     cfg.at_hbar_zero(), so that cfg and its hbar = 0 copy share them), H_i,
-    T(x), the sector sums, the principal minors and the flavor covector.  A
-    build lives as long as the config object that made it; equal configs
-    build apart."""
+    their sum, T(x), the sector sums, the principal minors, the Cauchy
+    weight comparisons and the flavor covector.  A build lives as long as
+    the config object that made it; equal configs build apart."""
     built = cfg._builds
     if key not in built:
         built[key] = build()
@@ -276,6 +276,12 @@ def hamiltonian(cfg, i):
     return memo(cfg, ("H", i), lambda: _chain_product(cfg, i, frozenset(), tilde=True))
 
 
+def hamiltonian_sum(cfg):
+    """H_1 + ... + H_n, built once per config."""
+    return memo(cfg, "H sum", lambda: ChainOperator.combination(
+        [(cfg.domain.one, hamiltonian(cfg, i)) for i in range(1, cfg.n + 1)]))
+
+
 def hamiltonian_prefactor(cfg, i):
     """The scalar relating H_i to K_i^(0): the product over j != i of
     sinh(r + eta) / sinh(r), r the argument of site i against site j."""
@@ -350,12 +356,11 @@ def _expansion_residuals(cfg, pts):
     space = cfg.space()
     hams = [hamiltonian(cfg, i) for i in range(1, cfg.n + 1)]
     if cfg.is_rational:
-        eta, x = cfg.coupling, cfg.points
-        const = ChainOperator.identity(space, dom).scaled(sum(cfg.g, dom.zero))
+        eta, x, trace_g = cfg.coupling, cfg.points, sum(cfg.g, dom.zero)
+        identity = ChainOperator.identity(space, dom)
         for s in pts:
-            rhs = const
-            for j, H in enumerate(hams):
-                rhs = rhs + H.scaled(eta / (s - x[j]))
+            rhs = ChainOperator.combination(
+                [(trace_g, identity)] + [(eta / (s - xj), H) for xj, H in zip(x, hams)])
             yield transfer_matrix(cfg, s).residual(rhs)
         return
 
@@ -363,21 +368,18 @@ def _expansion_residuals(cfg, pts):
     sh = sinh_exp(t)
 
     def coth_sum(u0):
-        acc = ChainOperator.zero(space, dom)
-        for k, H in enumerate(hams):
-            v = u0 / u[k]
-            acc = acc + H.scaled(sh * (v * v + 1) / (v * v - 1))
-        return acc
+        vs = [u0 / uk for uk in u]
+        return ChainOperator.combination(
+            [(sh * (v * v + 1) / (v * v - 1), H) for v, H in zip(vs, hams)])
 
     const = transfer_matrix(cfg, pts[0]) - coth_sum(pts[0])
     for s in pts[1:]:
         yield transfer_matrix(cfg, s).residual(const + coth_sum(s))
-    total = ChainOperator.zero(space, dom)
-    for H in hams:
-        total = total + H
+    total = hamiltonian_sum(cfg)
     for sign in (1, -1):
-        yield (const + total.scaled(sh if sign > 0 else -sh)).residual(
-            twist_weight_exponential(cfg, sign))
+        rhs = ChainOperator.combination(
+            [(dom.one, const), (sh if sign > 0 else -sh, total)])
+        yield rhs.residual(twist_weight_exponential(cfg, sign))
 
 
 def pole_expansion(cfg):
@@ -418,13 +420,10 @@ def sum_rule(cfg):
     """
     dom = cfg.domain
     space = cfg.space()
-    lhs = ChainOperator.zero(space, dom)
-    for i in range(1, cfg.n + 1):
-        lhs = lhs + hamiltonian(cfg, i)
+    lhs = hamiltonian_sum(cfg)
     if cfg.is_rational:
-        rhs = ChainOperator.zero(space, dom)
-        for a in range(1, cfg.N + 1):
-            rhs = rhs + weight_operator(cfg, a).scaled(cfg.g[a - 1])
+        rhs = ChainOperator.combination(
+            [(cfg.g[a - 1], weight_operator(cfg, a)) for a in range(1, cfg.N + 1)])
     else:
         values = [twist_sinh_sum(cfg, weight_of(J, cfg.N)) for J in space.states]
         rhs = ChainOperator.diagonal(space, values, dom)

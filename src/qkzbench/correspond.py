@@ -55,6 +55,7 @@ from fractions import Fraction
 from .chain import hamiltonian
 from .errors import DegeneracyUnresolved, NonConvergence
 from .scalars import require_tolerance
+from .tensor import ChainOperator
 from .verify import (elementary_symmetric, principal_minors, twist_targets,
                      velocity_scale)
 
@@ -241,12 +242,6 @@ def _bits(digits):
     return math.ceil(digits * math.log2(10))
 
 
-def _combination(ops, coeffs):
-    """sum_i coeffs[i] H_i, exact: each double is the dyadic rational it is."""
-    terms = [op.scaled(Fraction(k)) for op, k in zip(ops, coeffs)]
-    return sum(terms[1:], terms[0])
-
-
 def _eigenvectors(combo, bits):
     """Each eigenvector of the exact combination as (p, vec), v = vec 2^-bits
     with v_p = 1, up to the first whose correction fails to halve or that
@@ -344,7 +339,9 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, digits=MP_DPS):
                                 [Fraction(0)] * len(ops))]
     bits, worst_seen = _bits(digits), math.inf
     for _ in range(3):
-        combo = _combination(ops, [rng.uniform(0.5, 1.5) for _ in ops])
+        # sum_i c_i H_i, exact: each double c_i is the dyadic rational it is
+        combo = ChainOperator.combination(
+            [(Fraction(rng.uniform(0.5, 1.5)), op) for op in ops])
         states = [JointEigenstate(*_joint(ops, p, vec, bits))
                   for p, vec in _eigenvectors(combo, bits)]
         peaks = [max(st.residuals) for st in states]

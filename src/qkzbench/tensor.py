@@ -4,9 +4,9 @@ Basis states are tuples J = (j_1, ..., j_n) with letters in 1..N; site 1 is
 the leftmost tensor factor and the linear index is big-endian,
 index(J) = sum_k (j_k - 1) * N^(n-k).  Operators are stored as row-major
 sparse maps of numerators over one common denominator (Python ints in the
-exact domain, so products and sums run in integer arithmetic with one gcd
-pass per result), reduced and without explicit zeros; everything is
-immutable after construction.  Scalars enter and leave as domain values.
+exact domain, so a product or a whole linear combination runs in integer
+arithmetic with one gcd pass), reduced and without explicit zeros; everything
+is immutable after construction.  Scalars enter and leave as domain values.
 """
 from __future__ import annotations
 
@@ -101,6 +101,26 @@ class Space:
 _SPACES = functools.cache(Space)
 
 
+@functools.cache
+def _sector_positions(N, n, sector):
+    """{full-space index: position in the sector} of a sector's states, built
+    on the first request only; an index that is no key lies outside it."""
+    full = shared_space(N, n)
+    return {full.index_of(J): k for k, J in enumerate(shared_space(N, n, sector).states)}
+
+
+def _nonzero(rows):
+    """rows with no stored zero and no empty row, in place: a row is rebuilt
+    only where it holds a zero, which almost no row does."""
+    for r in [r for r, row in rows.items() if not row or 0 in row.values()]:
+        row = {c: v for c, v in rows[r].items() if v != 0}
+        if row:
+            rows[r] = row
+        else:
+            del rows[r]
+    return rows
+
+
 def shared_space(N, n, sector=None):
     """The Space of (N, n, sector), built on the first request only and then
     shared: a Space is never changed after construction, and building one
@@ -115,11 +135,11 @@ class ChainOperator:
     ``domain.join(rows[r][c], den)``: ``rows`` holds numerators (Python ints
     in the exact domain) over one positive common denominator ``den``.  The
     storage is kept reduced: gcd(den, all numerators) = 1 and no stored
-    zeros, so equal operators have equal (rows, den).  In the complex
-    domain the numerators are the values and ``den`` is 1.  Values cross
-    the interface (entry, entries, trace, apply, apply_left, scaled) as
-    domain scalars; push_left, the kernel of apply_left, takes and returns
-    a covector as (numerators, den), for a covector pushed through many
+    zeros, so equal operators have equal (rows, den).  In the complex domain
+    the numerators are the values and ``den`` is 1.  Values cross the
+    interface (entry, entries, trace, apply_left, scaled, combination) as
+    domain scalars; push_left, the kernel of apply_left, takes and returns a
+    covector as (numerators, den), for a covector pushed through many
     operators in a row, and covector_residual compares two such pairs.
     """
 
@@ -166,16 +186,9 @@ class ChainOperator:
         nums, den = domain.split([v for _, _, v in entries])
         rows = {}
         for (r, c, _), v in zip(entries, nums):
-            if v == 0:
-                continue
             acc = rows.setdefault(r, {})
-            s = acc.get(c, 0) + v
-            if s == 0:
-                del acc[c]
-            else:
-                acc[c] = s
-        return cls.from_numerators(
-            space, domain, {r: row for r, row in rows.items() if row}, den)
+            acc[c] = acc.get(c, 0) + v
+        return cls.from_numerators(space, domain, _nonzero(rows), den)
 
     # ---------------------------------------------------------------- query
     def entry(self, r, c):
@@ -207,39 +220,45 @@ class ChainOperator:
         if self.domain is not other.domain:
             raise DomainMismatch(f"{self.domain} vs {other.domain}")
 
-    def __add__(self, other):
-        self._check_compat(other)
-        den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        rows = {r: {c: v * fa for c, v in row.items()} if fa != 1 else dict(row)
-                for r, row in self.rows.items()}
-        for r, orow in other.rows.items():
-            row = rows.setdefault(r, {})
-            for c, v in orow.items():
-                s = row.get(c, 0) + (v * fb if fb != 1 else v)
-                if s == 0:
-                    row.pop(c, None)
+    @staticmethod
+    def combination(terms):
+        """sum_k s_k A_k of a nonempty list of (scalar, operator) pairs on one
+        space and domain, in one pass: the terms over one common denominator,
+        their numerators summed in term order into one row map, one reduction.
+        A complex entry is acc + s_k v as in a chain of sums; a factor 1 is skipped."""
+        first = terms[0][1]
+        dom, parts = first.domain, []
+        for s, op in terms:
+            first._check_compat(op)
+            (p,), q = dom.split([s])
+            if p != 0:
+                parts.append((p, q * op.den, op.rows))
+        den = math.lcm(*(d for _, d, _ in parts))
+        out = {}
+        for p, d, rows in parts:
+            f = p * (den // d) if d != den else p
+            for r, row in rows.items():
+                acc = out.get(r)
+                if acc is None:
+                    out[r] = dict(row) if f == 1 else {c: v * f for c, v in row.items()}
                 else:
-                    row[c] = s
-        return ChainOperator.from_numerators(
-            self.space, self.domain, {r: row for r, row in rows.items() if row}, den
-        )
+                    for c, v in row.items():
+                        acc[c] = acc.get(c, 0) + (v * f if f != 1 else v)
+        return ChainOperator.from_numerators(first.space, dom, _nonzero(out), den)
+
+    def __add__(self, other):
+        one = self.domain.one
+        return ChainOperator.combination([(one, self), (one, other)])
 
     def __sub__(self, other):
-        return self + other.scaled(-self.domain.one)
+        one = self.domain.one
+        return ChainOperator.combination([(one, self), (-one, other)])
 
     def __neg__(self):
-        return self.scaled(-self.domain.one)
+        return ChainOperator.combination([(-self.domain.one, self)])
 
     def scaled(self, s):
-        if s == 0:
-            return ChainOperator.zero(self.space, self.domain)
-        (s,), sden = self.domain.split([s])
-        rows = {
-            r: {c: s * v for c, v in row.items()} for r, row in self.rows.items()
-        }
-        return ChainOperator.from_numerators(self.space, self.domain, rows,
-                                             self.den * sden)
+        return ChainOperator.combination([(s, self)])
 
     def __matmul__(self, other):
         """Matrix product self . other (other is applied first)."""
@@ -254,25 +273,12 @@ class ChainOperator:
                     continue
                 for c, w in brow.items():
                     acc[c] = acc.get(c, 0) + v * w
-            acc = {c: s for c, s in acc.items() if s != 0}
+            if 0 in acc.values():
+                acc = {c: s for c, s in acc.items() if s != 0}
             if acc:
                 out[r] = acc
         return ChainOperator.from_numerators(self.space, self.domain, out,
                                              self.den * other.den)
-
-    def apply(self, vec):
-        """Matrix-vector product; vec is a list over the space's basis."""
-        if len(vec) != self.space.dim:
-            raise DimensionMismatch(f"vector of length {len(vec)} on {self.space}")
-        vec, vden = self.domain.split(vec)
-        out = [0] * self.space.dim
-        for r, row in self.rows.items():
-            s = 0
-            for c, v in row.items():
-                s += v * vec[c]
-            out[r] = s
-        join, den = self.domain.join, self.den * vden
-        return [join(s, den) for s in out]
 
     def apply_left(self, cov):
         """Covector-matrix product cov . self."""
@@ -309,16 +315,15 @@ class ChainOperator:
         if space.sector is not None:
             raise DimensionMismatch("restrict expects a full-space operator")
         sub = shared_space(space.N, space.n, sector)
-        member = [weight_of(J, space.N) == sub.sector for J in space.states]
-        pos = {space.index_of(J): k for k, J in enumerate(sub.states)}
+        pos = _sector_positions(space.N, space.n, sub.sector)
         rows = {}
         for r, row in self.rows.items():
-            rin = member[r]
+            pr = pos.get(r)
             for c, v in row.items():
-                cin = member[c]
-                if rin and cin:
-                    rows.setdefault(pos[r], {})[pos[c]] = v
-                elif rin != cin:
+                pc = pos.get(c)
+                if pr is not None and pc is not None:
+                    rows.setdefault(pr, {})[pc] = v
+                elif (pr is None) != (pc is None):
                     raise NotBlockDiagonal(
                         f"entry {space.states[r]} <- {space.states[c]} leaves "
                         f"sector {sub.sector}"
@@ -340,10 +345,7 @@ class ChainOperator:
                 b, cc = divmod(c, sub.dim)
                 if a == b:
                     acc[cc] = acc.get(cc, 0) + v
-        rows = {r: {c: v for c, v in row.items() if v != 0}
-                for r, row in rows.items()}
-        return ChainOperator.from_numerators(
-            sub, self.domain, {r: row for r, row in rows.items() if row}, self.den)
+        return ChainOperator.from_numerators(sub, self.domain, _nonzero(rows), self.den)
 
     # ------------------------------------------------------------ compare
     def residual(self, other):
@@ -368,14 +370,10 @@ class ChainOperator:
                     witness = (self.space.states[r], self.space.states[c])
         return worst, witness
 
-    def equals(self, other):
-        res, _ = self.residual(other)
-        return res <= self.domain.threshold
-
     def __eq__(self, other):
         if not isinstance(other, ChainOperator):
             return NotImplemented
-        return self.equals(other)
+        return self.residual(other)[0] <= self.domain.threshold
 
     __hash__ = None
 

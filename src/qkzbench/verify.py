@@ -26,7 +26,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .chain import hamiltonian, memo, qkz_covector_numerators, twist_sinh_sum
+from .chain import (hamiltonian, hamiltonian_sum, memo, qkz_covector_numerators,
+                    twist_sinh_sum)
 from .errors import FlavorMismatch, PoleHit
 from .report import largest_residual, verdict
 from .rmatrix import r_rational, r_trig
@@ -201,10 +202,8 @@ class SectorSums:
                     dom, (P.residual(self.ops[b] @ self.ops[a])
                           for (a, b), P in level.items()))
             sign = dom.coerce((-1) ** k)
-            det_sum = ChainOperator.zero(self.space, dom)
-            for S, P in level.items():
-                det_sum = det_sum + P.scaled(sign * minors[S])
-            self.det_sums.append(det_sum)
+            self.det_sums.append(ChainOperator.combination(
+                [(sign * minors[S], P) for S, P in level.items()]))
 
 
 def sector_sums(cfg, sector, hamiltonians=None):
@@ -327,6 +326,21 @@ def check_det_identity(cfg, sector, hamiltonians=None):
     return verdict("det-identity", dom, comparisons, sector=sector)
 
 
+def _cauchy_weights(cfg, d):
+    """(residual, witness) of each Cauchy weight w_S, |S| = d, against the
+    principal minor det(C_SS), once per config and degree."""
+    def compare(S):
+        dom, sh, pts = cfg.domain, cfg.sinh(cfg.coupling), cfg.points
+        weight = dom.one
+        for a, b in itertools.combinations(S, 2):
+            diff = cfg.sinh(cfg.relative(pts[a], pts[b]))
+            weight = weight / (dom.one - sh * sh / (diff * diff))
+        return dom.residual(weight, principal_minors(cfg)[S]), ("Cauchy weight", S)
+
+    return memo(cfg, ("Cauchy weights", d), lambda: [
+        compare(S) for S in itertools.combinations(range(cfg.n), d)])
+
+
 def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     """Cauchy-weighted Hamiltonian products against e_d of the twist power
     sums.
@@ -346,14 +360,7 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     dom = cfg.domain
     table = sector_sums(cfg, sector, hamiltonians)
     comparisons = [table.commutator]
-    minors = principal_minors(cfg)
-    sh, pts = cfg.sinh(cfg.coupling), cfg.points
-    for S in itertools.combinations(range(cfg.n), d):
-        weight = dom.one
-        for a, b in itertools.combinations(S, 2):
-            diff = cfg.sinh(cfg.relative(pts[a], pts[b]))
-            weight = weight / (dom.one - sh * sh / (diff * diff))
-        comparisons.append((dom.residual(weight, minors[S]), ("Cauchy weight", S)))
+    comparisons += _cauchy_weights(cfg, d)
     ps = [
         sum((m * g ** k for m, g in zip(sector, cfg.g)), dom.zero)
         for k in range(1, d + 1)
@@ -410,8 +417,7 @@ def check_macdonald_eigenvalue(cfg, sector, d):
         strings = sum(twist_targets(cfg, sector), dom.zero)
         comparisons.append((dom.residual(energy, strings), "string sum"))
         sign = dom.one
-        ops = [hamiltonian(cfg, i).restrict(sector) for i in range(1, cfg.n + 1)]
-        lhs = sum(ops[1:], ops[0])
+        lhs = hamiltonian_sum(cfg).restrict(sector)
     trace = sign * lhs.trace()
     comparisons.append((dom.residual(trace, energy * dom.coerce(lhs.space.dim)),
                         "sector trace"))

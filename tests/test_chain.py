@@ -20,6 +20,7 @@ from qkzbench.chain import (
     check_transfer_commute,
     hamiltonian,
     hamiltonian_prefactor,
+    hamiltonian_sum,
     pole_expansion,
     qkz_compatibility,
     qkz_covector_numerators,
@@ -469,6 +470,20 @@ def test_sum_rule_trig():
 def test_sum_rule_single_site():
     cfg = ModelConfig.rational(2, 1, ETA, HBAR, (Fraction(0),), G2)
     assert sum_rule(cfg).passed
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_hamiltonian_sum_is_built_once(make):
+    # sum-rule, the trigonometric boundary relations of pole-expansion and
+    # the trigonometric macdonald-eigenvalue read one sum per config
+    cfg = make()
+    total = hamiltonian_sum(cfg)
+    assert total is hamiltonian_sum(cfg)
+    want = hamiltonian(cfg, 1)
+    for i in range(2, cfg.n + 1):
+        want = want + hamiltonian(cfg, i)
+    assert total.rows == want.rows and total.den == want.den
+    assert hamiltonian_sum(dataclasses.replace(cfg)) is not total
 
 
 def test_sum_rule_on_top_sector():

@@ -12,6 +12,7 @@ from qkzbench.errors import (
     BadSite,
     BadWeight,
     DimensionMismatch,
+    DomainMismatch,
     NonInvertibleQ,
     NotBlockDiagonal,
 )
@@ -132,12 +133,20 @@ def test_site_embed_bad_site():
         site_embed(sp, {(1, 1): Fraction(1)}, 3)
 
 
+def _apply(op, vec):
+    """The matrix-vector product op . vec, read from the stored entries."""
+    out = [op.domain.zero] * op.space.dim
+    for r, c, v in op.entries():
+        out[r] += v * vec[c]
+    return out
+
+
 def test_permutation_swap_and_involution():
     sp = Space(2, 2)
     P = permutation(sp, 1, 2)
     vec = [Fraction(0)] * sp.dim
     vec[sp.index_of((1, 2))] = Fraction(1)
-    out = P.apply(vec)
+    out = _apply(P, vec)
     assert out[sp.index_of((2, 1))] == 1
     assert P @ P == ChainOperator.identity(sp)
 
@@ -168,11 +177,11 @@ def test_q_permutation_action():
     Pq = q_permutation(sp, 1, 2, q)
     vec = [Fraction(0)] * sp.dim
     vec[sp.index_of((1, 2))] = Fraction(1)
-    out = Pq.apply(vec)
+    out = _apply(Pq, vec)
     assert out[sp.index_of((2, 1))] == q  # a < b picks up q
     vec = [Fraction(0)] * sp.dim
     vec[sp.index_of((2, 2))] = Fraction(1)
-    assert Pq.apply(vec)[sp.index_of((2, 2))] == 1
+    assert _apply(Pq, vec)[sp.index_of((2, 2))] == 1
 
 
 def test_q_permutation_is_involution():
@@ -345,7 +354,7 @@ def test_nan_entry_fails_comparison():
         bad = ChainOperator(space, dom, rows)
         res, witness = bad.residual(ident)
         assert res == float("inf") and witness == (space.states[k],) * 2
-        assert not bad.equals(ident)
+        assert bad != ident
         cov = [dom.one] * space.dim
         cov[k] = complex(float("nan"), 0)
         res, witness = covector_residual(
@@ -460,7 +469,7 @@ def test_exact_sums_that_cancel(ea, extra):
 def test_exact_apply_and_apply_left_match_reference(ea, vec, cov):
     A = ChainOperator.from_entries(SP3, ea)
     a = _reference(ea)
-    got = A.apply(vec)
+    got = _apply(A, vec)
     assert all(type(v) is Fraction for v in got)
     assert got == [sum((v * vec[c] for (r2, c), v in a.items() if r2 == r),
                        Fraction(0)) for r in range(SP3.dim)]
@@ -468,6 +477,100 @@ def test_exact_apply_and_apply_left_match_reference(ea, vec, cov):
     assert all(type(v) is Fraction for v in got)
     assert got == [sum((cov[r] * v for (r, c2), v in a.items() if c2 == c),
                        Fraction(0)) for c in range(SP3.dim)]
+
+
+# ------------------------------------------------------ linear combinations
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(fractions_st, entries_st), min_size=1, max_size=4))
+def test_combination_matches_fraction_reference(terms):
+    # each term has its own denominator, and a zero scalar drops its term
+    ops = [(s, ChainOperator.from_entries(SP3, ea)) for s, ea in terms]
+    want = {}
+    for s, ea in terms:
+        for key, v in _reference(ea).items():
+            want[key] = want.get(key, 0) + s * v
+    got = ChainOperator.combination(ops)
+    assert _values(got) == {k: v for k, v in want.items() if v != 0}
+    assert ChainOperator.combination([(Fraction(0), A) for _, A in ops]).rows == {}
+
+
+def test_combination_over_mixed_denominators():
+    sp = Space(2, 2)
+    A = ChainOperator.from_entries(sp, [(0, 0, Fraction(1, 3)), (1, 2, Fraction(5, 4))])
+    B = ChainOperator.from_entries(sp, [(0, 0, Fraction(1, 6)), (3, 3, Fraction(2, 7))])
+    C = ChainOperator.combination([(Fraction(2, 5), A), (Fraction(-3, 2), B),
+                                   (Fraction(0), A)])
+    assert _values(C) == {(0, 0): Fraction(-7, 60), (1, 2): Fraction(1, 2),
+                          (3, 3): Fraction(-3, 7)}
+    assert C.den == 420
+
+
+def test_combination_cancelling_to_zero_stores_nothing():
+    sp = Space(2, 2)
+    A = ChainOperator.from_entries(sp, [(0, 1, Fraction(2, 3)), (2, 2, Fraction(1, 9))])
+    Z = ChainOperator.combination([(Fraction(3), A), (Fraction(-1), A.scaled(3))])
+    assert Z.rows == {} and Z.den == 1 and Z == ChainOperator.zero(sp)
+
+
+def test_no_stored_zero_after_cancelling_products_and_sums():
+    sp = Space(2, 2)
+    # row 0 of A @ B cancels entirely, entry (1, 0) cancels in a kept row
+    A = ChainOperator.from_entries(sp, [(0, 0, Fraction(1)), (0, 1, Fraction(1)),
+                                        (1, 0, Fraction(2)), (1, 1, Fraction(-1)),
+                                        (1, 2, Fraction(1))])
+    B = ChainOperator.from_entries(sp, [(0, 0, Fraction(1)), (1, 0, Fraction(-1)),
+                                        (2, 0, Fraction(1)), (2, 3, Fraction(5))])
+    AB = A @ B
+    assert _values(AB) == {(1, 0): Fraction(4), (1, 3): Fraction(5)}
+    assert 0 not in AB.rows
+    # a sum that cancels one row and one entry of another
+    C = ChainOperator.from_entries(sp, [(1, 0, Fraction(-4)), (3, 3, Fraction(1))])
+    S = AB + C
+    assert _values(S) == {(1, 3): Fraction(5), (3, 3): Fraction(1)}
+    assert S.rows == {1: {3: 5}, 3: {3: 1}}
+    D = ChainOperator.from_entries(sp, [(1, 3, Fraction(-5))])
+    assert (S + D).rows == {3: {3: 1}}
+    # entries that cancel while they are accumulated
+    E = ChainOperator.from_entries(sp, [(2, 1, Fraction(1, 2)), (2, 1, Fraction(-1, 2)),
+                                        (0, 0, Fraction(0)), (3, 0, Fraction(1))])
+    assert E.rows == {3: {0: 1}}
+
+
+def test_combination_keeps_a_nan_entry_and_the_chain_order_in_floats():
+    dom = ComplexDomain(1e-10)
+    sp = Space(2, 2)
+    rng = random.Random(5)
+    values = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(sp.dim)]
+              for _ in range(3)]
+    ops = [ChainOperator.from_entries(sp, [(k, k, v) for k, v in enumerate(vs)], dom)
+           for vs in values]
+    ops[1] = ChainOperator(sp, dom, {**ops[1].rows, 2: {2: complex(float("nan"))}})
+    scalars = [complex(0.3, -1.1), complex(1), complex(-2.5, 0.25)]
+    got = ChainOperator.combination(list(zip(scalars, ops)))
+    # the same floats as a chain of sums: (s0 A0 + A1) + s2 A2, no factor 1
+    chained = ops[0].scaled(scalars[0]) + ops[1] + ops[2].scaled(scalars[2])
+    for k in range(sp.dim):
+        want = (values[0][k] * scalars[0] + ops[1].rows[k][k]) + values[2][k] * scalars[2]
+        if k == 2:
+            assert math.isnan(got.rows[k][k].real) and math.isnan(chained.rows[k][k].real)
+        else:
+            assert got.rows[k][k] == chained.rows[k][k] == want
+    res, witness = got.residual(chained)
+    assert res == float("inf") and witness == (sp.states[2],) * 2
+
+
+def test_combination_needs_one_space_and_one_domain():
+    sp = Space(2, 2)
+    A = ChainOperator.identity(sp)
+    one = Fraction(1)
+    with pytest.raises(DimensionMismatch):
+        ChainOperator.combination([(one, A), (one, ChainOperator.identity(Space(2, 3)))])
+    with pytest.raises(DimensionMismatch):
+        ChainOperator.combination([(one, A), (Fraction(0), ChainOperator.identity(Space(3, 2)))])
+    with pytest.raises(DomainMismatch):
+        ChainOperator.combination(
+            [(one, A), (one, A), (one, ChainOperator.identity(sp, ComplexDomain(1e-10)))])
 
 
 # dyadic values keep the complex-domain pushes exact, so both domains can be
@@ -563,5 +666,5 @@ def test_values_cross_the_interface_as_domain_scalars():
         vec = [dom.coerce(Fraction(k + 1, 5)) for k in range(sp.dim)]
         values = [op.entry(0, 1), op.entry(1, 2), op.trace(),
                   ChainOperator.zero(sp, dom).trace()]
-        values += [v for _, _, v in op.entries()] + op.apply(vec) + op.apply_left(vec)
+        values += [v for _, _, v in op.entries()] + op.apply_left(vec)
         assert all(type(v) is kind for v in values), dom

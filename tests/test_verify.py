@@ -549,19 +549,22 @@ def test_det_identity_fails_on_a_scaled_minor(S, monkeypatch):
 @pytest.mark.parametrize("S", [(1,), (0, 2), (0, 1, 2)])
 def test_symmetric_identity_fails_on_a_scaled_cauchy_weight(S, monkeypatch):
     M = (2, 1)
-    # the table of CFG is built, and its det_sums stored, before the patch
-    sector_sums(CFG, M)
-    scaled = dict(principal_minors(CFG))
+    # the table of a fresh copy of CFG is built, and its det_sums stored,
+    # before the patch; the copy's Cauchy weight comparisons, memoized per
+    # degree, are made after it
+    cfg = dataclasses.replace(CFG)
+    sector_sums(cfg, M)
+    scaled = dict(principal_minors(cfg))
     scaled[S] *= Fraction(98, 97)
     monkeypatch.setattr(verify, "principal_minors", lambda cfg: scaled)
-    r = check_symmetric_identity(CFG, M, len(S))
+    r = check_symmetric_identity(cfg, M, len(S))
     assert not r.passed and r.residual != 0
     assert r.witness == ("Cauchy weight", S)
     # the other degrees and the determinant read only the stored sums
-    for d in range(1, CFG.n + 1):
+    for d in range(1, cfg.n + 1):
         if d != len(S):
-            assert check_symmetric_identity(CFG, M, d).residual == 0
-    assert check_det_identity(CFG, M).residual == 0
+            assert check_symmetric_identity(cfg, M, d).residual == 0
+    assert check_det_identity(cfg, M).residual == 0
 
 
 def test_symmetric_identity_fails_on_a_wrong_twist_multiset(monkeypatch):
