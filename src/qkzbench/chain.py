@@ -59,7 +59,8 @@ class ModelConfig:
     @classmethod
     def build(cls, flavor, N, n, coupling, step, points, g):
         """A validated exact chain, its parameters in PARAMETERS order."""
-        cfg = cls(flavor, int(N), int(n), g, coupling, step, points).to_domain(EXACT)
+        cfg = cls(flavor, int(N), int(n), tuple(map(Fraction, g)), Fraction(coupling),
+                  Fraction(step), tuple(map(Fraction, points)))
         cfg.validate()
         return cfg
 
@@ -148,15 +149,6 @@ class ModelConfig:
     @functools.cached_property
     def _builds(self):
         return {}
-
-    def to_domain(self, domain):
-        """Convert the twist, then every parameter, once into another scalar
-        domain."""
-        coerce = domain.coerce
-        return dataclasses.replace(
-            self, g=tuple(map(coerce, self.g)), coupling=coerce(self.coupling),
-            step=coerce(self.step), points=tuple(map(coerce, self.points)),
-            domain=domain)
 
     def space(self):
         return shared_space(self.N, self.n)
@@ -395,7 +387,7 @@ def pole_expansion(cfg):
     over all of these and, on failure, the basis pair where it occurs.
     """
     pts = _fresh_points(cfg, cfg.n + 1)
-    return verdict("pole-expansion", cfg.domain, _expansion_residuals(cfg, pts))
+    return verdict("pole-expansion", _expansion_residuals(cfg, pts))
 
 
 # ------------------------------------------------------------------ sum rules
@@ -427,7 +419,7 @@ def sum_rule(cfg):
     else:
         values = [twist_sinh_sum(cfg, weight_of(J, cfg.N)) for J in space.states]
         rhs = ChainOperator.diagonal(space, values, dom)
-    return verdict("sum-rule", dom, [lhs.residual(rhs)],
+    return verdict("sum-rule", [lhs.residual(rhs)],
                    params={"flavor": cfg.flavor})
 
 
@@ -448,7 +440,7 @@ def qkz_compatibility(cfg, i, j, unshifted=None):
             unshifted[s] = qkz_operator(cfg, s)
     lhs = qkz_operator(cfg, j, {i}) @ unshifted[i]
     rhs = qkz_operator(cfg, i, {j}) @ unshifted[j]
-    return verdict("qkz-compat", cfg.domain, [lhs.residual(rhs)],
+    return verdict("qkz-compat", [lhs.residual(rhs)],
                    params={"i": i, "j": j})
 
 
@@ -462,5 +454,5 @@ def check_transfer_commute(cfg):
             tp, tq = transfer_matrix(cfg, p), transfer_matrix(cfg, q)
             yield (tp @ tq).residual(tq @ tp)
 
-    return verdict("transfer-commute", cfg.domain, commutators(),
+    return verdict("transfer-commute", commutators(),
                    params={"pairs": [(str(p), str(q)) for p, q in pairs]})

@@ -5,11 +5,15 @@ nesting; rationals are written ``p/q``.  Keys: model, N, n, eta, hbar, x
 (rational flavor) or u, t, h (trigonometric flavor), g, seed, tol, mode;
 tol must be finite and positive.  A key of the other flavor is an error.
 
+Every identity check runs on the exact chain in both modes; mode = float
+adds the correspondence, whose classical Lax spectra are the one numerical
+check, to "all", and tol gates that check only.  A float-mode JSON report
+writes each residual as a double.
+
 Exit codes: 0 every check passed, 1 at least one failed, 2 the command could
-not run: a config error, or a workbench error outside any single check (such
-as a parameter beyond double range in float mode), 3 the eigensolver of
-`spectrum` or `correspond` could not resolve a joint spectrum or did not
-converge.
+not run: a config error, or a workbench error outside any single check, 3 the
+eigensolver of `spectrum` or `correspond` could not resolve a joint spectrum
+or did not converge.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from .errors import (
     WorkbenchError,
 )
 from .report import error_result, verdict
-from .scalars import ComplexDomain, require_tolerance
+from .scalars import require_tolerance, to_double
 from .tensor import all_sectors
 
 _RATIONAL_ONLY = {"det-identity", "symmetric-identity"}
@@ -159,8 +163,7 @@ def parse_sector(text, N, n):
 
 def _draw_spectral(model, rng):
     """A generic spectral sample away from the flavor's poles, an exact
-    Fraction: the callers decide their pole guards on the exact model and
-    only then convert the sample into the run's domain."""
+    Fraction."""
     while True:
         v = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
         if model.is_rational:
@@ -183,7 +186,7 @@ def _check_ybe(cfg, sectors, rc, rng):
         out.append(rmatrix.check_yang_baxter(
             cfg.flavor, cfg.domain.coerce(p1), cfg.domain.coerce(p2),
             cfg.coupling, cfg.N, cfg.domain))
-    yield verdict("ybe", cfg.domain, [(s.residual, s.witness) for s in out],
+    yield verdict("ybe", [(s.residual, s.witness) for s in out],
                   params={"samples": len(out)})
 
 
@@ -197,7 +200,7 @@ def _check_unitarity(cfg, sectors, rc, rng):
             continue
         out.append(rmatrix.check_unitarity(
             cfg.flavor, cfg.domain.coerce(p), cfg.coupling, cfg.N, cfg.domain))
-    yield verdict("unitarity", cfg.domain, [(s.residual, s.witness) for s in out],
+    yield verdict("unitarity", [(s.residual, s.witness) for s in out],
                   params={"samples": len(out)})
 
 
@@ -273,11 +276,11 @@ def _check_correspondence(cfg, sectors, rc, rng):
         )
     from . import correspond  # the eigensolver, which an exact run never needs
     for M in sectors:
-        # operators are always built from the exact parameters; floats enter
-        # only at the eigensolver boundary
+        # floats enter only at the eigensolver boundary
         rep = correspond.check_correspondence(rc.model, M, tol=rc.tol, rng=rng)
-        yield verdict("correspondence", cfg.domain, [(rep.worst, None)],
-                      sector=rep.sector, params={"eigenstates": len(rep.rows)})
+        yield verdict("correspondence", [(rep.worst, None)],
+                      sector=rep.sector, params={"eigenstates": len(rep.rows)},
+                      threshold=rc.tol)
 
 
 _REGISTRY = {
@@ -321,8 +324,6 @@ def run(rc: RunConfig) -> RunReport:
     """
     rng = random.Random(rc.seed)
     cfg = rc.model
-    if rc.mode == "float":
-        cfg = cfg.to_domain(ComplexDomain(rc.tol))
     sectors = _sector_list(rc)
     names = []
     for name in rc.checks:
@@ -364,12 +365,17 @@ def _describe_run(rc):
 
 # ------------------------------------------------------------------ emitting
 
-def _result_to_dict(r, millis=None):
+def _result_to_dict(r, millis=None, doubles=False):
+    """A result as JSON data; with doubles (a float-mode report) its residual
+    is the double of the exact value."""
+    residual = r.residual
+    if doubles and residual is not None:
+        residual = to_double(residual)
     d = {
         "name": r.name,
         "sector": list(r.sector) if r.sector is not None else None,
         "status": r.status,
-        "residual": _json_safe(r.residual),
+        "residual": _json_safe(residual),
     }
     if r.params:
         d["params"] = {k: _json_safe(v) for k, v in r.params.items()}
@@ -401,10 +407,11 @@ def emit(report: RunReport, fmt: str = "text", timings: bool = False) -> str:
     (per-check wall-clock appears only when timings is requested)."""
     overall = report.overall
     if fmt == "json":
+        doubles = report.config.get("mode") == "float"
         doc = {
             "config": report.config,
             "results": [
-                _result_to_dict(r, m if timings else None)
+                _result_to_dict(r, m if timings else None, doubles)
                 for r, m in zip(report.results, report.timings)
             ],
             "overall": overall,
@@ -422,10 +429,10 @@ def emit(report: RunReport, fmt: str = "text", timings: bool = False) -> str:
         params = ",".join(f"{k}={_compact(v)}" for k, v in r.params.items()) or "-"
         if r.residual is None:
             res = "-"
-        elif isinstance(r.residual, Fraction):
-            res = str(r.residual) if r.residual == 0 else f"{float(r.residual):.3e}"
+        elif isinstance(r.residual, Fraction) and r.residual == 0:
+            res = "0"
         else:
-            res = f"{float(r.residual):.3e}"
+            res = f"{to_double(r.residual):.3e}"
         lines.append(
             f"{r.name:<22} {sector:<10} {params:<16} {r.status:<7} "
             f"{res:<13} {m:8.1f}"

@@ -9,10 +9,6 @@ class NonPositiveTolerance(WorkbenchError, ValueError):
     """Tolerances must be finite and strictly positive."""
 
 
-class FloatOverflow(WorkbenchError, OverflowError):
-    """An exact value does not fit into a double."""
-
-
 class BadWeight(WorkbenchError, ValueError):
     """Weight vector does not describe a sector of the tensor space."""
 
@@ -31,10 +27,6 @@ class NonInvertibleQ(WorkbenchError, ValueError):
 
 class DimensionMismatch(WorkbenchError, ValueError):
     """Operands live on different spaces."""
-
-
-class DomainMismatch(WorkbenchError, ValueError):
-    """Operands carry different scalar domains."""
 
 
 class NotBlockDiagonal(WorkbenchError, ValueError):

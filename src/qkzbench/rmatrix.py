@@ -155,7 +155,7 @@ def check_yang_baxter(flavor, point1, point2, coupling, N, domain=EXACT):
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
     return verdict(
-        "ybe", domain, [lhs.residual(rhs)],
+        "ybe", [lhs.residual(rhs)],
         params={"flavor": flavor, "points": (str(point1), str(point2)), "N": N})
 
 
@@ -167,7 +167,7 @@ def check_unitarity(flavor, point, coupling, N, domain=EXACT):
     back = r_factor(flavor, space, 2, 1, -p if flavor == "rational" else 1 / p,
                     coupling, domain)
     return verdict(
-        "unitarity", domain,
+        "unitarity",
         [(fwd @ back).residual(ChainOperator.identity(space, domain))],
         params={"flavor": flavor, "point": str(point), "N": N})
 
@@ -178,5 +178,5 @@ def check_twist_commutation(flavor, point, coupling, g, N, domain=EXACT):
     r = r_factor(flavor, space, 1, 2, point, coupling, domain)
     table = {(a, a): domain.coerce(ga) for a, ga in enumerate(g, start=1)}
     gg = site_embed(space, table, 1, domain) @ site_embed(space, table, 2, domain)
-    return verdict("twist-commute", domain, [(gg @ r).residual(r @ gg)],
+    return verdict("twist-commute", [(gg @ r).residual(r @ gg)],
                    params={"flavor": flavor, "point": str(point), "N": N})

@@ -1,14 +1,12 @@
-"""Scalar domains: exact big rationals and tolerance-equipped complex doubles.
+"""The exact scalar domain, and the doubles a float-mode report writes.
 
 Exact values are `fractions.Fraction` instances (arbitrary precision, always
 reduced, denominator positive), printed and parsed as ``p/q``.  Operators
-store them as Python-int numerators over one common denominator; each domain
+store them as Python-int numerators over one common denominator; the domain
 supplies the three hooks for that storage: ``split`` (values to numerators
 and a denominator), ``join`` (one numerator and the denominator back to a
 value) and ``common`` (the factor shared by a denominator and numerators).
-In the complex domain the numerators are the values and the denominator is
-always 1.  The
-trigonometric family of operators stays exactly computable because every
+The trigonometric family of operators stays exactly computable because every
 matrix entry is a rational function of the exponentials u_i = e^{x_i},
 t = e^{eta}, h = e^{eta*hbar}; nothing transcendental is evaluated until
 spectra are extracted in the floating-point layer.
@@ -18,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import FloatOverflow, NonPositiveTolerance
+from .errors import NonPositiveTolerance
 
 Rational = Fraction
 
@@ -29,6 +27,14 @@ def require_tolerance(tol):
         raise NonPositiveTolerance(
             f"tolerance must be finite and positive, got {tol}")
     return tol
+
+
+def to_double(q):
+    """The double of an exact value, inf beyond the double range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 class RationalDomain:
@@ -63,47 +69,6 @@ class RationalDomain:
 
     def __repr__(self):
         return "RationalDomain()"
-
-
-class ComplexDomain:
-    """Complex doubles; equality is relative with an absolute floor at 1."""
-
-    zero = complex(0)
-    one = complex(1)
-
-    def __init__(self, tol: float = 1e-10):
-        self.threshold = require_tolerance(tol)
-
-    def coerce(self, x):
-        try:
-            z = complex(x)
-        except OverflowError as exc:
-            raise FloatOverflow(f"{x} exceeds double range") from exc
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError(f"non-finite scalar {x!r} not admitted")
-        return z
-
-    @staticmethod
-    def residual(a, b):
-        """|a - b| / max(1, |a|, |b|); inf where that is NaN, so that no
-        running maximum or threshold comparison can pass over it."""
-        r = abs(a - b) / max(1.0, abs(a), abs(b))
-        return math.inf if math.isnan(r) else r
-
-    @staticmethod
-    def split(values):
-        return list(values), 1
-
-    @staticmethod
-    def join(num, den):
-        return complex(num)
-
-    @staticmethod
-    def common(den, nums):
-        return 1
-
-    def __repr__(self):
-        return f"ComplexDomain(tol={self.threshold!r})"
 
 
 EXACT = RationalDomain()

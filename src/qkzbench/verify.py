@@ -93,7 +93,7 @@ def check_omega_invariance(cfg):
                     R = r_trig(space, i, i - 1, u, t, dom)
                     yield covector_residual(R.push_left(*w), target, space, dom)
 
-    return verdict("omega", dom, comparisons(), params={"flavor": cfg.flavor})
+    return verdict("omega", comparisons(), params={"flavor": cfg.flavor})
 
 
 def check_k_projection(cfg, i):
@@ -116,7 +116,7 @@ def check_k_projection(cfg, i):
         for j in range(i - 1, 0, -1):
             pprod = permutation(space, i, j, dom).push_left(*pprod)
         comparisons.append(covector_residual(left, pprod, space, dom))
-    return verdict("k-projection", dom, comparisons, params={"i": i})
+    return verdict("k-projection", comparisons, params={"i": i})
 
 
 def _right_side(cfg0, w0, sites, right_sides):
@@ -159,7 +159,7 @@ def check_proposition_higher(cfg, sites, right_sides=None):
         lhs = qkz_covector_numerators(cfg, lhs, sites[pos - 1], sites[: pos - 1])
     rhs = _right_side(cfg.at_hbar_zero(), w0, sites,
                       {} if right_sides is None else right_sides)
-    return verdict("proposition-higher", dom, [covector_residual(
+    return verdict("proposition-higher", [covector_residual(
         lhs, rhs, space, dom)], params={"sites": sites})
 
 
@@ -189,7 +189,7 @@ class SectorSums:
         self.ops = [H.restrict(sector) for H in ops]
         self.identity = ChainOperator.identity(self.space, dom)
         self.det_sums = []
-        self.commutator = largest_residual(dom, ())  # no pairs below n = 2
+        self.commutator = largest_residual(())  # no pairs below n = 2
         minors = principal_minors(cfg)
         level = {(): self.identity}
         for k in range(cfg.n + 1):
@@ -199,7 +199,7 @@ class SectorSums:
                          for S in itertools.combinations(range(cfg.n), k)}
             if k == 2:
                 self.commutator = largest_residual(
-                    dom, (P.residual(self.ops[b] @ self.ops[a])
+                    (P.residual(self.ops[b] @ self.ops[a])
                           for (a, b), P in level.items()))
             sign = dom.coerce((-1) ** k)
             self.det_sums.append(ChainOperator.combination(
@@ -323,7 +323,7 @@ def check_det_identity(cfg, sector, hamiltonians=None):
     for k, coeff in enumerate(table.det_sums):
         expect = dom.coerce((-1) ** k) * elementary_symmetric(multiset, k)
         comparisons.append(coeff.residual(table.identity.scaled(expect)))
-    return verdict("det-identity", dom, comparisons, sector=sector)
+    return verdict("det-identity", comparisons, sector=sector)
 
 
 def _cauchy_weights(cfg, d):
@@ -383,7 +383,7 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     sign = dom.coerce((-1) ** d)
     comparisons.append(
         table.det_sums[d].residual(table.identity.scaled(sign * value)))
-    return verdict("symmetric-identity", dom, comparisons, sector=sector,
+    return verdict("symmetric-identity", comparisons, sector=sector,
                    params={"d": d})
 
 
@@ -421,5 +421,5 @@ def check_macdonald_eigenvalue(cfg, sector, d):
     trace = sign * lhs.trace()
     comparisons.append((dom.residual(trace, energy * dom.coerce(lhs.space.dim)),
                         "sector trace"))
-    return verdict("macdonald-eigenvalue", dom, comparisons, sector=sector,
+    return verdict("macdonald-eigenvalue", comparisons, sector=sector,
                    params={"d": d})

@@ -37,7 +37,7 @@ from qkzbench.errors import (
     PoleHit,
 )
 from qkzbench.rmatrix import r_factor, sinh_ratio_down
-from qkzbench.scalars import ComplexDomain
+from qkzbench.scalars import to_double
 from qkzbench.tensor import (
     ChainOperator,
     Space,
@@ -166,20 +166,6 @@ def test_config_holds_one_parameter_triple():
     # a rational chain has nowhere to keep a trigonometric parameter
     with pytest.raises(TypeError):
         dataclasses.replace(cfg, t=Fraction(2))
-
-
-@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
-def test_to_domain_keeps_describe(make):
-    cfg = make()
-    desc = cfg.describe()
-    assert cfg.to_domain(cfg.domain).describe() == desc
-    floats = cfg.to_domain(ComplexDomain(1e-10)).describe()
-    assert list(floats) == list(desc)
-    coupling, step, points = chain.PARAMETERS[cfg.flavor]
-    assert floats[coupling] == str(complex(cfg.coupling))
-    assert floats[step] == str(complex(cfg.step))
-    assert floats[points] == [str(complex(p)) for p in cfg.points]
-    assert floats["g"] == [str(complex(v)) for v in cfg.g]
 
 
 @pytest.mark.parametrize("v", [Fraction(3), Fraction(-2, 5), Fraction(7, 3)])
@@ -369,10 +355,14 @@ def test_transfer_matrix_equals_monodromy_reference(cfg):
 
 @pytest.mark.parametrize("cfg", _transfer_configs(), ids=TRANSFER_IDS)
 def test_transfer_matrix_equals_monodromy_reference_in_floats(cfg):
-    cfg = cfg.to_domain(ComplexDomain(1e-12))
-    for x0 in _fresh_points(cfg, 3):
-        res, _ = transfer_matrix(cfg, x0).residual(_reference_transfer(cfg, x0))
-        assert res <= cfg.domain.threshold, x0
+    # a float-mode run reads the exact T(x) too; the doubles of its entries
+    # are those of the exact reference, entry by entry, at points off the
+    # sample grid as well
+    for x0 in _fresh_points(cfg, 3) + [Fraction(-11, 4), Fraction(23, 6)]:
+        got, want = (
+            {(r, c): to_double(v) for r, c, v in op.entries()}
+            for op in (transfer_matrix(cfg, x0), _reference_transfer(cfg, x0)))
+        assert got == want, x0
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
@@ -623,25 +613,6 @@ def test_hamiltonian_is_built_once_per_config_and_site():
     assert hamiltonian(cfg, 1) is not hamiltonian(cfg, 2)
 
 
-def test_hamiltonian_memo_never_crosses_domains():
-    # dyadic parameters: the float config holds the same values, so it
-    # differs from the exact one only in its domain
-    exact = ModelConfig.rational(2, 3, ETA, Fraction(1, 4),
-                                 (Fraction(0), Fraction(1, 4), Fraction(5, 4)), G2)
-    floats = exact.to_domain(ComplexDomain(1e-10))
-    other = exact.to_domain(ComplexDomain(1e-10))
-    assert dataclasses.replace(floats, domain=exact.domain) == exact
-    assert floats != exact and floats != other
-    H_exact = hamiltonian(exact, 1)
-    assert hamiltonian(floats, 1).domain is floats.domain
-    assert hamiltonian(other, 1).domain is other.domain
-    assert hamiltonian(exact, 1) is H_exact and H_exact.domain is exact.domain
-    as_float = ChainOperator.from_entries(
-        floats.space(), ((r, c, complex(v)) for r, c, v in H_exact.entries()),
-        floats.domain)
-    assert hamiltonian(floats, 1).residual(as_float)[0] < 1e-12
-
-
 def test_hamiltonian_memo_does_not_keep_its_config_alive():
     cfg = ModelConfig.rational(2, 2, ETA, HBAR, (Fraction(7), Fraction(11)), G2)
     hamiltonian(cfg, 1)
@@ -670,7 +641,7 @@ def _count_builds(monkeypatch):
     return builds
 
 
-@pytest.mark.parametrize("name", ["trig", "rational"])
+@pytest.mark.parametrize("name", ["trig", "rational", "trig-float", "rational-float"])
 def test_a_full_verify_builds_each_factor_once(name, monkeypatch):
     builds = _count_builds(monkeypatch)
     results = cli.run(cli.load_config(DATA / f"{name}.cfg")).results
@@ -735,21 +706,6 @@ def test_factor_memo_does_not_keep_its_config_alive():
     del cfg, cfg0
     gc.collect()
     assert [ref() for ref in refs] == [None] * 4
-
-
-def test_factor_memo_never_crosses_domains():
-    # dyadic parameters: the float factors sit under keys equal to the exact
-    # ones, in the table of another config
-    exact = ModelConfig.rational(2, 3, ETA, Fraction(1, 4),
-                                 (Fraction(0), Fraction(1, 4), Fraction(5, 4)), G2)
-    floats = exact.to_domain(ComplexDomain(1e-10))
-    for i in (1, 2, 3):
-        qkz_operator(exact, i)
-        qkz_operator(floats, i)
-    tables = [c.at_hbar_zero()._builds for c in (exact, floats)]
-    assert tables[0] is not tables[1] and set(tables[0]) == set(tables[1])
-    for cfg, table in zip((exact, floats), tables):
-        assert all(F.domain is cfg.domain for F in table.values())
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])

@@ -17,7 +17,7 @@ from qkzbench.rmatrix import (
     sinh_ratio_down,
     sinh_ratio_up,
 )
-from qkzbench.scalars import EXACT, ComplexDomain
+from qkzbench.scalars import to_double
 from qkzbench.tensor import ChainOperator, Space, permutation, q_permutation
 
 ETA = Fraction(1, 2)
@@ -172,18 +172,18 @@ def test_twist_commutation(flavor):
 
 # --------------------------------------------------- one-pass builds, values
 
-def _sum_forms(space, i, j, arg, coupling, dom):
+def _sum_forms(space, i, j, arg, coupling):
     """Each R builder written as the sum of full-space operators it stands
     for, built on demand (a builder's poles differ from the others')."""
-    I = ChainOperator.identity(space, dom)
-    P = permutation(space, i, j, dom)
-    Q = q_permutation(space, i, j, coupling, dom)
-    x, c = dom.coerce(arg), dom.coerce(coupling)
+    I = ChainOperator.identity(space)
+    P = permutation(space, i, j)
+    Q = q_permutation(space, i, j, coupling)
+    x, c = arg, coupling
     return {
         r_rational: lambda: P.scaled(c / (x + c)) + I.scaled(x / (x + c)),
         r_rational_tilde: lambda: I + P.scaled(c / x),
-        r_trig: lambda: P + (I - Q).scaled(sinh_ratio_up(x, c, dom)),
-        r_trig_tilde: lambda: I - Q + P.scaled(sinh_ratio_down(x, c, dom)),
+        r_trig: lambda: P + (I - Q).scaled(sinh_ratio_up(x, c)),
+        r_trig_tilde: lambda: I - Q + P.scaled(sinh_ratio_down(x, c)),
     }
 
 
@@ -198,25 +198,50 @@ _BUILDER_ARGS = {
 }
 
 
-@pytest.mark.parametrize("dom", [EXACT, ComplexDomain(1e-10)], ids=["exact", "float"])
+def _sums_in_doubles(space, i, j, arg, coupling):
+    """The same sums as _sum_forms, their coefficients evaluated in doubles:
+    {builder: {(row, col): double}} over the exact entries of I, P and Pq."""
+    I, P, Q = ({(r, c): float(v) for r, c, v in op.entries()} for op in (
+        ChainOperator.identity(space), permutation(space, i, j),
+        q_permutation(space, i, j, coupling)))
+    x, c = float(arg), float(coupling)
+
+    def combine(*terms):
+        out = {}
+        for s, op in terms:
+            for key, v in op.items():
+                out[key] = out.get(key, 0.0) + s * v
+        return {key: v for key, v in out.items() if v != 0}
+
+    up = c * (x * x - 1) / (x * x * c * c - 1)  # sinh x / sinh(x + eta)
+    return {
+        r_rational: lambda: combine((c / (x + c), P), (x / (x + c), I)),
+        r_rational_tilde: lambda: combine((1.0, I), (c / x, P)),
+        r_trig: lambda: combine((1.0, P), (up, I), (-up, Q)),
+        r_trig_tilde: lambda: combine((1.0, I), (-1.0, Q), (1 / up, P)),
+    }
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("N,n,i,j",
                          [(2, 3, 1, 3), (2, 3, 3, 2), (3, 3, 2, 1), (3, 2, 1, 2)])
-def test_one_pass_builds_keep_the_order_of_their_sums(dom, N, n, i, j):
+def test_one_pass_builds_keep_the_order_of_their_sums(mode, N, n, i, j):
     # each builder hands its entries to swap_embed directly; they are the
-    # values of the operator sum it stands for, exactly over Fraction and
-    # within 4 ulp in complex doubles
+    # values of the operator sum it stands for, exactly over Fraction, and
+    # their doubles lie within 4 ulp of that sum evaluated in doubles
     sp = Space(N, n)
     for build, args in _BUILDER_ARGS.items():
         for arg in args:
-            got = {(r, c): v for r, c, v in build(sp, i, j, arg, Fraction(2), dom)
+            got = {(r, c): v for r, c, v in build(sp, i, j, arg, Fraction(2))
                    .entries()}
-            want = {(r, c): v for r, c, v in _sum_forms(
-                sp, i, j, arg, Fraction(2), dom)[build]().entries()}
-            if dom is EXACT:
+            if mode == "exact":
+                want = {(r, c): v for r, c, v in _sum_forms(
+                    sp, i, j, arg, Fraction(2))[build]().entries()}
                 assert got == want, (build.__name__, arg)
                 continue
+            want = _sums_in_doubles(sp, i, j, arg, Fraction(2))[build]()
             assert set(got) == set(want), (build.__name__, arg)
             for key, v in got.items():
-                w = want[key]
+                v, w = to_double(v), want[key]
                 assert abs(v - w) <= 4 * math.ulp(max(abs(v), abs(w))), (
                     build.__name__, arg, key, v, w)
