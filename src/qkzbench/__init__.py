@@ -8,14 +8,13 @@ Lax matrices numerically.
 """
 
 from .chain import ModelConfig, hamiltonian, qkz_operator, transfer_matrix
-from .scalars import EXACT, Rational
+from .scalars import Rational
 from .tensor import ChainOperator, Space
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChainOperator",
-    "EXACT",
     "ModelConfig",
     "Rational",
     "Space",

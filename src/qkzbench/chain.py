@@ -20,7 +20,6 @@ from fractions import Fraction
 from .errors import BadColor, BadSite, GenericPositionViolation
 from .report import verdict
 from .rmatrix import r_factor, sinh_exp
-from .scalars import EXACT
 from .tensor import ChainOperator, shared_space, site_embed, weight_of
 
 RATIONAL = "rational"
@@ -53,7 +52,6 @@ class ModelConfig:
     coupling: object
     step: object
     points: tuple
-    domain: object = EXACT
 
     # ------------------------------------------------------------ builders
     @classmethod
@@ -141,7 +139,7 @@ class ModelConfig:
     def _hbar_off(self):
         # None if the step is off already: a config holding itself would be
         # a reference cycle
-        off = self.domain.coerce(0) if self.is_rational else self.domain.one
+        off = Fraction(0 if self.is_rational else 1)
         if self.step == off:
             return None
         return dataclasses.replace(self, step=off)
@@ -202,7 +200,7 @@ def _r_factor(cfg, space, i, j, pos, plus, tilde):
     if plus:
         arg = cfg.shifted(arg)
     return _memo_factor(cfg, tilde, ("R", i, j, arg), functools.partial(
-        r_factor, cfg.flavor, space, i, j, arg, cfg.coupling, cfg.domain, tilde))
+        r_factor, cfg.flavor, space, i, j, arg, cfg.coupling, tilde))
 
 
 def _chain_factors(cfg, i, shifted_sites, tilde):
@@ -219,7 +217,7 @@ def _chain_factors(cfg, i, shifted_sites, tilde):
     for j in range(i - 1, 0, -1):
         yield _r_factor(cfg, space, i, j, pos, not tilde, tilde)
     yield _memo_factor(cfg, tilde, ("g", i), functools.partial(
-        site_embed, space, cfg.twist_table(), i, cfg.domain))
+        site_embed, space, cfg.twist_table(), i))
     for j in range(cfg.n, i, -1):
         yield _r_factor(cfg, space, i, j, pos, False, tilde)
 
@@ -249,7 +247,7 @@ def qkz_covector_numerators(cfg, cov, i, shifted_sites=(), left_block=False):
     arithmetic, without the N^n x N^n product.  With left_block, only the
     shifted R factors left of the twist are applied.  The covector is a
     (numerators, den) pair in and out, each push reduces it once
-    (ChainOperator.push_left), and no domain value is formed."""
+    (ChainOperator.push_left), and no Fraction is formed."""
     factors = _chain_factors(cfg, i, shifted_sites, tilde=False)
     for k, f in enumerate(factors):
         if left_block and k == i - 1:
@@ -271,13 +269,13 @@ def hamiltonian(cfg, i):
 def hamiltonian_sum(cfg):
     """H_1 + ... + H_n, built once per config."""
     return memo(cfg, "H sum", lambda: ChainOperator.combination(
-        [(cfg.domain.one, hamiltonian(cfg, i)) for i in range(1, cfg.n + 1)]))
+        [(1, hamiltonian(cfg, i)) for i in range(1, cfg.n + 1)]))
 
 
 def hamiltonian_prefactor(cfg, i):
     """The scalar relating H_i to K_i^(0): the product over j != i of
     sinh(r + eta) / sinh(r), r the argument of site i against site j."""
-    f = cfg.domain.one
+    f = Fraction(1)
     p = cfg.points[i - 1]
     for j, q in enumerate(cfg.points, start=1):
         if j != i:
@@ -291,9 +289,7 @@ def weight_operator(cfg, a):
     if not (1 <= a <= cfg.N):
         raise BadColor(f"color {a} outside 1..{cfg.N}")
     space = cfg.space()
-    dom = cfg.domain
-    values = [dom.coerce(J.count(a)) for J in space.states]
-    return ChainOperator.diagonal(space, values, dom)
+    return ChainOperator.diagonal(space, [J.count(a) for J in space.states])
 
 
 # ------------------------------------------------------------ transfer matrix
@@ -307,7 +303,7 @@ def transfer_matrix(cfg, x0):
     site 1.  The longer chain is not validated, because x0 - x_j = +-eta is no
     pole of R~.  Built once per config and point.
     """
-    x0 = cfg.domain.coerce(x0)
+    x0 = Fraction(x0)
     ext = dataclasses.replace(cfg, n=cfg.n + 1, points=(x0,) + cfg.points)
     return memo(cfg, ("T", x0),
                 lambda: _chain_product(ext, 1, (), tilde=True).trace_first_site())
@@ -317,11 +313,9 @@ def _fresh_points(cfg, count):
     """Deterministic spectral sample points avoiding all poles of T."""
     pts = []
     k = 0
-    dom = cfg.domain
     while len(pts) < count:
-        cand = Fraction(17 + 29 * k, 13)
+        c = Fraction(17 + 29 * k, 13)
         k += 1
-        c = dom.coerce(cand)
         if all(cfg.sinh(cfg.relative(c, p)) != 0 for p in cfg.points):
             pts.append(c)
     return pts
@@ -330,26 +324,22 @@ def _fresh_points(cfg, count):
 def twist_weight_exponential(cfg, sign):
     """Diagonal operator sum_a g_a t^{+- M_a} (trigonometric boundary values)."""
     space = cfg.space()
-    dom, t = cfg.domain, cfg.coupling
+    t = cfg.coupling
     values = []
     for J in space.states:
         w = weight_of(J, cfg.N)
-        s = dom.zero
-        for a in range(cfg.N):
-            s = s + cfg.g[a] * t ** (sign * w[a])
-        values.append(s)
-    return ChainOperator.diagonal(space, values, dom)
+        values.append(sum(cfg.g[a] * t ** (sign * w[a]) for a in range(cfg.N)))
+    return ChainOperator.diagonal(space, values)
 
 
 def _expansion_residuals(cfg, pts):
     """T(x) against its pole expansion at each sample, then (trigonometric
     flavor) the two boundary values."""
-    dom = cfg.domain
     space = cfg.space()
     hams = [hamiltonian(cfg, i) for i in range(1, cfg.n + 1)]
     if cfg.is_rational:
-        eta, x, trace_g = cfg.coupling, cfg.points, sum(cfg.g, dom.zero)
-        identity = ChainOperator.identity(space, dom)
+        eta, x, trace_g = cfg.coupling, cfg.points, sum(cfg.g)
+        identity = ChainOperator.identity(space)
         for s in pts:
             rhs = ChainOperator.combination(
                 [(trace_g, identity)] + [(eta / (s - xj), H) for xj, H in zip(x, hams)])
@@ -370,7 +360,7 @@ def _expansion_residuals(cfg, pts):
     total = hamiltonian_sum(cfg)
     for sign in (1, -1):
         rhs = ChainOperator.combination(
-            [(dom.one, const), (sh if sign > 0 else -sh, total)])
+            [(1, const), (sh if sign > 0 else -sh, total)])
         yield rhs.residual(twist_weight_exponential(cfg, sign))
 
 
@@ -395,13 +385,11 @@ def pole_expansion(cfg):
 def twist_sinh_sum(cfg, weight):
     """sum_a g_a sinh(eta M_a)/sinh(eta) at the weight (M_1, ..., M_N),
     evaluated as sum_a g_a (t^{M_a} - t^{-M_a}) / (t - 1/t)."""
-    dom, t = cfg.domain, cfg.coupling
+    t = cfg.coupling
     tinv = 1 / t
     den = t - tinv
-    s = dom.zero
-    for a in range(cfg.N):
-        s = s + cfg.g[a] * (t ** weight[a] - tinv ** weight[a]) / den
-    return s
+    return sum(cfg.g[a] * (t ** weight[a] - tinv ** weight[a]) / den
+               for a in range(cfg.N))
 
 
 def sum_rule(cfg):
@@ -410,7 +398,6 @@ def sum_rule(cfg):
     Rational: sum_i H_i = sum_a g_a M_a.  Trigonometric: the right-hand side
     is twist_sinh_sum evaluated at the weight of each basis state.
     """
-    dom = cfg.domain
     space = cfg.space()
     lhs = hamiltonian_sum(cfg)
     if cfg.is_rational:
@@ -418,7 +405,7 @@ def sum_rule(cfg):
             [(cfg.g[a - 1], weight_operator(cfg, a)) for a in range(1, cfg.N + 1)])
     else:
         values = [twist_sinh_sum(cfg, weight_of(J, cfg.N)) for J in space.states]
-        rhs = ChainOperator.diagonal(space, values, dom)
+        rhs = ChainOperator.diagonal(space, values)
     return verdict("sum-rule", [lhs.residual(rhs)],
                    params={"flavor": cfg.flavor})
 

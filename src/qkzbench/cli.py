@@ -176,38 +176,34 @@ def _draw_spectral(model, rng):
 
 
 def _check_ybe(cfg, sectors, rc, rng):
-    model, out = rc.model, []
+    out = []
     while len(out) < 3:
-        p1 = _draw_spectral(model, rng)
-        p2 = _draw_spectral(model, rng)
-        r = model.relative(p1, p2)  # the 12-argument: no pole of R or R~
-        if model.sinh(r) == 0 or model.sinh(model.coupled(r)) == 0:
+        p1 = _draw_spectral(cfg, rng)
+        p2 = _draw_spectral(cfg, rng)
+        r = cfg.relative(p1, p2)  # the 12-argument: no pole of R or R~
+        if cfg.sinh(r) == 0 or cfg.sinh(cfg.coupled(r)) == 0:
             continue
-        out.append(rmatrix.check_yang_baxter(
-            cfg.flavor, cfg.domain.coerce(p1), cfg.domain.coerce(p2),
-            cfg.coupling, cfg.N, cfg.domain))
+        out.append(rmatrix.check_yang_baxter(cfg.flavor, p1, p2, cfg.coupling, cfg.N))
     yield verdict("ybe", [(s.residual, s.witness) for s in out],
                   params={"samples": len(out)})
 
 
 def _check_unitarity(cfg, sectors, rc, rng):
-    model, out = rc.model, []
+    out = []
     while len(out) < 3:
-        p = _draw_spectral(model, rng)
-        if model.is_rational and p - model.coupling == 0:
+        p = _draw_spectral(cfg, rng)
+        if cfg.is_rational and p - cfg.coupling == 0:
             continue  # the reversed factor would sit on a pole
-        if not model.is_rational and p * p == model.coupling ** 2:
+        if not cfg.is_rational and p * p == cfg.coupling ** 2:
             continue
-        out.append(rmatrix.check_unitarity(
-            cfg.flavor, cfg.domain.coerce(p), cfg.coupling, cfg.N, cfg.domain))
+        out.append(rmatrix.check_unitarity(cfg.flavor, p, cfg.coupling, cfg.N))
     yield verdict("unitarity", [(s.residual, s.witness) for s in out],
                   params={"samples": len(out)})
 
 
 def _check_twist(cfg, sectors, rc, rng):
-    p = cfg.domain.coerce(_draw_spectral(rc.model, rng))
     yield rmatrix.check_twist_commutation(
-        cfg.flavor, p, cfg.coupling, cfg.g, cfg.N, cfg.domain)
+        cfg.flavor, _draw_spectral(cfg, rng), cfg.coupling, cfg.g, cfg.N)
 
 
 def _check_transfer_commute(cfg, sectors, rc, rng):
@@ -277,7 +273,7 @@ def _check_correspondence(cfg, sectors, rc, rng):
     from . import correspond  # the eigensolver, which an exact run never needs
     for M in sectors:
         # floats enter only at the eigensolver boundary
-        rep = correspond.check_correspondence(rc.model, M, tol=rc.tol, rng=rng)
+        rep = correspond.check_correspondence(cfg, M, tol=rc.tol, rng=rng)
         yield verdict("correspondence", [(rep.worst, None)],
                       sector=rep.sector, params={"eigenstates": len(rep.rows)},
                       threshold=rc.tol)

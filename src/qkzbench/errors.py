@@ -50,7 +50,7 @@ class NonConvergence(WorkbenchError, RuntimeError):
 
 
 class NeedsFloat(WorkbenchError, RuntimeError):
-    """Check requires the floating-point domain but mode is exact."""
+    """Check runs the eigensolver, which only mode = float includes."""
 
 
 class ParseError(WorkbenchError, ValueError):

@@ -18,9 +18,10 @@ encoding shows when they are compared.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import NonInvertibleQ, PoleHit
 from .report import verdict
-from .scalars import EXACT
 from .tensor import (
     ChainOperator,
     shared_space,
@@ -30,25 +31,23 @@ from .tensor import (
 )
 
 
-def r_rational(space, i, j, x, eta, domain=EXACT):
+def r_rational(space, i, j, x, eta):
     """(x I + eta P_ij) / (x + eta); at x = 0 this is the plain swap."""
-    x = domain.coerce(x)
-    eta = domain.coerce(eta)
+    x, eta = Fraction(x), Fraction(eta)
     den = x + eta
     if den == 0:
         raise PoleHit(f"spectral point x = -eta = {x}")
     p = eta / den
-    return swap_embed(space, i, j, x / den, domain.one, (p, p), domain)
+    return swap_embed(space, i, j, x / den, 1, (p, p))
 
 
-def r_rational_tilde(space, i, j, x, eta, domain=EXACT):
+def r_rational_tilde(space, i, j, x, eta):
     """I + (eta/x) P_ij, the variant normalized to 1 at infinity times (x+eta)/x."""
-    x = domain.coerce(x)
-    eta = domain.coerce(eta)
+    x, eta = Fraction(x), Fraction(eta)
     if x == 0:
         raise PoleHit("spectral point x = 0")
-    one, p = domain.one, eta / x
-    return swap_embed(space, i, j, one, one + p, (p, p), domain)
+    p = eta / x
+    return swap_embed(space, i, j, 1, 1 + p, (p, p))
 
 
 def sinh_exp(v):
@@ -56,37 +55,33 @@ def sinh_exp(v):
     return (v - 1 / v) / 2
 
 
-def sinh_ratio_up(u, t, domain=EXACT):
+def sinh_ratio_up(u, t):
     """sinh(x) / sinh(x + eta) as a rational function of u = e^x, t = e^eta."""
-    u = domain.coerce(u)
-    t = domain.coerce(t)
+    u, t = Fraction(u), Fraction(t)
     den = u * u * t * t - 1
     if den == 0:
         raise PoleHit("sinh(x + eta) = 0, i.e. (u t)^2 = 1")
     return t * (u * u - 1) / den
 
 
-def sinh_ratio_down(u, t, domain=EXACT):
+def sinh_ratio_down(u, t):
     """sinh(x + eta) / sinh(x) in the same exponential variables."""
-    u = domain.coerce(u)
-    t = domain.coerce(t)
+    u, t = Fraction(u), Fraction(t)
     den = t * (u * u - 1)
     if den == 0:
         raise PoleHit("sinh(x) = 0, i.e. u^2 = 1")
     return (u * u * t * t - 1) / den
 
 
-def r_trig(space, i, j, u, t, domain=EXACT):
+def r_trig(space, i, j, u, t):
     """P_ij + [sinh x / sinh(x+eta)] (I - Pq_ij) with q = t, u = e^x."""
     if u == 0:
         raise NonInvertibleQ("u = e^x must be nonzero")
-    s = sinh_ratio_up(u, t, domain)
-    one, q = domain.one, domain.coerce(t)
-    swap = (one - s * q, one - s * (1 / q))
-    return swap_embed(space, i, j, s, one, swap, domain)
+    s, q = sinh_ratio_up(u, t), Fraction(t)
+    return swap_embed(space, i, j, s, 1, (1 - s * q, 1 - s * (1 / q)))
 
 
-def r_trig_entrywise(space, i, j, u, t, domain=EXACT):
+def r_trig_entrywise(space, i, j, u, t):
     """The same trigonometric R-matrix from its explicit entry table.
 
     Diagonal: 1 on equal letters, sinh x / sinh(x+eta) on distinct ones;
@@ -94,8 +89,7 @@ def r_trig_entrywise(space, i, j, u, t, domain=EXACT):
     """
     if u == 0:
         raise NonInvertibleQ("u = e^x must be nonzero")
-    u = domain.coerce(u)
-    t = domain.coerce(t)
+    u, t = Fraction(u), Fraction(t)
     den = u * u * t * t - 1
     if den == 0:
         raise PoleHit("sinh(x + eta) = 0, i.e. (u t)^2 = 1")
@@ -104,7 +98,7 @@ def r_trig_entrywise(space, i, j, u, t, domain=EXACT):
     table = {}
     N = space.N
     for a in range(1, N + 1):
-        table[((a, a), (a, a))] = domain.one
+        table[((a, a), (a, a))] = 1
         for b in range(1, N + 1):
             if a != b:
                 table[((a, b), (a, b))] = alpha
@@ -112,19 +106,18 @@ def r_trig_entrywise(space, i, j, u, t, domain=EXACT):
         for b in range(a + 1, N + 1):
             table[((a, b), (b, a))] = beta * u
             table[((b, a), (a, b))] = beta / u
-    return two_site_embed(space, i, j, table, domain)
+    return two_site_embed(space, i, j, table)
 
 
-def r_trig_tilde(space, i, j, u, t, domain=EXACT):
+def r_trig_tilde(space, i, j, u, t):
     """I - Pq_ij + [sinh(x+eta)/sinh x] P_ij; proportional to r_trig."""
     if u == 0:
         raise NonInvertibleQ("u = e^x must be nonzero")
-    c = sinh_ratio_down(u, t, domain)
-    q = domain.coerce(t)
-    return swap_embed(space, i, j, domain.one, c, (c - q, c - 1 / q), domain)
+    c, q = sinh_ratio_down(u, t), Fraction(t)
+    return swap_embed(space, i, j, 1, c, (c - q, c - 1 / q))
 
 
-def r_factor(flavor, space, i, j, point, coupling, domain=EXACT, tilde=False):
+def r_factor(flavor, space, i, j, point, coupling, tilde=False):
     """R_ij of the given flavor, or its tilde variant, at the spectral point
     x (u = e^x) with coupling eta (t = e^eta).  Each builder is looked up
     when called, so a replaced module attribute is the one that runs."""
@@ -134,10 +127,10 @@ def r_factor(flavor, space, i, j, point, coupling, domain=EXACT, tilde=False):
         build = r_trig_tilde if tilde else r_trig
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return build(space, i, j, point, coupling, domain)
+    return build(space, i, j, point, coupling)
 
 
-def check_yang_baxter(flavor, point1, point2, coupling, N, domain=EXACT):
+def check_yang_baxter(flavor, point1, point2, coupling, N):
     """Triple-product test R12 R13 R23 = R23 R13 R12 on V^(tensor 3).
 
     point1/point2 are the two independent spectral values (x, y) in the
@@ -145,13 +138,11 @@ def check_yang_baxter(flavor, point1, point2, coupling, N, domain=EXACT):
     the 12-argument is the difference x - y, i.e. the ratio u_x / u_y.
     """
     space = shared_space(N, 3)
-    if flavor == "rational":
-        p12 = domain.coerce(point1) - domain.coerce(point2)
-    else:
-        p12 = domain.coerce(point1) / domain.coerce(point2)
-    r12 = r_factor(flavor, space, 1, 2, p12, coupling, domain)
-    r13 = r_factor(flavor, space, 1, 3, point1, coupling, domain)
-    r23 = r_factor(flavor, space, 2, 3, point2, coupling, domain)
+    point1, point2 = Fraction(point1), Fraction(point2)
+    p12 = point1 - point2 if flavor == "rational" else point1 / point2
+    r12 = r_factor(flavor, space, 1, 2, p12, coupling)
+    r13 = r_factor(flavor, space, 1, 3, point1, coupling)
+    r23 = r_factor(flavor, space, 2, 3, point2, coupling)
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
     return verdict(
@@ -159,24 +150,24 @@ def check_yang_baxter(flavor, point1, point2, coupling, N, domain=EXACT):
         params={"flavor": flavor, "points": (str(point1), str(point2)), "N": N})
 
 
-def check_unitarity(flavor, point, coupling, N, domain=EXACT):
+def check_unitarity(flavor, point, coupling, N):
     """R_12(s) R_21(-s) = I on V^(tensor 2); -s maps to 1/u multiplicatively."""
     space = shared_space(N, 2)
-    fwd = r_factor(flavor, space, 1, 2, point, coupling, domain)
-    p = domain.coerce(point)
+    fwd = r_factor(flavor, space, 1, 2, point, coupling)
+    p = Fraction(point)
     back = r_factor(flavor, space, 2, 1, -p if flavor == "rational" else 1 / p,
-                    coupling, domain)
+                    coupling)
     return verdict(
         "unitarity",
-        [(fwd @ back).residual(ChainOperator.identity(space, domain))],
+        [(fwd @ back).residual(ChainOperator.identity(space))],
         params={"flavor": flavor, "point": str(point), "N": N})
 
 
-def check_twist_commutation(flavor, point, coupling, g, N, domain=EXACT):
+def check_twist_commutation(flavor, point, coupling, g, N):
     """[g (x) g, R(x)] = 0 for a diagonal twist g on V^(tensor 2)."""
     space = shared_space(N, 2)
-    r = r_factor(flavor, space, 1, 2, point, coupling, domain)
-    table = {(a, a): domain.coerce(ga) for a, ga in enumerate(g, start=1)}
-    gg = site_embed(space, table, 1, domain) @ site_embed(space, table, 2, domain)
+    r = r_factor(flavor, space, 1, 2, point, coupling)
+    table = {(a, a): Fraction(ga) for a, ga in enumerate(g, start=1)}
+    gg = site_embed(space, table, 1) @ site_embed(space, table, 2)
     return verdict("twist-commute", [(gg @ r).residual(r @ gg)],
                    params={"flavor": flavor, "point": str(point), "N": N})

@@ -1,15 +1,13 @@
-"""The exact scalar domain, and the doubles a float-mode report writes.
+"""Exact scalars, tolerances, and the doubles a float-mode report writes.
 
-Exact values are `fractions.Fraction` instances (arbitrary precision, always
-reduced, denominator positive), printed and parsed as ``p/q``.  Operators
-store them as Python-int numerators over one common denominator; the domain
-supplies the three hooks for that storage: ``split`` (values to numerators
-and a denominator), ``join`` (one numerator and the denominator back to a
-value) and ``common`` (the factor shared by a denominator and numerators).
-The trigonometric family of operators stays exactly computable because every
-matrix entry is a rational function of the exponentials u_i = e^{x_i},
-t = e^{eta}, h = e^{eta*hbar}; nothing transcendental is evaluated until
-spectra are extracted in the floating-point layer.
+Every scalar is a `fractions.Fraction` (arbitrary precision, always reduced,
+denominator positive) or an int, printed and parsed as ``p/q``; operators
+store them as Python-int numerators over one common denominator
+(tensor.split, tensor.join).  The trigonometric family of operators stays
+exactly computable because every matrix entry is a rational function of the
+exponentials u_i = e^{x_i}, t = e^{eta}, h = e^{eta*hbar}; nothing
+transcendental is evaluated until spectra are extracted in the
+floating-point layer.
 """
 from __future__ import annotations
 
@@ -35,40 +33,3 @@ def to_double(q):
         return float(q)
     except OverflowError:
         return math.inf if q > 0 else -math.inf
-
-
-class RationalDomain:
-    """Exact field of big rationals; equality is literal."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-    threshold = Fraction(0)
-
-    @staticmethod
-    def coerce(x):
-        return Fraction(x)
-
-    @staticmethod
-    def residual(a, b):
-        return abs(a - b)
-
-    @staticmethod
-    def split(values):
-        """Integer numerators of values over their least common denominator."""
-        den = math.lcm(*(v.denominator for v in values))
-        return [v.numerator * (den // v.denominator) for v in values], den
-
-    @staticmethod
-    def join(num, den):
-        return Fraction(num, den)
-
-    @staticmethod
-    def common(den, nums):
-        """gcd of the denominator and all the numerators."""
-        return 1 if den == 1 else math.gcd(den, *nums)
-
-    def __repr__(self):
-        return "RationalDomain()"
-
-
-EXACT = RationalDomain()

@@ -3,16 +3,18 @@
 Basis states are tuples J = (j_1, ..., j_n) with letters in 1..N; site 1 is
 the leftmost tensor factor and the linear index is big-endian,
 index(J) = sum_k (j_k - 1) * N^(n-k).  Operators are stored as row-major
-sparse maps of numerators over one common denominator (Python ints in the
-exact domain, so a product or a whole linear combination runs in integer
-arithmetic with one gcd pass), reduced and without explicit zeros; everything
-is immutable after construction.  Scalars enter and leave as domain values.
+sparse maps of Python-int numerators over one common denominator (so a
+product or a whole linear combination runs in integer arithmetic with one gcd
+pass), reduced and without explicit zeros; everything is immutable after
+construction.  Scalars enter and leave as Fractions (or ints); split, join
+and common convert between them and the stored numerators.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 from .errors import (
     BadSite,
@@ -21,7 +23,22 @@ from .errors import (
     NonInvertibleQ,
     NotBlockDiagonal,
 )
-from .scalars import EXACT
+
+
+def split(values):
+    """Integer numerators of values over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def join(num, den):
+    """The value num / den: the one place a stored numerator becomes a Fraction."""
+    return Fraction(num, den)
+
+
+def common(den, nums):
+    """gcd of the denominator and all the numerators."""
+    return 1 if den == 1 else math.gcd(den, *nums)
 
 
 def weight_of(state, N):
@@ -128,74 +145,70 @@ def shared_space(N, n, sector=None):
 
 
 class ChainOperator:
-    """Sparse linear operator on a Space over a fixed scalar domain.
+    """Sparse linear operator on a Space with exact rational entries.
 
     The matrix element sending basis column c to row r is
-    ``domain.join(rows[r][c], den)``: ``rows`` holds numerators (Python ints
-    in the exact domain) over one positive common denominator ``den``.  The
-    storage is kept reduced: gcd(den, all numerators) = 1 and no stored
-    zeros, so equal operators have equal (rows, den).  In the complex domain
-    the numerators are the values and ``den`` is 1.  Values cross the
-    interface (entry, entries, trace, apply_left, scaled, combination) as
-    domain scalars; push_left, the kernel of apply_left, takes and returns a
-    covector as (numerators, den), for a covector pushed through many
-    operators in a row, and covector_residual compares two such pairs.
+    ``Fraction(rows[r][c], den)``: ``rows`` holds Python-int numerators over
+    one positive common denominator ``den``.  The storage is kept reduced:
+    gcd(den, all numerators) = 1 and no stored zeros, so equal operators
+    have equal (rows, den).  Values cross the interface (entry, entries,
+    trace, apply_left, scaled, combination) as Fractions; push_left, the
+    kernel of apply_left, takes and returns a covector as (numerators, den),
+    for a covector pushed through many operators in a row, and
+    covector_residual compares two such pairs.
     """
 
-    __slots__ = ("space", "domain", "rows", "den")
+    __slots__ = ("space", "rows", "den")
 
-    def __init__(self, space, domain, rows, den=1):
+    def __init__(self, space, rows, den=1):
         self.space = space
-        self.domain = domain
         self.rows = rows
         self.den = den
 
     # ---------------------------------------------------------------- build
     @classmethod
-    def from_numerators(cls, space, domain, rows, den):
+    def from_numerators(cls, space, rows, den):
         """Operator from nonzero numerators over den, divided by their
         common factor with den."""
         nums = itertools.chain.from_iterable(map(dict.values, rows.values()))
-        g = domain.common(den, nums)
+        g = common(den, nums)
         if g != 1:
             den //= g
             rows = {r: {c: v // g for c, v in row.items()} for r, row in rows.items()}
-        return cls(space, domain, rows, den)
+        return cls(space, rows, den)
 
     @classmethod
-    def zero(cls, space, domain=EXACT):
-        return cls(space, domain, {})
+    def zero(cls, space):
+        return cls(space, {})
 
     @classmethod
-    def identity(cls, space, domain=EXACT):
-        (one,), _ = domain.split([domain.one])
-        return cls(space, domain, {k: {k: one} for k in range(space.dim)})
+    def identity(cls, space):
+        return cls(space, {k: {k: 1} for k in range(space.dim)})
 
     @classmethod
-    def diagonal(cls, space, values, domain=EXACT):
+    def diagonal(cls, space, values):
         """Diagonal operator from a per-basis-state list of scalars."""
-        nums, den = domain.split(list(values))
-        return cls(space, domain,
-                   {k: {k: v} for k, v in enumerate(nums) if v != 0}, den)
+        nums, den = split(list(values))
+        return cls(space, {k: {k: v} for k, v in enumerate(nums) if v != 0}, den)
 
     @classmethod
-    def from_entries(cls, space, entries, domain=EXACT):
+    def from_entries(cls, space, entries):
         """Accumulate (row, col, value) triples, dropping zeros."""
         entries = list(entries)
-        nums, den = domain.split([v for _, _, v in entries])
+        nums, den = split([v for _, _, v in entries])
         rows = {}
         for (r, c, _), v in zip(entries, nums):
             acc = rows.setdefault(r, {})
             acc[c] = acc.get(c, 0) + v
-        return cls.from_numerators(space, domain, _nonzero(rows), den)
+        return cls.from_numerators(space, _nonzero(rows), den)
 
     # ---------------------------------------------------------------- query
     def entry(self, r, c):
         v = self.rows.get(r, {}).get(c)
-        return self.domain.zero if v is None else self.domain.join(v, self.den)
+        return Fraction(0) if v is None else join(v, self.den)
 
     def entries(self):
-        join, den = self.domain.join, self.den
+        den = self.den
         for r, row in self.rows.items():
             for c, v in row.items():
                 yield r, c, join(v, den)
@@ -210,7 +223,7 @@ class ChainOperator:
             v = row.get(r)
             if v is not None:
                 t = t + v
-        return self.domain.join(t, self.den)
+        return join(t, self.den)
 
     # -------------------------------------------------------------- algebra
     def _check_compat(self, other):
@@ -220,16 +233,13 @@ class ChainOperator:
     @staticmethod
     def combination(terms):
         """sum_k s_k A_k of a nonempty list of (scalar, operator) pairs on one
-        space and domain, in one pass: the terms over one common denominator,
-        their numerators summed in term order into one row map, one reduction.
-        A complex entry is acc + s_k v as in a chain of sums; a factor 1 is skipped."""
-        first = terms[0][1]
-        dom, parts = first.domain, []
+        space, in one pass: the terms over one common denominator, their
+        numerators summed in term order into one row map, one reduction."""
+        first, parts = terms[0][1], []
         for s, op in terms:
             first._check_compat(op)
-            (p,), q = dom.split([s])
-            if p != 0:
-                parts.append((p, q * op.den, op.rows))
+            if s != 0:
+                parts.append((s.numerator, s.denominator * op.den, op.rows))
         den = math.lcm(*(d for _, d, _ in parts))
         out = {}
         for p, d, rows in parts:
@@ -241,18 +251,16 @@ class ChainOperator:
                 else:
                     for c, v in row.items():
                         acc[c] = acc.get(c, 0) + (v * f if f != 1 else v)
-        return ChainOperator.from_numerators(first.space, dom, _nonzero(out), den)
+        return ChainOperator.from_numerators(first.space, _nonzero(out), den)
 
     def __add__(self, other):
-        one = self.domain.one
-        return ChainOperator.combination([(one, self), (one, other)])
+        return ChainOperator.combination([(1, self), (1, other)])
 
     def __sub__(self, other):
-        one = self.domain.one
-        return ChainOperator.combination([(one, self), (-one, other)])
+        return ChainOperator.combination([(1, self), (-1, other)])
 
     def __neg__(self):
-        return ChainOperator.combination([(-self.domain.one, self)])
+        return ChainOperator.combination([(-1, self)])
 
     def scaled(self, s):
         return ChainOperator.combination([(s, self)])
@@ -274,13 +282,11 @@ class ChainOperator:
                 acc = {c: s for c, s in acc.items() if s != 0}
             if acc:
                 out[r] = acc
-        return ChainOperator.from_numerators(self.space, self.domain, out,
-                                             self.den * other.den)
+        return ChainOperator.from_numerators(self.space, out, self.den * other.den)
 
     def apply_left(self, cov):
         """Covector-matrix product cov . self."""
-        out, den = self.push_left(*self.domain.split(cov))
-        join = self.domain.join
+        out, den = self.push_left(*split(cov))
         return [join(s, den) for s in out]
 
     def push_left(self, nums, cden):
@@ -296,7 +302,7 @@ class ChainOperator:
             for c, v in row.items():
                 out[c] += w * v
         den = self.den * cden
-        g = self.domain.common(den, out)
+        g = common(den, out)
         if g != 1:
             den //= g
             out = [s // g for s in out]
@@ -325,7 +331,7 @@ class ChainOperator:
                         f"entry {space.states[r]} <- {space.states[c]} leaves "
                         f"sector {sub.sector}"
                     )
-        return ChainOperator.from_numerators(sub, self.domain, rows, self.den)
+        return ChainOperator.from_numerators(sub, rows, self.den)
 
     def trace_first_site(self):
         """Partial trace over tensor factor 1 of a full-space operator: the
@@ -342,16 +348,14 @@ class ChainOperator:
                 b, cc = divmod(c, sub.dim)
                 if a == b:
                     acc[cc] = acc.get(cc, 0) + v
-        return ChainOperator.from_numerators(sub, self.domain, _nonzero(rows), self.den)
+        return ChainOperator.from_numerators(sub, _nonzero(rows), self.den)
 
     # ------------------------------------------------------------ compare
     def residual(self, other):
         """Largest entrywise deviation and the basis pair where it occurs."""
         self._check_compat(other)
-        dom = self.domain
-        join, da, db = dom.join, self.den, other.den
-        worst = dom.residual(dom.zero, dom.zero)
-        witness = None
+        da, db = self.den, other.den
+        worst, witness = Fraction(0), None
         for r in set(self.rows) | set(other.rows):
             arow = self.rows.get(r, {})
             brow = other.rows.get(r, {})
@@ -360,7 +364,7 @@ class ChainOperator:
                 # equal numerators over one denominator deviate by exactly 0
                 if da == db and a == b:
                     continue
-                d = dom.residual(join(a, da), join(b, db))
+                d = abs(join(a, da) - join(b, db))
                 if d > worst:
                     worst = d
                     witness = (self.space.states[r], self.space.states[c])
@@ -369,7 +373,7 @@ class ChainOperator:
     def __eq__(self, other):
         if not isinstance(other, ChainOperator):
             return NotImplemented
-        return self.residual(other)[0] <= self.domain.threshold
+        return self.residual(other)[0] == 0
 
     __hash__ = None
 
@@ -379,33 +383,31 @@ class ChainOperator:
 
 # ------------------------------------------------------------------ covectors
 
-def omega(space, domain=EXACT):
+def omega(space):
     """Covector with every component equal to 1 over the space's basis."""
-    return [domain.one] * space.dim
+    return [Fraction(1)] * space.dim
 
 
-def omega_q(space, q, domain=EXACT):
+def omega_q(space, q):
     """Covector whose component on J is q**inversion_length(J)."""
     if q == 0:
         raise NonInvertibleQ("q must be invertible")
-    q = domain.coerce(q)
+    q = Fraction(q)
     return [q ** inversion_length(J) for J in space.states]
 
 
-def covector_residual(u, v, space, domain=EXACT):
+def covector_residual(u, v, space):
     """Largest componentwise deviation between two (numerators, den)
     covectors and its first state, by the entry rule of
     ChainOperator.residual: a value is formed only where entries differ."""
     (a, da), (b, db) = u, v
     if len(a) != space.dim or len(b) != space.dim:
         raise DimensionMismatch("covector length does not match the space")
-    join, same = domain.join, da == db
-    worst = domain.residual(domain.zero, domain.zero)
-    witness = None
+    same, worst, witness = da == db, Fraction(0), None
     for k, (x, y) in enumerate(zip(a, b)):
         if same and x == y:
             continue
-        d = domain.residual(join(x, da), join(y, db))
+        d = abs(join(x, da) - join(y, db))
         if d > worst:
             worst = d
             witness = space.states[k]
@@ -434,7 +436,7 @@ def _one_site_columns(op, N):
     return cols
 
 
-def site_embed(space, op, i, domain=EXACT):
+def site_embed(space, op, i):
     """Act with an N x N matrix {(row, col): value} on tensor factor i
     (1-based), identity elsewhere."""
     if space.sector is not None:
@@ -450,16 +452,15 @@ def site_embed(space, op, i, domain=EXACT):
             for a, v in cols.get(b, ()):
                 yield ci + (a - b) * step, ci, v
 
-    return ChainOperator.from_entries(space, entries(), domain)
+    return ChainOperator.from_entries(space, entries())
 
 
-def permutation(space, i, j, domain=EXACT):
+def permutation(space, i, j):
     """Swap of the tensor factors at sites i and j."""
-    one = domain.one
-    return swap_embed(space, i, j, 0, one, (one, one), domain)
+    return swap_embed(space, i, j, 0, 1, (1, 1))
 
 
-def q_permutation(space, i, j, q, domain=EXACT):
+def q_permutation(space, i, j, q):
     """Deformed swap: letters (a at site i, b at site j) are exchanged with a
     factor q when a < b, 1/q when a > b, and 1 when a = b.
 
@@ -468,11 +469,11 @@ def q_permutation(space, i, j, q, domain=EXACT):
     _check_pair(space, i, j)
     if q == 0:
         raise NonInvertibleQ("q must be invertible")
-    q = domain.coerce(q)
-    return swap_embed(space, i, j, 0, domain.one, (q, 1 / q), domain)
+    q = Fraction(q)
+    return swap_embed(space, i, j, 0, 1, (q, 1 / q))
 
 
-def two_site_embed(space, i, j, table, domain=EXACT):
+def two_site_embed(space, i, j, table):
     """Operator acting on factors (i, j) from a table {((c, d), (a, b)): v}.
 
     The column pair (a, b) holds the letters at (site i, site j) and (c, d)
@@ -497,10 +498,10 @@ def two_site_embed(space, i, j, table, domain=EXACT):
                     ) from None
                 yield ri, ci, v
 
-    return ChainOperator.from_entries(space, entries(), domain)
+    return ChainOperator.from_entries(space, entries())
 
 
-def swap_embed(space, i, j, diagonal, fixed, swap, domain=EXACT):
+def swap_embed(space, i, j, diagonal, fixed, swap):
     """Operator on the full space that keeps or exchanges the letters (a, b)
     at sites (i, j), built in one pass over the basis.
 
@@ -513,7 +514,7 @@ def swap_embed(space, i, j, diagonal, fixed, swap, domain=EXACT):
     _check_pair(space, i, j)
     if space.sector is not None:
         raise DimensionMismatch("swap_embed builds on the full space")
-    (diagonal, fixed, up, down), den = domain.split([diagonal, fixed, *swap])
+    (diagonal, fixed, up, down), den = split([diagonal, fixed, *swap])
     step = space.N ** (space.n - i) - space.N ** (space.n - j)
     rows = {}
     for k, J in enumerate(space.states):
@@ -525,4 +526,4 @@ def swap_embed(space, i, j, diagonal, fixed, swap, domain=EXACT):
         row = {c: v for c, v in row if v != 0}
         if row:
             rows[k] = row
-    return ChainOperator.from_numerators(space, domain, rows, den)
+    return ChainOperator.from_numerators(space, rows, den)

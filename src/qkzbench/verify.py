@@ -1,15 +1,14 @@
 """The identity suite: covector lemmas, higher-operator projections, the
 operator determinant identity and its symmetric-function consequences.
 
-Every check returns a CheckResult with an exact residual (0 on pass in the
-exact domain).  Checks never assume what they are supposed to prove: the
+Every check returns a CheckResult with an exact residual (0 on pass).  Checks never assume what they are supposed to prove: the
 determinant and symmetric-function checks first assert that the Hamiltonians
 commute, because the principal-minor expansion of an operator-valued
 determinant holds only for commuting entries.
 
 The covector checks keep each covector a (numerators, den) pair, from the
 flavor covector (split once per config) through every push to the
-comparison, which forms a domain value only at an entry that differs.
+comparison, which forms a Fraction only at an entry that differs.
 
 On a weight sector the determinant, symmetric-function and eigenvalue checks
 read one operator sum per degree d, det_sums[d] = (-1)^d sum_{|S|=d} det(C_SS)
@@ -39,6 +38,7 @@ from .tensor import (
     permutation,
     q_permutation,
     shared_space,
+    split,
 )
 
 _RATIONAL_ARGS = (Fraction(3, 7), Fraction(-5, 3), Fraction(12, 5))
@@ -47,9 +47,9 @@ _TRIG_ARGS = (Fraction(5, 3), Fraction(7, 2), Fraction(2, 9))
 
 def _flavor_covector(cfg):
     """<Omega| or <Omega_q| as a (numerators, den) pair, once per config."""
-    return memo(cfg, "flavor covector", lambda: cfg.domain.split(
-        omega(cfg.space(), cfg.domain) if cfg.is_rational
-        else omega_q(cfg.space(), cfg.coupling, cfg.domain)))
+    return memo(cfg, "flavor covector", lambda: split(
+        omega(cfg.space()) if cfg.is_rational
+        else omega_q(cfg.space(), cfg.coupling)))
 
 
 def check_omega_invariance(cfg):
@@ -62,36 +62,33 @@ def check_omega_invariance(cfg):
     points, at most one a pole, prove them for every x.
     """
     space = cfg.space()
-    dom = cfg.domain
     w = _flavor_covector(cfg)
 
     def comparisons():
         if cfg.is_rational:
             eta = cfg.coupling
-            args = [dom.coerce(a) for a in _RATIONAL_ARGS]
             for i in range(1, cfg.n + 1):
                 for j in range(1, cfg.n + 1):
                     if i == j:
                         continue
                     yield covector_residual(
-                        permutation(space, i, j, dom).push_left(*w), w, space, dom)
-                    for x in args:
+                        permutation(space, i, j).push_left(*w), w, space)
+                    for x in _RATIONAL_ARGS:
                         if x + eta == 0:
                             continue
-                        R = r_rational(space, i, j, x, eta, dom)
-                        yield covector_residual(R.push_left(*w), w, space, dom)
+                        R = r_rational(space, i, j, x, eta)
+                        yield covector_residual(R.push_left(*w), w, space)
         else:
             t = cfg.coupling
-            args = [dom.coerce(a) for a in _TRIG_ARGS]
             for i in range(2, cfg.n + 1):
-                pq = q_permutation(space, i, i - 1, t, dom)
-                yield covector_residual(pq.push_left(*w), w, space, dom)
-                target = permutation(space, i, i - 1, dom).push_left(*w)
-                for u in args:
+                pq = q_permutation(space, i, i - 1, t)
+                yield covector_residual(pq.push_left(*w), w, space)
+                target = permutation(space, i, i - 1).push_left(*w)
+                for u in _TRIG_ARGS:
                     if u * u * t * t == 1:
                         continue
-                    R = r_trig(space, i, i - 1, u, t, dom)
-                    yield covector_residual(R.push_left(*w), target, space, dom)
+                    R = r_trig(space, i, i - 1, u, t)
+                    yield covector_residual(R.push_left(*w), target, space)
 
     return verdict("omega", comparisons(), params={"flavor": cfg.flavor})
 
@@ -105,17 +102,16 @@ def check_k_projection(cfg, i):
     factors of K_i one at a time; K_i itself is never formed.
     """
     space = cfg.space()
-    dom = cfg.domain
     w = _flavor_covector(cfg)
     lhs = qkz_covector_numerators(cfg, w, i)
     rhs = qkz_covector_numerators(cfg.at_hbar_zero(), w, i)
-    comparisons = [covector_residual(lhs, rhs, space, dom)]
+    comparisons = [covector_residual(lhs, rhs, space)]
     if i >= 2:
         left = qkz_covector_numerators(cfg, w, i, left_block=True)
         pprod = w
         for j in range(i - 1, 0, -1):
-            pprod = permutation(space, i, j, dom).push_left(*pprod)
-        comparisons.append(covector_residual(left, pprod, space, dom))
+            pprod = permutation(space, i, j).push_left(*pprod)
+        comparisons.append(covector_residual(left, pprod, space))
     return verdict("k-projection", comparisons, params={"i": i})
 
 
@@ -152,7 +148,6 @@ def check_proposition_higher(cfg, sites, right_sides=None):
     if not sites:
         raise ValueError("need a nonempty set of distinct sites")
     space = cfg.space()
-    dom = cfg.domain
     w0 = _flavor_covector(cfg)
     lhs = w0
     for pos in range(len(sites), 0, -1):
@@ -160,7 +155,7 @@ def check_proposition_higher(cfg, sites, right_sides=None):
     rhs = _right_side(cfg.at_hbar_zero(), w0, sites,
                       {} if right_sides is None else right_sides)
     return verdict("proposition-higher", [covector_residual(
-        lhs, rhs, space, dom)], params={"sites": sites})
+        lhs, rhs, space)], params={"sites": sites})
 
 
 # --------------------------------------------------------- determinant layer
@@ -184,10 +179,9 @@ class SectorSums:
     """
 
     def __init__(self, cfg, sector, ops):
-        dom = cfg.domain
         self.space = shared_space(cfg.N, cfg.n, sector)
         self.ops = [H.restrict(sector) for H in ops]
-        self.identity = ChainOperator.identity(self.space, dom)
+        self.identity = ChainOperator.identity(self.space)
         self.det_sums = []
         self.commutator = largest_residual(())  # no pairs below n = 2
         minors = principal_minors(cfg)
@@ -201,7 +195,7 @@ class SectorSums:
                 self.commutator = largest_residual(
                     (P.residual(self.ops[b] @ self.ops[a])
                           for (a, b), P in level.items()))
-            sign = dom.coerce((-1) ** k)
+            sign = (-1) ** k
             self.det_sums.append(ChainOperator.combination(
                 [(sign * minors[S], P) for S, P in level.items()]))
 
@@ -316,12 +310,11 @@ def check_det_identity(cfg, sector, hamiltonians=None):
     (negative controls).
     """
     _require_rational(cfg, "the determinant identity")
-    dom = cfg.domain
     table = sector_sums(cfg, sector, hamiltonians)
     comparisons = [table.commutator]
     multiset = twist_targets(cfg, sector)
     for k, coeff in enumerate(table.det_sums):
-        expect = dom.coerce((-1) ** k) * elementary_symmetric(multiset, k)
+        expect = (-1) ** k * elementary_symmetric(multiset, k)
         comparisons.append(coeff.residual(table.identity.scaled(expect)))
     return verdict("det-identity", comparisons, sector=sector)
 
@@ -330,12 +323,12 @@ def _cauchy_weights(cfg, d):
     """(residual, witness) of each Cauchy weight w_S, |S| = d, against the
     principal minor det(C_SS), once per config and degree."""
     def compare(S):
-        dom, sh, pts = cfg.domain, cfg.sinh(cfg.coupling), cfg.points
-        weight = dom.one
+        sh, pts = cfg.sinh(cfg.coupling), cfg.points
+        weight = Fraction(1)
         for a, b in itertools.combinations(S, 2):
             diff = cfg.sinh(cfg.relative(pts[a], pts[b]))
-            weight = weight / (dom.one - sh * sh / (diff * diff))
-        return dom.residual(weight, principal_minors(cfg)[S]), ("Cauchy weight", S)
+            weight = weight / (1 - sh * sh / (diff * diff))
+        return abs(weight - principal_minors(cfg)[S]), ("Cauchy weight", S)
 
     return memo(cfg, ("Cauchy weights", d), lambda: [
         compare(S) for S in itertools.combinations(range(cfg.n), d)])
@@ -357,18 +350,14 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     _require_rational(cfg, "the symmetric-function identity")
     if not (1 <= d <= cfg.n):
         raise ValueError(f"need 1 <= d <= n, got d={d}")
-    dom = cfg.domain
     table = sector_sums(cfg, sector, hamiltonians)
     comparisons = [table.commutator]
     comparisons += _cauchy_weights(cfg, d)
-    ps = [
-        sum((m * g ** k for m, g in zip(sector, cfg.g)), dom.zero)
-        for k in range(1, d + 1)
-    ]
+    ps = [sum(m * g ** k for m, g in zip(sector, cfg.g)) for k in range(1, d + 1)]
     value = elementary_from_power_sums(ps, d)
 
     comparisons.append((
-        dom.residual(value, elementary_symmetric(twist_targets(cfg, sector), d)),
+        abs(value - elementary_symmetric(twist_targets(cfg, sector), d)),
         ("multiset form", d)))
     if d == 1:
         explicit = ps[0]
@@ -377,12 +366,11 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     elif d == 3:
         explicit = ps[0] ** 3 / 6 - ps[1] * ps[0] / 2 + ps[2] / 3
     if d <= 3:
-        comparisons.append((dom.residual(value, explicit),
+        comparisons.append((abs(value - explicit),
                             ("power-sum expansion", d)))
 
-    sign = dom.coerce((-1) ** d)
     comparisons.append(
-        table.det_sums[d].residual(table.identity.scaled(sign * value)))
+        table.det_sums[d].residual(table.identity.scaled((-1) ** d * value)))
     return verdict("symmetric-identity", comparisons, sector=sector,
                    params={"d": d})
 
@@ -397,16 +385,15 @@ def check_macdonald_eigenvalue(cfg, sector, d):
     cross-checked against the multiplicative-string sum
     sum_a sum_alpha g_a t^{2 alpha - M_a + 1}, against H_1 + ... + H_n.
     """
-    dom = cfg.domain
     comparisons = []
     if cfg.is_rational:
         if not (1 <= d <= cfg.n):
             raise ValueError(f"need 1 <= d <= n, got d={d}")
         energy = elementary_symmetric(twist_targets(cfg, sector), d)
         if d == 1:
-            direct = sum((m * g for m, g in zip(sector, cfg.g)), dom.zero)
-            comparisons.append((dom.residual(energy, direct), "weighted twist sum"))
-        sign = dom.coerce((-1) ** d)
+            direct = sum(m * g for m, g in zip(sector, cfg.g))
+            comparisons.append((abs(energy - direct), "weighted twist sum"))
+        sign = (-1) ** d
         lhs = sector_sums(cfg, sector).det_sums[d]
     else:
         if d != 1:
@@ -414,12 +401,11 @@ def check_macdonald_eigenvalue(cfg, sector, d):
                 "only the first trigonometric eigenvalue is part of the suite"
             )
         energy = twist_sinh_sum(cfg, sector)
-        strings = sum(twist_targets(cfg, sector), dom.zero)
-        comparisons.append((dom.residual(energy, strings), "string sum"))
-        sign = dom.one
+        strings = sum(twist_targets(cfg, sector))
+        comparisons.append((abs(energy - strings), "string sum"))
+        sign = 1
         lhs = hamiltonian_sum(cfg).restrict(sector)
     trace = sign * lhs.trace()
-    comparisons.append((dom.residual(trace, energy * dom.coerce(lhs.space.dim)),
-                        "sector trace"))
+    comparisons.append((abs(trace - energy * lhs.space.dim), "sector trace"))
     return verdict("macdonald-eigenvalue", comparisons, sector=sector,
                    params={"d": d})

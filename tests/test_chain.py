@@ -43,6 +43,7 @@ from qkzbench.tensor import (
     Space,
     all_sectors,
     site_embed,
+    split,
 )
 
 ETA = Fraction(1, 2)
@@ -160,7 +161,7 @@ def test_validate_matches_the_hand_written_pole_conditions(data):
 
 def test_config_holds_one_parameter_triple():
     assert [f.name for f in dataclasses.fields(ModelConfig)] == [
-        "flavor", "N", "n", "g", "coupling", "step", "points", "domain"]
+        "flavor", "N", "n", "g", "coupling", "step", "points"]
     cfg = rational_cfg()
     assert (cfg.coupling, cfg.step, cfg.points) == (ETA, HBAR, X3)
     # a rational chain has nowhere to keep a trigonometric parameter
@@ -303,9 +304,9 @@ def _reference_transfer(cfg, x0):
     """T(x0) from the N x N monodromy: R~_{0k}(x0 - x_k) as an N x N matrix
     of one-site chain operators, multiplied over k = n, ..., 1 and traced
     against the twist."""
-    space, dom, N = cfg.space(), cfg.domain, cfg.N
-    x0 = dom.coerce(x0)
-    ident = ChainOperator.identity(space, dom)
+    space, N = cfg.space(), cfg.N
+    x0 = Fraction(x0)
+    ident = ChainOperator.identity(space)
 
     def aux(k):
         out = {}
@@ -315,9 +316,9 @@ def _reference_transfer(cfg, x0):
                     coef = cfg.coupling / (x0 - cfg.points[k - 1])
                 else:
                     t = cfg.coupling
-                    w = dom.one if a == b else (t if a > b else 1 / t)
-                    coef = sinh_ratio_down(x0 / cfg.points[k - 1], t, dom) - w
-                op = site_embed(space, {(b, a): coef}, k, dom)
+                    w = 1 if a == b else (t if a > b else 1 / t)
+                    coef = sinh_ratio_down(x0 / cfg.points[k - 1], t) - w
+                op = site_embed(space, {(b, a): coef}, k)
                 out[(a, b)] = op + ident if a == b else op
         return out
 
@@ -391,7 +392,7 @@ def test_pole_expansion_fails_on_a_perturbed_hamiltonian(make, monkeypatch):
         c = next(iter(H.rows[r]))
         rows = dict(H.rows)
         rows[r] = {**H.rows[r], c: H.rows[r][c] + 1}
-        return ChainOperator(H.space, H.domain, rows, H.den)
+        return ChainOperator(H.space, rows, H.den)
 
     monkeypatch.setattr(chain, "hamiltonian", perturbed)
     cfg = make()
@@ -405,7 +406,7 @@ def test_transfer_commute_fails_on_a_perturbed_transfer_matrix(make, monkeypatch
     # T(x) + x E_12 at site 1
     build = chain.transfer_matrix
     monkeypatch.setattr(chain, "transfer_matrix", lambda cfg, x: build(cfg, x)
-                        + site_embed(cfg.space(), {(1, 2): x}, 1, cfg.domain))
+                        + site_embed(cfg.space(), {(1, 2): x}, 1))
     cfg = make()
     r = check_transfer_commute(cfg)
     assert not r.passed and r.residual > 0
@@ -575,7 +576,6 @@ def test_qkz_covector_equals_operator_product(cfg):
     # the numerator fold is reduced, so it equals the split of the values
     sp = cfg.space()
     w = [Fraction((-1) ** k * (k + 1), k + 3) for k in range(sp.dim)]
-    split = cfg.domain.split
     for i in range(1, cfg.n + 1):
         for S in _shift_sets(cfg, i):
             want = qkz_operator(cfg, i, S).apply_left(w)
@@ -633,10 +633,10 @@ def _count_builds(monkeypatch):
     an R builder from now on; r_factor looks the builders up when called."""
     builds = collections.Counter()
     for name in BUILDERS:
-        def counted(space, i, j, point, coupling, domain,
+        def counted(space, i, j, point, coupling,
                     name=name, build=getattr(rmatrix, name)):
             builds[name, space.n, i, j, point] += 1
-            return build(space, i, j, point, coupling, domain)
+            return build(space, i, j, point, coupling)
         monkeypatch.setattr(rmatrix, name, counted)
     return builds
 
@@ -720,10 +720,10 @@ def test_each_memoized_factor_is_a_fresh_build(make):
     assert len(table) == cfg.n + 2 * cfg.n * (cfg.n - 1)
     for key, F in table.items():
         if key[0] == "g":
-            fresh = site_embed(space, cfg.twist_table(), key[1], cfg.domain)
+            fresh = site_embed(space, cfg.twist_table(), key[1])
         else:
             _, i, j, arg = key
-            fresh = r_factor(cfg.flavor, space, i, j, arg, cfg.coupling, cfg.domain)
+            fresh = r_factor(cfg.flavor, space, i, j, arg, cfg.coupling)
         assert (F.rows, F.den) == (fresh.rows, fresh.den), key
 
 
@@ -737,8 +737,8 @@ def test_r_and_tilde_r_at_one_argument_are_distinct_entries(make):
     H = hamiltonian(cfg0, 2)
     table = cfg0._builds
     R = table["R", 2, 1, arg]
-    tilde = r_factor(cfg0.flavor, space, 2, 1, arg, cfg0.coupling, cfg0.domain, True)
-    assert R == r_factor(cfg0.flavor, space, 2, 1, arg, cfg0.coupling, cfg0.domain)
+    tilde = r_factor(cfg0.flavor, space, 2, 1, arg, cfg0.coupling, True)
+    assert R == r_factor(cfg0.flavor, space, 2, 1, arg, cfg0.coupling)
     assert R != tilde and tilde not in table.values()
     assert table["H", 2] is H != K
 

@@ -530,10 +530,10 @@ def test_float_ybe_on_the_pole_config_fails_a_perturbed_coupling(tmp_path,
     # the control: R12 built at a coupling moved by 1e-6 breaks the relation
     r_factor = rmatrix.r_factor
 
-    def perturbed(flavor, space, i, j, point, coupling, domain, tilde=False):
+    def perturbed(flavor, space, i, j, point, coupling, tilde=False):
         if space.n == 3 and (i, j) == (1, 2):
-            coupling *= 1 + 1e-6
-        return r_factor(flavor, space, i, j, point, coupling, domain, tilde)
+            coupling *= Fraction(98, 97)
+        return r_factor(flavor, space, i, j, point, coupling, tilde)
 
     monkeypatch.setattr(rmatrix, "r_factor", perturbed)
     ybe, _, _ = _ybe_pole_run(tmp_path, "float")

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qkzbench.errors import NonPositiveTolerance
-from qkzbench.scalars import EXACT, require_tolerance, to_double
+from qkzbench.scalars import require_tolerance, to_double
+from qkzbench.tensor import common, join, split
 
 
 def test_approx_eq_rejects_bad_tolerance():
@@ -53,6 +54,13 @@ def test_to_float_homomorphism(a, b):
 
 
 def test_exact_domain_contract():
-    assert EXACT.coerce(2) == Fraction(2)
-    assert EXACT.residual(Fraction(1, 2), Fraction(2, 4)) == 0
-    assert EXACT.residual(Fraction(1, 2), Fraction(-1, 4)) == Fraction(3, 4)
+    # the storage hooks of the one exact domain: values to int numerators
+    # over their least common denominator, and back
+    values = [Fraction(1, 2), 3, Fraction(-5, 6), Fraction(0)]
+    nums, den = split(values)
+    assert (nums, den) == ([3, 18, -5, 0], 6)
+    assert all(type(v) is int for v in nums + [den])
+    assert [join(v, den) for v in nums] == values
+    assert type(join(4, 2)) is Fraction and join(4, 2) == 2
+    assert common(6, [3, 18, -5]) == 1 and common(12, [6, 18]) == 6
+    assert common(1, [7, 9]) == 1

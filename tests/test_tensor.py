@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkzbench import tensor
 from qkzbench.errors import (
     BadSite,
     BadWeight,
@@ -27,10 +28,11 @@ from qkzbench.tensor import (
     permutation,
     q_permutation,
     shared_space,
+    join,
     site_embed,
+    split,
     weight_of,
 )
-from qkzbench.scalars import EXACT
 
 
 # ----------------------------------------------------------------- sectors
@@ -134,7 +136,7 @@ def test_site_embed_bad_site():
 
 def _apply(op, vec):
     """The matrix-vector product op . vec, read from the stored entries."""
-    out = [op.domain.zero] * op.space.dim
+    out = [Fraction(0)] * op.space.dim
     for r, c, v in op.entries():
         out[r] += v * vec[c]
     return out
@@ -164,7 +166,7 @@ def test_swap_builds_need_the_full_space():
 
 def test_permutation_fixes_omega():
     sp = Space(2, 3)
-    w = EXACT.split(omega(sp))
+    w = split(omega(sp))
     for i, j in itertools.permutations(range(1, 4), 2):
         res, _ = covector_residual(permutation(sp, i, j).push_left(*w), w, sp)
         assert res == 0
@@ -233,7 +235,7 @@ def test_omega_q_at_one_is_omega():
 def test_omega_q_fixed_by_descending_q_swaps():
     sp = Space(2, 3)
     q = Fraction(2)
-    wq = EXACT.split(omega_q(sp, q))
+    wq = split(omega_q(sp, q))
     for i in (2, 3):
         out = q_permutation(sp, i, i - 1, q).push_left(*wq)
         res, _ = covector_residual(out, wq, sp)
@@ -344,10 +346,9 @@ def test_inversion_length_property(state):
 
 def test_covector_residual_forms_values_only_where_entries_differ(monkeypatch):
     sp = Space(2, 3)
-    w = EXACT.split([Fraction(k + 1, 3) for k in range(sp.dim)])
+    w = split([Fraction(k + 1, 3) for k in range(sp.dim)])
     joined = []
-    join = EXACT.join
-    monkeypatch.setattr(EXACT, "join", lambda num, den: joined.append(num) or join(num, den))
+    monkeypatch.setattr(tensor, "join", lambda num, den: joined.append(num) or join(num, den))
     assert covector_residual(w, (list(w[0]), w[1]), sp) == (0, None)
     assert joined == []
     # one numerator differs: only that entry is formed, on both sides
@@ -531,26 +532,22 @@ def test_combination_needs_one_space_and_one_domain():
 
 # dyadic values keep every denominator a power of two
 dyadic_st = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 4]))
-PUSH_CASES = {
-    "exact": (EXACT, fractions_st),
-    "dyadic": (EXACT, dyadic_st),
-}
+PUSH_CASES = {"exact": fractions_st, "dyadic": dyadic_st}
 
 
 @pytest.mark.parametrize("case", PUSH_CASES)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_push_left_matches_reference_and_stays_reduced(case, data):
-    dom, values = PUSH_CASES[case]
+    values = PUSH_CASES[case]
     entries = st.lists(st.tuples(st.integers(0, SP3.dim - 1),
                                  st.integers(0, SP3.dim - 1), values), max_size=12)
     ops = data.draw(st.lists(entries, min_size=1, max_size=3))
     ref = data.draw(st.lists(values, min_size=SP3.dim, max_size=SP3.dim))
-    cov = dom.split([dom.coerce(v) for v in ref])
+    cov = split(ref)
     for ea in ops:
         a = _reference(ea)
-        A = ChainOperator.from_entries(
-            SP3, [(r, c, dom.coerce(v)) for r, c, v in ea], dom)
+        A = ChainOperator.from_entries(SP3, ea)
         cov = A.push_left(*cov)
         ref = [sum((ref[r] * v for (r, c2), v in a.items() if c2 == c), Fraction(0))
                for c in range(SP3.dim)]
@@ -558,7 +555,7 @@ def test_push_left_matches_reference_and_stays_reduced(case, data):
         assert type(den) is int and den > 0
         assert all(type(v) is int for v in nums)
         assert math.gcd(den, *nums) == 1
-        assert [dom.join(v, den) for v in nums] == [dom.coerce(v) for v in ref]
+        assert [join(v, den) for v in nums] == ref
 
 
 @settings(max_examples=60, deadline=None)
@@ -608,15 +605,11 @@ def test_trace_first_site_of_a_product_state_operator():
 def test_values_cross_the_interface_as_domain_scalars():
     # the joint eigensolver reads entry() of one-dimensional sectors and the
     # benchmark's tracer counts the bits of Fraction entries(): both need
-    # exact values
-    cases = [(EXACT, Fraction)]
-    for dom, kind in cases:
-        sp = Space(2, 2)
-        entries = [(0, 1, Fraction(3, 4)), (3, 3, Fraction(-2, 3))]
-        op = ChainOperator.from_entries(
-            sp, [(r, c, dom.coerce(v)) for r, c, v in entries], dom)
-        vec = [dom.coerce(Fraction(k + 1, 5)) for k in range(sp.dim)]
-        values = [op.entry(0, 1), op.entry(1, 2), op.trace(),
-                  ChainOperator.zero(sp, dom).trace()]
-        values += [v for _, _, v in op.entries()] + op.apply_left(vec)
-        assert all(type(v) is kind for v in values), dom
+    # Fraction values, even for int input
+    sp = Space(2, 2)
+    op = ChainOperator.from_entries(sp, [(0, 1, Fraction(3, 4)), (3, 3, -2)])
+    vec = [Fraction(k + 1, 5) for k in range(sp.dim)]
+    values = [op.entry(0, 1), op.entry(1, 2), op.trace(),
+              ChainOperator.zero(sp).trace(), ChainOperator.identity(sp).entry(1, 1)]
+    values += [v for _, _, v in op.entries()] + op.apply_left(vec) + op.apply_left([1] * 4)
+    assert all(type(v) is Fraction for v in values)

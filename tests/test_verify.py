@@ -22,6 +22,7 @@ from qkzbench.tensor import (
     covector_residual,
     omega_q,
     permutation,
+    split,
     weight_of,
 )
 from qkzbench.verify import (
@@ -65,7 +66,7 @@ def test_omega_invariance_trig():
 def test_trig_covector_needs_descending_index_order():
     # regression guard: with the reversed pair (i-1, i) the relation breaks
     sp = TCFG.space()
-    wq = TCFG.domain.split(omega_q(sp, TCFG.coupling))
+    wq = split(omega_q(sp, TCFG.coupling))
     u = Fraction(5, 3)
     lhs = r_trig(sp, 1, 2, u, TCFG.coupling).push_left(*wq)
     rhs = permutation(sp, 1, 2).push_left(*wq)
@@ -119,7 +120,7 @@ def test_proposition_rhs_order_independent():
     cfg0 = CFG.at_hbar_zero()
     from qkzbench.tensor import omega
 
-    w = CFG.domain.split(omega(sp))
+    w = split(omega(sp))
     results = []
     for order in itertools.permutations((1, 2, 3)):
         cov = w
@@ -267,11 +268,11 @@ def _bump_numerator(K):
     r = next(iter(rows))
     c = next(iter(rows[r]))
     rows[r][c] += 1
-    return ChainOperator.from_numerators(K.space, K.domain, rows, K.den)
+    return ChainOperator.from_numerators(K.space, rows, K.den)
 
 
 def _scale_denominator(K):
-    return ChainOperator.from_numerators(K.space, K.domain, K.rows, K.den * 3)
+    return ChainOperator.from_numerators(K.space, K.rows, K.den * 3)
 
 
 @pytest.mark.parametrize("change", [_bump_numerator, _scale_denominator],
@@ -894,7 +895,8 @@ def _holds_transfer(res):
     ("trig", "r_trig", (2, 1), 0, _holds_k2),
     ("rational", "r_rational_tilde", (1, 2), 1, _holds_transfer),
     ("trig", "r_trig_tilde", (1, 2), 1, _holds_transfer),
-])
+], ids=["rational-r_rational", "trig-r_trig", "rational-r_rational_tilde",
+        "trig-r_trig_tilde"])
 def test_a_perturbed_factor_entry_fails_only_where_it_enters(
         chain_file, builder, pair, extra_site, hit):
     # the swap entries of one two-site factor are scaled by 98/97: on the chain
