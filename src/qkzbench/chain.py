@@ -168,21 +168,19 @@ class ModelConfig:
 def memo(cfg, key, build):
     """build() for this config and key, called on the first request only.
 
-    The builds are the qKZ two-site factors and twists g_i (under
-    cfg.at_hbar_zero(), so that cfg and its hbar = 0 copy share them), H_i,
-    their sum, T(x), the sector sums, the principal minors, the Cauchy
-    weight comparisons and the flavor covector.  A build lives as long as
-    the config object that made it; equal configs build apart."""
+    The builds are the qKZ two-site factors ("R", i, j, argument) and
+    twists ("g", i), under cfg.at_hbar_zero() so that cfg and its hbar = 0
+    copy share them; the factor lookup ("R at", i, j, plus, i shifted,
+    j shifted), under cfg, which finds the R_ij of a chain product of cfg
+    without forming its argument; H_i, their sum, T(x), the sector
+    restrictions of the H_i and their sums, the principal minors and their
+    integer form, the Cauchy weight comparisons and the flavor covector.  A
+    build lives as long as the config object that made it; equal configs
+    build apart."""
     built = cfg._builds
     if key not in built:
         built[key] = build()
     return built[key]
-
-
-def _positions(cfg, shifted_sites):
-    """The spectral points with the qKZ shift applied at the given sites."""
-    return [cfg.shifted(p) if (k + 1) in shifted_sites else p
-            for k, p in enumerate(cfg.points)]
 
 
 def _memo_factor(cfg, tilde, key, build):
@@ -193,14 +191,24 @@ def _memo_factor(cfg, tilde, key, build):
     return build() if tilde else memo(cfg.at_hbar_zero(), key, build)
 
 
-def _r_factor(cfg, space, i, j, pos, plus, tilde):
-    """Two-site factor R_ij (or tilde) at the argument of pos_i against
-    pos_j, shifted by the qKZ step if plus."""
-    arg = cfg.relative(pos[i - 1], pos[j - 1])
+def _r_factor(cfg, space, i, j, plus, shifted, tilde):
+    """Two-site factor R_ij (or tilde) at the argument of point i against
+    point j, each moved by the qKZ step if its site is in shifted, and the
+    argument moved once more if plus."""
+    p, q = cfg.points[i - 1], cfg.points[j - 1]
+    arg = cfg.relative(cfg.shifted(p) if i in shifted else p,
+                       cfg.shifted(q) if j in shifted else q)
     if plus:
         arg = cfg.shifted(arg)
     return _memo_factor(cfg, tilde, ("R", i, j, arg), functools.partial(
         r_factor, cfg.flavor, space, i, j, arg, cfg.coupling, tilde))
+
+
+def _qkz_factor(cfg, space, i, j, plus, shifted):
+    """The qKZ factor R_ij of _r_factor, found in cfg's memo by its sites,
+    plus and which of its sites are shifted: a hit forms no argument."""
+    return memo(cfg, ("R at", i, j, plus, i in shifted, j in shifted),
+                lambda: _r_factor(cfg, space, i, j, plus, shifted, False))
 
 
 def _chain_factors(cfg, i, shifted_sites, tilde):
@@ -213,13 +221,19 @@ def _chain_factors(cfg, i, shifted_sites, tilde):
     if not (1 <= i <= cfg.n):
         raise BadSite(f"site {i} outside 1..{cfg.n}")
     space = cfg.space()
-    pos = _positions(cfg, frozenset(shifted_sites))
+    shifted = frozenset(shifted_sites)
+
+    def factor(j, plus):
+        if tilde:
+            return _r_factor(cfg, space, i, j, False, shifted, True)
+        return _qkz_factor(cfg, space, i, j, plus, shifted)
+
     for j in range(i - 1, 0, -1):
-        yield _r_factor(cfg, space, i, j, pos, not tilde, tilde)
-    yield _memo_factor(cfg, tilde, ("g", i), functools.partial(
-        site_embed, space, cfg.twist_table(), i))
+        yield factor(j, True)
+    yield _memo_factor(cfg, tilde, ("g", i),
+                       lambda: site_embed(space, cfg.twist_table(), i))
     for j in range(cfg.n, i, -1):
-        yield _r_factor(cfg, space, i, j, pos, False, tilde)
+        yield factor(j, False)
 
 
 def _chain_product(cfg, i, shifted_sites, tilde):
@@ -264,6 +278,14 @@ def hamiltonian(cfg, i):
     site; the returned operator is shared, like every ChainOperator immutable.
     """
     return memo(cfg, ("H", i), lambda: _chain_product(cfg, i, frozenset(), tilde=True))
+
+
+def sector_hamiltonians(cfg, sector):
+    """[H_1, ..., H_n] restricted to one weight sector, once per config and
+    sector: the determinant layer and the eigensolver read the same list."""
+    sector = tuple(int(m) for m in sector)
+    return memo(cfg, ("H on", sector), lambda: [
+        hamiltonian(cfg, i).restrict(sector) for i in range(1, cfg.n + 1)])
 
 
 def hamiltonian_sum(cfg):

@@ -52,7 +52,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chain import hamiltonian
+from .chain import memo, sector_hamiltonians
 from .errors import DegeneracyUnresolved, NonConvergence
 from .scalars import require_tolerance
 from .tensor import ChainOperator
@@ -332,7 +332,7 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, digits=MP_DPS):
     gate = require_tolerance(tol)
     rng = rng if rng is not None else random.Random(0)
     sector = tuple(int(m) for m in sector)
-    ops = [hamiltonian(cfg, i).restrict(sector) for i in range(1, cfg.n + 1)]
+    ops = sector_hamiltonians(cfg, sector)
     dim = ops[0].space.dim
     if dim == 1:
         return [JointEigenstate([Fraction(op.entry(0, 0)) for op in ops],
@@ -364,10 +364,13 @@ _joint_eigenvalues_mp = diagonalize_sector
 
 def _integer_minors(cfg):
     """The minors det(C_SS), S nonempty, as integers over one denominator
-    dm: (minors by S, dm)."""
-    minors = {S: d for S, d in principal_minors(cfg).items() if S}
-    dm = math.lcm(*(d.denominator for d in minors.values()))
-    return {S: int(d * dm) for S, d in minors.items()}, dm
+    dm: (minors by S, dm), once per config."""
+    def build():
+        minors = {S: d for S, d in principal_minors(cfg).items() if S}
+        dm = math.lcm(*(d.denominator for d in minors.values()))
+        return {S: int(d * dm) for S, d in minors.items()}, dm
+
+    return memo(cfg, "integer minors", build)
 
 
 def _lax_coefficients(minors, dm, lams, n):

@@ -8,6 +8,19 @@ product or a whole linear combination runs in integer arithmetic with one gcd
 pass), reduced and without explicit zeros; everything is immutable after
 construction.  Scalars enter and leave as Fractions (or ints); split, join
 and common convert between them and the stored numerators.
+
+An operator has one of two storage forms.  A general ChainOperator holds
+one dict of numerators per row.  A Factor, the form of every chain factor,
+holds per basis state one diagonal numerator and, for a two-site factor
+(swap_embed: R, R~, P, P^q), one swap numerator sent to the partner state,
+whose index comes from one table per (N, n, i, j); a diagonal one-site
+twist (site_embed of a diagonal matrix) has the diagonal alone.  A Factor
+forms its rows only when general code reads them.  A product takes the
+kernel of its operands' types: a Factor on the right spreads each row of
+the left operand (a Factor too, iterated without its rows) onto the
+diagonal and partner columns, a Factor on the left combines one or two rows
+of the right operand per row, two general operators meet row by row, and
+push_left through a Factor is one list comprehension.
 """
 from __future__ import annotations
 
@@ -266,23 +279,34 @@ class ChainOperator:
         return ChainOperator.combination([(s, self)])
 
     def __matmul__(self, other):
-        """Matrix product self . other (other is applied first)."""
+        """Matrix product self . other (other is applied first).  A factor on
+        the right, else a factor on the left, multiplies by its own kernel;
+        two general operators meet in the row-by-row kernel below."""
         self._check_compat(other)
-        orows = other.rows
-        out = {}
-        for r, arow in self.rows.items():
-            acc = {}
-            for k, v in arow.items():
-                brow = orows.get(k)
-                if brow is None:
-                    continue
-                for c, w in brow.items():
-                    acc[c] = acc.get(c, 0) + v * w
-            if 0 in acc.values():
-                acc = {c: s for c, s in acc.items() if s != 0}
-            if acc:
-                out[r] = acc
+        if isinstance(other, Factor):
+            out = other._right_of(self)
+        elif isinstance(self, Factor):
+            out = self._left_of(other.rows)
+        else:
+            orows = other.rows
+            out = {}
+            for r, arow in self.rows.items():
+                acc = {}
+                for k, v in arow.items():
+                    brow = orows.get(k)
+                    if brow is None:
+                        continue
+                    for c, w in brow.items():
+                        acc[c] = acc.get(c, 0) + v * w
+                if 0 in acc.values():
+                    acc = {c: s for c, s in acc.items() if s != 0}
+                if acc:
+                    out[r] = acc
         return ChainOperator.from_numerators(self.space, out, self.den * other.den)
+
+    def _iter_rows(self):
+        """(row, {column: numerator}) of every stored row, in row order."""
+        return self.rows.items()
 
     def apply_left(self, cov):
         """Covector-matrix product cov . self."""
@@ -294,6 +318,15 @@ class ChainOperator:
         out as (numerators, den), divided by their common factor with den."""
         if len(nums) != self.space.dim:
             raise DimensionMismatch(f"covector of length {len(nums)} on {self.space}")
+        out, den = self._push(nums), self.den * cden
+        g = common(den, out)
+        if g != 1:
+            den //= g
+            out = [s // g for s in out]
+        return out, den
+
+    def _push(self, nums):
+        """The numerators of nums . self, over den times the covector's."""
         out = [0] * self.space.dim
         for r, row in self.rows.items():
             w = nums[r]
@@ -301,12 +334,7 @@ class ChainOperator:
                 continue
             for c, v in row.items():
                 out[c] += w * v
-        den = self.den * cden
-        g = common(den, out)
-        if g != 1:
-            den //= g
-            out = [s // g for s in out]
-        return out, den
+        return out
 
     def restrict(self, sector):
         """The block of a full-space operator on one weight sector.
@@ -381,6 +409,124 @@ class ChainOperator:
         return f"ChainOperator({self.space!r}, nnz={self.nnz})"
 
 
+# -------------------------------------------------------------------- factors
+
+class Factor(ChainOperator):
+    """A chain factor stored by its structure over one denominator: one
+    diagonal numerator per basis state (``diag``) and, for a two-site
+    factor, one that sends the state to its partner.  ``rows`` is formed on
+    the first read and then kept, equal to the reduced (rows, den) of the
+    same entries; products (_right_of, _left_of) and pushes (_push) through
+    a factor never read it."""
+
+    __slots__ = ("diag", "_rows")
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = dict(self._iter_rows())
+        return self._rows
+
+
+class DiagonalFactor(Factor):
+    """Diagonal operator, row k holding diag[k] (a zero is no entry): a
+    one-site twist embedded by site_embed."""
+
+    __slots__ = ()
+
+    def __init__(self, space, diag, den):
+        self.space, self.diag, self.den, self._rows = space, diag, den, None
+
+    def _iter_rows(self):
+        return ((k, {k: d}) for k, d in enumerate(self.diag) if d)
+
+    def _right_of(self, a):
+        """The rows of a . self: each row of a scales column by column."""
+        diag, out = self.diag, {}
+        for r, arow in a._iter_rows():
+            acc = {k: v * diag[k] for k, v in arow.items()}
+            if 0 in acc.values():
+                acc = {k: v for k, v in acc.items() if v != 0}
+            if acc:
+                out[r] = acc
+        return out
+
+    def _left_of(self, brows):
+        """The rows of self . b, b given by its rows: each row scaled."""
+        out = {}
+        for r, d in enumerate(self.diag):
+            brow = brows.get(r) if d else None
+            if brow:
+                out[r] = {c: d * w for c, w in brow.items()}
+        return out
+
+    def _push(self, nums):
+        return [w * d for w, d in zip(nums, self.diag)]
+
+
+class SwapFactor(Factor):
+    """Operator that keeps or exchanges the letters at two sites: row k holds
+    diag[k] at column k and swap[k] at column partner[k], the state with
+    those letters exchanged (k itself, with swap[k] = 0, where they are
+    equal).  Row k stores its own letters first, then its partner's; a zero
+    is no entry.  partner is one shared table per (N, n, i, j)."""
+
+    __slots__ = ("swap", "partner")
+
+    def __init__(self, space, diag, swap, partner, den):
+        self.space, self.diag, self.den, self._rows = space, diag, den, None
+        self.swap, self.partner = swap, partner
+
+    def _iter_rows(self):
+        for k, (d, s, p) in enumerate(zip(self.diag, self.swap, self.partner)):
+            if s:
+                yield k, {k: d, p: s} if d else {p: s}
+            elif d:
+                yield k, {k: d}
+
+    def _right_of(self, a):
+        """The rows of a . self: row k of self spreads a's entry at column k
+        onto columns k and partner[k]."""
+        diag, swap, partner = self.diag, self.swap, self.partner
+        out = {}
+        for r, arow in a._iter_rows():
+            acc = {}
+            for k, v in arow.items():
+                d = diag[k]
+                if d:
+                    acc[k] = acc.get(k, 0) + v * d
+                s = swap[k]
+                if s:
+                    p = partner[k]
+                    acc[p] = acc.get(p, 0) + v * s
+            if 0 in acc.values():
+                acc = {c: v for c, v in acc.items() if v != 0}
+            if acc:
+                out[r] = acc
+        return out
+
+    def _left_of(self, brows):
+        """The rows of self . b, b given by its rows: row k is diag[k] times
+        b's row k plus swap[k] times b's row partner[k]."""
+        out = {}
+        for r, (d, s, p) in enumerate(zip(self.diag, self.swap, self.partner)):
+            brow = brows.get(r) if d else None
+            acc = {c: d * w for c, w in brow.items()} if brow else {}
+            brow = brows.get(p) if s else None
+            if brow:
+                for c, w in brow.items():
+                    acc[c] = acc.get(c, 0) + s * w
+                if 0 in acc.values():
+                    acc = {c: v for c, v in acc.items() if v != 0}
+            if acc:
+                out[r] = acc
+        return out
+
+    def _push(self, nums):
+        swap = self.swap
+        return [w * d + nums[p] * swap[p] for w, d, p in zip(nums, self.diag, self.partner)]
+
+
 # ------------------------------------------------------------------ covectors
 
 def omega(space):
@@ -438,13 +584,18 @@ def _one_site_columns(op, N):
 
 def site_embed(space, op, i):
     """Act with an N x N matrix {(row, col): value} on tensor factor i
-    (1-based), identity elsewhere."""
+    (1-based), identity elsewhere; a diagonal matrix gives a DiagonalFactor."""
     if space.sector is not None:
         raise DimensionMismatch("site_embed builds on the full space")
     if not (1 <= i <= space.n):
         raise BadSite(f"site {i} outside 1..{space.n}")
-    cols = _one_site_columns(op, space.N)
-    step = space.N ** (space.n - i)
+    N, cols = space.N, _one_site_columns(op, space.N)
+    step = N ** (space.n - i)
+    if all(a == b for b, col in cols.items() for a, _ in col):
+        nums, den = split([cols[b][0][1] if b in cols else 0 for b in range(1, N + 1)])
+        g = common(den, nums)
+        nums = [v // g for v in nums]
+        return DiagonalFactor(space, [nums[k // step % N] for k in range(space.dim)], den // g)
 
     def entries():
         for ci, J in enumerate(space.states):
@@ -501,29 +652,40 @@ def two_site_embed(space, i, j, table):
     return ChainOperator.from_entries(space, entries())
 
 
+@functools.cache
+def _swap_table(N, n, i, j):
+    """(kind, partner) of every full-space state, by index: kind 0 if the
+    letters (a, b) at sites (i, j) are equal, 1 if b < a, 2 if b > a, and
+    partner the index of the state with a and b exchanged.  Built on the
+    first request only, like _sector_positions, and shared by every factor
+    on these sites."""
+    step = N ** (n - i) - N ** (n - j)
+    kind, partner = [], []
+    for k, J in enumerate(shared_space(N, n).states):
+        a, b = J[i - 1], J[j - 1]
+        kind.append(0 if a == b else 1 if b < a else 2)
+        partner.append(k + (b - a) * step)
+    return kind, partner
+
+
 def swap_embed(space, i, j, diagonal, fixed, swap):
-    """Operator on the full space that keeps or exchanges the letters (a, b)
-    at sites (i, j), built in one pass over the basis.
+    """SwapFactor on the full space that keeps or exchanges the letters
+    (a, b) at sites (i, j).
 
     A state keeps its letters with the weight `fixed` if a = b and
     `diagonal` otherwise; it is sent to (b, a) with the weight swap[0] if
-    a < b and swap[1] if a > b.  Each basis state gives one row, in basis
-    order: the weight that keeps its letters first, then the one that takes
-    them from the swapped state.  Zeros, and rows left empty, are not stored.
+    a < b and swap[1] if a > b.  The four weights go over one denominator
+    once, reduced by the common factor of the ones that occur, and each
+    state reads its two numerators by its kind in _swap_table.
     """
     _check_pair(space, i, j)
     if space.sector is not None:
         raise DimensionMismatch("swap_embed builds on the full space")
     (diagonal, fixed, up, down), den = split([diagonal, fixed, *swap])
-    step = space.N ** (space.n - i) - space.N ** (space.n - j)
-    rows = {}
-    for k, J in enumerate(space.states):
-        a, b = J[i - 1], J[j - 1]
-        if a == b:
-            row = ((k, fixed),)
-        else:
-            row = ((k, diagonal), (k + (b - a) * step, up if b < a else down))
-        row = {c: v for c, v in row if v != 0}
-        if row:
-            rows[k] = row
-    return ChainOperator.from_numerators(space, rows, den)
+    # letters that differ, and so the last three weights, need N > 1
+    g = common(den, (fixed, diagonal, up, down) if space.N > 1 else (fixed,))
+    fixed, diagonal, up, down = (v // g for v in (fixed, diagonal, up, down))
+    kept, swapped = (fixed, diagonal, diagonal), (0, up, down)
+    kind, partner = _swap_table(space.N, space.n, i, j)
+    return SwapFactor(space, [kept[t] for t in kind], [swapped[t] for t in kind],
+                      partner, den // g)

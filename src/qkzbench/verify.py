@@ -25,8 +25,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .chain import (hamiltonian, hamiltonian_sum, memo, qkz_covector_numerators,
-                    twist_sinh_sum)
+from .chain import (hamiltonian_sum, memo, qkz_covector_numerators,
+                    sector_hamiltonians, twist_sinh_sum)
 from .errors import FlavorMismatch, PoleHit
 from .report import largest_residual, verdict
 from .rmatrix import r_rational, r_trig
@@ -180,7 +180,7 @@ class SectorSums:
 
     def __init__(self, cfg, sector, ops):
         self.space = shared_space(cfg.N, cfg.n, sector)
-        self.ops = [H.restrict(sector) for H in ops]
+        self.ops = ops
         self.identity = ChainOperator.identity(self.space)
         self.det_sums = []
         self.commutator = largest_residual(())  # no pairs below n = 2
@@ -202,13 +202,14 @@ class SectorSums:
 
 def sector_sums(cfg, sector, hamiltonians=None):
     """The SectorSums of cfg's Hamiltonians on a sector, built once per
-    config and sector.  Injected `hamiltonians` get a private table that is
-    never stored."""
+    config and sector from their one restriction (sector_hamiltonians).
+    Injected full-space `hamiltonians` are restricted here, into a private
+    table that is never stored."""
     if hamiltonians is not None:
-        return SectorSums(cfg, sector, hamiltonians)
+        return SectorSums(cfg, sector, [H.restrict(sector) for H in hamiltonians])
     key = tuple(sector)
     return memo(cfg, ("sector sums", key), lambda: SectorSums(
-        cfg, key, [hamiltonian(cfg, i) for i in range(1, cfg.n + 1)]))
+        cfg, key, sector_hamiltonians(cfg, key)))
 
 
 def elementary_symmetric(values, d):

@@ -728,6 +728,28 @@ def test_each_memoized_factor_is_a_fresh_build(make):
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_a_factor_lookup_hit_forms_no_argument(make, monkeypatch):
+    # a qKZ factor is found again by its sites, its place around the twist
+    # and which of its sites are shifted: no argument is formed, and the
+    # factor is the one object built for that argument
+    builds = _count_builds(monkeypatch)
+    cfg = make()
+    pairs = list(itertools.permutations(range(1, cfg.n + 1), 2))
+    for i, j in pairs:
+        assert qkz_compatibility(cfg, i, j).passed
+    built, calls = sum(builds.values()), []
+    for name in ("relative", "shifted"):
+        monkeypatch.setattr(ModelConfig, name, lambda c, *a, f=getattr(ModelConfig, name):
+                            calls.append(1) or f(c, *a))
+    for i, j in pairs:
+        assert qkz_compatibility(cfg, i, j).passed
+    assert calls == [] and sum(builds.values()) == built
+    found = {key: F for key, F in cfg._builds.items() if key[0] == "R at"}
+    assert found and set(map(id, found.values())) <= set(
+        map(id, cfg.at_hbar_zero()._builds.values()))
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
 def test_r_and_tilde_r_at_one_argument_are_distinct_entries(make):
     # at hbar = 0 the R_21 of K_2^(0) and the R~_21 of H_2 share an argument
     cfg0 = make().at_hbar_zero()

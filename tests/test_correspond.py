@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -551,13 +552,21 @@ def test_lax_coefficients_from_minors_match_faddeev_leverrier():
                 assert abs(got - c) <= 1e-12 * abs(c)
 
 
+def test_integer_minors_are_built_once_per_config():
+    cfg = dataclasses.replace(CFG)
+    minors = correspond._integer_minors(cfg)
+    assert correspond._integer_minors(cfg) is minors
+    assert minors == correspond._integer_minors(dataclasses.replace(CFG))
+
+
 def test_correspondence_fails_on_a_scaled_minor(monkeypatch):
     # det(C_SS) for S = {0, 1} scaled by 98/97 moves c_2 off its target on
-    # every sector of both chains
+    # every sector of both chains.  A fresh copy of each config has an empty
+    # memo, so that its integer minors are built from the scaled ones
     real = correspond.principal_minors
     monkeypatch.setattr(correspond, "principal_minors", lambda cfg: {
         **real(cfg), (0, 1): real(cfg)[(0, 1)] * Fraction(98, 97)})
-    for cfg in (CFG, TCFG2):
+    for cfg in map(dataclasses.replace, (CFG, TCFG2)):
         rng = random.Random(7)
         for M in all_sectors(cfg.N, cfg.n):
             rep = check_correspondence(cfg, M, rng=rng)

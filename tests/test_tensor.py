@@ -613,3 +613,101 @@ def test_values_cross_the_interface_as_domain_scalars():
               ChainOperator.zero(sp).trace(), ChainOperator.identity(sp).entry(1, 1)]
     values += [v for _, _, v in op.entries()] + op.apply_left(vec) + op.apply_left([1] * 4)
     assert all(type(v) is Fraction for v in values)
+
+
+# ------------------------------------------------------- structured factors
+# The per-state builds that swap_embed and the diagonal site_embed replace,
+# kept as references: one row dict per basis state, reduced by
+# from_numerators or from_entries.
+
+def _swap_embed_reference(space, i, j, diagonal, fixed, swap):
+    (diagonal, fixed, up, down), den = split([diagonal, fixed, *swap])
+    step = space.N ** (space.n - i) - space.N ** (space.n - j)
+    rows = {}
+    for k, J in enumerate(space.states):
+        a, b = J[i - 1], J[j - 1]
+        if a == b:
+            row = ((k, fixed),)
+        else:
+            row = ((k, diagonal), (k + (b - a) * step, up if b < a else down))
+        row = {c: v for c, v in row if v != 0}
+        if row:
+            rows[k] = row
+    return ChainOperator.from_numerators(space, rows, den)
+
+
+def _site_embed_reference(space, op, i):
+    cols = tensor._one_site_columns(op, space.N)
+    step = space.N ** (space.n - i)
+
+    def entries():
+        for ci, J in enumerate(space.states):
+            b = J[i - 1]
+            for a, v in cols.get(b, ()):
+                yield ci + (a - b) * step, ci, v
+
+    return ChainOperator.from_entries(space, entries())
+
+
+def _layout(op):
+    """den and the rows in storage order, each row in its entry order."""
+    return op.den, [(r, list(row.items())) for r, row in op.rows.items()]
+
+
+def _general(op):
+    """The same rows and den held by a general ChainOperator."""
+    return ChainOperator(op.space, op.rows, op.den)
+
+
+# zeros come often: a zero weight drops entries and can empty a row
+weights_st = st.one_of(st.just(Fraction(0)), fractions_st)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), N=st.sampled_from([1, 2, 3]), n=st.sampled_from([2, 3, 4]))
+def test_structured_factors_and_kernels_match_the_per_state_references(data, N, n):
+    sp = shared_space(N, n)
+    i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
+    diagonal, fixed, up, down = (data.draw(weights_st) for _ in range(4))
+    twist = {(a, a): data.draw(weights_st) for a in range(1, N + 1)}
+    entries = st.lists(st.tuples(st.integers(0, sp.dim - 1), st.integers(0, sp.dim - 1),
+                                 fractions_st), max_size=3 * sp.dim)
+    A = ChainOperator.from_entries(sp, data.draw(entries))
+    B = ChainOperator.from_entries(sp, data.draw(entries))
+    cov = split(data.draw(st.lists(weights_st, min_size=sp.dim, max_size=sp.dim)))
+    cases = [(tensor.swap_embed(sp, i, j, diagonal, fixed, (up, down)),
+              _swap_embed_reference(sp, i, j, diagonal, fixed, (up, down))),
+             # r_rational at x = 0 is the plain swap, with no diagonal weight
+             (permutation(sp, i, j), _swap_embed_reference(sp, i, j, 0, 1, (1, 1))),
+             (tensor.swap_embed(sp, i, j, diagonal, fixed, (0, 0)),
+              _swap_embed_reference(sp, i, j, diagonal, fixed, (0, 0))),
+             (site_embed(sp, twist, i), _site_embed_reference(sp, twist, i))]
+    for F, ref in cases:
+        G = site_embed(sp, twist, j)
+        # every kernel reads the factors' structure and forms no rows
+        got = [A @ F, F @ B, F @ G, G @ F, F @ F, F.push_left(*cov)]
+        assert F._rows is None and G._rows is None
+        want = [A @ _general(F), _general(F) @ B, _general(F) @ _general(G),
+                _general(G) @ _general(F), _general(F) @ _general(F),
+                _general(F).push_left(*cov)]
+        assert _layout(F) == _layout(ref)
+        for P, Q in zip(got[:5], want[:5]):
+            assert type(P) is ChainOperator and _layout(P) == _layout(Q)
+        assert got[5] == want[5]
+        assert (F.nnz, F.trace(), F == ref) == (ref.nnz, ref.trace(), True)
+
+
+def test_a_non_diagonal_site_embed_is_a_general_operator():
+    sp = Space(2, 3)
+    raising = {(1, 2): Fraction(3, 4), (2, 2): Fraction(5)}
+    op = site_embed(sp, raising, 2)
+    assert type(op) is ChainOperator
+    assert _layout(op) == _layout(_site_embed_reference(sp, raising, 2))
+    assert isinstance(site_embed(sp, {(2, 2): Fraction(5)}, 2), tensor.DiagonalFactor)
+
+
+def test_factors_on_one_pair_of_sites_share_one_partner_table():
+    sp = Space(3, 3)
+    F = tensor.swap_embed(sp, 1, 3, Fraction(1, 2), 1, (2, 3))
+    assert F.partner is permutation(sp, 1, 3).partner
+    assert F.partner is not permutation(sp, 3, 1).partner

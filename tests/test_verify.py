@@ -625,6 +625,26 @@ def test_sector_sums_are_built_once(monkeypatch):
     assert len(products) == per_pass
 
 
+def test_each_hamiltonian_is_restricted_once_per_sector(monkeypatch):
+    # the subset pass and the eigensolver of a float verify read one
+    # restriction of each H_i per sector; restricting in both made 24 here
+    restricted = []
+    restrict = ChainOperator.restrict
+    monkeypatch.setattr(ChainOperator, "restrict",
+                        lambda op, M: restricted.append((id(op), tuple(M))) or restrict(op, M))
+    rc = cli.load_config(Path(__file__).parent / "data" / "rational-float.cfg")
+    results = cli.run(rc).results
+    assert results and all(r.passed for r in results)
+    assert len(restricted) == len(set(restricted)) == rc.model.n * len(
+        all_sectors(rc.model.N, rc.model.n))
+    # injected Hamiltonians are restricted apart, into their private table
+    cfg = dataclasses.replace(CFG)
+    table = sector_sums(cfg, (2, 1))
+    own = sector_sums(cfg, (2, 1), hamiltonians=[hamiltonian(cfg, i) for i in (1, 2, 3)])
+    assert table.ops is chain.sector_hamiltonians(cfg, (2, 1))
+    assert all(A is not B and _stored(A) == _stored(B) for A, B in zip(own.ops, table.ops))
+
+
 def test_sector_sums_keep_left_to_right_order(monkeypatch):
     # each H_S is ((H_a H_b) H_c), as a plain left-to-right loop builds it,
     # and each det_sums[k] sums its terms in itertools.combinations order
@@ -860,7 +880,6 @@ def test_a_perturbed_hamiltonian_entry_fails_only_where_it_enters(site, r, shift
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain, "hamiltonian", perturbed)
-        mp.setattr(verify, "hamiltonian", perturbed)
         results = cli.run(rc).results
     hit = weight_of(Space(2, 3).states[r], 2)
     by_name = {}
