@@ -15,12 +15,11 @@ holds per basis state one diagonal numerator and, for a two-site factor
 (swap_embed: R, R~, P, P^q), one swap numerator sent to the partner state,
 whose index comes from one table per (N, n, i, j); a diagonal one-site
 twist (site_embed of a diagonal matrix) has the diagonal alone.  A Factor
-forms its rows only when general code reads them.  A product takes the
-kernel of its operands' types: a Factor on the right spreads each row of
-the left operand (a Factor too, iterated without its rows) onto the
-diagonal and partner columns, a Factor on the left combines one or two rows
-of the right operand per row, two general operators meet row by row, and
-push_left through a Factor is one list comprehension.
+forms its rows only when general code reads them.  A product with a Factor
+on the right spreads each row of the left operand onto the diagonal and
+partner columns; any other product meets row by row.  Both read the left
+operand through _iter_rows, so a Factor there forms no rows.  push_left
+through a Factor is one list comprehension.
 """
 from __future__ import annotations
 
@@ -280,17 +279,15 @@ class ChainOperator:
 
     def __matmul__(self, other):
         """Matrix product self . other (other is applied first).  A factor on
-        the right, else a factor on the left, multiplies by its own kernel;
-        two general operators meet in the row-by-row kernel below."""
+        the right multiplies by its own kernel; any other right operand meets
+        the row-by-row kernel below."""
         self._check_compat(other)
         if isinstance(other, Factor):
             out = other._right_of(self)
-        elif isinstance(self, Factor):
-            out = self._left_of(other.rows)
         else:
             orows = other.rows
             out = {}
-            for r, arow in self.rows.items():
+            for r, arow in self._iter_rows():
                 acc = {}
                 for k, v in arow.items():
                     brow = orows.get(k)
@@ -416,8 +413,8 @@ class Factor(ChainOperator):
     diagonal numerator per basis state (``diag``) and, for a two-site
     factor, one that sends the state to its partner.  ``rows`` is formed on
     the first read and then kept, equal to the reduced (rows, den) of the
-    same entries; products (_right_of, _left_of) and pushes (_push) through
-    a factor never read it."""
+    same entries; products (_iter_rows on the left, _right_of on the right)
+    and pushes (_push) through a factor never read it."""
 
     __slots__ = ("diag", "_rows")
 
@@ -449,15 +446,6 @@ class DiagonalFactor(Factor):
                 acc = {k: v for k, v in acc.items() if v != 0}
             if acc:
                 out[r] = acc
-        return out
-
-    def _left_of(self, brows):
-        """The rows of self . b, b given by its rows: each row scaled."""
-        out = {}
-        for r, d in enumerate(self.diag):
-            brow = brows.get(r) if d else None
-            if brow:
-                out[r] = {c: d * w for c, w in brow.items()}
         return out
 
     def _push(self, nums):
@@ -501,23 +489,6 @@ class SwapFactor(Factor):
                     acc[p] = acc.get(p, 0) + v * s
             if 0 in acc.values():
                 acc = {c: v for c, v in acc.items() if v != 0}
-            if acc:
-                out[r] = acc
-        return out
-
-    def _left_of(self, brows):
-        """The rows of self . b, b given by its rows: row k is diag[k] times
-        b's row k plus swap[k] times b's row partner[k]."""
-        out = {}
-        for r, (d, s, p) in enumerate(zip(self.diag, self.swap, self.partner)):
-            brow = brows.get(r) if d else None
-            acc = {c: d * w for c, w in brow.items()} if brow else {}
-            brow = brows.get(p) if s else None
-            if brow:
-                for c, w in brow.items():
-                    acc[c] = acc.get(c, 0) + s * w
-                if 0 in acc.values():
-                    acc = {c: v for c, v in acc.items() if v != 0}
             if acc:
                 out[r] = acc
         return out

@@ -684,7 +684,7 @@ def test_structured_factors_and_kernels_match_the_per_state_references(data, N, 
              (site_embed(sp, twist, i), _site_embed_reference(sp, twist, i))]
     for F, ref in cases:
         G = site_embed(sp, twist, j)
-        # every kernel reads the factors' structure and forms no rows
+        # a factor on either side is read through its structure: no rows formed
         got = [A @ F, F @ B, F @ G, G @ F, F @ F, F.push_left(*cov)]
         assert F._rows is None and G._rows is None
         want = [A @ _general(F), _general(F) @ B, _general(F) @ _general(G),
