@@ -131,8 +131,8 @@ class ModelConfig:
         """The same chain with the qKZ step switched off (K becomes K^(0)).
 
         One object per config, made on the first call; a chain whose step is
-        off already is its own.  Both chains keep their qKZ factors in the
-        memo under this object (_memo_factor)."""
+        off already is its own.  Both chains keep their twists and their qKZ
+        factors with no net step in the memo of this object (_chain_factors)."""
         return self._hbar_off or self
 
     @functools.cached_property
@@ -168,70 +168,57 @@ class ModelConfig:
 def memo(cfg, key, build):
     """build() for this config and key, called on the first request only.
 
-    The builds are the qKZ two-site factors ("R", i, j, argument) and
-    twists ("g", i), under cfg.at_hbar_zero() so that cfg and its hbar = 0
-    copy share them; the factor lookup ("R at", i, j, plus, i shifted,
-    j shifted), under cfg, which finds the R_ij of a chain product of cfg
-    without forming its argument; H_i, their sum, T(x), the sector
-    restrictions of the H_i and their sums, the principal minors and their
-    integer form, the Cauchy weight comparisons and the flavor covector.  A
-    build lives as long as the config object that made it; equal configs
-    build apart."""
+    The builds are the chain factors of _chain_factors: the twists ("g", i)
+    and the qKZ factors ("R", i, j) with no net step, under
+    cfg.at_hbar_zero() so that cfg and its hbar = 0 copy share them, and the
+    qKZ factors ("R", i, j, k) at k != 0 net steps, under cfg; H_i, their
+    sum, T(x), the sector restrictions of the H_i and their sums, the
+    principal minors and their integer form, the Cauchy weight comparisons
+    and the flavor covector.  A build lives as long as the config object
+    that made it; equal configs build apart."""
     built = cfg._builds
     if key not in built:
         built[key] = build()
     return built[key]
 
 
-def _memo_factor(cfg, tilde, key, build):
-    """build() for one factor of a chain product.  A qKZ factor or twist
-    depends on its sites and argument but not on the qKZ step, so it is made
-    once, in the memo of cfg.at_hbar_zero().  H_i and T(x) are memoized
-    whole, so each of their factors (tilde) is read once and kept nowhere."""
-    return build() if tilde else memo(cfg.at_hbar_zero(), key, build)
-
-
-def _r_factor(cfg, space, i, j, plus, shifted, tilde):
-    """Two-site factor R_ij (or tilde) at the argument of point i against
-    point j, each moved by the qKZ step if its site is in shifted, and the
-    argument moved once more if plus."""
-    p, q = cfg.points[i - 1], cfg.points[j - 1]
-    arg = cfg.relative(cfg.shifted(p) if i in shifted else p,
-                       cfg.shifted(q) if j in shifted else q)
-    if plus:
-        arg = cfg.shifted(arg)
-    return _memo_factor(cfg, tilde, ("R", i, j, arg), functools.partial(
-        r_factor, cfg.flavor, space, i, j, arg, cfg.coupling, tilde))
-
-
-def _qkz_factor(cfg, space, i, j, plus, shifted):
-    """The qKZ factor R_ij of _r_factor, found in cfg's memo by its sites,
-    plus and which of its sites are shifted: a hit forms no argument."""
-    return memo(cfg, ("R at", i, j, plus, i in shifted, j in shifted),
-                lambda: _r_factor(cfg, space, i, j, plus, shifted, False))
-
-
 def _chain_factors(cfg, i, shifted_sites, tilde):
     """The factors of the chain product around the twist at site i, in
     product order: R_{i,i-1} ... R_{i,1}, g_i, R_{i,n} ... R_{i,i+1}, each
-    built (or, a qKZ factor, read from the memo) when the iteration reaches
-    it.  The qKZ factors (not tilde) left of g_i carry the eta*hbar shift;
-    the tilde factors carry none.
+    built (or read from the memo) when the iteration reaches it.
+
+    A qKZ factor (not tilde) R_ij sits at the argument of point i against
+    point j, each moved by the qKZ step if its site is shifted, and moved
+    once more left of g_i: k = [left of g_i] + [i shifted] - [j shifted]
+    net steps.  It is found in the memo by its sites and k alone, so a hit
+    forms no argument; with the step off, k = 0 throughout.  The tilde
+    factors carry no shift, and H_i and T(x) are memoized whole, so each of
+    their R~ factors is built once and kept nowhere.
     """
     if not (1 <= i <= cfg.n):
         raise BadSite(f"site {i} outside 1..{cfg.n}")
     space = cfg.space()
     shifted = frozenset(shifted_sites)
+    cfg0 = cfg.at_hbar_zero()
+
+    def build(j, plus):
+        p, q = cfg.points[i - 1], cfg.points[j - 1]
+        arg = cfg.relative(cfg.shifted(p) if i in shifted else p,
+                           cfg.shifted(q) if j in shifted else q)
+        return r_factor(cfg.flavor, space, i, j, cfg.shifted(arg) if plus else arg,
+                        cfg.coupling, tilde)
 
     def factor(j, plus):
         if tilde:
-            return _r_factor(cfg, space, i, j, False, shifted, True)
-        return _qkz_factor(cfg, space, i, j, plus, shifted)
+            return build(j, False)
+        k = plus + (i in shifted) - (j in shifted) if cfg0 is not cfg else 0
+        if k:
+            return memo(cfg, ("R", i, j, k), lambda: build(j, plus))
+        return memo(cfg0, ("R", i, j), lambda: build(j, plus))
 
     for j in range(i - 1, 0, -1):
         yield factor(j, True)
-    yield _memo_factor(cfg, tilde, ("g", i),
-                       lambda: site_embed(space, cfg.twist_table(), i))
+    yield memo(cfg0, ("g", i), lambda: site_embed(space, cfg.twist_table(), i))
     for j in range(cfg.n, i, -1):
         yield factor(j, False)
 

@@ -149,9 +149,9 @@ def load_config(path):
 
 
 def parse_sector(text, N, n):
-    parts = [p for p in text.replace(" ", "").split(",") if p]
+    # int() strips each part and rejects an empty one or inner spaces
     try:
-        sector = tuple(int(p) for p in parts)
+        sector = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ParseError(f"bad sector {text!r}") from None
     if len(sector) != N or any(m < 0 for m in sector) or sum(sector) != n:
@@ -175,8 +175,8 @@ def _draw_spectral(model, rng):
                 return v
 
 
-def _check_ybe(cfg, sectors, rc, rng):
-    out = []
+def _check_ybe(rc, sectors, rng):
+    cfg, out = rc.model, []
     while len(out) < 3:
         p1 = _draw_spectral(cfg, rng)
         p2 = _draw_spectral(cfg, rng)
@@ -188,8 +188,8 @@ def _check_ybe(cfg, sectors, rc, rng):
                   params={"samples": len(out)})
 
 
-def _check_unitarity(cfg, sectors, rc, rng):
-    out = []
+def _check_unitarity(rc, sectors, rng):
+    cfg, out = rc.model, []
     while len(out) < 3:
         p = _draw_spectral(cfg, rng)
         if cfg.is_rational and p - cfg.coupling == 0:
@@ -201,44 +201,45 @@ def _check_unitarity(cfg, sectors, rc, rng):
                   params={"samples": len(out)})
 
 
-def _check_twist(cfg, sectors, rc, rng):
+def _check_twist(rc, sectors, rng):
+    cfg = rc.model
     yield rmatrix.check_twist_commutation(
         cfg.flavor, _draw_spectral(cfg, rng), cfg.coupling, cfg.g, cfg.N)
 
 
-def _check_transfer_commute(cfg, sectors, rc, rng):
-    yield chain.check_transfer_commute(cfg)
+def _check_transfer_commute(rc, sectors, rng):
+    yield chain.check_transfer_commute(rc.model)
 
 
-def _check_pole_expansion(cfg, sectors, rc, rng):
-    yield chain.pole_expansion(cfg)
+def _check_pole_expansion(rc, sectors, rng):
+    yield chain.pole_expansion(rc.model)
 
 
-def _check_sum_rule(cfg, sectors, rc, rng):
-    yield chain.sum_rule(cfg)
+def _check_sum_rule(rc, sectors, rng):
+    yield chain.sum_rule(rc.model)
 
 
-def _check_qkz_compat(cfg, sectors, rc, rng):
+def _check_qkz_compat(rc, sectors, rng):
     # each unshifted K_i is built once for the family, and dropped with it
-    unshifted = {}
+    cfg, unshifted = rc.model, {}
     for i in range(1, cfg.n + 1):
         for j in range(i + 1, cfg.n + 1):
             yield chain.qkz_compatibility(cfg, i, j, unshifted)
 
 
-def _check_omega(cfg, sectors, rc, rng):
-    yield verify.check_omega_invariance(cfg)
+def _check_omega(rc, sectors, rng):
+    yield verify.check_omega_invariance(rc.model)
 
 
-def _check_k_projection(cfg, sectors, rc, rng):
-    for i in range(1, cfg.n + 1):
-        yield verify.check_k_projection(cfg, i)
+def _check_k_projection(rc, sectors, rng):
+    for i in range(1, rc.model.n + 1):
+        yield verify.check_k_projection(rc.model, i)
 
 
-def _check_proposition(cfg, sectors, rc, rng):
+def _check_proposition(rc, sectors, rng):
     # each right side extends that of its subset's prefix by one push; a size
     # level is dropped once the next one is done
-    right_sides = {}
+    cfg, right_sides = rc.model, {}
     for d in range(1, cfg.n + 1):
         for sites in itertools.combinations(range(1, cfg.n + 1), d):
             yield verify.check_proposition_higher(cfg, sites, right_sides)
@@ -246,25 +247,26 @@ def _check_proposition(cfg, sectors, rc, rng):
             right_sides.pop(sites, None)
 
 
-def _check_det_identity(cfg, sectors, rc, rng):
+def _check_det_identity(rc, sectors, rng):
     for M in sectors:
-        yield verify.check_det_identity(cfg, M)
+        yield verify.check_det_identity(rc.model, M)
 
 
-def _check_symmetric(cfg, sectors, rc, rng):
+def _check_symmetric(rc, sectors, rng):
     for M in sectors:
-        for d in range(1, cfg.n + 1):
-            yield verify.check_symmetric_identity(cfg, M, d)
+        for d in range(1, rc.model.n + 1):
+            yield verify.check_symmetric_identity(rc.model, M, d)
 
 
-def _check_macdonald(cfg, sectors, rc, rng):
+def _check_macdonald(rc, sectors, rng):
+    cfg = rc.model
     degrees = range(1, cfg.n + 1) if cfg.is_rational else (1,)
     for M in sectors:
         for d in degrees:
             yield verify.check_macdonald_eigenvalue(cfg, M, d)
 
 
-def _check_correspondence(cfg, sectors, rc, rng):
+def _check_correspondence(rc, sectors, rng):
     if rc.mode == "exact":
         raise NeedsFloat(
             "correspondence runs the joint eigensolver, which an exact verify "
@@ -273,7 +275,7 @@ def _check_correspondence(cfg, sectors, rc, rng):
     from . import correspond  # the eigensolver, which an exact run never needs
     for M in sectors:
         # floats enter only at the eigensolver boundary
-        rep = correspond.check_correspondence(cfg, M, tol=rc.tol, rng=rng)
+        rep = correspond.check_correspondence(rc.model, M, tol=rc.tol, rng=rng)
         yield verdict("correspondence", [(rep.worst, None)],
                       sector=rep.sector, params={"eigenstates": len(rep.rows)},
                       threshold=rc.tol)
@@ -319,7 +321,6 @@ def run(rc: RunConfig) -> RunReport:
     in place of all of its results, timed from the family's start.
     """
     rng = random.Random(rc.seed)
-    cfg = rc.model
     sectors = _sector_list(rc)
     names = []
     for name in rc.checks:
@@ -334,7 +335,7 @@ def run(rc: RunConfig) -> RunReport:
         results, timings = [], []
         start = t0 = time.perf_counter()
         try:
-            for r in _REGISTRY[name](cfg, sectors, rc, rng):
+            for r in _REGISTRY[name](rc, sectors, rng):
                 t1 = time.perf_counter()
                 results.append(r)
                 timings.append((t1 - t0) * 1000.0)

@@ -9,17 +9,17 @@ pass), reduced and without explicit zeros; everything is immutable after
 construction.  Scalars enter and leave as Fractions (or ints); split, join
 and common convert between them and the stored numerators.
 
-An operator has one of two storage forms.  A general ChainOperator holds
-one dict of numerators per row.  A Factor, the form of every chain factor,
-holds per basis state one diagonal numerator and, for a two-site factor
-(swap_embed: R, R~, P, P^q), one swap numerator sent to the partner state,
-whose index comes from one table per (N, n, i, j); a diagonal one-site
-twist (site_embed of a diagonal matrix) has the diagonal alone.  A Factor
-forms its rows only when general code reads them.  A product with a Factor
-on the right spreads each row of the left operand onto the diagonal and
-partner columns; any other product meets row by row.  Both read the left
-operand through _iter_rows, so a Factor there forms no rows.  push_left
-through a Factor is one list comprehension.
+A general ChainOperator holds one dict of numerators per row.  A Factor,
+the one form of every chain factor, holds per basis state one diagonal
+numerator and one swap numerator sent to the partner state: for a two-site
+factor (swap_embed: R, R~, P, P^q) the partner index comes from one table
+per (N, n, i, j), and a diagonal operator (ChainOperator.diagonal: the
+twists g_i through site_embed, the weight operators) has no swap weight and
+is its own partner.  A Factor forms its rows only when general code reads
+them.  A product with a Factor on the right spreads each row of the left
+operand onto the diagonal and partner columns; any other product meets row
+by row.  Both read the left operand through _iter_rows, so a Factor there
+forms no rows.  push_left through a Factor is one list comprehension.
 """
 from __future__ import annotations
 
@@ -199,9 +199,10 @@ class ChainOperator:
 
     @classmethod
     def diagonal(cls, space, values):
-        """Diagonal operator from a per-basis-state list of scalars."""
+        """Diagonal operator from a per-basis-state list of scalars: a Factor
+        with no swap weight.  split leaves the numerators reduced."""
         nums, den = split(list(values))
-        return cls(space, {k: {k: v} for k, v in enumerate(nums) if v != 0}, den)
+        return Factor(space, nums, [0] * space.dim, range(space.dim), den)
 
     @classmethod
     def from_entries(cls, space, entries):
@@ -409,61 +410,27 @@ class ChainOperator:
 # -------------------------------------------------------------------- factors
 
 class Factor(ChainOperator):
-    """A chain factor stored by its structure over one denominator: one
-    diagonal numerator per basis state (``diag``) and, for a two-site
-    factor, one that sends the state to its partner.  ``rows`` is formed on
-    the first read and then kept, equal to the reduced (rows, den) of the
-    same entries; products (_iter_rows on the left, _right_of on the right)
-    and pushes (_push) through a factor never read it."""
+    """A chain factor stored by its structure over one denominator: row k
+    holds diag[k] at column k and swap[k] at column partner[k], the state
+    with the letters of two sites exchanged (k itself, with swap[k] = 0,
+    where they are equal).  Row k stores its own column first, then its
+    partner's; a zero is no entry.  A diagonal factor has swap weights 0
+    and the partner table range(dim).  ``rows`` is formed on the first
+    read and then kept, equal to the reduced (rows, den) of the same
+    entries; products (_iter_rows on the left, _right_of on the right) and
+    pushes (_push) through a factor never read it."""
 
-    __slots__ = ("diag", "_rows")
+    __slots__ = ("diag", "swap", "partner", "_rows")
+
+    def __init__(self, space, diag, swap, partner, den):
+        self.space, self.den, self._rows = space, den, None
+        self.diag, self.swap, self.partner = diag, swap, partner
 
     @property
     def rows(self):
         if self._rows is None:
             self._rows = dict(self._iter_rows())
         return self._rows
-
-
-class DiagonalFactor(Factor):
-    """Diagonal operator, row k holding diag[k] (a zero is no entry): a
-    one-site twist embedded by site_embed."""
-
-    __slots__ = ()
-
-    def __init__(self, space, diag, den):
-        self.space, self.diag, self.den, self._rows = space, diag, den, None
-
-    def _iter_rows(self):
-        return ((k, {k: d}) for k, d in enumerate(self.diag) if d)
-
-    def _right_of(self, a):
-        """The rows of a . self: each row of a scales column by column."""
-        diag, out = self.diag, {}
-        for r, arow in a._iter_rows():
-            acc = {k: v * diag[k] for k, v in arow.items()}
-            if 0 in acc.values():
-                acc = {k: v for k, v in acc.items() if v != 0}
-            if acc:
-                out[r] = acc
-        return out
-
-    def _push(self, nums):
-        return [w * d for w, d in zip(nums, self.diag)]
-
-
-class SwapFactor(Factor):
-    """Operator that keeps or exchanges the letters at two sites: row k holds
-    diag[k] at column k and swap[k] at column partner[k], the state with
-    those letters exchanged (k itself, with swap[k] = 0, where they are
-    equal).  Row k stores its own letters first, then its partner's; a zero
-    is no entry.  partner is one shared table per (N, n, i, j)."""
-
-    __slots__ = ("swap", "partner")
-
-    def __init__(self, space, diag, swap, partner, den):
-        self.space, self.diag, self.den, self._rows = space, diag, den, None
-        self.swap, self.partner = swap, partner
 
     def _iter_rows(self):
         for k, (d, s, p) in enumerate(zip(self.diag, self.swap, self.partner)):
@@ -540,41 +507,23 @@ def _check_pair(space, i, j):
         raise BadSite(f"need two distinct sites, got ({i}, {j})")
 
 
-def _one_site_columns(op, N):
-    """Column map {b: [(a, value)]} of an N x N one-site matrix given as a
-    dict keyed by 1-based (row, col) pairs."""
-    cols = {}
-    for (a, b), v in op.items():
-        if not (1 <= a <= N and 1 <= b <= N):
-            raise ValueError(f"matrix indices ({a}, {b}) outside 1..{N}")
-        if v == 0:
-            continue
-        cols.setdefault(b, []).append((a, v))
-    return cols
-
-
 def site_embed(space, op, i):
-    """Act with an N x N matrix {(row, col): value} on tensor factor i
-    (1-based), identity elsewhere; a diagonal matrix gives a DiagonalFactor."""
+    """Act with a diagonal N x N matrix {(a, a): value} on tensor factor i
+    (1-based), identity elsewhere: a diagonal Factor."""
     if space.sector is not None:
         raise DimensionMismatch("site_embed builds on the full space")
     if not (1 <= i <= space.n):
         raise BadSite(f"site {i} outside 1..{space.n}")
-    N, cols = space.N, _one_site_columns(op, space.N)
+    N = space.N
+    for (a, b), v in op.items():
+        if not (1 <= a <= N and 1 <= b <= N):
+            raise ValueError(f"matrix indices ({a}, {b}) outside 1..{N}")
+        if a != b and v != 0:
+            raise ValueError(f"off-diagonal entry ({a}, {b}) = {v}: site_embed "
+                             "takes a diagonal matrix")
+    values = [op.get((a, a), 0) for a in range(1, N + 1)]
     step = N ** (space.n - i)
-    if all(a == b for b, col in cols.items() for a, _ in col):
-        nums, den = split([cols[b][0][1] if b in cols else 0 for b in range(1, N + 1)])
-        g = common(den, nums)
-        nums = [v // g for v in nums]
-        return DiagonalFactor(space, [nums[k // step % N] for k in range(space.dim)], den // g)
-
-    def entries():
-        for ci, J in enumerate(space.states):
-            b = J[i - 1]
-            for a, v in cols.get(b, ()):
-                yield ci + (a - b) * step, ci, v
-
-    return ChainOperator.from_entries(space, entries())
+    return ChainOperator.diagonal(space, [values[k // step % N] for k in range(space.dim)])
 
 
 def permutation(space, i, j):
@@ -640,7 +589,7 @@ def _swap_table(N, n, i, j):
 
 
 def swap_embed(space, i, j, diagonal, fixed, swap):
-    """SwapFactor on the full space that keeps or exchanges the letters
+    """Factor on the full space that keeps or exchanges the letters
     (a, b) at sites (i, j).
 
     A state keeps its letters with the weight `fixed` if a = b and
@@ -658,5 +607,5 @@ def swap_embed(space, i, j, diagonal, fixed, swap):
     fixed, diagonal, up, down = (v // g for v in (fixed, diagonal, up, down))
     kept, swapped = (fixed, diagonal, diagonal), (0, up, down)
     kind, partner = _swap_table(space.N, space.n, i, j)
-    return SwapFactor(space, [kept[t] for t in kind], [swapped[t] for t in kind],
-                      partner, den // g)
+    return Factor(space, [kept[t] for t in kind], [swapped[t] for t in kind],
+                  partner, den // g)

@@ -45,6 +45,7 @@ from qkzbench.tensor import (
     site_embed,
     split,
 )
+from references import site_embed_reference
 
 ETA = Fraction(1, 2)
 HBAR = Fraction(1, 3)
@@ -318,7 +319,7 @@ def _reference_transfer(cfg, x0):
                     t = cfg.coupling
                     w = 1 if a == b else (t if a > b else 1 / t)
                     coef = sinh_ratio_down(x0 / cfg.points[k - 1], t) - w
-                op = site_embed(space, {(b, a): coef}, k)
+                op = site_embed_reference(space, {(b, a): coef}, k)
                 out[(a, b)] = op + ident if a == b else op
         return out
 
@@ -406,7 +407,7 @@ def test_transfer_commute_fails_on_a_perturbed_transfer_matrix(make, monkeypatch
     # T(x) + x E_12 at site 1
     build = chain.transfer_matrix
     monkeypatch.setattr(chain, "transfer_matrix", lambda cfg, x: build(cfg, x)
-                        + site_embed(cfg.space(), {(1, 2): x}, 1))
+                        + site_embed_reference(cfg.space(), {(1, 2): x}, 1))
     cfg = make()
     r = check_transfer_commute(cfg)
     assert not r.passed and r.residual > 0
@@ -708,30 +709,84 @@ def test_factor_memo_does_not_keep_its_config_alive():
     assert [ref() for ref in refs] == [None] * 4
 
 
-@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def rational_step_off():
+    return ModelConfig.rational(2, 3, ETA, 0, X3, G2)
+
+
+def trig_step_off():
+    u = trig_cfg().points
+    return ModelConfig.trigonometric(2, 3, Fraction(2), Fraction(1), u, G2)
+
+
+STEP_ON = [rational_cfg, trig_cfg]
+ALL_STEPS = STEP_ON + [rational_step_off, trig_step_off]
+
+
+def _qkz_passes(cfg):
+    """(i, shifted sites) of every chain product qkz-compat forms: each K_i,
+    and K_i with one other site shifted."""
+    sites = range(1, cfg.n + 1)
+    return [(i, S) for i in sites for S in [set()] + [{s} for s in sites if s != i]]
+
+
+def _qkz_arguments(cfg, i, shifted):
+    """(j, argument) of each R factor of K_i, in product order, written out:
+    x_i - x_j + k eta hbar (u_i / u_j h^k) at k net qKZ steps, one for the
+    place left of the twist and one for a shifted site i, less one for a
+    shifted site j."""
+    left = [(j, 1) for j in range(i - 1, 0, -1)]
+    for j, k in left + [(j, 0) for j in range(cfg.n, i, -1)]:
+        k += (i in shifted) - (j in shifted)
+        p, q = cfg.points[i - 1], cfg.points[j - 1]
+        yield j, (p - q + k * cfg.coupling * cfg.step if cfg.is_rational
+                  else p / q * cfg.step ** k)
+
+
+@pytest.mark.parametrize("make", ALL_STEPS)
 def test_each_memoized_factor_is_a_fresh_build(make):
+    # every factor of every chain product of qkz-compat is the build at its
+    # written-out argument, and is read from the memo on the next pass
     cfg = make()
     space = cfg.space()
     for i, j in itertools.permutations(range(1, cfg.n + 1), 2):
         assert qkz_compatibility(cfg, i, j).passed
-    table = cfg.at_hbar_zero()._builds
-    # n twists, and each R_ij at two arguments: x_i - x_j, and that moved by
-    # the step (left of the twist, i > j; with site j shifted, i < j)
-    assert len(table) == cfg.n + 2 * cfg.n * (cfg.n - 1)
-    for key, F in table.items():
-        if key[0] == "g":
-            fresh = site_embed(space, cfg.twist_table(), key[1])
-        else:
-            _, i, j, arg = key
+    kept = set()
+    for i, shifted in _qkz_passes(cfg):
+        factors = list(_chain_factors(cfg, i, shifted, False))
+        assert all(F is G for F, G in zip(factors, _chain_factors(cfg, i, shifted, False)))
+        kept.update(map(id, factors))
+        twist = factors.pop(i - 1)
+        fresh = site_embed(space, cfg.twist_table(), i)
+        assert (twist.rows, twist.den) == (fresh.rows, fresh.den)
+        for F, (j, arg) in zip(factors, _qkz_arguments(cfg, i, shifted), strict=True):
             fresh = r_factor(cfg.flavor, space, i, j, arg, cfg.coupling)
-        assert (F.rows, F.den) == (fresh.rows, fresh.den), key
+            assert (F.rows, F.den) == (fresh.rows, fresh.den), (i, j, shifted)
+    # n twists, and each R_ij at two arguments with the step on: at k = 1
+    # and 0 left of the twist (i > j), at 0 and -1 right of it (i < j); at
+    # one with the step off
+    steps = 2 if cfg.at_hbar_zero() is not cfg else 1
+    assert len(kept) == cfg.n + steps * cfg.n * (cfg.n - 1)
 
 
-@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+@pytest.mark.parametrize("make", STEP_ON)
+def test_factors_without_a_net_step_are_shared_with_hbar_zero(make):
+    cfg = make()
+    cfg0 = cfg.at_hbar_zero()
+    for i in range(1, cfg.n + 1):
+        zero = list(_chain_factors(cfg0, i, (), False))
+        K = list(_chain_factors(cfg, i, (), False))
+        # the twist and the factors right of it carry no step in K_i ...
+        assert all(F is G for F, G in zip(K[i - 1:], zero[i - 1:], strict=True))
+        for m, j in enumerate(range(i - 1, 0, -1)):
+            # ... a factor left of it one step, undone when site j is shifted
+            assert K[m] is not zero[m] and K[m] != zero[m]
+            assert list(_chain_factors(cfg, i, {j}, False))[m] is zero[m]
+
+
+@pytest.mark.parametrize("make", ALL_STEPS)
 def test_a_factor_lookup_hit_forms_no_argument(make, monkeypatch):
-    # a qKZ factor is found again by its sites, its place around the twist
-    # and which of its sites are shifted: no argument is formed, and the
-    # factor is the one object built for that argument
+    # a second pass of qkz-compat finds every factor again without forming
+    # an argument, and builds nothing
     builds = _count_builds(monkeypatch)
     cfg = make()
     pairs = list(itertools.permutations(range(1, cfg.n + 1), 2))
@@ -744,25 +799,25 @@ def test_a_factor_lookup_hit_forms_no_argument(make, monkeypatch):
     for i, j in pairs:
         assert qkz_compatibility(cfg, i, j).passed
     assert calls == [] and sum(builds.values()) == built
-    found = {key: F for key, F in cfg._builds.items() if key[0] == "R at"}
-    assert found and set(map(id, found.values())) <= set(
-        map(id, cfg.at_hbar_zero()._builds.values()))
 
 
-@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+@pytest.mark.parametrize("make", STEP_ON)
 def test_r_and_tilde_r_at_one_argument_are_distinct_entries(make):
-    # at hbar = 0 the R_21 of K_2^(0) and the R~_21 of H_2 share an argument
-    cfg0 = make().at_hbar_zero()
-    space = cfg0.space()
-    arg = cfg0.relative(cfg0.points[1], cfg0.points[0])
-    K = qkz_operator(cfg0, 2)
-    H = hamiltonian(cfg0, 2)
-    table = cfg0._builds
-    R = table["R", 2, 1, arg]
-    tilde = r_factor(cfg0.flavor, space, 2, 1, arg, cfg0.coupling, True)
-    assert R == r_factor(cfg0.flavor, space, 2, 1, arg, cfg0.coupling)
-    assert R != tilde and tilde not in table.values()
-    assert table["H", 2] is H != K
+    # at hbar = 0 the R_21 of K_2^(0) and the R~_21 of H_2 share an argument;
+    # H_2 = prefactor * K_2^(0), whichever is built first
+    for first in ("H", "K"):
+        cfg0 = make().at_hbar_zero()
+        space = cfg0.space()
+        builds = {"H": lambda: hamiltonian(cfg0, 2), "K": lambda: qkz_operator(cfg0, 2)}
+        ops = {first: builds[first]()}
+        ops.update((name, build()) for name, build in builds.items() if name not in ops)
+        assert ops["H"] == ops["K"].scaled(hamiltonian_prefactor(cfg0, 2)) != ops["K"]
+        arg = X3[1] - X3[0] if cfg0.is_rational else cfg0.points[1] / cfg0.points[0]
+        R = next(_chain_factors(cfg0, 2, (), False))
+        tilde = next(_chain_factors(cfg0, 2, (), True))
+        assert R == r_factor(cfg0.flavor, space, 2, 1, arg, cfg0.coupling) != tilde
+        assert tilde == r_factor(cfg0.flavor, space, 2, 1, arg, cfg0.coupling, True)
+        assert hamiltonian(cfg0, 2) is ops["H"]
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])

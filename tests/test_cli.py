@@ -133,12 +133,28 @@ def test_load_config_rejects_keys_of_the_other_flavor(tmp_path, flavor, key, val
         load_config(str(p))
 
 
+# each reads as a sector of an N = 2, n = 3 chain once empty parts and
+# spaces are dropped, which is not the sector typed
+MALFORMED_SECTORS = ["1,,2", "2,1,", ",2,1", "0 3,0"]
+
+
 def test_parse_sector():
     assert parse_sector("2,1", 2, 3) == (2, 1)
+    assert parse_sector(" 2 , 1 ", 2, 3) == (2, 1)
     with pytest.raises(ParseError):
         parse_sector("2,2", 2, 3)
     with pytest.raises(ParseError):
         parse_sector("1,1,1", 2, 3)
+    for text in MALFORMED_SECTORS:
+        with pytest.raises(ParseError, match="bad sector"):
+            parse_sector(text, 2, 3)
+
+
+@pytest.mark.parametrize("text", MALFORMED_SECTORS)
+def test_main_rejects_a_malformed_sector(rational_path, capsys, text):
+    assert main(["verify", "--config", rational_path, "--check", "ybe",
+                 "--sector", text]) == 2
+    assert "bad sector" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- running

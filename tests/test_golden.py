@@ -14,6 +14,13 @@ exact negative control patched in, so that the failing residuals and their
 witnesses (basis pairs, basis states and Cauchy weights) are pinned too.
 `spectrum` refines its eigenpairs in exact integers from a double start
 computed in pure Python, so its report is byte-exact as well.
+
+The identities cannot see every fault of an operator (a sign flip of the
+qKZ step, an R-matrix replaced by the swap), so the operator goldens pin the
+entries themselves: operators-<chain>.json holds OPERATORS on the chain as
+written, with a final newline, by
+
+    json.dumps(operator_table(load_config(path).model), indent=2)
 """
 import json
 from fractions import Fraction
@@ -21,8 +28,8 @@ from pathlib import Path
 
 import pytest
 
-from qkzbench import rmatrix, verify
-from qkzbench.cli import main
+from qkzbench import chain, rmatrix, verify
+from qkzbench.cli import load_config, main
 from qkzbench.tensor import ChainOperator
 
 DATA = Path(__file__).parent / "data"
@@ -53,6 +60,41 @@ def _run(capsys, command, chain, code=0):
                          ids=[g for _, _, g, _ in BYTE_EXACT])
 def test_report_is_byte_identical(capsys, command, chain, golden, code):
     assert _run(capsys, command, chain, code) == (DATA / golden).read_text()
+
+
+# ------------------------------------------------------------ operator content
+
+# (name, build) of each pinned operator: K_i with and without a shifted
+# site, an H_i and T(x) at a point off the chain.  The R factors of the first
+# two sit at no net qKZ step, those of K_3 one step up (left of the twist)
+# and the R_12 of K_1 with site 2 shifted one step down, so that a change of
+# the step shows
+OPERATORS = [
+    ("qkz_operator(cfg, 2, {1})", lambda cfg: chain.qkz_operator(cfg, 2, {1})),
+    ("qkz_operator(cfg, 1)", lambda cfg: chain.qkz_operator(cfg, 1)),
+    ("qkz_operator(cfg, 3)", lambda cfg: chain.qkz_operator(cfg, 3)),
+    ("qkz_operator(cfg, 1, {2})", lambda cfg: chain.qkz_operator(cfg, 1, {2})),
+    ("hamiltonian(cfg, 1)", lambda cfg: chain.hamiltonian(cfg, 1)),
+    ("transfer_matrix(cfg, 11/5)",
+     lambda cfg: chain.transfer_matrix(cfg, Fraction(11, 5))),
+]
+
+
+def operator_table(cfg):
+    """{name: rows} of OPERATORS on cfg, each row its dense entries as exact
+    p/q text, separated by spaces."""
+    out = {}
+    for name, build in OPERATORS:
+        op, dim = build(cfg), cfg.space().dim
+        out[name] = [" ".join(str(op.entry(r, c)) for c in range(dim)) for r in range(dim)]
+    return out
+
+
+@pytest.mark.parametrize("chain_name", ["rational", "trig"])
+def test_operator_entries_are_byte_identical(chain_name):
+    cfg = load_config(DATA / f"{chain_name}.cfg").model
+    text = json.dumps(operator_table(cfg), indent=2) + "\n"
+    assert text == (DATA / f"operators-{chain_name}.json").read_text()
 
 
 # ---------------------------------------------------------- negative controls

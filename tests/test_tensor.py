@@ -33,6 +33,7 @@ from qkzbench.tensor import (
     split,
     weight_of,
 )
+from references import site_embed_reference
 
 
 # ----------------------------------------------------------------- sectors
@@ -108,13 +109,16 @@ def test_inversion_length_is_minimal_swap_count(N, n):
 # ----------------------------------------------------------------- operators
 
 def test_site_embed_matrix_unit():
+    # the diagonal unit E_22 at site 1 projects onto the states with letter
+    # 2 there; the raising unit E_12 is no diagonal matrix
     sp = Space(2, 2)
-    op = site_embed(sp, {(1, 2): Fraction(1)}, 1)
-    for b in (1, 2):
-        src = sp.index_of((2, b))
-        dst = sp.index_of((1, b))
-        assert op.entry(dst, src) == 1
+    op = site_embed(sp, {(2, 2): Fraction(1)}, 1)
+    for J in sp.states:
+        k = sp.index_of(J)
+        assert op.entry(k, k) == (J[0] == 2)
     assert op.nnz == 2
+    with pytest.raises(ValueError, match=r"\(1, 2\)"):
+        site_embed(sp, {(1, 2): Fraction(1)}, 1)
 
 
 def test_site_embed_identity_and_diag():
@@ -325,7 +329,7 @@ def test_restrict_shares_one_space_per_sector():
 
 def test_restrict_raising_operator_fails():
     sp = Space(2, 2)
-    raising = site_embed(sp, {(1, 2): Fraction(1)}, 1)
+    raising = site_embed_reference(sp, {(1, 2): Fraction(1)}, 1)
     with pytest.raises(NotBlockDiagonal):
         raising.restrict((1, 1))
 
@@ -524,7 +528,7 @@ def test_combination_needs_one_space_and_one_domain():
     with pytest.raises(DimensionMismatch):
         ChainOperator.combination([(one, A), (Fraction(0), ChainOperator.identity(Space(3, 2)))])
     # int and Fraction scalars are one domain: an int factor is its Fraction
-    B = site_embed(sp, {(1, 2): Fraction(3, 4)}, 1)
+    B = site_embed_reference(sp, {(1, 2): Fraction(3, 4)}, 1)
     got = ChainOperator.combination([(2, A), (-1, B)])
     want = ChainOperator.combination([(Fraction(2), A), (Fraction(-1), B)])
     assert (got.rows, got.den) == (want.rows, want.den)
@@ -593,8 +597,8 @@ def test_trace_first_site_of_a_product_state_operator():
     A = {(1, 1): Fraction(2), (1, 2): Fraction(5), (2, 2): Fraction(-1, 3)}
     B = {(1, 2): Fraction(7), (2, 1): Fraction(1, 2)}
     sp = Space(2, 3)
-    op = site_embed(sp, A, 1) @ site_embed(sp, B, 3)
-    want = site_embed(Space(2, 2), B, 2).scaled(Fraction(5, 3))
+    op = site_embed_reference(sp, A, 1) @ site_embed_reference(sp, B, 3)
+    want = site_embed_reference(Space(2, 2), B, 2).scaled(Fraction(5, 3))
     assert op.trace_first_site() == want
     with pytest.raises(DimensionMismatch):
         ChainOperator.identity(Space(2, 1)).trace_first_site()
@@ -616,9 +620,9 @@ def test_values_cross_the_interface_as_domain_scalars():
 
 
 # ------------------------------------------------------- structured factors
-# The per-state builds that swap_embed and the diagonal site_embed replace,
-# kept as references: one row dict per basis state, reduced by
-# from_numerators or from_entries.
+# The per-state builds that swap_embed, ChainOperator.diagonal and site_embed
+# replace, kept as references: one row dict per basis state, reduced by
+# from_numerators or from_entries (site_embed_reference, in references.py).
 
 def _swap_embed_reference(space, i, j, diagonal, fixed, swap):
     (diagonal, fixed, up, down), den = split([diagonal, fixed, *swap])
@@ -634,19 +638,6 @@ def _swap_embed_reference(space, i, j, diagonal, fixed, swap):
         if row:
             rows[k] = row
     return ChainOperator.from_numerators(space, rows, den)
-
-
-def _site_embed_reference(space, op, i):
-    cols = tensor._one_site_columns(op, space.N)
-    step = space.N ** (space.n - i)
-
-    def entries():
-        for ci, J in enumerate(space.states):
-            b = J[i - 1]
-            for a, v in cols.get(b, ()):
-                yield ci + (a - b) * step, ci, v
-
-    return ChainOperator.from_entries(space, entries())
 
 
 def _layout(op):
@@ -675,13 +666,16 @@ def test_structured_factors_and_kernels_match_the_per_state_references(data, N, 
     A = ChainOperator.from_entries(sp, data.draw(entries))
     B = ChainOperator.from_entries(sp, data.draw(entries))
     cov = split(data.draw(st.lists(weights_st, min_size=sp.dim, max_size=sp.dim)))
+    values = data.draw(st.lists(weights_st, min_size=sp.dim, max_size=sp.dim))
     cases = [(tensor.swap_embed(sp, i, j, diagonal, fixed, (up, down)),
               _swap_embed_reference(sp, i, j, diagonal, fixed, (up, down))),
              # r_rational at x = 0 is the plain swap, with no diagonal weight
              (permutation(sp, i, j), _swap_embed_reference(sp, i, j, 0, 1, (1, 1))),
              (tensor.swap_embed(sp, i, j, diagonal, fixed, (0, 0)),
               _swap_embed_reference(sp, i, j, diagonal, fixed, (0, 0))),
-             (site_embed(sp, twist, i), _site_embed_reference(sp, twist, i))]
+             (site_embed(sp, twist, i), site_embed_reference(sp, twist, i)),
+             (ChainOperator.diagonal(sp, values),
+              ChainOperator.from_entries(sp, [(k, k, v) for k, v in enumerate(values)]))]
     for F, ref in cases:
         G = site_embed(sp, twist, j)
         # a factor on either side is read through its structure: no rows formed
@@ -695,15 +689,23 @@ def test_structured_factors_and_kernels_match_the_per_state_references(data, N, 
             assert type(P) is ChainOperator and _layout(P) == _layout(Q)
         assert got[5] == want[5]
         assert (F.nnz, F.trace(), F == ref) == (ref.nnz, ref.trace(), True)
+    # the twists and diagonal operators are factors without a swap weight
+    for F, _ in cases[3:]:
+        assert type(F) is tensor.Factor and F.partner == range(sp.dim)
+        assert not any(F.swap)
 
 
-def test_a_non_diagonal_site_embed_is_a_general_operator():
+def test_site_embed_takes_only_a_diagonal_matrix():
     sp = Space(2, 3)
-    raising = {(1, 2): Fraction(3, 4), (2, 2): Fraction(5)}
-    op = site_embed(sp, raising, 2)
-    assert type(op) is ChainOperator
-    assert _layout(op) == _layout(_site_embed_reference(sp, raising, 2))
-    assert isinstance(site_embed(sp, {(2, 2): Fraction(5)}, 2), tensor.DiagonalFactor)
+    with pytest.raises(ValueError, match=r"off-diagonal entry \(1, 2\) = 3/4"):
+        site_embed(sp, {(1, 2): Fraction(3, 4), (2, 2): Fraction(5)}, 2)
+    with pytest.raises(ValueError, match=r"\(3, 3\) outside 1..2"):
+        site_embed(sp, {(3, 3): Fraction(1)}, 2)
+    # a stored zero off the diagonal is no entry
+    diag = {(1, 2): Fraction(0), (2, 2): Fraction(5)}
+    op = site_embed(sp, diag, 2)
+    assert type(op) is tensor.Factor
+    assert _layout(op) == _layout(site_embed_reference(sp, diag, 2))
 
 
 def test_factors_on_one_pair_of_sites_share_one_partner_table():

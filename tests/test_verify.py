@@ -148,7 +148,8 @@ def test_proposition_prefix_fold_matches_fresh_right_sides(flavor):
     fresh = [check_proposition_higher(cfg, S) for S in subsets]
     assert all(r.passed for r in fresh)
     # the CLI's size-ordered walk with one shared map of right sides
-    assert list(cli._check_proposition(cfg, None, None, None)) == fresh
+    rc = cli.RunConfig(cfg, ["proposition-higher"], "all")
+    assert list(cli._check_proposition(rc, None, None)) == fresh
     # the reverse walk builds each prefix into the map before it is read
     right_sides = {}
     for S, want in reversed(list(zip(subsets, fresh))):
@@ -170,7 +171,8 @@ def test_proposition_family_pushes_each_right_side_once(flavor, monkeypatch):
     push = verify.qkz_covector_numerators
     monkeypatch.setattr(verify, "qkz_covector_numerators",
                         lambda c, *a: pushes.append(c is cfg) or push(c, *a))
-    assert all(r.passed for r in cli._check_proposition(cfg, None, None, None))
+    rc = cli.RunConfig(cfg, ["proposition-higher"], "all")
+    assert all(r.passed for r in cli._check_proposition(rc, None, None))
     assert pushes.count(True) == cfg.n * 2 ** (cfg.n - 1)
     assert pushes.count(False) == 2 ** cfg.n - 1
 
