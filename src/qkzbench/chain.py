@@ -11,10 +11,8 @@ covector times K_i applies the covector to the factors one at a time
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadColor, BadSite, GenericPositionViolation
@@ -31,7 +29,6 @@ TRIGONOMETRIC = "trigonometric"
 PARAMETERS = {RATIONAL: ("eta", "hbar", "x"), TRIGONOMETRIC: ("t", "h", "u")}
 
 
-@dataclass(frozen=True)
 class ModelConfig:
     """Parameters of one inhomogeneous twisted chain.
 
@@ -43,15 +40,39 @@ class ModelConfig:
     convention, so that a formula both flavors share (a pole, a sinh ratio)
     is written once.  The twist g = diag(g_1, ..., g_N) is shared by both
     flavors.
+
+    A config is immutable, equal to and hashed like another of its class by
+    its FIELDS, and weak-referenceable; its builds (_hbar_off, _builds) are
+    cached on the instance.  It is a plain class, not a dataclass, so that
+    no command imports dataclasses and inspect at start-up.
     """
 
-    flavor: str
-    N: int
-    n: int
-    g: tuple
-    coupling: object
-    step: object
-    points: tuple
+    FIELDS = ("flavor", "N", "n", "g", "coupling", "step", "points")
+
+    def __init__(self, flavor, N, n, g, coupling, step, points):
+        vars(self).update(flavor=flavor, N=N, n=n, g=g, coupling=coupling,
+                          step=step, points=points)
+
+    def __setattr__(self, name, *value):  # and, without a value, __delattr__
+        raise AttributeError(f"cannot set or delete {name!r} of a frozen ModelConfig")
+
+    __delattr__ = __setattr__
+
+    def _fields(self):
+        return tuple(getattr(self, f) for f in self.FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def replace(self, **changes):
+        """A new config with some fields changed, not validated."""
+        fields = dict(zip(self.FIELDS, self._fields()), **changes)
+        return self.__class__(**fields)
 
     # ------------------------------------------------------------ builders
     @classmethod
@@ -142,7 +163,7 @@ class ModelConfig:
         off = Fraction(0 if self.is_rational else 1)
         if self.step == off:
             return None
-        return dataclasses.replace(self, step=off)
+        return self.replace(step=off)
 
     @functools.cached_property
     def _builds(self):
@@ -173,8 +194,8 @@ def memo(cfg, key, build):
     cfg.at_hbar_zero() so that cfg and its hbar = 0 copy share them, and the
     qKZ factors ("R", i, j, k) at k != 0 net steps, under cfg; H_i, their
     sum, T(x), the sector restrictions of the H_i and their sums, the
-    principal minors and their integer form, the Cauchy weight comparisons
-    and the flavor covector.  A build lives as long as the config object
+    principal minors and their integer form, the Cauchy weight comparisons,
+    the twist side of each sector and the flavor covector.  A build lives as long as the config object
     that made it; equal configs build apart."""
     built = cfg._builds
     if key not in built:
@@ -313,7 +334,7 @@ def transfer_matrix(cfg, x0):
     pole of R~.  Built once per config and point.
     """
     x0 = Fraction(x0)
-    ext = dataclasses.replace(cfg, n=cfg.n + 1, points=(x0,) + cfg.points)
+    ext = cfg.replace(n=cfg.n + 1, points=(x0,) + cfg.points)
     return memo(cfg, ("T", x0),
                 lambda: _chain_product(ext, 1, (), tilde=True).trace_first_site())
 

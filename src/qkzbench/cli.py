@@ -24,7 +24,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import chain, rmatrix, verify
@@ -45,21 +44,18 @@ from .tensor import all_sectors
 _RATIONAL_ONLY = {"det-identity", "symmetric-identity"}
 
 
-@dataclass
 class RunConfig:
-    model: ModelConfig
-    checks: list
-    sectors: object  # "all" or list of weight tuples
-    tol: float = 1e-10
-    seed: int = 0
-    mode: str = "exact"
+    def __init__(self, model, checks, sectors, tol=1e-10, seed=0, mode="exact"):
+        # sectors: "all" or a list of weight tuples
+        self.model, self.checks, self.sectors = model, checks, sectors
+        self.tol, self.seed, self.mode = tol, seed, mode
 
 
-@dataclass
 class RunReport:
-    config: dict
-    results: list = field(default_factory=list)
-    timings: list = field(default_factory=list)  # millis, parallel to results
+    def __init__(self, config, results=None, timings=None):
+        self.config = config
+        self.results = [] if results is None else results
+        self.timings = [] if timings is None else timings  # millis, parallel to results
 
     @property
     def overall(self):
@@ -149,12 +145,13 @@ def load_config(path):
 
 
 def parse_sector(text, N, n):
-    # int() strips each part and rejects an empty one or inner spaces
-    try:
-        sector = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ParseError(f"bad sector {text!r}") from None
-    if len(sector) != N or any(m < 0 for m in sector) or sum(sector) != n:
+    # each part is ASCII digits once stripped: int() alone would also take
+    # "1_0", "+1" and non-ASCII digits
+    parts = [p.strip() for p in text.split(",")]
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ParseError(f"bad sector {text!r}")
+    sector = tuple(map(int, parts))
+    if len(sector) != N or sum(sector) != n:
         raise ParseError(f"sector {sector} is not a weight of {n} sites, {N} colors")
     return sector
 

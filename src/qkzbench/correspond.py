@@ -49,7 +49,6 @@ import decimal
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chain import memo, sector_hamiltonians
@@ -62,50 +61,36 @@ from .verify import (elementary_symmetric, principal_minors, twist_targets,
 MP_DPS = 60  # the working digits of spectrum, the fewest of the correspondence
 
 
-@dataclass
-class JointEigenstate:
-    """Joint eigenvalues lambda_i of all sector Hamiltonians on one common
-    eigenvector v, exact (Fraction, or Gaussian if not real), with
-    residuals[i] the least multiple of 2^-(2 B) not below
-    ||H_i v - lambda_i v||_2 / ||v||_2, a Fraction."""
+# Joint eigenvalues lambda_i of all sector Hamiltonians on one common
+# eigenvector v, exact (Fraction, or Gaussian if not real), with residuals[i]
+# the least multiple of 2^-(2 B) not below ||H_i v - lambda_i v||_2 / ||v||_2,
+# a Fraction.
+JointEigenstate = collections.namedtuple("JointEigenstate", "eigenvalues residuals")
 
-    eigenvalues: list
-    residuals: list
-
-
-@dataclass
-class CorrespondenceRow:
-    eigenvalues: list
-    velocities: list
-    target: list
-    invariants: list
-    radius: float
-    hamiltonian_deviation: float
+CorrespondenceRow = collections.namedtuple("CorrespondenceRow", (
+    "eigenvalues", "velocities", "target", "invariants", "radius",
+    "hamiltonian_deviation"))
 
 
-@dataclass
 class CorrespondenceReport:
-    sector: tuple
-    rows: list = field(default_factory=list)
-    status: str = "pass"
-    worst: float = 0.0
+    def __init__(self, sector, rows=None, status="pass", worst=0.0):
+        self.sector, self.status, self.worst = sector, status, worst
+        self.rows = [] if rows is None else rows
 
     @property
     def passed(self):
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class Gaussian:
+class Gaussian(collections.namedtuple("Gaussian", "real imag")):
     """An exact non-real eigenvalue, real + imag i with Fraction parts."""
 
-    real: Fraction
-    imag: Fraction
+    __slots__ = ()
 
     def __complex__(self):
         return complex(float(self.real), float(self.imag))
 
-    def __mul__(self, k):  # by a rational k
+    def __mul__(self, k):  # by a rational k, not the repetition of a tuple
         return Gaussian(self.real * k, self.imag * k)
 
     __rmul__ = __mul__
@@ -474,8 +459,8 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None):
     multiplicity = max(collections.Counter(targets_exact).values())
     digits = max(MP_DPS, math.ceil(-multiplicity * math.log10(tol)) + 20)
     report = CorrespondenceReport(sector=sector)
-    target_coeffs = [(-1) ** k * elementary_symmetric(targets_exact, k)
-                     for k in range(1, cfg.n + 1)]
+    target_coeffs = [(-1) ** k * e for k, e in
+                     enumerate(elementary_symmetric(targets_exact, cfg.n)) if k]
     target = [complex(t) for t in sorted(targets_exact)]
     scale, minors = velocity_scale(cfg), _integer_minors(cfg)
     worst = Fraction(0)

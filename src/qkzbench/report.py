@@ -1,26 +1,27 @@
 """Structured pass/fail records shared by all identity checks."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
-@dataclass
 class CheckResult:
     """Outcome of a single machine-checked identity.
 
     residual is a scalar magnitude: an exact Fraction, exactly 0 on a pass,
     for every identity, and a double for the correspondence.  witness, when present,
     points at the offending entry (typically a pair of basis states) or
-    carries an error message.
+    carries an error message.  Two results are equal when their fields are.
     """
 
-    name: str
-    status: str
-    residual: object
-    params: dict = field(default_factory=dict)
-    sector: tuple | None = None
-    witness: object = None
+    def __init__(self, name, status, residual, params=None, sector=None, witness=None):
+        self.name, self.status, self.residual = name, status, residual
+        self.params = {} if params is None else params
+        self.sector, self.witness = sector, witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def passed(self) -> bool:

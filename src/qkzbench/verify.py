@@ -15,8 +15,11 @@ read one operator sum per degree d, det_sums[d] = (-1)^d sum_{|S|=d} det(C_SS)
 H_S over the ordered products H_S of the restricted Hamiltonians.  One
 level-by-level pass per config and sector stores those sums (SectorSums) and
 the commutator residual of its level-2 products, and no H_S outlives it; the
-minors det(C_SS) are computed once per config.  The determinant identity is
-compared coefficient by coefficient in z on the stored sums.  The rational
+minors det(C_SS) are computed once per config.  The scalars they are
+compared with, e_0..e_n of the twist multiset and the Newton values of its
+power sums, are computed once per config and sector too (twist_side).  The
+determinant identity is compared coefficient by coefficient in z on the
+stored sums.  The rational
 Macdonald weights are the same minors in closed form (Cauchy's determinant),
 so the symmetric-function check compares them as scalars, subset by subset.
 """
@@ -213,23 +216,24 @@ def sector_sums(cfg, sector, hamiltonians=None):
 
 
 def elementary_symmetric(values, d):
-    """e_d of a list of scalars, by the standard one-pass recurrence."""
+    """[e_0, ..., e_d] of a list of scalars, by one pass of the standard
+    recurrence."""
     e = [1] + [0] * d
     for v in values:
-        for k in range(min(d, len(e) - 1), 0, -1):
+        for k in range(d, 0, -1):
             e[k] = e[k] + v * e[k - 1]
-    return e[d]
+    return e
 
 
 def elementary_from_power_sums(ps, d):
-    """e_d from power sums p_1..p_d via Newton's identity."""
+    """[e_0, ..., e_d] from power sums p_1..p_d via Newton's identities."""
     e = [1]
     for m in range(1, d + 1):
         s = 0
         for k in range(1, m + 1):
             s += (-1) ** (k - 1) * ps[k - 1] * e[m - k]
         e.append(s / m)
-    return e[d]
+    return e
 
 
 def twist_targets(cfg, sector):
@@ -246,6 +250,20 @@ def twist_targets(cfg, sector):
             t = cfg.coupling
             out.extend(cfg.g[a] * t ** (2 * alpha - m + 1) for alpha in range(m))
     return out
+
+
+def twist_side(cfg, sector):
+    """The scalar side of the determinant layer on one weight sector, once
+    per config and sector, as (multiset, ps, newton): e_0..e_n of the twist
+    multiset (twist_targets), the power sums p_k = sum_a M_a g_a^k for
+    k = 1..n, and the e_0..e_n that Newton's identities give from them."""
+    def build():
+        ps = [sum(m * g ** k for m, g in zip(key, cfg.g)) for k in range(1, cfg.n + 1)]
+        return (elementary_symmetric(twist_targets(cfg, key), cfg.n), ps,
+                elementary_from_power_sums(ps, cfg.n))
+
+    key = tuple(sector)
+    return memo(cfg, ("twist side", key), build)
 
 
 def _eliminate(rows, m):
@@ -313,9 +331,9 @@ def check_det_identity(cfg, sector, hamiltonians=None):
     _require_rational(cfg, "the determinant identity")
     table = sector_sums(cfg, sector, hamiltonians)
     comparisons = [table.commutator]
-    multiset = twist_targets(cfg, sector)
+    multiset = twist_side(cfg, sector)[0]
     for k, coeff in enumerate(table.det_sums):
-        expect = (-1) ** k * elementary_symmetric(multiset, k)
+        expect = (-1) ** k * multiset[k]
         comparisons.append(coeff.residual(table.identity.scaled(expect)))
     return verdict("det-identity", comparisons, sector=sector)
 
@@ -354,12 +372,10 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     table = sector_sums(cfg, sector, hamiltonians)
     comparisons = [table.commutator]
     comparisons += _cauchy_weights(cfg, d)
-    ps = [sum(m * g ** k for m, g in zip(sector, cfg.g)) for k in range(1, d + 1)]
-    value = elementary_from_power_sums(ps, d)
+    multiset, ps, newton = twist_side(cfg, sector)
+    value = newton[d]
 
-    comparisons.append((
-        abs(value - elementary_symmetric(twist_targets(cfg, sector), d)),
-        ("multiset form", d)))
+    comparisons.append((abs(value - multiset[d]), ("multiset form", d)))
     if d == 1:
         explicit = ps[0]
     elif d == 2:
@@ -390,7 +406,7 @@ def check_macdonald_eigenvalue(cfg, sector, d):
     if cfg.is_rational:
         if not (1 <= d <= cfg.n):
             raise ValueError(f"need 1 <= d <= n, got d={d}")
-        energy = elementary_symmetric(twist_targets(cfg, sector), d)
+        energy = twist_side(cfg, sector)[0][d]
         if d == 1:
             direct = sum(m * g for m, g in zip(sector, cfg.g))
             comparisons.append((abs(energy - direct), "weighted twist sum"))

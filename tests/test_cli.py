@@ -134,8 +134,10 @@ def test_load_config_rejects_keys_of_the_other_flavor(tmp_path, flavor, key, val
 
 
 # each reads as a sector of an N = 2, n = 3 chain once empty parts and
-# spaces are dropped, which is not the sector typed
-MALFORMED_SECTORS = ["1,,2", "2,1,", ",2,1", "0 3,0"]
+# spaces are dropped, or through int(), which also takes underscores, a sign
+# and non-ASCII digits; neither is the sector typed
+MALFORMED_SECTORS = ["1,,2", "2,1,", ",2,1", "0 3,0", "0_3,0", "+2,1", "\u0662,1",
+                     "2,\u0661"]
 
 
 def test_parse_sector():

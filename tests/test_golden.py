@@ -30,7 +30,7 @@ import pytest
 
 from qkzbench import chain, rmatrix, verify
 from qkzbench.cli import load_config, main
-from qkzbench.tensor import ChainOperator
+from qkzbench.tensor import ChainOperator, permutation
 
 DATA = Path(__file__).parent / "data"
 
@@ -90,11 +90,52 @@ def operator_table(cfg):
     return out
 
 
-@pytest.mark.parametrize("chain_name", ["rational", "trig"])
-def test_operator_entries_are_byte_identical(chain_name):
+def _operators_match(chain_name):
+    """Whether OPERATORS on the chain reproduce operators-<chain>.json."""
     cfg = load_config(DATA / f"{chain_name}.cfg").model
     text = json.dumps(operator_table(cfg), indent=2) + "\n"
-    assert text == (DATA / f"operators-{chain_name}.json").read_text()
+    return text == (DATA / f"operators-{chain_name}.json").read_text()
+
+
+@pytest.mark.parametrize("chain_name", ["rational", "trig"])
+def test_operator_entries_are_byte_identical(chain_name):
+    assert _operators_match(chain_name)
+
+
+def _r_is_the_swap(builder):
+    def mutate(monkeypatch):
+        monkeypatch.setattr(rmatrix, builder,
+                            lambda space, i, j, point, coupling: permutation(space, i, j))
+    return mutate
+
+
+def _sinh_ratio_up_without_a_square(monkeypatch):
+    # u * u - 1 -> u / u - 1 in the numerator
+    def mutant(u, t):
+        u, t = Fraction(u), Fraction(t)
+        return t * (u / u - 1) / (u * u * t * t - 1)
+    monkeypatch.setattr(rmatrix, "sinh_ratio_up", mutant)
+
+
+def _qkz_step_reversed(monkeypatch):
+    # p + eta*hbar -> p - eta*hbar, and p * h -> p / h
+    monkeypatch.setattr(chain.ModelConfig, "shifted", lambda cfg, p: (
+        p - cfg.coupling * cfg.step if cfg.is_rational else p / cfg.step))
+
+
+# faults that every identity check can miss; the operator goldens must not
+MUTANTS = [
+    ("rational-r-is-swap", _r_is_the_swap("r_rational")),
+    ("trig-r-is-swap", _r_is_the_swap("r_trig")),
+    ("sinh-ratio-up-u-over-u", _sinh_ratio_up_without_a_square),
+    ("qkz-step-reversed", _qkz_step_reversed),
+]
+
+
+@pytest.mark.parametrize("mutate", [m for _, m in MUTANTS], ids=[n for n, _ in MUTANTS])
+def test_operator_goldens_kill_each_mutant(monkeypatch, mutate):
+    mutate(monkeypatch)
+    assert not (_operators_match("rational") and _operators_match("trig"))
 
 
 # ---------------------------------------------------------- negative controls

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -230,7 +229,7 @@ def test_omega_invariance_fails_on_a_perturbed_component(cfg, covector,
         return w
 
     monkeypatch.setattr(verify, covector, perturbed)
-    cfg = dataclasses.replace(cfg)
+    cfg = cfg.replace()
     r = check_omega_invariance(cfg)
     _assert_fails_with_state_witness(r, cfg)
     assert weight_of(r.witness, cfg.N) == (2, 1)
@@ -354,7 +353,8 @@ def test_elementary_symmetric_against_bruteforce():
     for _ in range(20):
         vals = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5)]
         for d in range(6):
-            assert elementary_symmetric(vals, d) == _ed_bruteforce(vals, d)
+            assert elementary_symmetric(vals, d) == [
+                _ed_bruteforce(vals, k) for k in range(d + 1)]
 
 
 def test_elementary_from_power_sums_matches_multiset():
@@ -554,7 +554,7 @@ def test_symmetric_identity_fails_on_a_scaled_cauchy_weight(S, monkeypatch):
     # the table of a fresh copy of CFG is built, and its det_sums stored,
     # before the patch; the copy's Cauchy weight comparisons, memoized per
     # degree, are made after it
-    cfg = dataclasses.replace(CFG)
+    cfg = CFG.replace()
     sector_sums(cfg, M)
     scaled = dict(principal_minors(cfg))
     scaled[S] *= Fraction(98, 97)
@@ -570,28 +570,50 @@ def test_symmetric_identity_fails_on_a_scaled_cauchy_weight(S, monkeypatch):
 
 
 def test_symmetric_identity_fails_on_a_wrong_twist_multiset(monkeypatch):
-    # the multiset g_a x M_a feeds only the multiset-form comparison
+    # the multiset g_a x M_a feeds only the multiset-form comparison; the
+    # twist side of a fresh copy of CFG is built after the patch
     monkeypatch.setattr(verify, "twist_targets",
                         lambda cfg, sector: [Fraction(2), Fraction(2), Fraction(4)])
+    cfg = CFG.replace()
     for d in (1, 2, 3):
-        r = check_symmetric_identity(CFG, (2, 1), d)
+        r = check_symmetric_identity(cfg, (2, 1), d)
         assert not r.passed and r.residual != 0
         assert r.witness == ("multiset form", d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_symmetric_identity_fails_on_a_wrong_newton_value(d, monkeypatch):
-    # shift the Newton value of e_d and the multiset e_d alike: the explicit
-    # power-sum expansion is the first comparison that disagrees, and the
-    # operator comparison after it deviates by the same 1
+    # shift the Newton values of e_0..e_n and the multiset ones alike: the
+    # explicit power-sum expansion is the first comparison that disagrees,
+    # and the operator comparison after it deviates by the same 1; the twist
+    # side of a fresh copy of CFG is built after the patch
     newton, multiset = elementary_from_power_sums, elementary_symmetric
     monkeypatch.setattr(verify, "elementary_from_power_sums",
-                        lambda ps, k: newton(ps, k) + 1)
+                        lambda ps, k: [e + 1 for e in newton(ps, k)])
     monkeypatch.setattr(verify, "elementary_symmetric",
-                        lambda values, k: multiset(values, k) + 1)
-    r = check_symmetric_identity(CFG, (2, 1), d)
+                        lambda values, k: [e + 1 for e in multiset(values, k)])
+    r = check_symmetric_identity(CFG.replace(), (2, 1), d)
     assert not r.passed and r.residual == 1
     assert r.witness == ("power-sum expansion", d)
+
+
+def test_a_full_verify_makes_one_twist_side_per_sector(monkeypatch):
+    # det-identity, symmetric-identity and macdonald-eigenvalue read one
+    # twist side per sector: one recurrence for e_0..e_n and one pass of
+    # Newton's identities, where a call per coefficient and degree made 40
+    # recurrences on this chain
+    calls = []
+    for name in ("elementary_symmetric", "elementary_from_power_sums"):
+        def counted(values, d, name=name, f=getattr(verify, name)):
+            calls.append(name)
+            return f(values, d)
+        monkeypatch.setattr(verify, name, counted)
+    rc = cli.load_config(Path(__file__).parent / "data" / "rational.cfg")
+    results = cli.run(rc).results
+    assert results and all(r.passed for r in results)
+    sectors = len(all_sectors(rc.model.N, rc.model.n))
+    assert calls.count("elementary_symmetric") == sectors
+    assert calls.count("elementary_from_power_sums") == sectors
 
 
 # -------------------------------------------------------- sector subset sums
@@ -640,7 +662,7 @@ def test_each_hamiltonian_is_restricted_once_per_sector(monkeypatch):
     assert len(restricted) == len(set(restricted)) == rc.model.n * len(
         all_sectors(rc.model.N, rc.model.n))
     # injected Hamiltonians are restricted apart, into their private table
-    cfg = dataclasses.replace(CFG)
+    cfg = CFG.replace()
     table = sector_sums(cfg, (2, 1))
     own = sector_sums(cfg, (2, 1), hamiltonians=[hamiltonian(cfg, i) for i in (1, 2, 3)])
     assert table.ops is chain.sector_hamiltonians(cfg, (2, 1))
@@ -762,8 +784,7 @@ def test_macdonald_eigenvalue_examples():
     # E_1 = 2*2 + 3*1 = 7 and E_2 = e_2(2,2,3) = 16
     M = (2, 1)
     assert twist_targets(CFG, M) == [Fraction(2), Fraction(2), Fraction(3)]
-    assert elementary_symmetric(twist_targets(CFG, M), 1) == 7
-    assert elementary_symmetric(twist_targets(CFG, M), 2) == 16
+    assert elementary_symmetric(twist_targets(CFG, M), 2) == [1, 7, 16]
     for d in (1, 2, 3):
         r = check_macdonald_eigenvalue(CFG, M, d)
         assert r.passed and r.residual == 0
@@ -792,10 +813,11 @@ def test_macdonald_eigenvalue_trig_single_occupancy():
 
 
 def test_macdonald_eigenvalue_fails_on_a_wrong_twist_multiset(monkeypatch):
-    # E_1 from the multiset feeds the weighted twist sum and the sector trace
+    # E_1 from the multiset feeds the weighted twist sum and the sector
+    # trace; the twist side of a fresh copy of CFG is built after the patch
     monkeypatch.setattr(verify, "twist_targets",
                         lambda cfg, sector: [Fraction(2), Fraction(2), Fraction(4)])
-    r = check_macdonald_eigenvalue(CFG, (2, 1), 1)
+    r = check_macdonald_eigenvalue(CFG.replace(), (2, 1), 1)
     assert not r.passed and r.residual != 0
 
 
