@@ -3,11 +3,12 @@
 Everything here is built from chain products of two-site R-matrices around a
 diagonal twist: the qKZ connection operators K_i (plain R-matrices, shifted
 left block), the commuting Hamiltonians H_i (tilde R-matrices, no shifts),
-the weight operators M_a, and the transfer matrix T(x) whose pole expansion
-generates the H_i.  T(x) is the H_1 product of the chain with one auxiliary
-site at x in front, traced over that site.  A check that needs only a
-covector times K_i applies the covector to the factors one at a time
-(qkz_covector_numerators) and never forms K_i.
+the diagonals of a function of the weight (weight_diagonal), and the
+transfer matrix T(x) whose pole expansion generates the H_i.  T(x) is the
+H_1 product of the chain with one auxiliary site at x in front, traced over
+that site.  A check that needs only a covector times K_i applies the
+covector to the factors one at a time (qkz_covector_numerators) and never
+forms K_i.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import functools
 import operator
 from fractions import Fraction
 
-from .errors import BadColor, BadSite, GenericPositionViolation
+from .errors import BadSite, GenericPositionViolation
 from .report import verdict
 from .rmatrix import r_factor, sinh_exp
 from .tensor import ChainOperator, shared_space, site_embed, weight_of
@@ -36,7 +37,7 @@ class ModelConfig:
     qKZ step (hbar, or h = e^{eta*hbar}) and the spectral points (x_i, or
     u_i = e^{x_i}); the exponentials keep every trigonometric operator entry
     rational.  PARAMETERS names the triple for input and output only;
-    relative, shifted, sinh and coupled hold each flavor's spectral
+    relative, shifted, sinh, coupled and repeated hold each flavor's spectral
     convention, so that a formula both flavors share (a pole, a sinh ratio)
     is written once.  The twist g = diag(g_1, ..., g_N) is shared by both
     flavors.
@@ -111,6 +112,10 @@ class ModelConfig:
     def coupled(self, v):
         """The spectral argument v moved by the coupling: v + eta, or v * t."""
         return v + self.coupling if self.is_rational else v * self.coupling
+
+    def repeated(self, m):
+        """The spectral argument of the coupling taken m times: m * eta, or t^m."""
+        return m * self.coupling if self.is_rational else self.coupling ** m
 
     def validate(self):
         """Generic-position and non-degeneracy requirements, checked eagerly:
@@ -314,12 +319,22 @@ def hamiltonian_prefactor(cfg, i):
     return f
 
 
-def weight_operator(cfg, a):
-    """Diagonal operator counting the occurrences of color a."""
-    if not (1 <= a <= cfg.N):
-        raise BadColor(f"color {a} outside 1..{cfg.N}")
+def weight_diagonal(cfg, value):
+    """The diagonal operator with value(M) at every basis state of weight M;
+    value is called once per weight."""
     space = cfg.space()
-    return ChainOperator.diagonal(space, [J.count(a) for J in space.states])
+    weights = [weight_of(J, cfg.N) for J in space.states]
+    values = {M: value(M) for M in dict.fromkeys(weights)}
+    return ChainOperator.diagonal(space, map(values.get, weights))
+
+
+def twist_energy(cfg, weight):
+    """E_1 = sum_a g_a sinh(eta M_a) / sinh(eta) at the weight (M_1, ...,
+    M_N), read through repeated and sinh: sum_a g_a M_a on the rational
+    flavor.  The right side of the sum rule and the first Ruijsenaars
+    eigenvalue of the sector."""
+    return sum(g * cfg.sinh(cfg.repeated(m))
+               for g, m in zip(cfg.g, weight)) / cfg.sinh(cfg.coupling)
 
 
 # ------------------------------------------------------------ transfer matrix
@@ -351,17 +366,6 @@ def _fresh_points(cfg, count):
     return pts
 
 
-def twist_weight_exponential(cfg, sign):
-    """Diagonal operator sum_a g_a t^{+- M_a} (trigonometric boundary values)."""
-    space = cfg.space()
-    t = cfg.coupling
-    values = []
-    for J in space.states:
-        w = weight_of(J, cfg.N)
-        values.append(sum(cfg.g[a] * t ** (sign * w[a]) for a in range(cfg.N)))
-    return ChainOperator.diagonal(space, values)
-
-
 def _expansion_residuals(cfg, pts):
     """T(x) against its pole expansion at each sample, then (trigonometric
     flavor) the two boundary values."""
@@ -391,7 +395,8 @@ def _expansion_residuals(cfg, pts):
     for sign in (1, -1):
         rhs = ChainOperator.combination(
             [(1, const), (sh if sign > 0 else -sh, total)])
-        yield rhs.residual(twist_weight_exponential(cfg, sign))
+        yield rhs.residual(weight_diagonal(cfg, lambda M: sum(
+            g * cfg.repeated(sign * m) for g, m in zip(cfg.g, M))))
 
 
 def pole_expansion(cfg):
@@ -412,31 +417,12 @@ def pole_expansion(cfg):
 
 # ------------------------------------------------------------------ sum rules
 
-def twist_sinh_sum(cfg, weight):
-    """sum_a g_a sinh(eta M_a)/sinh(eta) at the weight (M_1, ..., M_N),
-    evaluated as sum_a g_a (t^{M_a} - t^{-M_a}) / (t - 1/t)."""
-    t = cfg.coupling
-    tinv = 1 / t
-    den = t - tinv
-    return sum(cfg.g[a] * (t ** weight[a] - tinv ** weight[a]) / den
-               for a in range(cfg.N))
-
-
 def sum_rule(cfg):
-    """sum_i H_i against the twist-weighted weight operators, exactly.
-
-    Rational: sum_i H_i = sum_a g_a M_a.  Trigonometric: the right-hand side
-    is twist_sinh_sum evaluated at the weight of each basis state.
-    """
-    space = cfg.space()
-    lhs = hamiltonian_sum(cfg)
-    if cfg.is_rational:
-        rhs = ChainOperator.combination(
-            [(cfg.g[a - 1], weight_operator(cfg, a)) for a in range(1, cfg.N + 1)])
-    else:
-        values = [twist_sinh_sum(cfg, weight_of(J, cfg.N)) for J in space.states]
-        rhs = ChainOperator.diagonal(space, values)
-    return verdict("sum-rule", [lhs.residual(rhs)],
+    """sum_i H_i = sum_a g_a sinh(eta M_a) / sinh(eta), exactly: the right
+    side is twist_energy at the weight of each basis state (sum_a g_a M_a
+    on the rational flavor)."""
+    rhs = weight_diagonal(cfg, lambda M: twist_energy(cfg, M))
+    return verdict("sum-rule", [hamiltonian_sum(cfg).residual(rhs)],
                    params={"flavor": cfg.flavor})
 
 

@@ -328,7 +328,7 @@ def run(rc: RunConfig) -> RunReport:
         else:
             raise ParseError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
     report = RunReport(config=_describe_run(rc))
-    for name in names:
+    for name in dict.fromkeys(names):  # each check once, in the order first named
         results, timings = [], []
         start = t0 = time.perf_counter()
         try:
@@ -452,8 +452,9 @@ def _select(args):
     rc = load_config(args.config)
     if args.seed is not None:
         rc.seed = args.seed
-    if args.sector:
-        rc.sectors = [parse_sector(s, rc.model.N, rc.model.n) for s in args.sector]
+    if args.sector:  # each sector once, in the order first named
+        rc.sectors = list(dict.fromkeys(
+            parse_sector(s, rc.model.N, rc.model.n) for s in args.sector))
     return rc
 
 

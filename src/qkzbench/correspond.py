@@ -55,8 +55,7 @@ from .chain import memo, sector_hamiltonians
 from .errors import DegeneracyUnresolved, NonConvergence
 from .scalars import require_tolerance
 from .tensor import ChainOperator
-from .verify import (elementary_symmetric, principal_minors, twist_targets,
-                     velocity_scale)
+from .verify import principal_minors, twist_side, velocity_scale
 
 MP_DPS = 60  # the working digits of spectrum, the fewest of the correspondence
 
@@ -446,21 +445,21 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None):
     coefficients c~_k of the Lax matrix C^T diag(lambda), summed exactly
     from the principal minors det(C_SS); the Lax matrix itself is never
     formed.  Both the certified radius of the roots around the targets and
-    max_k |c~_k - c_k|, against prod_t (z - t), must be within tol, judged
+    max_k |c~_k - c_k|, against prod_t (z - t) (the targets and their e_k
+    from verify.twist_side), must be within tol, judged
     exactly; the report writes them as doubles rounded up.  The reported
     invariants are the classical Hamiltonians (-1)^k c~_k, to be compared
     with e_k(targets).
     """
     sector = tuple(int(m) for m in sector)
     rng = rng if rng is not None else random.Random(0)
-    targets_exact = twist_targets(cfg, sector)
+    targets_exact, elementary = twist_side(cfg, sector)[:2]
     # a root of multiplicity m moves by about err^(1/m), so coefficients
     # good to 10^-digits keep its certified radius below tol
     multiplicity = max(collections.Counter(targets_exact).values())
     digits = max(MP_DPS, math.ceil(-multiplicity * math.log10(tol)) + 20)
     report = CorrespondenceReport(sector=sector)
-    target_coeffs = [(-1) ** k * e for k, e in
-                     enumerate(elementary_symmetric(targets_exact, cfg.n)) if k]
+    target_coeffs = [(-1) ** k * e for k, e in enumerate(elementary) if k]
     target = [complex(t) for t in sorted(targets_exact)]
     scale, minors = velocity_scale(cfg), _integer_minors(cfg)
     worst = Fraction(0)

@@ -17,10 +17,6 @@ class BadSite(WorkbenchError, ValueError):
     """Site index outside 1..n (or a coinciding pair where two are needed)."""
 
 
-class BadColor(WorkbenchError, ValueError):
-    """Color index outside 1..N."""
-
-
 class NonInvertibleQ(WorkbenchError, ValueError):
     """Deformation parameter of a q-permutation must be invertible."""
 

@@ -17,7 +17,8 @@ level-by-level pass per config and sector stores those sums (SectorSums) and
 the commutator residual of its level-2 products, and no H_S outlives it; the
 minors det(C_SS) are computed once per config.  The scalars they are
 compared with, e_0..e_n of the twist multiset and the Newton values of its
-power sums, are computed once per config and sector too (twist_side).  The
+power sums, are computed once per config and sector too (twist_side), with
+the targets and their e_0..e_n that the correspondence reads.  The
 determinant identity is compared coefficient by coefficient in z on the
 stored sums.  The rational
 Macdonald weights are the same minors in closed form (Cauchy's determinant),
@@ -29,7 +30,7 @@ import itertools
 from fractions import Fraction
 
 from .chain import (hamiltonian_sum, memo, qkz_covector_numerators,
-                    sector_hamiltonians, twist_sinh_sum)
+                    sector_hamiltonians, twist_energy)
 from .errors import FlavorMismatch, PoleHit
 from .report import largest_residual, verdict
 from .rmatrix import r_rational, r_trig
@@ -170,7 +171,8 @@ def _require_rational(cfg, what):
 
 class SectorSums:
     """The Hamiltonians restricted to one weight sector (``ops[i]`` is
-    H_{i+1}) and the coefficients of their operator determinant.
+    H_{i+1}, read from sector_hamiltonians) and the coefficients of their
+    operator determinant.
 
     The constructor visits the sorted subsets S of the 0-based sites level
     by level, in itertools.combinations order, builds H_S = H_{S[:-1]} @
@@ -181,9 +183,9 @@ class SectorSums:
     witness as ``commutator``.
     """
 
-    def __init__(self, cfg, sector, ops):
+    def __init__(self, cfg, sector):
         self.space = shared_space(cfg.N, cfg.n, sector)
-        self.ops = ops
+        self.ops = sector_hamiltonians(cfg, sector)
         self.identity = ChainOperator.identity(self.space)
         self.det_sums = []
         self.commutator = largest_residual(())  # no pairs below n = 2
@@ -203,16 +205,11 @@ class SectorSums:
                 [(sign * minors[S], P) for S, P in level.items()]))
 
 
-def sector_sums(cfg, sector, hamiltonians=None):
+def sector_sums(cfg, sector):
     """The SectorSums of cfg's Hamiltonians on a sector, built once per
-    config and sector from their one restriction (sector_hamiltonians).
-    Injected full-space `hamiltonians` are restricted here, into a private
-    table that is never stored."""
-    if hamiltonians is not None:
-        return SectorSums(cfg, sector, [H.restrict(sector) for H in hamiltonians])
+    config and sector from their one restriction (sector_hamiltonians)."""
     key = tuple(sector)
-    return memo(cfg, ("sector sums", key), lambda: SectorSums(
-        cfg, key, sector_hamiltonians(cfg, key)))
+    return memo(cfg, ("sector sums", key), lambda: SectorSums(cfg, key))
 
 
 def elementary_symmetric(values, d):
@@ -253,13 +250,15 @@ def twist_targets(cfg, sector):
 
 
 def twist_side(cfg, sector):
-    """The scalar side of the determinant layer on one weight sector, once
-    per config and sector, as (multiset, ps, newton): e_0..e_n of the twist
-    multiset (twist_targets), the power sums p_k = sum_a M_a g_a^k for
-    k = 1..n, and the e_0..e_n that Newton's identities give from them."""
+    """The scalar side of one weight sector, once per config and sector, as
+    (targets, multiset, ps, newton): the targets (twist_targets), their
+    e_0..e_n (on the rational flavor those of the twist multiset), the power
+    sums p_k = sum_a M_a g_a^k for k = 1..n, and the e_0..e_n that Newton's
+    identities give from them."""
     def build():
+        targets = twist_targets(cfg, key)
         ps = [sum(m * g ** k for m, g in zip(key, cfg.g)) for k in range(1, cfg.n + 1)]
-        return (elementary_symmetric(twist_targets(cfg, key), cfg.n), ps,
+        return (targets, elementary_symmetric(targets, cfg.n), ps,
                 elementary_from_power_sums(ps, cfg.n))
 
     key = tuple(sector)
@@ -316,7 +315,7 @@ def principal_minors(cfg):
     return memo(cfg, "principal minors", build)
 
 
-def check_det_identity(cfg, sector, hamiltonians=None):
+def check_det_identity(cfg, sector):
     """Operator determinant det(z d_ij - eta H_i / (x_j - x_i + eta)) on a
     weight sector against prod_a (z - g_a)^{M_a}, as polynomials in z.
 
@@ -325,13 +324,12 @@ def check_det_identity(cfg, sector, hamiltonians=None):
     the sector Hamiltonians commute (the pass's commutator residual, read
     first).  Each stored coefficient det_sums[k] is compared with
     (-1)^k e_k of the twist multiset times the identity, so a failure names
-    a basis pair.  `hamiltonians` lets a caller inject foreign operators
-    (negative controls).
+    a basis pair.
     """
     _require_rational(cfg, "the determinant identity")
-    table = sector_sums(cfg, sector, hamiltonians)
+    table = sector_sums(cfg, sector)
     comparisons = [table.commutator]
-    multiset = twist_side(cfg, sector)[0]
+    multiset = twist_side(cfg, sector)[1]
     for k, coeff in enumerate(table.det_sums):
         expect = (-1) ** k * multiset[k]
         comparisons.append(coeff.residual(table.identity.scaled(expect)))
@@ -353,7 +351,7 @@ def _cauchy_weights(cfg, d):
         compare(S) for S in itertools.combinations(range(cfg.n), d)])
 
 
-def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
+def check_symmetric_identity(cfg, sector, d):
     """Cauchy-weighted Hamiltonian products against e_d of the twist power
     sums.
 
@@ -369,10 +367,10 @@ def check_symmetric_identity(cfg, sector, d, hamiltonians=None):
     _require_rational(cfg, "the symmetric-function identity")
     if not (1 <= d <= cfg.n):
         raise ValueError(f"need 1 <= d <= n, got d={d}")
-    table = sector_sums(cfg, sector, hamiltonians)
+    table = sector_sums(cfg, sector)
     comparisons = [table.commutator]
     comparisons += _cauchy_weights(cfg, d)
-    multiset, ps, newton = twist_side(cfg, sector)
+    _, multiset, ps, newton = twist_side(cfg, sector)
     value = newton[d]
 
     comparisons.append((abs(value - multiset[d]), ("multiset form", d)))
@@ -398,18 +396,19 @@ def check_macdonald_eigenvalue(cfg, sector, d):
     Rational: E_d = e_d of the twist multiset must equal the normalized trace
     of (-1)^d det_sums[d], the Cauchy-weighted product sum that
     symmetric-identity reads.
-    Trigonometric (d = 1 only): E = sum_a g_a sinh(eta M_a)/sinh(eta),
-    cross-checked against the multiplicative-string sum
+    For d = 1 it is cross-checked against twist_energy, sum_a g_a M_a.
+    Trigonometric (d = 1 only): E = twist_energy, sum_a g_a sinh(eta
+    M_a)/sinh(eta), cross-checked against the multiplicative-string sum
     sum_a sum_alpha g_a t^{2 alpha - M_a + 1}, against H_1 + ... + H_n.
     """
     comparisons = []
     if cfg.is_rational:
         if not (1 <= d <= cfg.n):
             raise ValueError(f"need 1 <= d <= n, got d={d}")
-        energy = twist_side(cfg, sector)[0][d]
+        energy = twist_side(cfg, sector)[1][d]
         if d == 1:
-            direct = sum(m * g for m, g in zip(sector, cfg.g))
-            comparisons.append((abs(energy - direct), "weighted twist sum"))
+            comparisons.append((abs(energy - twist_energy(cfg, sector)),
+                                "weighted twist sum"))
         sign = (-1) ** d
         lhs = sector_sums(cfg, sector).det_sums[d]
     else:
@@ -417,7 +416,7 @@ def check_macdonald_eigenvalue(cfg, sector, d):
             raise FlavorMismatch(
                 "only the first trigonometric eigenvalue is part of the suite"
             )
-        energy = twist_sinh_sum(cfg, sector)
+        energy = twist_energy(cfg, sector)
         strings = sum(twist_targets(cfg, sector))
         comparisons.append((abs(energy - strings), "string sum"))
         sign = 1

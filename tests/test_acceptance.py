@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 
+from qkzbench import verify
 from qkzbench.chain import (
     ModelConfig,
     check_transfer_commute,
@@ -263,14 +264,16 @@ def test_criterion_09_quantum_classical_correspondence():
     assert ok
 
 
-def test_criterion_10_negative_controls():
+def test_criterion_10_negative_controls(monkeypatch):
     t0 = time.monotonic()
-    cfg = rational_cfg(2, 3)
-    # twist perturbation: foreign Hamiltonians must produce a loud failure
+    # twist perturbation: foreign Hamiltonians, restricted into the sector
+    # tables of a fresh chain, must produce a loud failure
     bad = ModelConfig.rational(2, 3, ETA, HBAR, X_POOL[:3],
                                (G[0] + 1, G[1]))
     foreign = [hamiltonian(bad, i) for i in (1, 2, 3)]
-    r = check_det_identity(cfg, (2, 1), hamiltonians=foreign)
+    monkeypatch.setattr(verify, "sector_hamiltonians",
+                        lambda cfg, sector: [H.restrict(sector) for H in foreign])
+    r = check_det_identity(rational_cfg(2, 3), (2, 1))
     control_a = (not r.passed) and r.residual != 0 and r.witness is not None
     # generic-position violation is rejected loudly, not passed silently
     try:

@@ -26,11 +26,10 @@ from qkzbench.chain import (
     qkz_operator,
     sum_rule,
     transfer_matrix,
-    twist_weight_exponential,
-    weight_operator,
+    twist_energy,
+    weight_diagonal,
 )
 from qkzbench.errors import (
-    BadColor,
     BadSite,
     GenericPositionViolation,
     PoleHit,
@@ -43,8 +42,9 @@ from qkzbench.tensor import (
     all_sectors,
     site_embed,
     split,
+    weight_of,
 )
-from references import site_embed_reference
+from references import site_embed_reference, state_diagonal_reference
 
 ETA = Fraction(1, 2)
 HBAR = Fraction(1, 3)
@@ -227,21 +227,45 @@ def test_trig_proportionality_between_h_and_k0():
 def test_conserved_family_commutes(make):
     cfg = make()
     hams = [hamiltonian(cfg, i) for i in (1, 2, 3)]
-    weights = [weight_operator(cfg, a) for a in (1, 2)]
+    weights = [state_diagonal_reference(cfg.space(), lambda J, a=a: J.count(a))
+               for a in (1, 2)]
     for A, B in itertools.combinations(hams + weights, 2):
         assert A @ B == B @ A
 
 
-def test_weight_operator_basics():
+def test_weight_diagonal_basics():
     cfg = rational_cfg()
     sp = cfg.space()
-    total = weight_operator(cfg, 1) + weight_operator(cfg, 2)
+    total = weight_diagonal(cfg, sum)
     assert total == ChainOperator.identity(sp).scaled(Fraction(3))
-    M1 = weight_operator(cfg, 1)
+    M1 = weight_diagonal(cfg, lambda M: M[0])
+    assert M1 == state_diagonal_reference(sp, lambda J: J.count(1))
     k = sp.index_of((1, 1, 2))
     assert M1.entry(k, k) == 2
-    with pytest.raises(BadColor):
-        weight_operator(cfg, 3)
+    # on one sector a function of the weight is a scaled identity
+    assert M1.restrict((2, 1)) == ChainOperator.identity(Space(2, 3, (2, 1))).scaled(2)
+
+
+def test_weight_diagonal_calls_value_once_per_weight():
+    u = (Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(9, 5), Fraction(11, 4),
+         Fraction(13, 7))
+    cfg = ModelConfig.trigonometric(2, 6, Fraction(2), Fraction(5, 4), u, G2)
+    calls = []
+    op = weight_diagonal(cfg, lambda M: calls.append(M) or M[0] - M[1])
+    assert len(calls) == 7 and set(calls) == set(all_sectors(2, 6))
+    assert op == state_diagonal_reference(cfg.space(), lambda J: J.count(1) - J.count(2))
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_twist_energy_is_the_sinh_sum(make):
+    # sum_a g_a sinh(eta M_a) / sinh(eta): sum_a g_a M_a on the rational
+    # flavor, sum_a g_a (t^M_a - t^-M_a) / (t - 1/t) on the trigonometric
+    cfg = make()
+    t = cfg.coupling
+    for M in all_sectors(2, 3):
+        want = (sum(g * m for g, m in zip(cfg.g, M)) if cfg.is_rational else
+                sum(g * (t**m - t**-m) / (t - 1 / t) for g, m in zip(cfg.g, M)))
+        assert twist_energy(cfg, M) == want
 
 
 # ------------------------------------------------------------ transfer matrix
@@ -299,8 +323,11 @@ def test_pole_expansion_trig_boundary_values():
         v = x0 / u
         const = const - H.scaled(sh * (v * v + 1) / (v * v - 1))
     total = hams[0] + hams[1]
-    assert const + total.scaled(sh) == twist_weight_exponential(cfg, 1)
-    assert const - total.scaled(sh) == twist_weight_exponential(cfg, -1)
+    t = cfg.coupling
+    for sign in (1, -1):
+        expect = state_diagonal_reference(cfg.space(), lambda J: sum(
+            g * t ** (sign * J.count(a)) for a, g in enumerate(cfg.g, start=1)))
+        assert const + total.scaled(sign * sh) == expect
     r = pole_expansion(cfg)
     assert r.passed and r.residual == 0
 
@@ -385,8 +412,8 @@ def _is_basis_pair(cfg, witness):
     return len(witness) == 2 and set(witness) <= set(cfg.space().states)
 
 
-@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
-def test_pole_expansion_fails_on_a_perturbed_hamiltonian(make, monkeypatch):
+def _perturb_h2(monkeypatch):
+    """chain.hamiltonian patched so that one entry of H_2 moves by 1/den."""
     build = chain.hamiltonian
 
     def perturbed(cfg, i):
@@ -400,6 +427,11 @@ def test_pole_expansion_fails_on_a_perturbed_hamiltonian(make, monkeypatch):
         return ChainOperator(H.space, rows, H.den)
 
     monkeypatch.setattr(chain, "hamiltonian", perturbed)
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_pole_expansion_fails_on_a_perturbed_hamiltonian(make, monkeypatch):
+    _perturb_h2(monkeypatch)
     cfg = make()
     r = pole_expansion(cfg)
     assert not r.passed and r.residual > 0
@@ -466,6 +498,29 @@ def test_sum_rule_trig():
 def test_sum_rule_single_site():
     cfg = ModelConfig.rational(2, 1, ETA, HBAR, (Fraction(0),), G2)
     assert sum_rule(cfg).passed
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_sum_rule_fails_on_a_moved_twist_energy(make, monkeypatch):
+    # the energy of the weight (2, 1) moves by 1/97: the sum rule fails by
+    # exactly that, at a diagonal pair of a state of that weight
+    energy = chain.twist_energy
+    monkeypatch.setattr(chain, "twist_energy", lambda cfg, M: energy(cfg, M) + (
+        Fraction(1, 97) if M == (2, 1) else 0))
+    cfg = make()
+    r = sum_rule(cfg)
+    assert not r.passed and r.residual == Fraction(1, 97)
+    J, K = r.witness
+    assert J == K and weight_of(J, cfg.N) == (2, 1)
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_sum_rule_fails_on_a_perturbed_hamiltonian(make, monkeypatch):
+    _perturb_h2(monkeypatch)
+    cfg = make()
+    r = sum_rule(cfg)
+    assert not r.passed and r.residual > 0
+    assert _is_basis_pair(cfg, r.witness)
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])

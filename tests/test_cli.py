@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkzbench
-from qkzbench import cli, correspond, rmatrix
+from qkzbench import cli, rmatrix, verify
 from qkzbench.cli import (
     CHECK_NAMES,
     emit,
@@ -157,6 +157,35 @@ def test_main_rejects_a_malformed_sector(rational_path, capsys, text):
     assert main(["verify", "--config", rational_path, "--check", "ybe",
                  "--sector", text]) == 2
     assert "bad sector" in capsys.readouterr().err
+
+
+def test_main_runs_a_repeated_sector_once(rational_path, capsys):
+    assert main(["verify", "--config", rational_path, "--check", "det-identity",
+                 "--sector", "3,0", "--sector", "2,1", "--sector", "3,0",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["sector"] for r in doc["results"]] == [[3, 0], [2, 1]]
+    assert doc["config"]["sectors"] == [[3, 0], [2, 1]]
+    for command in ("spectrum", "correspond"):
+        assert main([command, "--config", rational_path,
+                     "--sector", "2,1", "--sector", "2,1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [s["sector"] for s in doc["sectors"]] == [[2, 1]]
+        assert doc["config"]["sectors"] == [[2, 1]]
+
+
+def test_main_runs_a_repeated_check_once(rational_path, capsys):
+    # each check runs once, in the order first named; the echo keeps the
+    # checks as written
+    assert main(["verify", "--config", rational_path, "--check", "sum-rule",
+                 "--check", "all", "--check", "ybe", "--check", "sum-rule",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    names = list(dict.fromkeys(r["name"] for r in doc["results"]))
+    assert names[:2] == ["sum-rule", "ybe"]
+    assert [r["name"] for r in doc["results"]].count("ybe") == 1
+    assert [r["name"] for r in doc["results"]].count("sum-rule") == 1
+    assert doc["config"]["checks"] == ["sum-rule", "all", "ybe", "sum-rule"]
 
 
 # ------------------------------------------------------------------- running
@@ -378,8 +407,8 @@ def test_json_safe_writes_non_finite_floats_as_strings():
 
 def test_correspond_report_with_an_inf_radius_is_strict_json(monkeypatch, capsys):
     # every target moved by 1/2: no circle around a target holds its roots
-    targets = correspond.twist_targets
-    monkeypatch.setattr(correspond, "twist_targets", lambda cfg, sector: [
+    targets = verify.twist_targets
+    monkeypatch.setattr(verify, "twist_targets", lambda cfg, sector: [
         t + Fraction(1, 2) for t in targets(cfg, sector)])
     path = Path(__file__).parent / "data" / "rational.cfg"
     assert main(["correspond", "--config", str(path), "--sector", "2,1"]) == 1

@@ -11,7 +11,7 @@ import pytest
 import mpmath  # the test-only references below; the package never loads it
 from mpmath import iv
 
-from qkzbench import correspond
+from qkzbench import correspond, verify
 from qkzbench.cli import load_config, main
 from qkzbench.chain import ModelConfig, hamiltonian
 from qkzbench.correspond import (
@@ -367,9 +367,11 @@ def test_correspondence_fails_on_scaled_velocity(monkeypatch):
 
 
 def test_correspondence_fails_on_moved_target(monkeypatch):
-    monkeypatch.setattr(correspond, "twist_targets", lambda cfg, M: (
+    # the twist sides of fresh copies of the chains are built after the patch
+    monkeypatch.setattr(verify, "twist_targets", lambda cfg, M: (
         [twist_targets(cfg, M)[0] + Fraction(1, 10**6)] + twist_targets(cfg, M)[1:]))
-    for cfg, M in ((CFG, (2, 1)), (CFG, (1, 2)), (TCFG2, (1, 1))):
+    for cfg, M in ((CFG.replace(), (2, 1)), (CFG.replace(), (1, 2)),
+                   (TCFG2.replace(), (1, 1))):
         rep = check_correspondence(cfg, M, rng=random.Random(7))
         assert rep.status == "fail"
         assert rep.worst > 1e-8

@@ -396,45 +396,54 @@ def test_det_identity_rejects_trig():
         check_det_identity(TCFG, (2, 1))
 
 
-def test_det_identity_negative_control():
+def _with_sector_hamiltonians(monkeypatch, hams):
+    """A fresh copy of CFG whose sector tables are built from the
+    restrictions of the full-space operators hams (a negative control):
+    verify.sector_hamiltonians is patched before the copy's first build."""
+    monkeypatch.setattr(verify, "sector_hamiltonians",
+                        lambda cfg, sector: [H.restrict(sector) for H in hams])
+    return CFG.replace()
+
+
+def test_det_identity_negative_control(monkeypatch):
     # Hamiltonians from a perturbed twist must not satisfy the original's
     # determinant identity
     bad = ModelConfig.rational(2, 3, ETA, HBAR, X3, (G2[0] + 1, G2[1]))
     foreign = [hamiltonian(bad, i) for i in (1, 2, 3)]
-    r = check_det_identity(CFG, (2, 1), hamiltonians=foreign)
+    r = check_det_identity(_with_sector_hamiltonians(monkeypatch, foreign), (2, 1))
     assert not r.passed
     assert r.residual != 0
     assert r.witness is not None
 
 
-def test_noncommuting_hamiltonians_fail_on_the_commutator():
+def test_noncommuting_hamiltonians_fail_on_the_commutator(monkeypatch):
     # H_1 of CFG with H_2, H_3 of a chain with x_3 moved do not commute; the
     # pass compares each stored H_a H_b with H_b H_a and both checks fail
     moved = ModelConfig.rational(2, 3, ETA, HBAR, X3[:2] + (Fraction(-3, 4),), G2)
     mixed = [hamiltonian(CFG, 1), hamiltonian(moved, 2), hamiltonian(moved, 3)]
     M = (2, 1)
-    table = sector_sums(CFG, M, hamiltonians=mixed)
+    cfg = _with_sector_hamiltonians(monkeypatch, mixed)
+    table = sector_sums(cfg, M)
     commutator, pair = table.commutator
     states = table.space.states
     assert commutator != 0 and pair[0] in states and pair[1] in states
-    for r in (check_det_identity(CFG, M, hamiltonians=mixed),
-              check_symmetric_identity(CFG, M, 2, hamiltonians=mixed)):
+    for r in (check_det_identity(cfg, M), check_symmetric_identity(cfg, M, 2)):
         assert not r.passed and r.residual >= commutator
         assert len(r.witness) == 2
         assert r.witness[0] in states and r.witness[1] in states
 
 
 @pytest.mark.parametrize("k", range(CFG.n + 1))
-def test_det_identity_fails_on_a_perturbed_coefficient(k, monkeypatch):
-    M = (2, 1)
-    table = sector_sums(CFG, M, hamiltonians=[hamiltonian(CFG, i) for i in (1, 2, 3)])
+def test_det_identity_fails_on_a_perturbed_coefficient(k):
+    # the stored table of a fresh copy of CFG is perturbed in place
+    M, cfg = (2, 1), CFG.replace()
+    table = sector_sums(cfg, M)
     det_sums = table.det_sums
-    monkeypatch.setattr(verify, "sector_sums", lambda cfg, sector, hamiltonians=None: table)
-    assert check_det_identity(CFG, M).residual == 0
+    assert check_det_identity(cfg, M).residual == 0
     r, c = k % table.space.dim, (k + 1) % table.space.dim
     det_sums[k] = det_sums[k] + ChainOperator.from_entries(
         table.space, [(r, c, Fraction(1, 97))])
-    res = check_det_identity(CFG, M)
+    res = check_det_identity(cfg, M)
     assert not res.passed and res.residual != 0
     assert res.witness == (table.space.states[r], table.space.states[c])
 
@@ -501,14 +510,16 @@ def test_principal_minor_det_equals_permutation_sum(N, n):
         assert check_det_identity(cfg, M).residual == 0
 
 
-def test_principal_minor_det_on_foreign_operators():
+def test_principal_minor_det_on_foreign_operators(monkeypatch):
     # the perturbed-twist negative control (test_det_identity_negative_control)
     # meets the same determinant as before
     bad = ModelConfig.rational(2, 3, ETA, HBAR, X3, (G2[0] + 1, G2[1]))
     foreign = [hamiltonian(bad, i) for i in (1, 2, 3)]
-    table = sector_sums(CFG, (2, 1), hamiltonians=foreign)
+    cfg = _with_sector_hamiltonians(monkeypatch, foreign)
+    table = sector_sums(cfg, (2, 1))
+    assert _stored(table.ops[0]) == _stored(foreign[0].restrict((2, 1)))
     for z in (0, 1, -1, 2):
-        ref = _permutation_sum_det(CFG, table.ops, Fraction(z))
+        ref = _permutation_sum_det(cfg, table.ops, Fraction(z))
         assert _stored(_principal_minor_det(table, Fraction(z))) == _stored(ref)
 
 
@@ -537,13 +548,12 @@ def test_elimination_minors_equal_permutation_sum(N, n):
 
 @pytest.mark.parametrize("S", [(), (1,), (0, 2), (0, 1, 2)])
 def test_det_identity_fails_on_a_scaled_minor(S, monkeypatch):
-    own = [hamiltonian(CFG, i) for i in (1, 2, 3)]
-    assert check_det_identity(CFG, (2, 1), hamiltonians=own).residual == 0
+    assert check_det_identity(CFG, (2, 1)).residual == 0
     scaled = dict(principal_minors(CFG))
     scaled[S] *= Fraction(98, 97)
     monkeypatch.setattr(verify, "principal_minors", lambda cfg: scaled)
-    # injected operators get a private table, so the pass runs again
-    r = check_det_identity(CFG, (2, 1), hamiltonians=own)
+    # a fresh copy of CFG makes its pass after the patch
+    r = check_det_identity(CFG.replace(), (2, 1))
     assert not r.passed and r.residual != 0
     assert r.witness is not None
 
@@ -619,12 +629,11 @@ def test_a_full_verify_makes_one_twist_side_per_sector(monkeypatch):
 # -------------------------------------------------------- sector subset sums
 
 def test_sector_sums_are_built_once(monkeypatch):
-    table = sector_sums(CFG, (2, 1))
-    assert sector_sums(CFG, (2, 1)) is table
-    det_sums = table.det_sums
-    assert sector_sums(CFG, (2, 1)).det_sums is det_sums
-    assert len(det_sums) == CFG.n + 1
-    assert _stored(table.ops[1]) == _stored(hamiltonian(CFG, 2).restrict((2, 1)))
+    # a fresh copy of CFG, its sector Hamiltonians restricted before the
+    # products are counted
+    cfg = CFG.replace()
+    ops = chain.sector_hamiltonians(cfg, (2, 1))
+    assert _stored(ops[1]) == _stored(hamiltonian(CFG, 2).restrict((2, 1)))
     # one pass makes one product per subset of two or more sites, and one
     # reversed product H_b H_a per pair a < b for the commutator
     products = []
@@ -632,21 +641,24 @@ def test_sector_sums_are_built_once(monkeypatch):
     monkeypatch.setattr(ChainOperator, "__matmul__",
                         lambda a, b: products.append(1) or matmul(a, b))
     per_pass = 2 ** CFG.n - CFG.n - 1 + math.comb(CFG.n, 2)
-    own = [hamiltonian(CFG, i) for i in (1, 2, 3)]
-    fresh = sector_sums(CFG, (2, 1), hamiltonians=own)
+    table = sector_sums(cfg, (2, 1))
     assert len(products) == per_pass
-    assert [_stored(A) for A in fresh.det_sums] == [_stored(A) for A in det_sums]
-    assert fresh.commutator == table.commutator == (0, None)
+    assert table.ops is ops
+    assert sector_sums(cfg, (2, 1)) is table
+    det_sums = table.det_sums
+    assert sector_sums(cfg, (2, 1)).det_sums is det_sums
+    assert len(det_sums) == CFG.n + 1
+    # an equal config makes its own pass, to the same sums
+    other = sector_sums(CFG, (2, 1))
+    assert [_stored(A) for A in other.det_sums] == [_stored(A) for A in det_sums]
+    assert other.commutator == table.commutator == (0, None)
     # the checks read the stored sums and commutator and make no product
     del products[:]
-    assert check_det_identity(CFG, (2, 1)).passed
+    assert check_det_identity(cfg, (2, 1)).passed
     for d in (1, 2, 3):
-        assert check_symmetric_identity(CFG, (2, 1), d).passed
-        assert check_macdonald_eigenvalue(CFG, (2, 1), d).passed
+        assert check_symmetric_identity(cfg, (2, 1), d).passed
+        assert check_macdonald_eigenvalue(cfg, (2, 1), d).passed
     assert products == []
-    # a private table makes exactly one pass, whichever check builds it
-    assert check_symmetric_identity(CFG, (2, 1), 2, hamiltonians=own).passed
-    assert len(products) == per_pass
 
 
 def test_each_hamiltonian_is_restricted_once_per_sector(monkeypatch):
@@ -661,18 +673,14 @@ def test_each_hamiltonian_is_restricted_once_per_sector(monkeypatch):
     assert results and all(r.passed for r in results)
     assert len(restricted) == len(set(restricted)) == rc.model.n * len(
         all_sectors(rc.model.N, rc.model.n))
-    # injected Hamiltonians are restricted apart, into their private table
-    cfg = CFG.replace()
-    table = sector_sums(cfg, (2, 1))
-    own = sector_sums(cfg, (2, 1), hamiltonians=[hamiltonian(cfg, i) for i in (1, 2, 3)])
-    assert table.ops is chain.sector_hamiltonians(cfg, (2, 1))
-    assert all(A is not B and _stored(A) == _stored(B) for A, B in zip(own.ops, table.ops))
 
 
 def test_sector_sums_keep_left_to_right_order(monkeypatch):
     # each H_S is ((H_a H_b) H_c), as a plain left-to-right loop builds it,
     # and each det_sums[k] sums its terms in itertools.combinations order
-    hams = [hamiltonian(CFG, i) for i in (1, 2, 3)]
+    # a fresh copy of CFG, its sector Hamiltonians and minors built first
+    cfg = CFG.replace()
+    H, minors = chain.sector_hamiltonians(cfg, (2, 1)), principal_minors(cfg)
     products, sums = [], []
     matmul, combination = ChainOperator.__matmul__, ChainOperator.combination
 
@@ -683,10 +691,10 @@ def test_sector_sums_keep_left_to_right_order(monkeypatch):
     monkeypatch.setattr(ChainOperator, "__matmul__", recorded)
     monkeypatch.setattr(ChainOperator, "combination", staticmethod(
         lambda terms: sums.append(list(terms)) or combination(terms)))
-    # injected Hamiltonians: a private table, built here
-    table = sector_sums(CFG, (2, 1), hams)
+    table = sector_sums(cfg, (2, 1))
     monkeypatch.undo()
-    H, minors, made = table.ops, principal_minors(CFG), iter(products)
+    assert table.ops is H
+    made = iter(products)
     level = {(i,): H[i] for i in range(CFG.n)}
     for k in range(2, CFG.n + 1):
         subsets = list(itertools.combinations(range(CFG.n), k))
@@ -708,19 +716,6 @@ def test_sector_sums_keep_left_to_right_order(monkeypatch):
                  else table.identity)
             det = det + P.scaled((-1) ** k * minors[S])
         assert _stored(table.det_sums[k]) == _stored(det), k
-
-
-def test_injected_hamiltonians_never_enter_the_table():
-    bad = ModelConfig.rational(2, 3, ETA, HBAR, X3, (G2[0] + 1, G2[1]))
-    foreign = [hamiltonian(bad, i) for i in (1, 2, 3)]
-    assert sector_sums(CFG, (2, 1), hamiltonians=foreign) is not (
-        sector_sums(CFG, (2, 1)))
-    assert not check_det_identity(CFG, (2, 1), hamiltonians=foreign).passed
-    assert not check_symmetric_identity(CFG, (2, 1), 2, hamiltonians=foreign).passed
-    r = check_det_identity(CFG, (2, 1))
-    assert r.passed and r.residual == 0
-    r = check_symmetric_identity(CFG, (2, 1), 2)
-    assert r.passed and r.residual == 0
 
 
 def test_symmetric_and_eigenvalue_checks_read_one_weighted_sum(monkeypatch):
