@@ -6,7 +6,9 @@ left block), the commuting Hamiltonians H_i (tilde R-matrices, no shifts),
 the diagonals of a function of the weight (weight_diagonal), and the
 transfer matrix T(x) whose pole expansion generates the H_i.  T(x) is the
 H_1 product of the chain with one auxiliary site at x in front, traced over
-that site.  A check that needs only a covector times K_i applies the
+that site.  A formula both flavors share (a pole, a sinh ratio, the pole
+expansion of T(x)) is written once, through the spectral convention of
+ModelConfig.  A check that needs only a covector times K_i applies the
 covector to the factors one at a time (qkz_covector_numerators) and never
 forms K_i.
 """
@@ -29,6 +31,11 @@ TRIGONOMETRIC = "trigonometric"
 # as its coupling, step and points fields
 PARAMETERS = {RATIONAL: ("eta", "hbar", "x"), TRIGONOMETRIC: ("t", "h", "u")}
 
+# the most states N^(n+1) of T(x)'s extended chain, each listed by a Space:
+# 8x those of trigonometric (4, 6), the largest chain of the tests, the
+# benchmark workloads and the ROADMAP tables; far more exhaust the memory
+MAX_STATES = 2 ** 17
+
 
 class ModelConfig:
     """Parameters of one inhomogeneous twisted chain.
@@ -37,10 +44,10 @@ class ModelConfig:
     qKZ step (hbar, or h = e^{eta*hbar}) and the spectral points (x_i, or
     u_i = e^{x_i}); the exponentials keep every trigonometric operator entry
     rational.  PARAMETERS names the triple for input and output only;
-    relative, shifted, sinh, coupled and repeated hold each flavor's spectral
-    convention, so that a formula both flavors share (a pole, a sinh ratio)
-    is written once.  The twist g = diag(g_1, ..., g_N) is shared by both
-    flavors.
+    relative, shifted, sinh, cosh, coupled, repeated and q hold each flavor's
+    spectral convention, so that a formula both flavors share (a pole, a
+    sinh ratio, the pole expansion) is written once.  The twist
+    g = diag(g_1, ..., g_N) is shared by both flavors.
 
     A config is immutable, equal to and hashed like another of its class by
     its FIELDS, and weak-referenceable; its builds (_hbar_off, _builds) are
@@ -109,6 +116,16 @@ class ModelConfig:
         the sinh x -> x limit), or sinh_exp(v) of v = e^x."""
         return v if self.is_rational else sinh_exp(v)
 
+    def cosh(self, v):
+        """cosh of the spectral argument v: 1, or (v + 1/v) / 2 of v = e^x."""
+        return 1 if self.is_rational else (v + 1 / v) / 2
+
+    @property
+    def q(self):
+        """The deformation of the twist strings and of <Omega_q|: 1, or t.
+        A Fraction on both flavors, so that a negative power stays exact."""
+        return Fraction(1) if self.is_rational else self.coupling
+
     def coupled(self, v):
         """The spectral argument v moved by the coupling: v + eta, or v * t."""
         return v + self.coupling if self.is_rational else v * self.coupling
@@ -119,13 +136,16 @@ class ModelConfig:
 
     def validate(self):
         """Generic-position and non-degeneracy requirements, checked eagerly:
-        sinh(eta) != 0, and for every ordered pair i != j both
-        sinh(x_i - x_j) != 0 (no pole of R~) and sinh(x_i - x_j + eta) != 0
+        at most MAX_STATES states, sinh(eta) != 0, and for every ordered
+        pair i != j both sinh(x_i - x_j) != 0 (no pole of R~) and sinh(x_i - x_j + eta) != 0
         (no pole of R), read through sinh, coupled and relative; nor may R_ij
         meet its pole at x_i - x_j + eta*hbar (i > j, left of the twist in K_i)
         or x_i - x_j - eta*hbar (i < j, site j shifted, as in qkz-compat)."""
         if self.N < 1 or self.n < 1:
             raise GenericPositionViolation(f"need N, n >= 1, got N={self.N}, n={self.n}")
+        # N^k > MAX_STATES for N >= 2 once k reaches its bit length
+        if self.N ** min(self.n + 1, MAX_STATES.bit_length()) > MAX_STATES:
+            raise GenericPositionViolation(f"{self.N}^{self.n + 1} states exceed {MAX_STATES}")
         if len(self.g) != self.N:
             raise GenericPositionViolation(f"twist needs {self.N} entries, got {len(self.g)}")
         for a, ga in enumerate(self.g, start=1):
@@ -366,53 +386,31 @@ def _fresh_points(cfg, count):
     return pts
 
 
-def _expansion_residuals(cfg, pts):
-    """T(x) against its pole expansion at each sample, then (trigonometric
-    flavor) the two boundary values."""
-    space = cfg.space()
-    hams = [hamiltonian(cfg, i) for i in range(1, cfg.n + 1)]
-    if cfg.is_rational:
-        eta, x, trace_g = cfg.coupling, cfg.points, sum(cfg.g)
-        identity = ChainOperator.identity(space)
-        for s in pts:
-            rhs = ChainOperator.combination(
-                [(trace_g, identity)] + [(eta / (s - xj), H) for xj, H in zip(x, hams)])
-            yield transfer_matrix(cfg, s).residual(rhs)
-        return
-
-    t, u = cfg.coupling, cfg.points
-    sh = sinh_exp(t)
-
-    def coth_sum(u0):
-        vs = [u0 / uk for uk in u]
-        return ChainOperator.combination(
-            [(sh * (v * v + 1) / (v * v - 1), H) for v, H in zip(vs, hams)])
-
-    const = transfer_matrix(cfg, pts[0]) - coth_sum(pts[0])
-    for s in pts[1:]:
-        yield transfer_matrix(cfg, s).residual(const + coth_sum(s))
-    total = hamiltonian_sum(cfg)
-    for sign in (1, -1):
-        rhs = ChainOperator.combination(
-            [(1, const), (sh if sign > 0 else -sh, total)])
-        yield rhs.residual(weight_diagonal(cfg, lambda M: sum(
-            g * cfg.repeated(sign * m) for g, m in zip(cfg.g, M))))
-
-
 def pole_expansion(cfg):
     """T(x) rebuilt from the directly constructed Hamiltonians.
 
-    Rational: T(x) = tr(g) I + sum_j eta H_j / (x - x_j).  Trigonometric:
-    T(x) = C + sinh(eta) sum_k H_k coth(x - x_k); C is taken from the first
-    sample, the remaining n samples confirm it, and the boundary relations
-    C +- sinh(eta) sum_k H_k = sum_a g_a t^{+-M_a} pin the two-sided
-    behavior at x -> +-infinity.  Times prod_j (x - x_j), or (u^2 - u_j^2),
-    both sides have degree <= n in x (or u^2), so n+1 distinct positive
-    points prove the expansion.  The result carries the largest residual
-    over all of these and, on failure, the basis pair where it occurs.
+    T(x) = sum_a g_a cosh(eta M_a) + sinh(eta) sum_k coth(x - x_k) H_k on
+    both flavors, read through cosh, repeated, sinh and relative; on the
+    rational one (cosh = 1) it is tr(g) I + sum_k eta H_k / (x - x_k).
+    Times prod_k (x - x_k), or (u^2 - u_k^2), both sides have degree <= n
+    in x (or u^2), so n+1 distinct points prove the expansion.  Its limits
+    at x -> +-infinity, sum_a g_a t^{+-M_a} on the trigonometric flavor,
+    follow from it with the sum rule, which only sum-rule checks.  On
+    failure the result carries the basis pair of its largest residual.
     """
-    pts = _fresh_points(cfg, cfg.n + 1)
-    return verdict("pole-expansion", _expansion_residuals(cfg, pts))
+    hams = [hamiltonian(cfg, i) for i in range(1, cfg.n + 1)]
+    const = weight_diagonal(cfg, lambda M: sum(
+        g * cfg.cosh(cfg.repeated(m)) for g, m in zip(cfg.g, M)))
+    sh = cfg.sinh(cfg.coupling)
+
+    def residuals():
+        for s in _fresh_points(cfg, cfg.n + 1):
+            rs = (cfg.relative(s, p) for p in cfg.points)
+            rhs = ChainOperator.combination([(1, const)] + [
+                (sh * cfg.cosh(r) / cfg.sinh(r), H) for r, H in zip(rs, hams)])
+            yield transfer_matrix(cfg, s).residual(rhs)
+
+    return verdict("pole-expansion", residuals())
 
 
 # ------------------------------------------------------------------ sum rules

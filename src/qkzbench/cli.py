@@ -71,10 +71,20 @@ _LIST_KEYS = {"g", *(keys[2] for keys in chain.PARAMETERS.values())}
 _INT_KEYS = {"N", "n", "seed"}
 
 
+def parse_int(text):
+    """Every integer of the command line: ASCII digits after an optional "-",
+    blanks stripped; int() would also take "1_0", "+1" and non-ASCII digits."""
+    body = text.strip()
+    digits = body[1:] if body.startswith("-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(body)
+
+
 def _parse_value(key, text, line):
     try:
         if key in _INT_KEYS:
-            return int(text)
+            return parse_int(text)
         if key == "tol":
             return float(text)
         if key in ("model", "mode"):
@@ -145,12 +155,12 @@ def load_config(path):
 
 
 def parse_sector(text, N, n):
-    # each part is ASCII digits once stripped: int() alone would also take
-    # "1_0", "+1" and non-ASCII digits
-    parts = [p.strip() for p in text.split(",")]
-    if not all(p.isascii() and p.isdigit() for p in parts):
+    try:
+        sector = tuple(map(parse_int, text.split(",")))
+    except ValueError:
+        sector = None
+    if sector is None or "-" in text:  # a part that is no integer, or negative
         raise ParseError(f"bad sector {text!r}")
-    sector = tuple(map(int, parts))
     if len(sector) != N or sum(sector) != n:
         raise ParseError(f"sector {sector} is not a weight of {n} sites, {N} colors")
     return sector
@@ -548,7 +558,7 @@ def build_parser():
     p.add_argument("--sector", action="append", metavar="M1,M2,...")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=parse_int)
     p.add_argument("--timings", action="store_true",
                    help="include each result's wall clock in json output")
     p.set_defaults(func=_cmd_verify)
@@ -556,7 +566,7 @@ def build_parser():
     p = sub.add_parser("spectrum", help="joint sector spectra of the Hamiltonians")
     p.add_argument("--config", required=True)
     p.add_argument("--sector", action="append", metavar="M1,M2,...")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=parse_int)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("correspond",
@@ -564,7 +574,7 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--sector", action="append", metavar="M1,M2,...")
     p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=parse_int)
     p.set_defaults(func=_cmd_correspond)
     return parser
 

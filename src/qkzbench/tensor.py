@@ -467,13 +467,9 @@ class Factor(ChainOperator):
 
 # ------------------------------------------------------------------ covectors
 
-def omega(space):
-    """Covector with every component equal to 1 over the space's basis."""
-    return [Fraction(1)] * space.dim
-
-
 def omega_q(space, q):
-    """Covector whose component on J is q**inversion_length(J)."""
+    """Covector whose component on J is q**inversion_length(J); at q = 1
+    every component is 1 (<Omega|)."""
     if q == 0:
         raise NonInvertibleQ("q must be invertible")
     q = Fraction(q)

@@ -37,7 +37,6 @@ from .rmatrix import r_rational, r_trig
 from .tensor import (
     ChainOperator,
     covector_residual,
-    omega,
     omega_q,
     permutation,
     q_permutation,
@@ -50,48 +49,36 @@ _TRIG_ARGS = (Fraction(5, 3), Fraction(7, 2), Fraction(2, 9))
 
 
 def _flavor_covector(cfg):
-    """<Omega| or <Omega_q| as a (numerators, den) pair, once per config."""
-    return memo(cfg, "flavor covector", lambda: split(
-        omega(cfg.space()) if cfg.is_rational
-        else omega_q(cfg.space(), cfg.coupling)))
+    """<Omega_q| at q as a (numerators, den) pair, once per config."""
+    return memo(cfg, "flavor covector", lambda: split(omega_q(cfg.space(), cfg.q)))
 
 
 def check_omega_invariance(cfg):
     """Left-invariance of the projection covector.
 
-    Rational: <Omega| R_ij(x) = <Omega| for every ordered pair.
-    Trigonometric: <Omega_q| R_{i,i-1}(x) = <Omega_q| P_{i,i-1} for i = 2..n
-    (and <Omega_q| is fixed by the deformed swaps P^t_{i,i-1}).  Cleared of
-    denominators, both have degree 1 in x (or u^2), so the three fixed
-    points, at most one a pole, prove them for every x.
+    For each site pair (i, j) of the flavor, every ordered pair on the
+    rational flavor and (i, i-1) on the trigonometric one, <Omega_q| P^q_ij
+    = <Omega_q| (so <Omega| P_ij = <Omega| at q = 1) and <Omega_q| R_ij(x) =
+    <Omega_q| P_ij.  Cleared of denominators, the second has degree 1 in x
+    (or u^2), so three fixed points, at most one a pole, prove it for all x.
     """
     space = cfg.space()
     w = _flavor_covector(cfg)
+    if cfg.is_rational:
+        pairs = list(itertools.permutations(range(1, cfg.n + 1), 2))
+        args, build = _RATIONAL_ARGS, r_rational
+    else:
+        pairs = [(i, i - 1) for i in range(2, cfg.n + 1)]
+        args, build = _TRIG_ARGS, r_trig
 
     def comparisons():
-        if cfg.is_rational:
-            eta = cfg.coupling
-            for i in range(1, cfg.n + 1):
-                for j in range(1, cfg.n + 1):
-                    if i == j:
-                        continue
-                    yield covector_residual(
-                        permutation(space, i, j).push_left(*w), w, space)
-                    for x in _RATIONAL_ARGS:
-                        if x + eta == 0:
-                            continue
-                        R = r_rational(space, i, j, x, eta)
-                        yield covector_residual(R.push_left(*w), w, space)
-        else:
-            t = cfg.coupling
-            for i in range(2, cfg.n + 1):
-                pq = q_permutation(space, i, i - 1, t)
-                yield covector_residual(pq.push_left(*w), w, space)
-                target = permutation(space, i, i - 1).push_left(*w)
-                for u in _TRIG_ARGS:
-                    if u * u * t * t == 1:
-                        continue
-                    R = r_trig(space, i, i - 1, u, t)
+        for i, j in pairs:
+            pq = q_permutation(space, i, j, cfg.q)
+            yield covector_residual(pq.push_left(*w), w, space)
+            target = permutation(space, i, j).push_left(*w)
+            for x in args:
+                if cfg.sinh(cfg.coupled(x)) != 0:
+                    R = build(space, i, j, x, cfg.coupling)
                     yield covector_residual(R.push_left(*w), target, space)
 
     return verdict("omega", comparisons(), params={"flavor": cfg.flavor})
@@ -234,19 +221,12 @@ def elementary_from_power_sums(ps, d):
 
 
 def twist_targets(cfg, sector):
-    """The spectrum the classical Lax matrix must have on a weight sector.
-
-    Rational: the twist multiset, g_a repeated M_a times.  Trigonometric:
-    the multiplicative strings g_a t^{2 alpha - M_a + 1}, alpha = 0..M_a-1.
-    """
-    out = []
-    for a, m in enumerate(sector):
-        if cfg.is_rational:
-            out.extend([cfg.g[a]] * m)
-        else:
-            t = cfg.coupling
-            out.extend(cfg.g[a] * t ** (2 * alpha - m + 1) for alpha in range(m))
-    return out
+    """The spectrum the classical Lax matrix must have on a weight sector:
+    the strings g_a q^{2 alpha - M_a + 1}, alpha = 0..M_a-1, read through q.
+    On the rational flavor (q = 1) they are the twist multiset, g_a
+    repeated M_a times; on the trigonometric one q = t."""
+    return [g * cfg.q ** (2 * alpha - m + 1)
+            for g, m in zip(cfg.g, sector) for alpha in range(m)]
 
 
 def twist_side(cfg, sector):

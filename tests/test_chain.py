@@ -2,6 +2,7 @@ import collections
 import functools
 import gc
 import itertools
+import math
 import operator
 import weakref
 from fractions import Fraction
@@ -313,7 +314,9 @@ def test_pole_expansion_rational():
 
 def test_pole_expansion_trig_boundary_values():
     # C = T(x) - sinh(eta) sum_k H_k coth(x - x_k) at one point; its values
-    # at x -> +-infinity are sum_a g_a t^{+-M_a}
+    # at x -> +-infinity are sum_a g_a t^{+-M_a}.  pole-expansion compares
+    # no such limit: it follows from its closed form C = sum_a g_a cosh(eta
+    # M_a) together with the sum rule, and this reads it from T itself
     cfg = trig_cfg(n=2)
     hams = [hamiltonian(cfg, i) for i in (1, 2)]
     sh = (cfg.coupling - 1 / cfg.coupling) / 2
@@ -439,6 +442,48 @@ def test_pole_expansion_fails_on_a_perturbed_hamiltonian(make, monkeypatch):
 
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
+def test_pole_expansion_fails_on_a_perturbed_cosh(make, monkeypatch):
+    # cosh enters the constant sum_a g_a cosh(eta M_a) and every coth
+    cosh = ModelConfig.cosh
+    monkeypatch.setattr(ModelConfig, "cosh",
+                        lambda self, v: cosh(self, v) + Fraction(1, 97))
+    cfg = make()
+    r = pole_expansion(cfg)
+    assert not r.passed and r.residual > 0
+    assert _is_basis_pair(cfg, r.witness)
+
+
+V_SAMPLES = [Fraction(2), Fraction(-3, 7), Fraction(5, 4), Fraction(-11, 3)]
+
+
+def test_trig_cosh_is_exact():
+    cfg = trig_cfg()
+    for v in V_SAMPLES:
+        assert cfg.cosh(v) ** 2 - cfg.sinh(v) ** 2 == 1
+    for x in (-2.5, -0.3, 0.0, 0.7, 3.1):
+        v = Fraction(math.exp(x))
+        assert math.isclose(float(cfg.cosh(v)), math.cosh(x), rel_tol=1e-14)
+
+
+def test_rational_cosh_is_one_and_gives_the_rational_poles():
+    # sinh(eta) cosh(r) / sinh(r) with r = s - x_j is eta / (s - x_j)
+    cfg = rational_cfg()
+    assert {cfg.cosh(v) for v in V_SAMPLES} == {1}
+    sh = cfg.sinh(cfg.coupling)
+    for s in _fresh_points(cfg, cfg.n + 1):
+        for xj in cfg.points:
+            r = cfg.relative(s, xj)
+            assert sh * cfg.cosh(r) / cfg.sinh(r) == ETA / (s - xj)
+
+
+def test_q_is_one_or_t():
+    assert rational_cfg().q == 1 and type(rational_cfg().q) is Fraction
+    assert trig_cfg().q == trig_cfg().coupling == 2
+    # a negative power of q stays exact
+    assert type(rational_cfg().q ** -2) is Fraction
+
+
+@pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
 def test_transfer_commute_fails_on_a_perturbed_transfer_matrix(make, monkeypatch):
     # T(x) + x E_12 at site 1
     build = chain.transfer_matrix
@@ -525,8 +570,8 @@ def test_sum_rule_fails_on_a_perturbed_hamiltonian(make, monkeypatch):
 
 @pytest.mark.parametrize("make", [rational_cfg, trig_cfg])
 def test_hamiltonian_sum_is_built_once(make):
-    # sum-rule, the trigonometric boundary relations of pole-expansion and
-    # the trigonometric macdonald-eigenvalue read one sum per config
+    # sum-rule and the trigonometric macdonald-eigenvalue read one sum per
+    # config
     cfg = make()
     total = hamiltonian_sum(cfg)
     assert total is hamiltonian_sum(cfg)

@@ -14,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkzbench
-from qkzbench import cli, rmatrix, verify
+from qkzbench import chain, cli, rmatrix, tensor, verify
 from qkzbench.cli import (
     CHECK_NAMES,
     emit,
     load_config,
     main,
+    parse_int,
     parse_sector,
     run,
 )
@@ -135,9 +136,45 @@ def test_load_config_rejects_keys_of_the_other_flavor(tmp_path, flavor, key, val
 
 # each reads as a sector of an N = 2, n = 3 chain once empty parts and
 # spaces are dropped, or through int(), which also takes underscores, a sign
-# and non-ASCII digits; neither is the sector typed
+# and non-ASCII digits, or once a minus sign is dropped; none is the sector
+# typed
 MALFORMED_SECTORS = ["1,,2", "2,1,", ",2,1", "0 3,0", "0_3,0", "+2,1", "\u0662,1",
-                     "2,\u0661"]
+                     "2,\u0661", "3,-0"]
+
+# int() reads the first four as 10, 2, 2 and -2; every integer of the command
+# line (config keys, --seed and sector parts) refuses them all
+MALFORMED_INTEGERS = ["1_0", "+2", "\u0662", "- 2", "2.0", "0x2", "", "-"]
+
+
+def test_parse_int():
+    assert parse_int(" 7 ") == 7 and parse_int("-3") == -3 and parse_int("0") == 0
+    for text in MALFORMED_INTEGERS:
+        with pytest.raises(ValueError):
+            parse_int(text)
+
+
+@pytest.mark.parametrize("text", MALFORMED_INTEGERS)
+@pytest.mark.parametrize("key", ["N", "n", "seed"])
+def test_main_rejects_a_malformed_config_integer(tmp_path, capsys, key, text):
+    lines = RATIONAL_CFG.splitlines()
+    (k,) = [k for k, line in enumerate(lines) if line.startswith(f"{key} = ")]
+    lines[k] = f"{key} = {text}"
+    p = tmp_path / "c.cfg"
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {k + 1}: bad value for '{key}'")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", MALFORMED_INTEGERS)
+@pytest.mark.parametrize("command", ["verify", "spectrum", "correspond"])
+def test_main_rejects_a_malformed_seed(rational_path, capsys, command, text):
+    # argparse refuses the value before the command runs, with exit 2
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", rational_path, f"--seed={text}"])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
 
 
 def test_parse_sector():
@@ -369,6 +406,38 @@ def test_main_config_error_exit_code(tmp_path, capsys):
                      f"x = {x}\ng = {g}\n")
         assert main(["verify", "--config", str(p)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def _write_long_chain(tmp_path, n):
+    # integer points with eta = 1/2 and hbar = 1/3 meet no pole
+    p = tmp_path / f"long-{n}.cfg"
+    p.write_text("model = rational\nN = 2\nn = %d\neta = 1/2\nhbar = 1/3\n"
+                 "x = [%s]\ng = [2, 3]\n" % (n, ", ".join(map(str, range(n)))))
+    return str(p)
+
+
+def _refuse_spaces(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Space was built")
+    monkeypatch.setattr(tensor, "Space", refuse)
+
+
+def test_main_refuses_an_oversized_chain_before_building_it(tmp_path, capsys,
+                                                            monkeypatch):
+    # T(x) of 30 sites lists 2^31 states; the config is refused on load
+    _refuse_spaces(monkeypatch)
+    path = _write_long_chain(tmp_path, 30)
+    assert main(["verify", "--config", path, "--check", "transfer-commute"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: 2^31 states exceed {chain.MAX_STATES}\n")
+
+
+def test_a_chain_at_the_state_bound_loads(tmp_path, monkeypatch):
+    _refuse_spaces(monkeypatch)
+    assert 2 ** 17 == chain.MAX_STATES
+    assert load_config(_write_long_chain(tmp_path, 16)).model.n == 16
+    with pytest.raises(GenericPositionViolation, match="2\\^18 states"):
+        load_config(_write_long_chain(tmp_path, 17))
 
 
 @pytest.mark.parametrize("line,text", [(5, "eta = 1/0"), (7, "x = [0, 1/0, 9/7]")])

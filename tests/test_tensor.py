@@ -23,7 +23,6 @@ from qkzbench.tensor import (
     covector_residual,
     enumerate_sector,
     inversion_length,
-    omega,
     omega_q,
     permutation,
     q_permutation,
@@ -170,7 +169,7 @@ def test_swap_builds_need_the_full_space():
 
 def test_permutation_fixes_omega():
     sp = Space(2, 3)
-    w = split(omega(sp))
+    w = split(omega_q(sp, Fraction(1)))
     for i, j in itertools.permutations(range(1, 4), 2):
         res, _ = covector_residual(permutation(sp, i, j).push_left(*w), w, sp)
         assert res == 0
@@ -214,14 +213,16 @@ def test_q_permutation_at_one_is_permutation():
 
 # ----------------------------------------------------------------- covectors
 
+# <Omega| is <Omega_q| at q = 1
+
 def test_omega_components():
     sp = Space(2, 2)
-    assert omega(sp) == [Fraction(1)] * 4
+    assert omega_q(sp, Fraction(1)) == [Fraction(1)] * 4
 
 
 def test_omega_on_sector():
     sp = Space(2, 3, (2, 1))
-    assert omega(sp) == [Fraction(1)] * 3
+    assert omega_q(sp, Fraction(1)) == [Fraction(1)] * 3
 
 
 def test_omega_q_components():
@@ -232,8 +233,10 @@ def test_omega_q_components():
 
 
 def test_omega_q_at_one_is_omega():
+    # every component is the exact 1, also from the inverted states
     sp = Space(2, 3)
-    assert omega_q(sp, Fraction(1)) == omega(sp)
+    w = omega_q(sp, Fraction(1))
+    assert w == [1] * sp.dim and all(type(v) is Fraction for v in w)
 
 
 def test_omega_q_fixed_by_descending_q_swaps():
@@ -281,7 +284,7 @@ def test_add_scale_and_apply_left():
     ident = ChainOperator.identity(sp)
     assert (P + P) == P.scaled(Fraction(2))
     assert not (P - P).rows
-    w = omega(sp)
+    w = omega_q(sp, Fraction(1))
     assert P.apply_left(w) == w
 
 

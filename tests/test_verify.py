@@ -62,6 +62,32 @@ def test_omega_invariance_trig():
     assert r.passed and r.residual == 0
 
 
+# twist_targets and the flavor covector are one formula each, read through
+# cfg.q; here they meet the per-flavor formulas they replace, written out
+
+@pytest.mark.parametrize("cfg", [CFG, TCFG], ids=["rational", "trig"])
+def test_twist_targets_are_the_per_flavor_formulas(cfg):
+    for M in all_sectors(cfg.N, cfg.n):
+        if cfg.is_rational:  # the twist multiset: g_a repeated M_a times
+            want = [g for g, m in zip(cfg.g, M) for _ in range(m)]
+        else:  # the strings g_a t^{2 alpha - M_a + 1}
+            t = cfg.coupling
+            want = [g * t ** (2 * alpha - m + 1)
+                    for g, m in zip(cfg.g, M) for alpha in range(m)]
+        got = twist_targets(cfg, M)
+        assert got == want and all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("cfg", [CFG, TCFG], ids=["rational", "trig"])
+def test_flavor_covector_is_the_per_flavor_formula(cfg):
+    # <Omega| has every component 1; <Omega_q| has t to the number of
+    # inversions of the state (pairs k < l with j_k > j_l)
+    sp = cfg.space()
+    want = [Fraction(1) if cfg.is_rational else cfg.coupling ** sum(
+        1 for a, b in itertools.combinations(J, 2) if a > b) for J in sp.states]
+    assert verify._flavor_covector(cfg.replace()) == split(want)
+
+
 def test_trig_covector_needs_descending_index_order():
     # regression guard: with the reversed pair (i-1, i) the relation breaks
     sp = TCFG.space()
@@ -117,9 +143,7 @@ def test_proposition_rhs_order_independent():
     # of the right-hand side gives the same covector
     sp = CFG.space()
     cfg0 = CFG.at_hbar_zero()
-    from qkzbench.tensor import omega
-
-    w = split(omega(sp))
+    w = split(omega_q(sp, Fraction(1)))
     results = []
     for order in itertools.permutations((1, 2, 3)):
         cov = w
@@ -213,22 +237,21 @@ def _assert_fails_with_state_witness(r, cfg):
     assert r.witness in cfg.space().states
 
 
-@pytest.mark.parametrize("cfg,covector", [(CFG, "omega"), (TCFG, "omega_q")],
-                         ids=["rational", "trig"])
-def test_omega_invariance_fails_on_a_perturbed_component(cfg, covector,
-                                                         monkeypatch):
+@pytest.mark.parametrize("cfg", [CFG, TCFG], ids=["rational", "trig"])
+def test_omega_invariance_fails_on_a_perturbed_component(cfg, monkeypatch):
     # component 2 is the state (1, 2, 1); a swap or R factor that moves it
     # reads the perturbed value, so the witness carries the same letters.
     # A fresh copy of the config has an empty memo, so that its flavor
-    # covector is split afresh from the perturbed omega or omega_q
-    original = getattr(verify, covector)
+    # covector is split afresh from the perturbed omega_q (at q = 1 on the
+    # rational flavor)
+    original = verify.omega_q
 
     def perturbed(*args):
         w = list(original(*args))
         w[2] = w[2] + 1
         return w
 
-    monkeypatch.setattr(verify, covector, perturbed)
+    monkeypatch.setattr(verify, "omega_q", perturbed)
     cfg = cfg.replace()
     r = check_omega_invariance(cfg)
     _assert_fails_with_state_witness(r, cfg)
