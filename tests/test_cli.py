@@ -141,7 +141,7 @@ def test_load_config_rejects_keys_of_the_other_flavor(tmp_path, flavor, key, val
 MALFORMED_SECTORS = ["1,,2", "2,1,", ",2,1", "0 3,0", "0_3,0", "+2,1", "\u0662,1",
                      "2,\u0661", "3,-0"]
 
-# int() reads the first four as 10, 2, 2 and -2; every integer of the command
+# int() reads the first three as 10, 2 and 2; every integer of the command
 # line (config keys, --seed and sector parts) refuses them all
 MALFORMED_INTEGERS = ["1_0", "+2", "\u0662", "- 2", "2.0", "0x2", "", "-"]
 
@@ -417,9 +417,10 @@ def _write_long_chain(tmp_path, n):
 
 
 def _refuse_spaces(monkeypatch):
+    # on the class itself: shared_space builds through a cache that holds it
     def refuse(*args):
         raise AssertionError("a Space was built")
-    monkeypatch.setattr(tensor, "Space", refuse)
+    monkeypatch.setattr(tensor.Space, "__init__", refuse)
 
 
 def test_main_refuses_an_oversized_chain_before_building_it(tmp_path, capsys,
