@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import BadSite, GenericPositionViolation
 from .report import verdict
 from .rmatrix import r_factor, sinh_exp
-from .tensor import ChainOperator, shared_space, site_embed, weight_of
+from .tensor import ChainOperator, Space, site_embed, weight_of
 
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
@@ -195,10 +195,7 @@ class ModelConfig:
         return {}
 
     def space(self):
-        return shared_space(self.N, self.n)
-
-    def twist_table(self):
-        return {(a, a): ga for a, ga in enumerate(self.g, start=1)}
+        return Space(self.N, self.n)
 
     def describe(self):
         """Plain-dict echo of the parameters (for reports)."""
@@ -264,7 +261,7 @@ def _chain_factors(cfg, i, shifted_sites, tilde):
 
     for j in range(i - 1, 0, -1):
         yield factor(j, True)
-    yield memo(cfg0, ("g", i), lambda: site_embed(space, cfg.twist_table(), i))
+    yield memo(cfg0, ("g", i), lambda: site_embed(space, cfg.g, i))
     for j in range(cfg.n, i, -1):
         yield factor(j, False)
 

@@ -7,13 +7,13 @@ tol must be finite and positive.  A key of the other flavor is an error.
 
 Every identity check runs on the exact chain in both modes; mode = float
 adds the correspondence, whose classical Lax spectra are the one numerical
-check, to "all", and tol gates that check only.  A float-mode JSON report
-writes each residual as a double.
+check, to "all", a run that names it runs it in either mode, and tol gates
+that check only.  A float-mode JSON report writes each residual as a double.
 
 Exit codes: 0 every check passed, 1 at least one failed, 2 the command could
-not run: a config error, or a workbench error outside any single check, 3 the
-eigensolver of `spectrum` or `correspond` could not resolve a joint spectrum
-or did not converge.
+not run: a config error, a workbench error outside any single check, or no
+memory left, 3 the eigensolver of `spectrum` or `correspond` could not
+resolve a joint spectrum or did not converge.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from .chain import ModelConfig
 from .errors import (
     DegeneracyUnresolved,
     GenericPositionViolation,
-    NeedsFloat,
     NonConvergence,
     NonPositiveTolerance,
     ParseError,
@@ -274,12 +273,7 @@ def _check_macdonald(rc, sectors, rng):
 
 
 def _check_correspondence(rc, sectors, rng):
-    if rc.mode == "exact":
-        raise NeedsFloat(
-            "correspondence runs the joint eigensolver, which an exact verify "
-            "leaves out; set mode = float or use the correspond subcommand"
-        )
-    from . import correspond  # the eigensolver, which an exact run never needs
+    from . import correspond  # the eigensolver, loaded only by a run of this check
     for M in sectors:
         # floats enter only at the eigensolver boundary
         rep = correspond.check_correspondence(rc.model, M, tol=rc.tol, rng=rng)
@@ -592,6 +586,10 @@ def main(argv=None) -> int:
         return 3
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -45,10 +45,6 @@ class NonConvergence(WorkbenchError, RuntimeError):
     """The underlying eigensolver did not converge."""
 
 
-class NeedsFloat(WorkbenchError, RuntimeError):
-    """Check runs the eigensolver, which only mode = float includes."""
-
-
 class ParseError(WorkbenchError, ValueError):
     """Malformed configuration file."""
 

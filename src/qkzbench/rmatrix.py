@@ -12,9 +12,10 @@ Each of the four builders computes its entries (equal letters kept,
 distinct letters kept, distinct letters swapped) and hands them to
 tensor.swap_embed.  r_factor is the one place that picks a builder for a
 flavor; the chain products and the R-level checks both go through it.
-r_trig_entrywise builds the trigonometric matrix a second, independent way,
-from its explicit entry table, so that a transcription error in either
-encoding shows when they are compared.
+r_trig_entrywise builds the trigonometric matrix from a second, independent
+set of entry formulas (the sinh ratios of its entries, written out in u and
+t), so that a transcription error in either set shows when they are
+compared.
 """
 from __future__ import annotations
 
@@ -22,13 +23,7 @@ from fractions import Fraction
 
 from .errors import NonInvertibleQ, PoleHit
 from .report import verdict
-from .tensor import (
-    ChainOperator,
-    shared_space,
-    site_embed,
-    swap_embed,
-    two_site_embed,
-)
+from .tensor import ChainOperator, Space, site_embed, swap_embed
 
 
 def r_rational(space, i, j, x, eta):
@@ -82,10 +77,11 @@ def r_trig(space, i, j, u, t):
 
 
 def r_trig_entrywise(space, i, j, u, t):
-    """The same trigonometric R-matrix from its explicit entry table.
+    """The same trigonometric R-matrix from its own entry formulas.
 
-    Diagonal: 1 on equal letters, sinh x / sinh(x+eta) on distinct ones;
-    off-diagonal swap weights are e^{+-x} sinh(eta) / sinh(x+eta).
+    Diagonal: 1 on equal letters, alpha = sinh x / sinh(x+eta) on distinct
+    ones; the letters (a, b) at (i, j) go to (b, a) with the weight
+    e^{-+x} beta, beta = sinh eta / sinh(x+eta), for a < b and a > b.
     """
     if u == 0:
         raise NonInvertibleQ("u = e^x must be nonzero")
@@ -95,18 +91,7 @@ def r_trig_entrywise(space, i, j, u, t):
         raise PoleHit("sinh(x + eta) = 0, i.e. (u t)^2 = 1")
     alpha = t * (u * u - 1) / den      # sinh x / sinh(x+eta)
     beta = u * (t * t - 1) / den       # sinh eta / sinh(x+eta)
-    table = {}
-    N = space.N
-    for a in range(1, N + 1):
-        table[((a, a), (a, a))] = 1
-        for b in range(1, N + 1):
-            if a != b:
-                table[((a, b), (a, b))] = alpha
-    for a in range(1, N + 1):
-        for b in range(a + 1, N + 1):
-            table[((a, b), (b, a))] = beta * u
-            table[((b, a), (a, b))] = beta / u
-    return two_site_embed(space, i, j, table)
+    return swap_embed(space, i, j, alpha, 1, (beta / u, beta * u))
 
 
 def r_trig_tilde(space, i, j, u, t):
@@ -137,7 +122,7 @@ def check_yang_baxter(flavor, point1, point2, coupling, N):
     rational case or their exponentials (u_x, u_y) in the trigonometric one;
     the 12-argument is the difference x - y, i.e. the ratio u_x / u_y.
     """
-    space = shared_space(N, 3)
+    space = Space(N, 3)
     point1, point2 = Fraction(point1), Fraction(point2)
     p12 = point1 - point2 if flavor == "rational" else point1 / point2
     r12 = r_factor(flavor, space, 1, 2, p12, coupling)
@@ -152,7 +137,7 @@ def check_yang_baxter(flavor, point1, point2, coupling, N):
 
 def check_unitarity(flavor, point, coupling, N):
     """R_12(s) R_21(-s) = I on V^(tensor 2); -s maps to 1/u multiplicatively."""
-    space = shared_space(N, 2)
+    space = Space(N, 2)
     fwd = r_factor(flavor, space, 1, 2, point, coupling)
     p = Fraction(point)
     back = r_factor(flavor, space, 2, 1, -p if flavor == "rational" else 1 / p,
@@ -165,9 +150,8 @@ def check_unitarity(flavor, point, coupling, N):
 
 def check_twist_commutation(flavor, point, coupling, g, N):
     """[g (x) g, R(x)] = 0 for a diagonal twist g on V^(tensor 2)."""
-    space = shared_space(N, 2)
+    space = Space(N, 2)
     r = r_factor(flavor, space, 1, 2, point, coupling)
-    table = {(a, a): Fraction(ga) for a, ga in enumerate(g, start=1)}
-    gg = site_embed(space, table, 1) @ site_embed(space, table, 2)
+    gg = site_embed(space, g, 1) @ site_embed(space, g, 2)
     return verdict("twist-commute", [(gg @ r).residual(r @ gg)],
                    params={"flavor": flavor, "point": str(point), "N": N})

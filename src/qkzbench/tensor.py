@@ -90,35 +90,38 @@ def inversion_length(state):
 
 
 class Space:
-    """The full space V^(tensor n) (sector=None) or one weight sector of it."""
+    """The full space V^(tensor n) (sector=None) or one weight sector of it.
+
+    There is one Space per (N, n, sector): the first request builds it,
+    enumerating its states, and every later one returns that object, so
+    operators share a space exactly when they hold the same object.  A Space
+    is never changed after construction; a request that raises builds and
+    keeps nothing."""
 
     __slots__ = ("N", "n", "sector", "states", "dim", "_pos")
+    _built = {}
 
-    def __init__(self, N, n, sector=None):
-        if N < 1 or n < 1:
-            raise ValueError(f"need N, n >= 1, got N={N}, n={n}")
-        self.N = int(N)
-        self.n = int(n)
-        if sector is None:
-            self.sector = None
-            self.states = tuple(itertools.product(range(1, N + 1), repeat=n))
-        else:
-            self.sector = tuple(int(m) for m in sector)
-            self.states = tuple(enumerate_sector(N, n, self.sector))
-        self.dim = len(self.states)
-        self._pos = {J: k for k, J in enumerate(self.states)}
+    def __new__(cls, N, n, sector=None):
+        key = int(N), int(n), None if sector is None else tuple(map(int, sector))
+        space = cls._built.get(key)
+        if space is None:
+            N, n, sector = key
+            if N < 1 or n < 1:
+                raise ValueError(f"need N, n >= 1, got N={N}, n={n}")
+            if sector is None:
+                states = itertools.product(range(1, N + 1), repeat=n)
+            else:
+                states = enumerate_sector(N, n, sector)
+            space = super().__new__(cls)
+            space.N, space.n, space.sector = key
+            space.states = tuple(states)
+            space.dim = len(space.states)
+            space._pos = {J: k for k, J in enumerate(space.states)}
+            cls._built[key] = space
+        return space
 
     def index_of(self, state):
         return self._pos[state]
-
-    def key(self):
-        return (self.N, self.n, self.sector)
-
-    def __eq__(self, other):
-        return isinstance(other, Space) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         if self.sector is None:
@@ -126,15 +129,12 @@ class Space:
         return f"Space(N={self.N}, n={self.n}, sector={self.sector})"
 
 
-_SPACES = functools.cache(Space)
-
-
 @functools.cache
 def _sector_positions(N, n, sector):
     """{full-space index: position in the sector} of a sector's states, built
     on the first request only; an index that is no key lies outside it."""
-    full = shared_space(N, n)
-    return {full.index_of(J): k for k, J in enumerate(shared_space(N, n, sector).states)}
+    full = Space(N, n)
+    return {full.index_of(J): k for k, J in enumerate(Space(N, n, sector).states)}
 
 
 def _nonzero(rows):
@@ -147,13 +147,6 @@ def _nonzero(rows):
         else:
             del rows[r]
     return rows
-
-
-def shared_space(N, n, sector=None):
-    """The Space of (N, n, sector), built on the first request only and then
-    shared: a Space is never changed after construction, and building one
-    enumerates the N^n basis states."""
-    return _SPACES(int(N), int(n), None if sector is None else tuple(map(int, sector)))
 
 
 class ChainOperator:
@@ -240,7 +233,7 @@ class ChainOperator:
 
     # -------------------------------------------------------------- algebra
     def _check_compat(self, other):
-        if self.space.key() != other.space.key():
+        if self.space is not other.space:
             raise DimensionMismatch(f"{self.space} vs {other.space}")
 
     @staticmethod
@@ -343,7 +336,7 @@ class ChainOperator:
         space = self.space
         if space.sector is not None:
             raise DimensionMismatch("restrict expects a full-space operator")
-        sub = shared_space(space.N, space.n, sector)
+        sub = Space(space.N, space.n, sector)
         pos = _sector_positions(space.N, space.n, sub.sector)
         rows = {}
         for r, row in self.rows.items():
@@ -365,7 +358,7 @@ class ChainOperator:
         space = self.space
         if space.sector is not None or space.n < 2:
             raise DimensionMismatch(f"no first site to trace out of {space}")
-        sub = shared_space(space.N, space.n - 1)
+        sub = Space(space.N, space.n - 1)
         rows = {}
         for r, row in self.rows.items():
             a, rr = divmod(r, sub.dim)  # site 1 is the leading digit
@@ -503,21 +496,17 @@ def _check_pair(space, i, j):
         raise BadSite(f"need two distinct sites, got ({i}, {j})")
 
 
-def site_embed(space, op, i):
-    """Act with a diagonal N x N matrix {(a, a): value} on tensor factor i
-    (1-based), identity elsewhere: a diagonal Factor."""
+def site_embed(space, values, i):
+    """Act with the diagonal N x N matrix of the N given values (the twist g
+    itself) on tensor factor i (1-based), identity elsewhere: a diagonal
+    Factor."""
     if space.sector is not None:
         raise DimensionMismatch("site_embed builds on the full space")
     if not (1 <= i <= space.n):
         raise BadSite(f"site {i} outside 1..{space.n}")
     N = space.N
-    for (a, b), v in op.items():
-        if not (1 <= a <= N and 1 <= b <= N):
-            raise ValueError(f"matrix indices ({a}, {b}) outside 1..{N}")
-        if a != b and v != 0:
-            raise ValueError(f"off-diagonal entry ({a}, {b}) = {v}: site_embed "
-                             "takes a diagonal matrix")
-    values = [op.get((a, a), 0) for a in range(1, N + 1)]
+    if len(values) != N:
+        raise ValueError(f"{len(values)} diagonal values on a site with {N} colors")
     step = N ** (space.n - i)
     return ChainOperator.diagonal(space, [values[k // step % N] for k in range(space.dim)])
 
@@ -540,34 +529,6 @@ def q_permutation(space, i, j, q):
     return swap_embed(space, i, j, 0, 1, (q, 1 / q))
 
 
-def two_site_embed(space, i, j, table):
-    """Operator acting on factors (i, j) from a table {((c, d), (a, b)): v}.
-
-    The column pair (a, b) holds the letters at (site i, site j) and (c, d)
-    their image; all other factors are untouched.
-    """
-    _check_pair(space, i, j)
-    bycol = {}
-    for ((c, d), (a, b)), v in table.items():
-        if v != 0:
-            bycol.setdefault((a, b), []).append(((c, d), v))
-
-    def entries():
-        for ci, J in enumerate(space.states):
-            for (c, d), v in bycol.get((J[i - 1], J[j - 1]), ()):
-                JJ = list(J)
-                JJ[i - 1], JJ[j - 1] = c, d
-                try:
-                    ri = space.index_of(tuple(JJ))
-                except KeyError:
-                    raise NotBlockDiagonal(
-                        f"image {tuple(JJ)} of {J} leaves sector {space.sector}"
-                    ) from None
-                yield ri, ci, v
-
-    return ChainOperator.from_entries(space, entries())
-
-
 @functools.cache
 def _swap_table(N, n, i, j):
     """(kind, partner) of every full-space state, by index: kind 0 if the
@@ -577,7 +538,7 @@ def _swap_table(N, n, i, j):
     on these sites."""
     step = N ** (n - i) - N ** (n - j)
     kind, partner = [], []
-    for k, J in enumerate(shared_space(N, n).states):
+    for k, J in enumerate(Space(N, n).states):
         a, b = J[i - 1], J[j - 1]
         kind.append(0 if a == b else 1 if b < a else 2)
         partner.append(k + (b - a) * step)

@@ -36,11 +36,11 @@ from .report import largest_residual, verdict
 from .rmatrix import r_rational, r_trig
 from .tensor import (
     ChainOperator,
+    Space,
     covector_residual,
     omega_q,
     permutation,
     q_permutation,
-    shared_space,
     split,
 )
 
@@ -73,9 +73,10 @@ def check_omega_invariance(cfg):
 
     def comparisons():
         for i, j in pairs:
-            pq = q_permutation(space, i, j, cfg.q)
-            yield covector_residual(pq.push_left(*w), w, space)
-            target = permutation(space, i, j).push_left(*w)
+            pushed = q_permutation(space, i, j, cfg.q).push_left(*w)
+            yield covector_residual(pushed, w, space)
+            # at q = 1, P^q_ij is P_ij: its push is the target as it stands
+            target = pushed if cfg.q == 1 else permutation(space, i, j).push_left(*w)
             for x in args:
                 if cfg.sinh(cfg.coupled(x)) != 0:
                     R = build(space, i, j, x, cfg.coupling)
@@ -171,7 +172,7 @@ class SectorSums:
     """
 
     def __init__(self, cfg, sector):
-        self.space = shared_space(cfg.N, cfg.n, sector)
+        self.space = Space(cfg.N, cfg.n, sector)
         self.ops = sector_hamiltonians(cfg, sector)
         self.identity = ChainOperator.identity(self.space)
         self.det_sums = []

@@ -188,7 +188,7 @@ def test_sinh_of_coupled_over_sinh_is_the_tilde_ratio(v):
 def test_single_site_connection_is_twist():
     cfg = ModelConfig.rational(2, 1, ETA, HBAR, (Fraction(0),), G2)
     sp = cfg.space()
-    g_op = site_embed(sp, cfg.twist_table(), 1)
+    g_op = site_embed(sp, cfg.g, 1)
     assert qkz_operator(cfg, 1) == g_op
     assert hamiltonian(cfg, 1) == g_op
 
@@ -277,8 +277,7 @@ def test_transfer_matrix_single_site_oracle():
     sp = cfg.space()
     x0 = Fraction(3)
     expect = ChainOperator.identity(sp).scaled(Fraction(5)) + site_embed(
-        sp, cfg.twist_table(), 1
-    ).scaled(ETA / (x0 - Fraction(1, 4)))
+        sp, cfg.g, 1).scaled(ETA / (x0 - Fraction(1, 4)))
     assert transfer_matrix(cfg, x0) == expect
 
 
@@ -860,7 +859,7 @@ def test_each_memoized_factor_is_a_fresh_build(make):
         assert all(F is G for F, G in zip(factors, _chain_factors(cfg, i, shifted, False)))
         kept.update(map(id, factors))
         twist = factors.pop(i - 1)
-        fresh = site_embed(space, cfg.twist_table(), i)
+        fresh = site_embed(space, cfg.g, i)
         assert (twist.rows, twist.den) == (fresh.rows, fresh.den)
         for F, (j, arg) in zip(factors, _qkz_arguments(cfg, i, shifted), strict=True):
             fresh = r_factor(cfg.flavor, space, i, j, arg, cfg.coupling)

@@ -261,12 +261,16 @@ def test_run_full_suite(rational_path):
     assert len(sector_rows) == 4
 
 
-def test_run_correspondence_needs_float(rational_path):
-    rc = load_config(rational_path)
-    rc.checks = ["correspondence"]
-    report = run(rc)
-    assert report.overall == "fail"
-    assert "NeedsFloat" in report.results[0].witness
+def test_run_correspondence_in_exact_mode(rational_path, capsys):
+    # a run that names the correspondence runs it in either mode; "all"
+    # adds it in float mode only
+    argv = ["verify", "--config", rational_path, "--check", "correspondence",
+            "--format", "json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["mode"] == "exact"
+    assert [r["name"] for r in doc["results"]] == ["correspondence"] * 4
+    assert {r["status"] for r in doc["results"]} == {"pass"}
 
 
 def test_run_float_mode_correspondence(rational_path):
@@ -390,8 +394,9 @@ def test_main_verify_pass(rational_path, capsys):
     assert code == 0 and "overall: pass" in out
 
 
-def test_main_verify_failure_exit_code(rational_path, capsys):
-    code = main(["verify", "--config", rational_path, "--check", "correspondence"])
+def test_main_verify_failure_exit_code(trig_path, capsys):
+    # a rational-only check named on the trigonometric flavor fails loudly
+    code = main(["verify", "--config", trig_path, "--check", "det-identity"])
     assert code == 1
     assert "fail" in capsys.readouterr().out
 
@@ -408,6 +413,20 @@ def test_main_config_error_exit_code(tmp_path, capsys):
         assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("command,builder", [("verify", "r_rational"),
+                                             ("correspond", "r_rational_tilde")])
+@pytest.mark.parametrize("message,err", [("", "error: out of memory\n"),
+                                         ("no room", "error: out of memory: no room\n")])
+def test_main_out_of_memory_is_exit_2(rational_path, capsys, monkeypatch,
+                                      command, builder, message, err):
+    # the command cannot run: one line on stderr, no traceback, no report
+    def exhausted(*args):
+        raise MemoryError(message)
+    monkeypatch.setattr(rmatrix, builder, exhausted)
+    assert main([command, "--config", rational_path]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 def _write_long_chain(tmp_path, n):
     # integer points with eta = 1/2 and hbar = 1/3 meet no pole
     p = tmp_path / f"long-{n}.cfg"
@@ -417,10 +436,10 @@ def _write_long_chain(tmp_path, n):
 
 
 def _refuse_spaces(monkeypatch):
-    # on the class itself: shared_space builds through a cache that holds it
+    # Space.__new__ builds each space, and returns the one it built before
     def refuse(*args):
-        raise AssertionError("a Space was built")
-    monkeypatch.setattr(tensor.Space, "__init__", refuse)
+        raise AssertionError("a Space was requested")
+    monkeypatch.setattr(tensor.Space, "__new__", refuse)
 
 
 def test_main_refuses_an_oversized_chain_before_building_it(tmp_path, capsys,

@@ -85,11 +85,11 @@ def test_trig_at_u_one_is_permutation():
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_trig_forms_agree(N):
-    sp = Space(N, 2)
     u, t = Fraction(3, 2), Fraction(2)
-    assert r_trig(sp, 1, 2, u, t) == r_trig_entrywise(sp, 1, 2, u, t)
-    # and with the sites the other way around
-    assert r_trig(sp, 2, 1, u, t) == r_trig_entrywise(sp, 2, 1, u, t)
+    # adjacent sites and sites with one between them, each pair both ways
+    for sp, i, j in ((Space(N, 2), 1, 2), (Space(N, 3), 3, 1)):
+        assert r_trig(sp, i, j, u, t) == r_trig_entrywise(sp, i, j, u, t)
+        assert r_trig(sp, j, i, u, t) == r_trig_entrywise(sp, j, i, u, t)
 
 
 def test_trig_unitarity():

@@ -26,7 +26,6 @@ from qkzbench.tensor import (
     omega_q,
     permutation,
     q_permutation,
-    shared_space,
     join,
     site_embed,
     split,
@@ -109,23 +108,19 @@ def test_inversion_length_is_minimal_swap_count(N, n):
 
 def test_site_embed_matrix_unit():
     # the diagonal unit E_22 at site 1 projects onto the states with letter
-    # 2 there; the raising unit E_12 is no diagonal matrix
+    # 2 there
     sp = Space(2, 2)
-    op = site_embed(sp, {(2, 2): Fraction(1)}, 1)
+    op = site_embed(sp, [0, Fraction(1)], 1)
     for J in sp.states:
         k = sp.index_of(J)
         assert op.entry(k, k) == (J[0] == 2)
     assert op.nnz == 2
-    with pytest.raises(ValueError, match=r"\(1, 2\)"):
-        site_embed(sp, {(1, 2): Fraction(1)}, 1)
 
 
 def test_site_embed_identity_and_diag():
     sp = Space(2, 2)
-    ident = {(1, 1): Fraction(1), (1, 2): Fraction(0), (2, 2): Fraction(1)}
-    assert site_embed(sp, ident, 2) == ChainOperator.identity(sp)
-    g = {(1, 1): Fraction(2), (2, 2): Fraction(3)}
-    op = site_embed(sp, g, 2)
+    assert site_embed(sp, [1, Fraction(1)], 2) == ChainOperator.identity(sp)
+    op = site_embed(sp, (Fraction(2), Fraction(3)), 2)
     for J in sp.states:
         k = sp.index_of(J)
         assert op.entry(k, k) == (2 if J[1] == 1 else 3)
@@ -134,7 +129,7 @@ def test_site_embed_identity_and_diag():
 def test_site_embed_bad_site():
     sp = Space(2, 2)
     with pytest.raises(BadSite):
-        site_embed(sp, {(1, 1): Fraction(1)}, 3)
+        site_embed(sp, [1, 1], 3)
 
 
 def _apply(op, vec):
@@ -164,7 +159,7 @@ def test_swap_builds_need_the_full_space():
     with pytest.raises(DimensionMismatch):
         q_permutation(sp, 1, 2, Fraction(3, 2))
     with pytest.raises(DimensionMismatch):
-        site_embed(sp, {(1, 1): Fraction(1)}, 1)
+        site_embed(sp, [1, 1], 1)
 
 
 def test_permutation_fixes_omega():
@@ -323,11 +318,34 @@ def test_restrict_identity():
 
 
 def test_restrict_shares_one_space_per_sector():
-    full = ChainOperator.identity(shared_space(2, 3))
-    sub = shared_space(2, 3, [2, 1])
-    assert sub is shared_space(2, 3, (2, 1)) == Space(2, 3, (2, 1))
+    full = ChainOperator.identity(Space(2, 3))
+    sub = Space(2, 3, [2, 1])
+    assert sub is Space(2, 3, (2, 1))
     assert full.restrict((2, 1)).space is sub
     assert full.restrict([2, 1]).space is sub
+
+
+def test_one_space_per_key():
+    # N and n become ints and the sector a tuple before the lookup
+    assert Space(2, 3, [2, 1]) is Space(2, 3, (2, 1)) is Space(2.0, 3, (2.0, 1))
+    assert Space(2, 3) is Space(2, 3, None) is not Space(2, 3, (2, 1))
+    # operators built on two separate requests multiply and compare
+    A = permutation(Space(2, 3), 1, 3)
+    B = ChainOperator.identity(Space(2, 3))
+    assert A @ A == B and (A @ B).residual(A) == (0, None)
+    with pytest.raises(DimensionMismatch):
+        A @ ChainOperator.identity(Space(2, 3, (2, 1)))
+
+
+@pytest.mark.parametrize("key,error", [((2, 3, (2, 2)), BadWeight),
+                                       ((2, 3, (3, 1, 0)), BadWeight),
+                                       ((0, 3), ValueError), ((2, 0), ValueError)])
+def test_a_refused_space_is_not_kept(key, error):
+    built = dict(Space._built)
+    for _ in range(2):
+        with pytest.raises(error):
+            Space(*key)
+        assert Space._built == built
 
 
 def test_restrict_raising_operator_fails():
@@ -660,10 +678,11 @@ weights_st = st.one_of(st.just(Fraction(0)), fractions_st)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), N=st.sampled_from([1, 2, 3]), n=st.sampled_from([2, 3, 4]))
 def test_structured_factors_and_kernels_match_the_per_state_references(data, N, n):
-    sp = shared_space(N, n)
+    sp = Space(N, n)
     i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
     diagonal, fixed, up, down = (data.draw(weights_st) for _ in range(4))
-    twist = {(a, a): data.draw(weights_st) for a in range(1, N + 1)}
+    twist = [data.draw(weights_st) for _ in range(N)]
+    table = {(a, a): v for a, v in enumerate(twist, start=1)}
     entries = st.lists(st.tuples(st.integers(0, sp.dim - 1), st.integers(0, sp.dim - 1),
                                  fractions_st), max_size=3 * sp.dim)
     A = ChainOperator.from_entries(sp, data.draw(entries))
@@ -676,7 +695,7 @@ def test_structured_factors_and_kernels_match_the_per_state_references(data, N, 
              (permutation(sp, i, j), _swap_embed_reference(sp, i, j, 0, 1, (1, 1))),
              (tensor.swap_embed(sp, i, j, diagonal, fixed, (0, 0)),
               _swap_embed_reference(sp, i, j, diagonal, fixed, (0, 0))),
-             (site_embed(sp, twist, i), site_embed_reference(sp, twist, i)),
+             (site_embed(sp, twist, i), site_embed_reference(sp, table, i)),
              (ChainOperator.diagonal(sp, values),
               ChainOperator.from_entries(sp, [(k, k, v) for k, v in enumerate(values)]))]
     for F, ref in cases:
@@ -699,16 +718,18 @@ def test_structured_factors_and_kernels_match_the_per_state_references(data, N, 
 
 
 def test_site_embed_takes_only_a_diagonal_matrix():
+    # the matrix is its N diagonal values, g itself; N - 1 or N + 1 of them
+    # is no matrix on a site
+    for N in (1, 2, 3):
+        sp = Space(N, 2)
+        for values in ([Fraction(2)] * (N - 1), [Fraction(2)] * (N + 1)):
+            with pytest.raises(ValueError, match=f"{len(values)} diagonal values"):
+                site_embed(sp, values, 2)
+    # a zero value is no entry
     sp = Space(2, 3)
-    with pytest.raises(ValueError, match=r"off-diagonal entry \(1, 2\) = 3/4"):
-        site_embed(sp, {(1, 2): Fraction(3, 4), (2, 2): Fraction(5)}, 2)
-    with pytest.raises(ValueError, match=r"\(3, 3\) outside 1..2"):
-        site_embed(sp, {(3, 3): Fraction(1)}, 2)
-    # a stored zero off the diagonal is no entry
-    diag = {(1, 2): Fraction(0), (2, 2): Fraction(5)}
-    op = site_embed(sp, diag, 2)
+    op = site_embed(sp, [0, Fraction(5)], 2)
     assert type(op) is tensor.Factor
-    assert _layout(op) == _layout(site_embed_reference(sp, diag, 2))
+    assert _layout(op) == _layout(site_embed_reference(sp, {(2, 2): Fraction(5)}, 2))
 
 
 def test_factors_on_one_pair_of_sites_share_one_partner_table():

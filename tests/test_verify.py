@@ -62,6 +62,21 @@ def test_omega_invariance_trig():
     assert r.passed and r.residual == 0
 
 
+@pytest.mark.parametrize("cfg,swaps", [(CFG, 0), (TCFG, TCFG.n - 1)],
+                         ids=["rational", "trig"])
+def test_omega_invariance_pushes_through_the_plain_swap_only_at_q_not_1(
+        cfg, swaps, monkeypatch):
+    # at q = 1 the push through P^q_ij is the push through P_ij, and serves
+    # as the target of the R comparisons
+    calls = []
+    permutation = verify.permutation
+    monkeypatch.setattr(verify, "permutation",
+                        lambda *a: calls.append(a[1:]) or permutation(*a))
+    r = check_omega_invariance(cfg)
+    assert r.passed and r.residual == 0
+    assert len(calls) == swaps
+
+
 # twist_targets and the flavor covector are one formula each, read through
 # cfg.q; here they meet the per-flavor formulas they replace, written out
 
