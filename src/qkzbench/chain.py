@@ -371,14 +371,17 @@ def transfer_matrix(cfg, x0):
                 lambda: _chain_product(ext, 1, (), tilde=True).trace_first_site())
 
 
-def _fresh_points(cfg, count):
-    """Deterministic spectral sample points avoiding all poles of T."""
-    pts = []
-    k = 0
+def _fresh_points(cfg, count, regular=None):
+    """The first count points (17 + 29k)/13, k = 0, 1, ..., that regular(c,
+    taken) accepts, taken the points accepted before c; by default those off
+    the poles of T(x), x != x_j.  Exact and positive, they serve T(x) and the
+    grids of the R-level identities."""
+    pts, k = [], 0
     while len(pts) < count:
         c = Fraction(17 + 29 * k, 13)
         k += 1
-        if all(cfg.sinh(cfg.relative(c, p)) != 0 for p in cfg.points):
+        if (regular(c, pts) if regular else
+                all(cfg.sinh(cfg.relative(c, p)) != 0 for p in cfg.points)):
             pts.append(c)
     return pts
 
@@ -443,7 +446,7 @@ def qkz_compatibility(cfg, i, j, unshifted=None):
 
 
 def check_transfer_commute(cfg):
-    """[T(x), T(x')] = 0 at two pairs of sampled spectral points."""
+    """[T(x), T(x')] = 0 at two fixed pairs of points: a spot check."""
     pts = _fresh_points(cfg, 4)
     pairs = [(pts[0], pts[1]), (pts[2], pts[3])]
 

@@ -9,6 +9,10 @@ Every identity check runs on the exact chain in both modes; mode = float
 adds the correspondence, whose classical Lax spectra are the one numerical
 check, to "all", a run that names it runs it in either mode, and tol gates
 that check only.  A float-mode JSON report writes each residual as a double.
+No identity check draws: ybe, unitarity and twist-commute are proved on
+fixed exact grids.  The correspondence draws its combinations from one
+stream per sector, seeded by the seed and the sector, so a report depends
+on the config, the seed and the sectors only, not on which checks ran.
 
 Exit codes: 0 every check passed, 1 at least one failed, 2 the command could
 not run: a config error, a workbench error outside any single check, or no
@@ -167,65 +171,56 @@ def parse_sector(text, N, n):
 
 # ------------------------------------------------------------ check registry
 
-def _draw_spectral(model, rng):
-    """A generic spectral sample away from the flavor's poles, an exact
-    Fraction."""
-    while True:
-        v = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
-        if model.is_rational:
-            if v + model.coupling != 0:
-                return v
-        else:
-            t = model.coupling
-            if v != 0 and v * v * t * t != 1 and v * v != 1:
-                return v
+def _r_grid(cfg):
+    """Five fresh points at which R is regular at each point x, at -x (1/u)
+    and at every difference x - y (ratio u_x / u_y) of two of them.
+
+    Cleared of denominators, each R-level identity has degree <= d in each
+    spectral variable: in x, or in u^2 on the trigonometric flavor, whose R
+    depends on u only through u^2.  It then holds identically once it holds
+    on d + 1 distinct values per variable (N. Alon, "Combinatorial
+    Nullstellensatz", 1999, Lemma 2.1), and distinct positive points have
+    distinct squares.  ybe and unitarity read the first three points,
+    twist-commute the last two, so that no R12 on V (x) V is built twice.
+    """
+    return chain._fresh_points(cfg, 5, lambda c, taken: all(
+        cfg.sinh(cfg.coupled(a)) != 0 for a in (c, cfg.relative(cfg.repeated(0), c), *(
+            cfg.relative(a, b) for p in taken for a, b in ((c, p), (p, c))))))
 
 
-def _check_ybe(rc, sectors, rng):
-    cfg, out = rc.model, []
-    while len(out) < 3:
-        p1 = _draw_spectral(cfg, rng)
-        p2 = _draw_spectral(cfg, rng)
-        r = cfg.relative(p1, p2)  # the 12-argument: no pole of R or R~
-        if cfg.sinh(r) == 0 or cfg.sinh(cfg.coupled(r)) == 0:
-            continue
-        out.append(rmatrix.check_yang_baxter(cfg.flavor, p1, p2, cfg.coupling, cfg.N))
-    yield verdict("ybe", [(s.residual, s.witness) for s in out],
-                  params={"samples": len(out)})
+def _check_ybe(rc, sectors):
+    # R12(x - y) R13(x) R23(y) times its denominators has degree <= 2 in x
+    # and in y: a 3 x 3 grid
+    cfg, pts = rc.model, _r_grid(rc.model)[:3]
+    yield rmatrix.check_yang_baxter(cfg.flavor, pts, pts, cfg.coupling, cfg.N)
 
 
-def _check_unitarity(rc, sectors, rng):
-    cfg, out = rc.model, []
-    while len(out) < 3:
-        p = _draw_spectral(cfg, rng)
-        if cfg.is_rational and p - cfg.coupling == 0:
-            continue  # the reversed factor would sit on a pole
-        if not cfg.is_rational and p * p == cfg.coupling ** 2:
-            continue
-        out.append(rmatrix.check_unitarity(cfg.flavor, p, cfg.coupling, cfg.N))
-    yield verdict("unitarity", [(s.residual, s.witness) for s in out],
-                  params={"samples": len(out)})
-
-
-def _check_twist(rc, sectors, rng):
+def _check_unitarity(rc, sectors):
+    # (x + eta)(eta - x) (R12(x) R21(-x) - I) has degree <= 2 in x: 3 points
     cfg = rc.model
-    yield rmatrix.check_twist_commutation(
-        cfg.flavor, _draw_spectral(cfg, rng), cfg.coupling, cfg.g, cfg.N)
+    yield rmatrix.check_unitarity(cfg.flavor, _r_grid(cfg)[:3], cfg.coupling, cfg.N)
 
 
-def _check_transfer_commute(rc, sectors, rng):
+def _check_twist(rc, sectors):
+    # [g (x) g, (x + eta) R(x)] has degree <= 1 in x: 2 points
+    cfg = rc.model
+    yield rmatrix.check_twist_commutation(cfg.flavor, _r_grid(cfg)[3:], cfg.coupling,
+                                          cfg.g, cfg.N)
+
+
+def _check_transfer_commute(rc, sectors):
     yield chain.check_transfer_commute(rc.model)
 
 
-def _check_pole_expansion(rc, sectors, rng):
+def _check_pole_expansion(rc, sectors):
     yield chain.pole_expansion(rc.model)
 
 
-def _check_sum_rule(rc, sectors, rng):
+def _check_sum_rule(rc, sectors):
     yield chain.sum_rule(rc.model)
 
 
-def _check_qkz_compat(rc, sectors, rng):
+def _check_qkz_compat(rc, sectors):
     # each unshifted K_i is built once for the family, and dropped with it
     cfg, unshifted = rc.model, {}
     for i in range(1, cfg.n + 1):
@@ -233,16 +228,16 @@ def _check_qkz_compat(rc, sectors, rng):
             yield chain.qkz_compatibility(cfg, i, j, unshifted)
 
 
-def _check_omega(rc, sectors, rng):
+def _check_omega(rc, sectors):
     yield verify.check_omega_invariance(rc.model)
 
 
-def _check_k_projection(rc, sectors, rng):
+def _check_k_projection(rc, sectors):
     for i in range(1, rc.model.n + 1):
         yield verify.check_k_projection(rc.model, i)
 
 
-def _check_proposition(rc, sectors, rng):
+def _check_proposition(rc, sectors):
     # each right side extends that of its subset's prefix by one push; a size
     # level is dropped once the next one is done
     cfg, right_sides = rc.model, {}
@@ -253,18 +248,18 @@ def _check_proposition(rc, sectors, rng):
             right_sides.pop(sites, None)
 
 
-def _check_det_identity(rc, sectors, rng):
+def _check_det_identity(rc, sectors):
     for M in sectors:
         yield verify.check_det_identity(rc.model, M)
 
 
-def _check_symmetric(rc, sectors, rng):
+def _check_symmetric(rc, sectors):
     for M in sectors:
         for d in range(1, rc.model.n + 1):
             yield verify.check_symmetric_identity(rc.model, M, d)
 
 
-def _check_macdonald(rc, sectors, rng):
+def _check_macdonald(rc, sectors):
     cfg = rc.model
     degrees = range(1, cfg.n + 1) if cfg.is_rational else (1,)
     for M in sectors:
@@ -272,11 +267,12 @@ def _check_macdonald(rc, sectors, rng):
             yield verify.check_macdonald_eigenvalue(cfg, M, d)
 
 
-def _check_correspondence(rc, sectors, rng):
+def _check_correspondence(rc, sectors):
     from . import correspond  # the eigensolver, loaded only by a run of this check
     for M in sectors:
         # floats enter only at the eigensolver boundary
-        rep = correspond.check_correspondence(rc.model, M, tol=rc.tol, rng=rng)
+        rep = correspond.check_correspondence(rc.model, M, tol=rc.tol,
+                                              rng=_sector_draws(rc, M))
         yield verdict("correspondence", [(rep.worst, None)],
                       sector=rep.sector, params={"eigenstates": len(rep.rows)},
                       threshold=rc.tol)
@@ -303,25 +299,20 @@ CHECK_NAMES = tuple(_REGISTRY)
 
 def _applicable_checks(rc):
     """Expansion of "all": every check that can run on this flavor and mode."""
-    names = []
-    for name in CHECK_NAMES:
-        if name in _RATIONAL_ONLY and not rc.model.is_rational:
-            continue
-        if name == "correspondence" and rc.mode == "exact":
-            continue
-        names.append(name)
-    return names
+    return [name for name in CHECK_NAMES
+            if (rc.model.is_rational or name not in _RATIONAL_ONLY)
+            and (rc.mode == "float" or name != "correspondence")]
 
 
 def run(rc: RunConfig) -> RunReport:
-    """Dispatch the selected checks; deterministic for a fixed seed.
+    """Dispatch the selected checks; each result depends only on the config,
+    the seed and its sector.
 
     Each check family yields its results one by one, and each result is
     timed on its own.  Module errors become failed CheckResults, never
     mid-suite aborts: a family that raises one reports a single error result
     in place of all of its results, timed from the family's start.
     """
-    rng = random.Random(rc.seed)
     sectors = _sector_list(rc)
     names = []
     for name in rc.checks:
@@ -336,7 +327,7 @@ def run(rc: RunConfig) -> RunReport:
         results, timings = [], []
         start = t0 = time.perf_counter()
         try:
-            for r in _REGISTRY[name](rc, sectors, rng):
+            for r in _REGISTRY[name](rc, sectors):
                 t1 = time.perf_counter()
                 results.append(r)
                 timings.append((t1 - t0) * 1000.0)
@@ -350,15 +341,9 @@ def run(rc: RunConfig) -> RunReport:
 
 
 def _describe_run(rc):
-    d = rc.model.describe()
-    d["seed"] = rc.seed
-    d["tol"] = rc.tol
-    d["mode"] = rc.mode
-    d["checks"] = list(rc.checks)
-    d["sectors"] = (
-        "all" if rc.sectors == "all" else [list(s) for s in rc.sectors]
-    )
-    return d
+    sectors = "all" if rc.sectors == "all" else [list(s) for s in rc.sectors]
+    return dict(rc.model.describe(), seed=rc.seed, tol=rc.tol, mode=rc.mode,
+                checks=list(rc.checks), sectors=sectors)
 
 
 # ------------------------------------------------------------------ emitting
@@ -442,8 +427,9 @@ def emit(report: RunReport, fmt: str = "text", timings: bool = False) -> str:
 
 
 def _compact(v):
+    # blanks, not "/", part the entries of a list: an exact value such as 3/7 has one
     if isinstance(v, (list, tuple)):
-        return "/".join(str(x) for x in v)
+        return "[" + " ".join(map(_compact, v)) + "]"
     return str(v)
 
 
@@ -468,6 +454,13 @@ def _sector_list(rc):
     return list(rc.sectors)
 
 
+def _sector_draws(rc, M):
+    """The random stream of sector M's combination draws, seeded by the
+    string of (seed, sector): the same in verify, spectrum and correspond,
+    whichever other checks and sectors run."""
+    return random.Random(str((rc.seed, tuple(map(int, M)))))
+
+
 def _cmd_verify(args):
     rc = _select(args)
     if args.check:
@@ -482,10 +475,10 @@ def _cmd_verify(args):
 def _cmd_spectrum(args):
     from . import correspond
     rc = _select(args)
-    rng = random.Random(rc.seed)
     doc = {"config": _describe_run(rc), "sectors": []}
     for M in _sector_list(rc):
-        states = correspond.diagonalize_sector(rc.model, M, tol=rc.tol, rng=rng)
+        states = correspond.diagonalize_sector(rc.model, M, tol=rc.tol,
+                                               rng=_sector_draws(rc, M))
         doc["sectors"].append(
             {
                 "sector": list(M),
@@ -507,12 +500,12 @@ def _cmd_spectrum(args):
 def _cmd_correspond(args):
     from . import correspond
     rc = _select(args)
-    rng = random.Random(rc.seed)
     rc.tol = require_tolerance(args.tol if args.tol is not None else 1e-8)
     doc = {"config": _describe_run(rc), "sectors": []}
     ok = True
     for M in _sector_list(rc):
-        rep = correspond.check_correspondence(rc.model, M, tol=rc.tol, rng=rng)
+        rep = correspond.check_correspondence(rc.model, M, tol=rc.tol,
+                                              rng=_sector_draws(rc, M))
         ok = ok and rep.passed
         doc["sectors"].append(
             {

@@ -310,8 +310,8 @@ def diagonalize_sector(cfg, sector, tol=1e-10, rng=None, digits=MP_DPS):
     eigenpair of the double start is refined in Gaussian integers at the
     fixed-point scale of `digits` digits, its eigenvalues read back exactly
     from H_i v, and the residuals gated exactly at tol, re-drawing the
-    combination up to three times.  One-dimensional sectors bypass the
-    eigensolver.
+    combination up to three times from rng (the command line seeds one per
+    sector).  One-dimensional sectors bypass the eigensolver.
     """
     gate = require_tolerance(tol)
     rng = rng if rng is not None else random.Random(0)
@@ -452,7 +452,6 @@ def check_correspondence(cfg, sector, tol=1e-8, rng=None):
     with e_k(targets).
     """
     sector = tuple(int(m) for m in sector)
-    rng = rng if rng is not None else random.Random(0)
     targets_exact, elementary = twist_side(cfg, sector)[:2]
     # a root of multiplicity m moves by about err^(1/m), so coefficients
     # good to 10^-digits keep its certified radius below tol

@@ -115,43 +115,47 @@ def r_factor(flavor, space, i, j, point, coupling, tilde=False):
     return build(space, i, j, point, coupling)
 
 
-def check_yang_baxter(flavor, point1, point2, coupling, N):
-    """Triple-product test R12 R13 R23 = R23 R13 R12 on V^(tensor 3).
+def check_yang_baxter(flavor, xs, ys, coupling, N):
+    """Triple-product test R12 R13 R23 = R23 R13 R12 on V^(tensor 3) at every
+    (x, y) of the grid xs x ys.
 
-    point1/point2 are the two independent spectral values (x, y) in the
-    rational case or their exponentials (u_x, u_y) in the trigonometric one;
-    the 12-argument is the difference x - y, i.e. the ratio u_x / u_y.
+    xs and ys hold the spectral values x, y in the rational case or their
+    exponentials u_x, u_y in the trigonometric one; the 12-argument is the
+    difference x - y, i.e. the ratio u_x / u_y.  Each factor is built once:
+    R13 per x, R23 per y and R12 per distinct 12-argument.
     """
     space = Space(N, 3)
-    point1, point2 = Fraction(point1), Fraction(point2)
-    p12 = point1 - point2 if flavor == "rational" else point1 / point2
-    r12 = r_factor(flavor, space, 1, 2, p12, coupling)
-    r13 = r_factor(flavor, space, 1, 3, point1, coupling)
-    r23 = r_factor(flavor, space, 2, 3, point2, coupling)
-    lhs = r12 @ r13 @ r23
-    rhs = r23 @ r13 @ r12
-    return verdict(
-        "ybe", [lhs.residual(rhs)],
-        params={"flavor": flavor, "points": (str(point1), str(point2)), "N": N})
+    xs, ys = [Fraction(p) for p in xs], [Fraction(p) for p in ys]
+    r13 = [r_factor(flavor, space, 1, 3, x, coupling) for x in xs]
+    r23 = [r_factor(flavor, space, 2, 3, y, coupling) for y in ys]
+    args = [[x - y if flavor == "rational" else x / y for y in ys] for x in xs]
+    r12 = {p: r_factor(flavor, space, 1, 2, p, coupling)
+           for p in dict.fromkeys(p for row in args for p in row)}
+    residuals = ((r12[p] @ a @ c).residual(c @ a @ r12[p])
+                 for row, a in zip(args, r13) for p, c in zip(row, r23))
+    return verdict("ybe", residuals,
+                   params={"points": ([str(x) for x in xs], [str(y) for y in ys])})
 
 
-def check_unitarity(flavor, point, coupling, N):
-    """R_12(s) R_21(-s) = I on V^(tensor 2); -s maps to 1/u multiplicatively."""
+def check_unitarity(flavor, points, coupling, N):
+    """R_12(s) R_21(-s) = I on V^(tensor 2) at every s of points; -s maps to
+    1/u multiplicatively."""
     space = Space(N, 2)
-    fwd = r_factor(flavor, space, 1, 2, point, coupling)
-    p = Fraction(point)
-    back = r_factor(flavor, space, 2, 1, -p if flavor == "rational" else 1 / p,
-                    coupling)
-    return verdict(
-        "unitarity",
-        [(fwd @ back).residual(ChainOperator.identity(space))],
-        params={"flavor": flavor, "point": str(point), "N": N})
+    one = ChainOperator.identity(space)
+    points = [Fraction(p) for p in points]
+    pairs = ((r_factor(flavor, space, 1, 2, p, coupling),
+              r_factor(flavor, space, 2, 1, -p if flavor == "rational" else 1 / p, coupling))
+             for p in points)
+    return verdict("unitarity", ((fwd @ back).residual(one) for fwd, back in pairs),
+                   params={"points": [str(p) for p in points]})
 
 
-def check_twist_commutation(flavor, point, coupling, g, N):
-    """[g (x) g, R(x)] = 0 for a diagonal twist g on V^(tensor 2)."""
+def check_twist_commutation(flavor, points, coupling, g, N):
+    """[g (x) g, R(x)] = 0 for a diagonal twist g on V^(tensor 2) at every x
+    of points."""
     space = Space(N, 2)
-    r = r_factor(flavor, space, 1, 2, point, coupling)
     gg = site_embed(space, g, 1) @ site_embed(space, g, 2)
-    return verdict("twist-commute", [(gg @ r).residual(r @ gg)],
-                   params={"flavor": flavor, "point": str(point), "N": N})
+    points = [Fraction(p) for p in points]
+    rs = (r_factor(flavor, space, 1, 2, p, coupling) for p in points)
+    return verdict("twist-commute", ((gg @ r).residual(r @ gg) for r in rs),
+                   params={"points": [str(p) for p in points]})

@@ -83,10 +83,10 @@ def test_criterion_01_ybe_unitarity_twist_commutation():
                 if x + eta != 0 and y + eta != 0 and x - y + eta != 0:
                     break
             g = tuple(_draw(rng, nonzero=True) for _ in range(N))
-            assert check_yang_baxter("rational", x, y, eta, N).residual == 0
+            assert check_yang_baxter("rational", [x], [y], eta, N).residual == 0
             s = x if x not in (eta, -eta) else eta / 3
-            assert check_unitarity("rational", s, eta, N).residual == 0
-            assert check_twist_commutation("rational", x, eta, g, N).residual == 0
+            assert check_unitarity("rational", [s], eta, N).residual == 0
+            assert check_twist_commutation("rational", [x], eta, g, N).residual == 0
             # trigonometric draw
             while True:
                 t = _draw(rng, nonzero=True)
@@ -100,11 +100,11 @@ def test_criterion_01_ybe_unitarity_twist_commutation():
             ux, uy = pts
             if (ux / uy) ** 2 * t * t == 1:
                 uy = uy * 3  # nudge off the single excluded ratio
-            assert check_yang_baxter("trigonometric", ux, uy, t, N).residual == 0
+            assert check_yang_baxter("trigonometric", [ux], [uy], t, N).residual == 0
             if ux * ux != t * t:
-                assert check_unitarity("trigonometric", ux, t, N).residual == 0
+                assert check_unitarity("trigonometric", [ux], t, N).residual == 0
             assert check_twist_commutation(
-                "trigonometric", ux, t, g, N
+                "trigonometric", [ux], t, g, N
             ).residual == 0
             checked += 1
     elapsed = time.monotonic() - t0

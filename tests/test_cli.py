@@ -622,14 +622,59 @@ def test_correspond_echoes_the_tolerance_it_gates_at(rational_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-8
 
 
+# the float-rational benchmark chain at seed 1; with one random stream per
+# run, sector (2,1,1) read 2.52e-29 under a full verify and 1.26e-29 under
+# verify --check correspondence
+FLOAT_RATIONAL_CFG = """\
+model = rational
+N = 3
+n = 4
+eta = 1/2
+hbar = 1/3
+x = [-3/5, 1/4, -11/7, 2]
+g = [3, 6, 2]
+seed = 1
+tol = 1e-10
+mode = float
+"""
+
+
+def test_a_sector_reads_the_same_whatever_else_the_run_checks(tmp_path, capsys):
+    path = tmp_path / "float-rational.cfg"
+    path.write_text(FLOAT_RATIONAL_CFG)
+
+    def report(*argv):
+        code = main([argv[0], "--config", str(path), *argv[1:]])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0, doc
+        return doc
+
+    def correspondence(*argv):
+        (r,) = [r for r in report("verify", "--format", "json", *argv)["results"]
+                if r["name"] == "correspondence" and r["sector"] == [2, 1, 1]]
+        return r["residual"]
+
+    values = [correspondence(),
+              correspondence("--check", "correspondence"),
+              correspondence("--check", "correspondence", "--sector", "2,1,1")]
+    (sector,) = report("correspond", "--tol", "1e-10", "--sector", "2,1,1")["sectors"]
+    values.append(sector["worst"])
+    assert len(set(values)) == 1 and values[0] > 0
+    full = {tuple(s["sector"]): s for s in report("spectrum")["sectors"]}
+    for M in ("2,1,1", "1,2,1", "0,1,3"):
+        (alone,) = report("spectrum", "--sector", M)["sectors"]
+        assert alone == full[tuple(map(int, M.split(",")))]
+
+
 def test_check_registry_is_published():
     assert len(CHECK_NAMES) == 14
     assert "ybe" in CHECK_NAMES and "correspondence" in CHECK_NAMES
 
 
-# at seed 39 one Yang-Baxter draw has the exact ratio p1 / p2 = 4/5 = -1/t, a
-# pole of R12; in complex doubles it reads 0.7999..., so a pole guard decided
-# on the float config missed it and ybe failed at residual 0.339
+# at seed 39 an earlier random Yang-Baxter draw had the exact ratio
+# p1 / p2 = 4/5 = -1/t, a pole of R12; in complex doubles it reads 0.7999...,
+# so a pole guard decided on the float config missed it and ybe failed at
+# residual 0.339
 YBE_POLE_CFG = """\
 model = trigonometric
 N = 2
@@ -652,13 +697,111 @@ def _ybe_pole_run(tmp_path, mode):
     return run(rc).results
 
 
+def _regular(flavor, point, coupling):
+    """Whether R of the flavor has no pole at the point: x + eta != 0, or
+    u != 0 and (u t)^2 != 1, written out apart from the package."""
+    if flavor == "rational":
+        return point + coupling != 0
+    return point != 0 and (point * coupling) ** 2 != 1
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_spectral_draws_avoid_poles_of_the_exact_config(tmp_path, mode):
+def test_r_level_grids_avoid_poles_of_the_exact_config(tmp_path, monkeypatch, mode):
+    built = []
+    r_factor = rmatrix.r_factor
+
+    def recorded(flavor, space, i, j, point, coupling, tilde=False):
+        built.append((flavor, point, coupling))
+        return r_factor(flavor, space, i, j, point, coupling, tilde)
+
+    monkeypatch.setattr(rmatrix, "r_factor", recorded)
     ybe, unitarity, twist = _ybe_pole_run(tmp_path, mode)
-    assert ybe.passed and unitarity.passed and twist.passed
-    # both modes draw the same exact points and check them exactly
-    assert twist.params["point"] == "-2"
     assert (ybe.residual, unitarity.residual, twist.residual) == (0, 0, 0)
+    # both modes check the same exact grids: 3 x 3, 3 and 2 points
+    xs, ys = ybe.params["points"]
+    assert (len(set(xs)), len(set(ys)), len(set(unitarity.params["points"])),
+            len(set(twist.params["points"]))) == (3, 3, 3, 2)
+    # every factor each check builds sits off the poles of R: 3 + 3 R13 and
+    # R23, 7 distinct R12 ratios, 3 + 3 for unitarity and 2 for the twist
+    assert len(built) == 21
+    assert all(_regular(*b) for b in built)
+
+
+# chains on which a point of the sequence (17 + 29k)/13 is a pole of one of
+# the factors the R-level checks build, so that the grids must skip it
+GRID_POLE_CFGS = [
+    # R13(46/13) and R23(46/13): x + eta = 0
+    "model = rational\nN = 2\nn = 2\neta = -46/13\nhbar = 1/3\nx = [0, 2/5]\ng = [2, 3]\n",
+    # R12(17/13 - 46/13): x - y + eta = 0
+    "model = rational\nN = 2\nn = 2\neta = 29/13\nhbar = 1/3\nx = [0, 2/5]\ng = [2, 3]\n",
+    # R21(1/u) at u = 75/13: (t / u)^2 = 1
+    "model = trigonometric\nN = 2\nn = 2\nt = 75/13\nh = 5/4\nu = [1, 3/2]\ng = [2, 3]\n",
+]
+
+
+@pytest.mark.parametrize("text", GRID_POLE_CFGS, ids=["R13-R23", "R12", "R21"])
+def test_r_level_grids_skip_a_pole_on_the_sequence(tmp_path, monkeypatch, text):
+    built = []
+    r_factor = rmatrix.r_factor
+
+    def recorded(flavor, space, i, j, point, coupling, tilde=False):
+        built.append((flavor, point, coupling))
+        return r_factor(flavor, space, i, j, point, coupling, tilde)
+
+    monkeypatch.setattr(rmatrix, "r_factor", recorded)
+    p = tmp_path / "grid-pole.cfg"
+    p.write_text(text)
+    rc = load_config(str(p))
+    rc.checks = ["ybe", "unitarity", "twist-commute"]
+    results = run(rc).results
+    assert [r.residual for r in results] == [0, 0, 0]
+    assert built and all(_regular(*b) for b in built)
+
+
+def _r_level_points(rc, name):
+    """The grid of one variable of an R-level check, as its result names it."""
+    rc.checks = [name]
+    (result,) = run(rc).results
+    points = result.params["points"]
+    return [Fraction(p) for p in (points[0] if name == "ybe" else points)]
+
+
+def _r_level_check(name, cfg, points):
+    if name == "ybe":
+        return rmatrix.check_yang_baxter(cfg.flavor, points, points, cfg.coupling, cfg.N)
+    if name == "unitarity":
+        return rmatrix.check_unitarity(cfg.flavor, points, cfg.coupling, cfg.N)
+    return rmatrix.check_twist_commutation(cfg.flavor, points, cfg.coupling, cfg.g, cfg.N)
+
+
+@pytest.mark.parametrize("name", ["ybe", "unitarity", "twist-commute"])
+@pytest.mark.parametrize("chain_name", ["rational", "trig"])
+def test_each_r_level_grid_point_is_needed(monkeypatch, name, chain_name):
+    # R + f(v) E, with f vanishing at every argument the check builds on its
+    # grid one point short and E an entry that moves a letter, so that it
+    # commutes with no twist of distinct entries: the short grid cannot see
+    # it, the full grid must
+    rc = load_config(Path(__file__).parent / "data" / f"{chain_name}.cfg")
+    cfg, points = rc.model, _r_level_points(rc, name)
+    r_factor, seen = rmatrix.r_factor, []
+
+    def recorded(flavor, space, i, j, point, coupling, tilde=False):
+        seen.append(point)
+        return r_factor(flavor, space, i, j, point, coupling, tilde)
+
+    monkeypatch.setattr(rmatrix, "r_factor", recorded)
+    assert _r_level_check(name, cfg, points[:-1]).residual == 0
+
+    def perturbed(flavor, space, i, j, point, coupling, tilde=False):
+        f = math.prod(Fraction(point) - v for v in seen)
+        move = tensor.ChainOperator.from_entries(space, [(0, 1, 1)])
+        return tensor.ChainOperator.combination(
+            [(1, r_factor(flavor, space, i, j, point, coupling, tilde)), (f, move)])
+
+    monkeypatch.setattr(rmatrix, "r_factor", perturbed)
+    assert _r_level_check(name, cfg, points[:-1]).passed
+    (full,) = run(rc).results
+    assert not full.passed and full.residual > 0
 
 
 def test_float_ybe_on_the_pole_config_fails_a_perturbed_coupling(tmp_path,

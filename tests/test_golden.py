@@ -13,7 +13,11 @@ residual as a double.  Two verify reports fail on purpose: each runs with an
 exact negative control patched in, so that the failing residuals and their
 witnesses (basis pairs, basis states and Cauchy weights) are pinned too.
 `spectrum` refines its eigenpairs in exact integers from a double start
-computed in pure Python, so its report is byte-exact as well.
+computed in pure Python, so its report is byte-exact as well.  No identity
+check draws: ybe, unitarity and twist-commute run on fixed exact grids, and
+the random combinations of spectrum and the correspondence come from one
+stream per sector, seeded by the seed and the sector.  So each report
+depends only on its config, its seed and its sectors.
 
 The identities cannot see every fault of an operator (a sign flip of the
 qKZ step, an R-matrix replaced by the swap), so the operator goldens pin the

@@ -123,19 +123,19 @@ def test_sinh_ratios_are_mutually_inverse():
 # ------------------------------------------------------------------ checks
 
 def test_yang_baxter_rational():
-    r = check_yang_baxter("rational", Fraction(2, 3), Fraction(1, 5), ETA, 2)
+    r = check_yang_baxter("rational", [Fraction(2, 3)], [Fraction(1, 5)], ETA, 2)
     assert r.passed and r.residual == 0
 
 
 def test_yang_baxter_rational_degenerate_point():
     # y = 0 makes the 23-factor a plain swap; the identity still holds
-    r = check_yang_baxter("rational", Fraction(2, 3), Fraction(0), ETA, 2)
+    r = check_yang_baxter("rational", [Fraction(2, 3)], [Fraction(0)], ETA, 2)
     assert r.passed
 
 
 def test_yang_baxter_trig():
     r = check_yang_baxter(
-        "trigonometric", Fraction(2), Fraction(3, 2), Fraction(5, 4), 3
+        "trigonometric", [Fraction(2)], [Fraction(3, 2)], Fraction(5, 4), 3
     )
     assert r.passed and r.residual == 0
 
@@ -157,7 +157,7 @@ def test_unitarity_random_points(flavor, N):
                 p * p == coupling * coupling
             ):
                 continue
-        r = check_unitarity(flavor, p, coupling, N)
+        r = check_unitarity(flavor, [p], coupling, N)
         assert r.passed and r.residual == 0
         done += 1
 
@@ -166,7 +166,7 @@ def test_unitarity_random_points(flavor, N):
 def test_twist_commutation(flavor):
     coupling = Fraction(1, 2) if flavor == "rational" else Fraction(2)
     g = (Fraction(2), Fraction(3), Fraction(-5, 7))
-    r = check_twist_commutation(flavor, Fraction(3, 7), coupling, g, 3)
+    r = check_twist_commutation(flavor, [Fraction(3, 7)], coupling, g, 3)
     assert r.passed and r.residual == 0
 
 
